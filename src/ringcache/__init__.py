@@ -5,7 +5,7 @@ The package is organised around five pieces:
 * :mod:`ringcache.model` -- the cyclic demand structure (regions, demand
   sets, demand vectors) and all shared index arithmetic.
 * :mod:`ringcache.schemes` -- achievable schemes as (placement, delivery,
-  decode) triples, both symbolic and bit-exact, plus worst-case load search.
+  decode) triples, both symbolic and bit-exact, plus their worst-case load.
 * :mod:`ringcache.bounds` -- closed-form optimal loads, cut-set bounds and
   order-optimality gap checks, all in exact rational arithmetic.
 * :mod:`ringcache.converse` -- genie-aided inequality families, the exact

@@ -28,6 +28,7 @@ from ringcache.model import (
     DemandError,
     DemandStructure,
     ProblemInstance,
+    count_demands,
     cyclic_mod,
 )
 from ringcache.schemes import UncodedPlacement
@@ -143,9 +144,7 @@ def full_family(
 ) -> list:
     """One genie row per (distinct-demand vector, permutation) pair."""
     inst = ds.inst
-    n_all = 1
-    for s in ds.demands:
-        n_all *= len(s)
+    n_all = count_demands(ds)
     if n_all > budget:  # counting distinct vectors already walks the product
         raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {budget}")
     distinct = [d for d in product(*ds.demands) if len(set(d)) == inst.K]

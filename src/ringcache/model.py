@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterator
 
 
@@ -95,9 +96,6 @@ class ProblemInstance:
 
     def with_m(self, m) -> "ProblemInstance":
         return ProblemInstance(self.K, self.a, self.b, self.L, Fraction(m))
-
-    def with_l(self, l: int) -> "ProblemInstance":
-        return ProblemInstance(self.K, self.a, self.b, l, self.M)
 
     def to_json_dict(self) -> dict:
         return {"K": self.K, "a": self.a, "b": self.b, "L": self.L, "M": str(self.M)}
@@ -290,8 +288,5 @@ def enumerate_demands(ds: DemandStructure, distinct_only: bool = False) -> Itera
 def count_demands(ds: DemandStructure, distinct_only: bool = False) -> int:
     """Count demand vectors without materialising them all at once."""
     if not distinct_only:
-        n = 1
-        for s in ds.demands:
-            n *= len(s)
-        return n
+        return prod(len(s) for s in ds.demands)
     return sum(1 for _ in enumerate_demands(ds, distinct_only=True))

@@ -1,37 +1,43 @@
 """Achievable schemes: placement, delivery, decode, worst-case load.
 
 Memory sharing splits every file into contiguous segments with exact
-rational fractions, one segment per constituent scheme. Delivery and
+rational fractions, one segment per constituent scheme. Each segment kind
+owns a placement (the subfiles of each file) and a delivery plan (a
+demand-free list of multicast messages); cache fill, delivery, decoding
+and the worst-case load are derived from those two alone. Delivery and
 decoding run segment-by-segment and independently of each other. For the
 bit-exact path the file size B (in bytes) must make every subfile a whole
 number of bytes; `min_file_size` returns the smallest such B.
 
-Subfiles are addressed by (segment index, file index, node mask). Within a
-coded segment the mask names the single node caching the subfile and the
-subfile occupies the mask-node's chunk of the segment (K equal chunks in
-node order).
+Subfiles are addressed by (segment index, file index, node mask), where the
+mask names the nodes that cache the subfile (0 for none). Inside a segment
+a file's subfiles sit back to back in ascending mask order; in a pair-XOR
+segment that puts node k's subfile at the k-th of K equal chunks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 
 from ringcache.model import (
     BudgetExceededError,
-    DemandError,
     DemandStructure,
     InvalidInstanceError,
     ProblemInstance,
+    count_demands,
     cyclic_mod,
     mask_of,
+    nodes_of,
 )
 
 WORST_CASE_BUDGET = 10**7
+_WHOLE = Fraction(1)
 
 
 class PlacementError(ValueError):
@@ -46,21 +52,56 @@ class DecodeError(RuntimeError):
     """A user failed to reconstruct its file; always a scheme bug."""
 
 
+@functools.cache
+def _one_per_node(K: int) -> tuple:
+    """The pair-XOR placement of every file; cached, as cache fill asks once per file."""
+    share = Fraction(1, K)
+    return tuple([(1 << k, share) for k in range(K)])
+
+
 class SegmentKind(enum.Enum):
     UNCODED_DIRECT = "uncoded_direct"
     MAN_T1 = "man_t1"
     LOCAL_FULL = "local_full"
     MULTIACCESS_LOCAL = "multiaccess_local"
 
-    def memory_cost(self, inst: ProblemInstance) -> Fraction:
-        """Per-node cache units consumed per unit of segment fraction."""
+    def placement(self, inst: ProblemInstance, ds: DemandStructure, i: int) -> tuple:
+        """Subfiles of file i as (node mask, fraction of the segment) pairs.
+
+        Pairs come in ascending mask order and their fractions sum to 1.
+        Direct delivery caches nothing; pair-XOR splits the file into K
+        equal subfiles, one per node; local caching stores the whole file
+        at every node whose region demands it; multiaccess stores it only
+        at its home node, which users reach when L >= 2.
+        """
         if self is SegmentKind.UNCODED_DIRECT:
-            return Fraction(0)
+            return ((0, _WHOLE),)
         if self is SegmentKind.MAN_T1:
-            return Fraction(inst.a + inst.b)
+            return _one_per_node(inst.K)
         if self is SegmentKind.LOCAL_FULL:
-            return Fraction(2 * inst.a + inst.b)
-        return Fraction(inst.a + inst.b)
+            return ((mask_of(ds.demand_regions(i)), _WHOLE),)
+        if inst.L < 2:
+            raise InvalidInstanceError("multiaccess placement requires L >= 2")
+        return ((1 << (ds.home_region(i) - 1), _WHOLE),)
+
+    @functools.cache
+    def plan(self, K: int) -> tuple:
+        """Demand-free delivery template: (((user, mask), ...), size) per message.
+
+        A component (user, mask) stands for the subfile with that mask of
+        the file the user demands; a message is the XOR of its components
+        and its size is per unit of segment fraction. Cached per (kind, K),
+        as every delivery reads it.
+        """
+        if self is SegmentKind.UNCODED_DIRECT:
+            return tuple([(((k, 0),), _WHOLE) for k in range(1, K + 1)])
+        if self is SegmentKind.MAN_T1:
+            size = Fraction(1, K)
+            return tuple([
+                (((j, 1 << (k - 1)), (k, 1 << (j - 1))), size)
+                for j, k in combinations(range(1, K + 1), 2)
+            ])
+        return ()
 
 
 @dataclass(frozen=True)
@@ -97,52 +138,13 @@ class UncodedPlacement:
                 raise PlacementError(f"node {k} uses {used} > M = {inst.M}")
 
 
-def place_local_full(inst: ProblemInstance, ds: DemandStructure) -> UncodedPlacement:
-    """Cache at node k every file demandable in region k, in full.
-
-    Shared files live at both adjacent nodes, unique files at one; each
-    node stores exactly 2a+b file-units.
-    """
-    sizes = {}
-    for i in range(1, inst.N + 1):
-        sizes[(i, mask_of(ds.demand_regions(i)))] = Fraction(1)
-    return UncodedPlacement(sizes=sizes)
-
-
 def place_man(inst: ProblemInstance, t: int) -> UncodedPlacement:
     """Canonical coded-caching placement: equal split over all t-subsets."""
     if not 0 <= t <= inst.K:
         raise InvalidInstanceError(f"t must lie in [0, K], got {t}")
-    sizes = {}
-    if t == 0:
-        for i in range(1, inst.N + 1):
-            sizes[(i, 0)] = Fraction(1)
-        return UncodedPlacement(sizes=sizes)
-    n_subsets = 0
-    masks = []
-    for combo in combinations(range(1, inst.K + 1), t):
-        masks.append(mask_of(combo))
-        n_subsets += 1
-    frac = Fraction(1, n_subsets)
-    for i in range(1, inst.N + 1):
-        for m in masks:
-            sizes[(i, m)] = frac
-    return UncodedPlacement(sizes=sizes)
-
-
-def place_man_t1(inst: ProblemInstance, ds: DemandStructure) -> UncodedPlacement:
-    """Every file split into K equal subfiles, one per node; usage a+b."""
-    return place_man(inst, 1)
-
-
-def place_multiaccess(inst: ProblemInstance, ds: DemandStructure) -> UncodedPlacement:
-    """Cache each file in full at its home node; needs L >= 2 to decode."""
-    if inst.L < 2:
-        raise InvalidInstanceError("multiaccess placement requires L >= 2")
-    sizes = {}
-    for i in range(1, inst.N + 1):
-        sizes[(i, 1 << (ds.home_region(i) - 1))] = Fraction(1)
-    return UncodedPlacement(sizes=sizes)
+    masks = [mask_of(combo) for combo in combinations(range(1, inst.K + 1), t)]
+    frac = Fraction(1, len(masks))
+    return UncodedPlacement(sizes={(i, m): frac for i in range(1, inst.N + 1) for m in masks})
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,6 @@ class SchemeSpec:
         if any(s.fraction <= 0 for s in self.segments):
             raise InvalidInstanceError("segment fractions must be positive")
 
-    def memory_used(self, inst: ProblemInstance) -> Fraction:
-        return sum((s.fraction * s.kind.memory_cost(inst) for s in self.segments), Fraction(0))
-
     def fraction_of(self, kind: SegmentKind) -> Fraction:
         return sum((s.fraction for s in self.segments if s.kind is kind), Fraction(0))
 
@@ -173,16 +172,9 @@ class SchemeSpec:
         """Combine the per-segment placements, scaled by segment fraction."""
         sizes: dict = {}
         for seg in self.segments:
-            if seg.kind is SegmentKind.UNCODED_DIRECT:
-                part = {(i, 0): Fraction(1) for i in range(1, inst.N + 1)}
-            elif seg.kind is SegmentKind.MAN_T1:
-                part = place_man_t1(inst, ds).sizes
-            elif seg.kind is SegmentKind.LOCAL_FULL:
-                part = place_local_full(inst, ds).sizes
-            else:
-                part = place_multiaccess(inst, ds).sizes
-            for key, v in part.items():
-                sizes[key] = sizes.get(key, Fraction(0)) + seg.fraction * v
+            for i in range(1, inst.N + 1):
+                for mask, frac in seg.kind.placement(inst, ds, i):
+                    sizes[i, mask] = sizes.get((i, mask), Fraction(0)) + seg.fraction * frac
         return UncodedPlacement(sizes=sizes)
 
 
@@ -261,34 +253,21 @@ class BroadcastTranscript:
         return b"".join(out)
 
 
-def _segment_plan(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d):
-    """Yield (message components, size) pairs in canonical order.
-
-    Canonical order: segments as listed in the scheme; inside a direct
-    segment one message per user in region order; inside a coded segment
-    one message per node pair in ascending lexicographic order.
-    """
-    K = inst.K
+def _messages(inst: ProblemInstance, scheme: SchemeSpec, d):
+    """Yield (message components, size): each segment's plan with demand d put in."""
     for seg_idx, seg in enumerate(scheme.segments):
-        if seg.kind is SegmentKind.UNCODED_DIRECT:
-            for k in range(1, K + 1):
-                yield ((seg_idx, d[k - 1], 0),), seg.fraction
-        elif seg.kind is SegmentKind.MAN_T1:
-            size = seg.fraction / K
-            for j, k in combinations(range(1, K + 1), 2):
-                yield (
-                    (seg_idx, d[j - 1], 1 << (k - 1)),
-                    (seg_idx, d[k - 1], 1 << (j - 1)),
-                ), size
-        # LOCAL_FULL and MULTIACCESS_LOCAL segments send nothing.
+        unit = scaled = None
+        for comps, size in seg.kind.plan(inst.K):
+            if size is not unit:  # a plan shares one size object; scale it once
+                unit, scaled = size, seg.fraction * size
+            yield tuple([(seg_idx, d[user - 1], mask) for user, mask in comps]), scaled
 
 
 def deliver(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d) -> BroadcastTranscript:
     """Symbolic delivery: the multicast messages with exact rational sizes."""
     dv = ds.validate_demand(tuple(d))
     msgs = tuple(
-        Message(components=comps, size=size)
-        for comps, size in _segment_plan(inst, ds, scheme, dv.files)
+        Message(components=comps, size=size) for comps, size in _messages(inst, scheme, dv.files)
     )
     return BroadcastTranscript(messages=msgs)
 
@@ -299,19 +278,42 @@ def min_file_size(inst: ProblemInstance, scheme: SchemeSpec) -> int:
     return inst.K * lcm(*dens) if dens else inst.K
 
 
-def _segment_layout(inst: ProblemInstance, scheme: SchemeSpec, size_b: int):
-    """Byte offset and length of each segment; error on indivisibility."""
-    layout = []
-    offset = Fraction(0)
+def _indivisible(size_b: int, kind: SegmentKind) -> SubpacketizationError:
+    return SubpacketizationError(f"file size {size_b} not divisible for segment {kind.value}")
+
+
+def _segment_bounds(scheme: SchemeSpec, size_b: int) -> list:
+    """Byte offset and length of each segment; each a whole number of bytes."""
+    bounds = []
+    offset = 0
     for seg in scheme.segments:
-        length = seg.fraction * size_b
-        if length.denominator != 1 or (seg.kind is SegmentKind.MAN_T1 and (int(length) % inst.K)):
-            raise SubpacketizationError(
-                f"file size {size_b} not divisible for segment {seg.kind.value}"
-            )
-        layout.append((int(offset), int(length)))
+        length, rest = divmod(size_b * seg.fraction.numerator, seg.fraction.denominator)
+        if rest:
+            raise _indivisible(size_b, seg.kind)
+        bounds.append((offset, length))
         offset += length
-    return layout
+    return bounds
+
+
+def _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
+    """Yield (file, mask, start, end) for each subfile of the files in one segment.
+
+    Inside a segment a file's subfiles sit back to back in ascending mask
+    order; each must be a whole number of bytes.
+    """
+    kind = scheme.segments[seg_idx].kind
+    offset, length = bounds[seg_idx]
+    unit = n = None
+    for i in files:
+        start = offset
+        for mask, frac in kind.placement(inst, ds, i):
+            if frac is not unit:  # placements share fraction objects; divide once each
+                unit = frac
+                n, rest = divmod(length * frac.numerator, frac.denominator)
+                if rest:
+                    raise _indivisible(size_b, kind)
+            yield i, mask, start, start + n
+            start += n
 
 
 def _check_library(inst: ProblemInstance, library) -> int:
@@ -324,22 +326,13 @@ def _check_library(inst: ProblemInstance, library) -> int:
 
 
 def _xor(parts) -> bytes:
+    if len(parts) == 1:
+        return bytes(parts[0])
     out = bytearray(parts[0])
     for p in parts[1:]:
         for idx, byte in enumerate(p):
             out[idx] ^= byte
     return bytes(out)
-
-
-def _subfile_bytes(inst, scheme, layout, library, sub) -> bytes:
-    seg_idx, i, mask = sub
-    off, length = layout[seg_idx]
-    data = library[i - 1][off : off + length]
-    if scheme.segments[seg_idx].kind is SegmentKind.MAN_T1:
-        chunk = length // inst.K
-        node = mask.bit_length()  # single-node mask
-        return data[(node - 1) * chunk : node * chunk]
-    return data
 
 
 def deliver_bits(
@@ -352,10 +345,20 @@ def deliver_bits(
     """Bit-exact delivery: payloads are XORs of the component subfiles."""
     dv = ds.validate_demand(tuple(d))
     size_b = _check_library(inst, library)
-    layout = _segment_layout(inst, scheme, size_b)
+    bounds = _segment_bounds(scheme, size_b)
+
+    spans: dict = {}
+
+    def subfile(sub) -> bytes:
+        if sub not in spans:
+            seg_idx, i, _ = sub
+            for _, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, (i,)):
+                spans[seg_idx, i, mask] = slice(start, end)
+        return library[sub[1] - 1][spans[sub]]
+
     msgs = []
-    for comps, size in _segment_plan(inst, ds, scheme, dv.files):
-        payload = _xor([_subfile_bytes(inst, scheme, layout, library, c) for c in comps])
+    for comps, size in _messages(inst, scheme, dv.files):
+        payload = _xor([subfile(c) for c in comps])
         msgs.append(Message(components=comps, size=size, payload=payload))
     return BroadcastTranscript(messages=tuple(msgs))
 
@@ -366,25 +369,21 @@ def fill_caches(
     scheme: SchemeSpec,
     library,
 ) -> dict:
-    """Cache contents per node: node -> {(segment, file, mask): bytes}."""
+    """Cache contents per node: node -> {(segment, file, mask): bytes}.
+
+    Every node in a subfile's mask stores that subfile.
+    """
     size_b = _check_library(inst, library)
-    layout = _segment_layout(inst, scheme, size_b)
+    bounds = _segment_bounds(scheme, size_b)
     caches: dict[int, dict] = {k: {} for k in range(1, inst.K + 1)}
-    for seg_idx, seg in enumerate(scheme.segments):
-        if seg.kind is SegmentKind.UNCODED_DIRECT:
-            continue
-        for i in range(1, inst.N + 1):
-            if seg.kind is SegmentKind.MAN_T1:
-                holders = {k: 1 << (k - 1) for k in range(1, inst.K + 1)}
-            elif seg.kind is SegmentKind.LOCAL_FULL:
-                mask = mask_of(ds.demand_regions(i))
-                holders = {k: mask for k in ds.demand_regions(i)}
-            else:
-                home = ds.home_region(i)
-                holders = {home: 1 << (home - 1)}
-            for k, mask in holders.items():
-                sub = (seg_idx, i, mask)
-                caches[k][sub] = _subfile_bytes(inst, scheme, layout, library, sub)
+    stores_of: dict = {}  # node mask -> the caches of its nodes
+    files = range(1, inst.N + 1)
+    for seg_idx in range(len(scheme.segments)):
+        for i, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
+            if mask not in stores_of:
+                stores_of[mask] = [caches[k] for k in nodes_of(mask)]
+            for store in stores_of[mask]:
+                store[seg_idx, i, mask] = library[i - 1][start:end]
     return caches
 
 
@@ -404,86 +403,48 @@ def decode(
 ) -> bytes:
     """Reconstruct user k's file from the broadcast and its reachable caches.
 
-    ``caches`` maps node index to that node's subfile store and needs to
-    cover exactly the nodes `accessible_nodes` returns. Any missing piece
-    raises DecodeError: decoding failure is a scheme bug, never expected.
+    Each subfile of the wanted file comes from a reachable cache, or from a
+    message whose other components user k holds. ``caches`` maps node index
+    to that node's subfile store and needs to cover exactly the nodes
+    `accessible_nodes` returns. Any missing piece raises DecodeError:
+    decoding failure is a scheme bug, never expected.
     """
     dv = ds.validate_demand(tuple(d))
-    reachable = accessible_nodes(inst, k)
     want = dv.files[k - 1]
-    by_components = {}
-    for m in transcript.messages:
-        by_components.setdefault(m.components, m)
-
-    def cached(node: int, sub) -> bytes:
-        try:
-            return caches[node][sub]
-        except KeyError as exc:
-            raise DecodeError(f"user {k}: subfile {sub} missing from cache {node}") from exc
-
+    held: dict = {}
+    for node in accessible_nodes(inst, k):
+        held.update(caches.get(node, {}))
     parts = []
     for seg_idx, seg in enumerate(scheme.segments):
-        if seg.kind is SegmentKind.UNCODED_DIRECT:
-            msg = by_components.get(((seg_idx, want, 0),))
-            if msg is None or msg.payload is None:
-                raise DecodeError(f"user {k}: direct message for file {want} missing")
-            parts.append(msg.payload)
-        elif seg.kind is SegmentKind.MAN_T1:
-            chunks = []
-            for j in range(1, inst.K + 1):
-                if j == k:
-                    chunks.append(cached(k, (seg_idx, want, 1 << (k - 1))))
-                    continue
-                lo, hi = min(j, k), max(j, k)
-                comps = (
-                    (seg_idx, dv.files[lo - 1], 1 << (hi - 1)),
-                    (seg_idx, dv.files[hi - 1], 1 << (lo - 1)),
-                )
-                msg = by_components.get(comps)
-                if msg is None or msg.payload is None:
-                    raise DecodeError(f"user {k}: pair message {comps} missing")
-                side = cached(k, (seg_idx, dv.files[j - 1], 1 << (k - 1)))
-                chunks.append(_xor([msg.payload, side]))
-            parts.append(b"".join(chunks))
-        elif seg.kind is SegmentKind.LOCAL_FULL:
-            parts.append(cached(k, (seg_idx, want, mask_of(ds.demand_regions(want)))))
-        else:
-            home = ds.home_region(want)
-            if home not in reachable:
-                raise DecodeError(f"user {k}: home cache {home} of file {want} unreachable")
-            parts.append(cached(home, (seg_idx, want, 1 << (home - 1))))
+        for mask, _ in seg.kind.placement(inst, ds, want):
+            sub = (seg_idx, want, mask)
+            data = held.get(sub)
+            if data is None:
+                for m in transcript.messages:
+                    if sub in m.components:
+                        side = [held.get(c) for c in m.components if c != sub]
+                        if m.payload is not None and None not in side:
+                            data = _xor([m.payload, *side])
+                            break
+                else:
+                    raise DecodeError(f"user {k}: no reachable cache or decodable message holds {sub}")
+            parts.append(data)
     return b"".join(parts)
 
 
-def transcript_size(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d) -> Fraction:
-    """Total symbolic size of the delivery for demand d, in units of B.
-
-    Kept in lockstep with `deliver` (tested to agree message-by-message);
-    this avoids materialising message tuples inside the worst-case sweep.
-    """
-    total = Fraction(0)
-    K = inst.K
-    pairs = K * (K - 1) // 2
-    for seg in scheme.segments:
-        if seg.kind is SegmentKind.UNCODED_DIRECT:
-            total += seg.fraction * K
-        elif seg.kind is SegmentKind.MAN_T1:
-            total += seg.fraction * pairs / K
-    return total
-
-
 def worst_case_load(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec) -> Fraction:
-    """Exhaustive max of the symbolic delivery size over all demand vectors."""
-    n_vectors = 1
-    for s in ds.demands:
-        n_vectors *= len(s)
+    """Worst-case delivery size over all demand vectors, in units of B.
+
+    Every demand vector has this same load. Each segment's delivery plan
+    is a template whose message sizes depend only on the segment fraction;
+    a demand vector only chooses which file each component carries. So the
+    worst case is the total size of the plans, with no enumeration. The
+    budget still refuses demand structures too large to enumerate.
+    """
+    n_vectors = count_demands(ds)
     if n_vectors > WORST_CASE_BUDGET:
         raise BudgetExceededError(f"{n_vectors} demand vectors exceed {WORST_CASE_BUDGET}")
-    worst = None
-    for d in product(*ds.demands):
-        load = transcript_size(inst, ds, scheme, d)
-        if worst is None or load > worst:
-            worst = load
-    if worst is None:
-        raise DemandError("instance has no demand vectors")
-    return worst
+    return sum(
+        (seg.fraction * size for seg in scheme.segments for _, size in seg.kind.plan(inst.K)),
+        Fraction(0),
+    )

@@ -240,8 +240,8 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
                 tuple((msg.components, msg.size) for msg in deliver(base2.with_m(m), ds, s, probe).messages)
                 for s in schemes
             }
-            # identical schemes make the load L-free for every demand, so
-            # one exhaustive sweep covers all L
+            # identical schemes send identical delivery plans, so the load
+            # is L-free for every demand and one worst-case load covers all L
             if len({s.segments for s in schemes}) != 1 or len(transcripts) != 1:
                 return CriterionResult(
                     6,

@@ -16,6 +16,8 @@ from ringcache.model import (
     enumerate_demands,
 )
 from ringcache.schemes import (
+    SchemeSpec,
+    Segment,
     SegmentKind,
     SubpacketizationError,
     accessible_nodes,
@@ -25,11 +27,7 @@ from ringcache.schemes import (
     fill_caches,
     make_scheme,
     min_file_size,
-    place_local_full,
     place_man,
-    place_man_t1,
-    place_multiaccess,
-    transcript_size,
     worst_case_load,
 )
 
@@ -39,10 +37,21 @@ def setup(K, a, b, L=1, M=0):
     return inst, build_demand_structure(inst)
 
 
+def kind_placement(kind, inst, ds):
+    """The placement of a scheme made of one segment of this kind."""
+    return SchemeSpec(segments=(Segment(Fraction(1), kind),)).placement(inst, ds)
+
+
+def memory_used(inst, ds, scheme):
+    """The largest cache any node fills under the scheme's placement."""
+    placement = scheme.placement(inst, ds)
+    return max(placement.node_usage(k) for k in range(1, inst.K + 1))
+
+
 class TestPlacements:
     def test_local_full_shared_file_lives_at_both_neighbours(self):
         inst, ds = setup(3, 2, 1, M=5)
-        placement = place_local_full(inst, ds)
+        placement = kind_placement(SegmentKind.LOCAL_FULL, inst, ds)
         assert placement.size(4, 0b011) == 1  # nodes {1, 2}
         assert placement.size(3, 0b001) == 1  # unique file, one home
         placement.validate(inst)
@@ -50,13 +59,13 @@ class TestPlacements:
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2), (5, 3, 2), (3, 0, 2)])
     def test_local_full_usage_is_full_demand_set(self, K, a, b):
         inst, ds = setup(K, a, b, M=2 * a + b)
-        placement = place_local_full(inst, ds)
+        placement = kind_placement(SegmentKind.LOCAL_FULL, inst, ds)
         for k in range(1, K + 1):
             assert placement.node_usage(k) == 2 * a + b
 
     def test_man_t1_equal_split(self):
         inst, ds = setup(3, 2, 1, M=3)
-        placement = place_man_t1(inst, ds)
+        placement = kind_placement(SegmentKind.MAN_T1, inst, ds)
         assert placement.size(5, 0b010) == Fraction(1, 3)
         for k in range(1, 4):
             assert placement.node_usage(k) == 3  # a+b = N/K
@@ -64,20 +73,22 @@ class TestPlacements:
 
     def test_man_t1_usage_eight_files(self):
         inst, ds = setup(4, 1, 1, M=2)
-        placement = place_man_t1(inst, ds)
+        placement = kind_placement(SegmentKind.MAN_T1, inst, ds)
         for k in range(1, 5):
             assert placement.node_usage(k) == 2
 
     def test_general_t_partition(self):
-        inst, _ = setup(4, 1, 1, M=4)
+        inst, ds = setup(4, 1, 1, M=4)
         for t in range(5):
             placement = place_man(inst, t)
             for i in range(1, inst.N + 1):
                 assert placement.file_total(i) == 1
+        assert place_man(inst, 0) == kind_placement(SegmentKind.UNCODED_DIRECT, inst, ds)
+        assert place_man(inst, 1) == kind_placement(SegmentKind.MAN_T1, inst, ds)
 
     def test_multiaccess_unique_home(self):
         inst, ds = setup(4, 1, 1, 2, M=2)
-        placement = place_multiaccess(inst, ds)
+        placement = kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
         assert placement.size(3, 0b0010) == 1  # file 3 cached only at node 2
         for k in range(1, 5):
             assert placement.node_usage(k) == 2
@@ -85,14 +96,14 @@ class TestPlacements:
 
     def test_multiaccess_partitions_library(self):
         inst, ds = setup(3, 2, 1, 2, M=3)
-        placement = place_multiaccess(inst, ds)
+        placement = kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
         assert len(placement.sizes) == inst.N
         assert all(v == 1 for v in placement.sizes.values())
 
     def test_multiaccess_rejects_single_access(self):
         inst, ds = setup(3, 2, 1, 1, M=3)
         with pytest.raises(InvalidInstanceError):
-            place_multiaccess(inst, ds)
+            kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
 
 
 class TestMakeScheme:
@@ -120,7 +131,7 @@ class TestMakeScheme:
         inst, ds = setup(3, 2, 1, 2, M=4)
         scheme = make_scheme(inst, ds)
         assert [s.kind for s in scheme.segments] == [SegmentKind.MULTIACCESS_LOCAL]
-        assert scheme.memory_used(inst) == 3  # only a+b actually used
+        assert memory_used(inst, ds, scheme) == 3  # only a+b actually used
 
     @pytest.mark.parametrize("K,a,b,L", [(3, 2, 1, 1), (4, 1, 2, 1), (4, 1, 1, 2), (5, 3, 2, 1)])
     def test_memory_budget_respected(self, K, a, b, L):
@@ -128,9 +139,9 @@ class TestMakeScheme:
             m = Fraction(j * (2 * a + b), 10)
             inst, ds = setup(K, a, b, L, m)
             scheme = make_scheme(inst, ds)
-            assert scheme.memory_used(inst) <= inst.M
+            assert memory_used(inst, ds, scheme) <= inst.M
             if L == 1:
-                assert scheme.memory_used(inst) == inst.M
+                assert memory_used(inst, ds, scheme) == inst.M
             scheme.placement(inst, ds).validate(inst)
 
     def test_rejects_m_out_of_range(self):
@@ -167,15 +178,6 @@ class TestDeliver:
         inst, ds = setup(3, 2, 1, M=3)
         with pytest.raises(DemandError):
             deliver(inst, ds, make_scheme(inst, ds), (9, 6, 7))
-
-    @pytest.mark.parametrize("K,a,b,L,M", [(2, 1, 1, 1, 1), (3, 2, 1, 1, 4), (3, 1, 1, 2, 1)])
-    def test_size_helper_matches_deliver(self, K, a, b, L, M):
-        inst, ds = setup(K, a, b, L, M)
-        scheme = make_scheme(inst, ds)
-        for d in enumerate_demands(ds):
-            assert transcript_size(inst, ds, scheme, d.files) == deliver(
-                inst, ds, scheme, d.files
-            ).total_size
 
 
 class TestBitExact:
@@ -223,6 +225,27 @@ class TestBitExact:
                 reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
                 got = decode(inst, ds, scheme, d.files, k, reachable, transcript)
                 assert got == library[d.files[k - 1] - 1]
+
+    @pytest.mark.parametrize(
+        "K,a,b,L,M",
+        [
+            (2, 1, 1, 1, Fraction(1, 2)),
+            (3, 2, 1, 1, Fraction(7, 2)),
+            (3, 0, 2, 1, 1),
+            (4, 1, 1, 3, 1),
+            (4, 2, 1, 2, 3),
+        ],
+    )
+    def test_cache_bytes_match_node_usage(self, K, a, b, L, M):
+        inst, ds = setup(K, a, b, L, M)
+        scheme = make_scheme(inst, ds)
+        size_b = 2 * min_file_size(inst, scheme)
+        library = [bytes([i]) * size_b for i in range(inst.N)]
+        caches = fill_caches(inst, ds, scheme, library)
+        placement = scheme.placement(inst, ds)
+        for k in range(1, K + 1):
+            stored = sum(len(data) for data in caches[k].values())
+            assert stored == size_b * placement.node_usage(k)
 
     def test_roundtrip_random_larger(self):
         rng = random.Random(99)
@@ -301,11 +324,24 @@ class TestWorstCase:
             inst, ds = setup(K, a, b, M=m)
             assert worst_case_load(inst, ds, make_scheme(inst, ds)) == rstar_u(inst)
 
-    def test_man_load_demand_independent(self):
-        inst, ds = setup(3, 2, 1, M=3)
+    @pytest.mark.parametrize(
+        "K,a,b,L,M",
+        [
+            (2, 1, 1, 1, 1),  # direct + pair-XOR
+            (3, 2, 1, 1, 3),  # pure pair-XOR
+            (3, 2, 1, 1, 4),  # pair-XOR + local
+            (3, 0, 2, 1, 1),  # direct + local
+            (3, 1, 1, 2, 1),  # direct + multiaccess
+            (2, 1, 1, 2, 2),  # pure multiaccess
+        ],
+    )
+    def test_exhaustive_oracle_matches_plan_load(self, K, a, b, L, M):
+        # worst_case_load reads the delivery plan without enumerating; the
+        # symbolic delivery of every demand vector must give that same load.
+        inst, ds = setup(K, a, b, L, M)
         scheme = make_scheme(inst, ds)
-        loads = {transcript_size(inst, ds, scheme, d.files) for d in enumerate_demands(ds)}
-        assert loads == {Fraction(1)}
+        loads = {deliver(inst, ds, scheme, d.files).total_size for d in enumerate_demands(ds)}
+        assert loads == {worst_case_load(inst, ds, scheme)}
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_multiaccess_load_free_of_l(self, L):
