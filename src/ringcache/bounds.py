@@ -52,13 +52,6 @@ def rstar_u(inst: ProblemInstance) -> Fraction:
     return Fraction(K) - Fraction(K, 2 * a + b) * M
 
 
-def man_load(K: int, t: int) -> Fraction:
-    """Load (K-t)/(t+1) of the t-th canonical coded-caching corner point."""
-    if not 0 <= t <= K:
-        raise ValueError(f"t must lie in [0, K]={K}, got {t}")
-    return Fraction(K - t, t + 1)
-
-
 def cutset_bound(inst: ProblemInstance) -> Fraction:
     """Cut-set lower bound on the unrestricted optimal load, clamped at 0.
 

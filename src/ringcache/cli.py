@@ -57,6 +57,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _grid(text: str) -> list:
+    return [_fraction(part) for part in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _demand(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -79,6 +93,8 @@ def _load_instance(args, default_m: Fraction | None = Fraction(0)) -> ProblemIns
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidInstanceError(f"config {args.config!r} is not a JSON object")
     merged = {
         "K": args.K if args.K is not None else doc.get("K"),
         "a": args.a if args.a is not None else doc.get("a"),
@@ -114,7 +130,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_tradeoff(args) -> int:
     inst = _load_instance(args)
     if args.m_grid:
-        grid = [Fraction(part) for part in args.m_grid.split(",")]
+        grid = args.m_grid
     else:
         lo = args.m_min if args.m_min is not None else Fraction(0)
         hi = args.m_max if args.m_max is not None else Fraction(inst.m_max)
@@ -293,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="emit the memory-load tradeoff curves as data")
     _add_instance_flags(p, with_m=False)
-    p.add_argument("--m-grid", help='explicit grid, e.g. "0,6,10"')
+    p.add_argument("--m-grid", type=_grid, help='explicit grid, e.g. "0,6,10"')
     p.add_argument("--m-min", type=_fraction)
     p.add_argument("--m-max", type=_fraction)
     p.add_argument("--m-steps", type=int, default=11)
@@ -308,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--demand", type=_demand, help='demand vector like "1,6,7"')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--file-size", type=int, help="file size in bytes")
+    p.add_argument("--file-size", type=_positive_int, help="file size in bytes")
     p.add_argument("--dump", help="write the transcript's binary dump here")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_simulate)
@@ -345,7 +361,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInstanceError, DemandError, SubpacketizationError, ValueError) as exc:
+    except (InvalidInstanceError, DemandError, SubpacketizationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DecodeError as exc:

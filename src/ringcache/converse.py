@@ -11,6 +11,14 @@ the weighted-sum certificates that give the closed forms.
 
 Variable keys are (file, node-mask) pairs; symmetrised programs use
 ("orbit", file, mask) keys naming the orbit representative.
+
+A genie row R >= sum(y[k] for k in row) has every coefficient one, so a
+row is stored as the sorted tuple of the keys it covers. A symmetrised
+row repeats each orbit key once per raw key it stands for, so its
+coefficients are multiplicities; ``row_value`` evaluates both kinds.
+Rows are ordered by their (key, multiplicity) pairs (``_row_order``),
+not by plain tuple order: the two differ on rows with repeats, and the
+order fixes the constraint order the simplex sees, hence its pivot path.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import factorial
 
 from ringcache import exactlp
@@ -30,8 +38,9 @@ from ringcache.model import (
     ProblemInstance,
     count_demands,
     cyclic_mod,
+    enumerate_demands,
+    mask_of,
 )
-from ringcache.schemes import UncodedPlacement
 
 FAMILY_BUDGET = 10**6
 _ROWGEN_THRESHOLD = 192
@@ -56,27 +65,17 @@ class RegimeMismatchError(ValueError):
     """Certificate regime contradicts the instance's parameter condition."""
 
 
-@dataclass
-class LinearInequality:
-    """One lower bound on the load: R >= sum(coeffs[key] * y[key]).
-
-    Genie rows carry coefficient 1 on each covered (file, mask) variable;
-    tags record the (demand, permutation) pairs that produced the row.
-    """
-
-    coeffs: dict
-    tags: tuple = ()
-    rhs_R_coefficient: Fraction = Fraction(1)
-
-    def canonical_key(self) -> tuple:
-        return tuple(sorted((k, v) for k, v in self.coeffs.items()))
-
-    def value_at(self, assignment) -> Fraction:
-        get = assignment.get
-        return sum((c * get(k, Fraction(0)) for k, c in self.coeffs.items()), Fraction(0))
+def row_value(row, x) -> Fraction:
+    """The right-hand side sum(x[k] for k in row) of a genie row at point x."""
+    return sum(x.get(k, 0) for k in row)
 
 
-def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> LinearInequality:
+def _row_order(row) -> tuple:
+    """The row's (key, multiplicity) pairs; rows are sorted by these."""
+    return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
+
+
+def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tuple:
     """The genie row for demand vector d decoded in permutation order u.
 
     The i-th decoded user contributes the variables of its demanded file
@@ -92,69 +91,47 @@ def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> Lin
     ds.validate_demand(d)
     if len(set(d)) != K:
         raise DemandError("genie rows need pairwise-distinct demands")
-    coeffs: dict = {}
+    keys = []
     consumed: set = set()
     for uk in u:
         consumed.add(uk)
         rest = [j for j in range(1, K + 1) if j not in consumed]
         file_i = d[uk - 1]
-        coeffs[(file_i, 0)] = Fraction(1)
-        if full_masks:
-            for r in range(1, len(rest) + 1):
-                for combo in combinations(rest, r):
-                    mask = 0
-                    for j in combo:
-                        mask |= 1 << (j - 1)
-                    coeffs[(file_i, mask)] = Fraction(1)
-        else:
-            for j in rest:
-                coeffs[(file_i, 1 << (j - 1))] = Fraction(1)
-    return LinearInequality(coeffs=coeffs, tags=((d, u),))
+        sizes = range(len(rest) + 1) if full_masks else (0, 1)
+        keys += [(file_i, mask_of(c)) for r in sizes for c in combinations(rest, r)]
+    return tuple(sorted(keys))
 
 
-def cut_inequality(ds: DemandStructure, d) -> LinearInequality:
+def cut_inequality(ds: DemandStructure, d) -> tuple:
     """No-genie cut row R >= sum_k y[d_k, empty] for unique-file demands."""
     d = tuple(getattr(d, "files", d))
     ds.validate_demand(d)
-    coeffs = {}
-    for di in d:
-        if (di, 0) in coeffs:
-            raise DemandError("cut rows need pairwise-distinct demands")
-        coeffs[(di, 0)] = Fraction(1)
-    return LinearInequality(coeffs=coeffs, tags=((d, None),))
+    if len(set(d)) != len(d):
+        raise DemandError("cut rows need pairwise-distinct demands")
+    return tuple(sorted((di, 0) for di in d))
 
 
 def dedup_rows(rows) -> list:
-    """Merge rows with identical coefficient patterns, keeping all tags."""
-    merged: dict = {}
-    for row in rows:
-        key = row.canonical_key()
-        if key in merged:
-            merged[key].tags = merged[key].tags + row.tags
-        else:
-            merged[key] = LinearInequality(coeffs=dict(row.coeffs), tags=row.tags)
-    return [merged[k] for k in sorted(merged)]
+    """The distinct rows, sorted."""
+    return sorted(set(rows), key=_row_order)
 
 
-def full_family(
-    ds: DemandStructure,
-    dedup: bool = True,
-    full_masks: bool = True,
-    budget: int = FAMILY_BUDGET,
-) -> list:
-    """One genie row per (distinct-demand vector, permutation) pair."""
-    inst = ds.inst
+def full_family(ds: DemandStructure, dedup: bool = True) -> list:
+    """One full-mask genie row per (distinct-demand vector, permutation) pair."""
+    K = ds.inst.K
     n_all = count_demands(ds)
-    if n_all > budget:  # counting distinct vectors already walks the product
-        raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {budget}")
-    distinct = [d for d in product(*ds.demands) if len(set(d)) == inst.K]
-    n_rows = len(distinct) * factorial(inst.K)
-    if n_rows > budget:
-        raise BudgetExceededError(f"{n_rows} genie rows exceed budget {budget}")
+    if n_all > FAMILY_BUDGET:  # listing distinct vectors walks the whole product
+        raise BudgetExceededError(
+            f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}"
+        )
+    distinct = list(enumerate_demands(ds, distinct_only=True))
+    n_rows = len(distinct) * factorial(K)
+    if n_rows > FAMILY_BUDGET:
+        raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
     rows = [
-        genie_inequality(ds, d, u, full_masks=full_masks)
+        genie_inequality(ds, d, u, full_masks=True)
         for d in distinct
-        for u in permutations(range(1, inst.K + 1))
+        for u in permutations(range(1, K + 1))
     ]
     return dedup_rows(rows) if dedup else rows
 
@@ -258,12 +235,11 @@ def build_lp(
             )
             for k in range(1, K + 1)
         )
-    rows = tuple(sorted(family, key=lambda r: r.canonical_key()))
     return LinearProgram(
         inst=inst,
         ds=ds,
         var_keys=var_keys,
-        genie_rows=rows,
+        genie_rows=tuple(sorted(family, key=_row_order)),
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
@@ -275,15 +251,14 @@ class LpOutcome:
     value: Fraction
     assignment: dict
 
-    def as_placement(self) -> UncodedPlacement:
-        """Witness reshaped as a placement (raw-variable programs only)."""
-        sizes = {}
-        for key, v in self.assignment.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int)):
-                raise ValueError("witness does not use raw (file, mask) keys")
-            if v:
-                sizes[key] = v
-        return UncodedPlacement(sizes=sizes)
+
+def _structural_constraints(lp: LinearProgram, col: dict) -> list:
+    """The partition equalities and memory bounds as simplex constraints."""
+    return [
+        exactlp.Constraint(coeffs={col[k]: c for k, c in coeffs.items()}, sense=sense, rhs=rhs)
+        for rows, sense in ((lp.partition_rows, exactlp.EQUAL), (lp.memory_rows, exactlp.LESS_EQ))
+        for coeffs, rhs in rows
+    ]
 
 
 def _solve_subset(lp: LinearProgram, genie_subset):
@@ -291,21 +266,10 @@ def _solve_subset(lp: LinearProgram, genie_subset):
     r_col = len(lp.var_keys)
     cons = []
     for row in genie_subset:
-        coeffs = {col[k]: c for k, c in row.coeffs.items()}
-        coeffs[r_col] = -row.rhs_R_coefficient
+        coeffs = {col[k]: c for k, c in _row_order(row)}
+        coeffs[r_col] = -1
         cons.append(exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=Fraction(0)))
-    for coeffs, rhs in lp.partition_rows:
-        cons.append(
-            exactlp.Constraint(
-                coeffs={col[k]: c for k, c in coeffs.items()}, sense=exactlp.EQUAL, rhs=rhs
-            )
-        )
-    for coeffs, rhs in lp.memory_rows:
-        cons.append(
-            exactlp.Constraint(
-                coeffs={col[k]: c for k, c in coeffs.items()}, sense=exactlp.LESS_EQ, rhs=rhs
-            )
-        )
+    cons += _structural_constraints(lp, col)
     sol = exactlp.solve({r_col: Fraction(1)}, cons, n_vars=r_col + 1)
     assignment = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
     return sol.value, assignment
@@ -337,7 +301,7 @@ def solve_lp(lp: LinearProgram, use_symmetry: bool | None = None) -> LpOutcome:
                 if val:
                     for member in reduced.orbit_members[rep]:
                         assignment[member] = val
-            if not _witness_ok(lp, lp.genie_rows, value, assignment):
+            if not _witness_ok(lp.genie_rows, value, assignment):
                 raise exactlp.LpError("expanded symmetric witness fails a raw row")
             _verify_structural(lp, assignment)
             return LpOutcome(value=value, assignment=assignment)
@@ -351,29 +315,29 @@ def _solve_iterative(lp: LinearProgram):
     rows = list(lp.genie_rows)
     if len(rows) <= _ROWGEN_THRESHOLD:
         value, assignment = _solve_subset(lp, rows)
-        if rows and not _witness_ok(lp, rows, value, assignment):
+        if rows and not _witness_ok(rows, value, assignment):
             raise exactlp.LpError("witness fails a row it was solved under")
         return value, assignment
     active = rows[:_ROWGEN_SEED]
-    active_keys = {r.canonical_key() for r in active}
+    active_set = set(active)
     while True:
         value, assignment = _solve_subset(lp, active)
         violated = []
         for row in rows:
-            slack = row.rhs_R_coefficient * value - row.value_at(assignment)
+            slack = value - row_value(row, assignment)
             if slack < 0:
-                violated.append((slack, row.canonical_key(), row))
+                violated.append((slack, _row_order(row), row))
         if not violated:
             return value, assignment
         violated.sort(key=lambda t: (t[0], t[1]))
-        for _, key, row in violated[:_ROWGEN_BATCH]:
-            if key not in active_keys:
+        for _, _, row in violated[:_ROWGEN_BATCH]:
+            if row not in active_set:
                 active.append(row)
-                active_keys.add(key)
+                active_set.add(row)
 
 
-def _witness_ok(lp, rows, value, assignment) -> bool:
-    return all(r.rhs_R_coefficient * value >= r.value_at(assignment) for r in rows)
+def _witness_ok(rows, value, assignment) -> bool:
+    return all(value >= row_value(r, assignment) for r in rows)
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
@@ -405,23 +369,18 @@ def _orbit_of(ds: DemandStructure, key) -> list:
 def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's cyclic shift.
 
-    Requires the genie family to be closed under the shift (coefficient
-    patterns map onto each other); then restricting to shift-invariant
-    placements keeps the optimum, and variables collapse from N * 2^K
-    to one per orbit.
+    Requires the genie family to be closed under the shift (every shifted
+    row is again a row); then restricting to shift-invariant placements
+    keeps the optimum, and variables collapse from N * 2^K to one per
+    orbit.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
     ds = lp.ds
 
-    def shift_row(coeffs) -> tuple:
-        return tuple(
-            sorted(((ds.shift_file(i), ds.shift_mask(m)), c) for (i, m), c in coeffs.items())
-        )
-
-    keys = {row.canonical_key() for row in lp.genie_rows}
+    rows = set(lp.genie_rows)
     for row in lp.genie_rows:
-        if shift_row(row.coeffs) not in keys:
+        if tuple(sorted((ds.shift_file(i), ds.shift_mask(m)) for i, m in row)) not in rows:
             raise FamilyError("genie family is not closed under the cyclic shift")
 
     orbit_rep: dict = {}
@@ -442,9 +401,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
             out[rep] = out.get(rep, Fraction(0)) + c
         return out
 
-    genie = dedup_rows(
-        LinearInequality(coeffs=project(r.coeffs), tags=r.tags) for r in lp.genie_rows
-    )
+    genie = dedup_rows(tuple(sorted(orbit_rep[k] for k in row)) for row in lp.genie_rows)
     partition: dict = {}
     for coeffs, rhs in lp.partition_rows:
         proj = tuple(sorted(project(coeffs).items()))
@@ -465,42 +422,15 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     )
 
 
-@dataclass(frozen=True)
-class SymmetrizedTotals:
-    """The aggregate statistics of a placement the certificates speak about."""
-
-    alpha0: Fraction  # uncached mass of shared files
-    beta0: Fraction  # uncached mass of unique files
-    alpha1: Fraction  # singleton-cached mass of shared files
-    x: tuple  # x[t] = total mass on node sets of size t
-
-    @classmethod
-    def from_placement(cls, ds: DemandStructure, placement: UncodedPlacement):
-        K = ds.inst.K
-        alpha0 = beta0 = alpha1 = Fraction(0)
-        x = [Fraction(0)] * (K + 1)
-        for (i, m), v in placement.sizes.items():
-            t = m.bit_count()
-            x[t] += v
-            if m == 0:
-                if i in ds.class1:
-                    alpha0 += v
-                else:
-                    beta0 += v
-            elif t == 1 and i in ds.class1:
-                alpha1 += v
-        return cls(alpha0=alpha0, beta0=beta0, alpha1=alpha1, x=tuple(x))
-
-
 def average_rows(rows) -> dict:
-    """Uniform average of coefficient maps, multiplicity included."""
+    """Uniform average of the rows' coefficients, multiplicity included."""
     rows = list(rows)
     total: dict = {}
     for row in rows:
-        for key, c in row.coeffs.items():
-            total[key] = total.get(key, Fraction(0)) + c
+        for key in row:
+            total[key] = total.get(key, 0) + 1
     n = len(rows)
-    return {key: v / n for key, v in total.items()}
+    return {key: Fraction(v, n) for key, v in total.items()}
 
 
 def _aggregate_map(ds: DemandStructure, c1_empty, c2_empty, c1_single) -> dict:
@@ -676,22 +606,6 @@ def certificate_check(inst: ProblemInstance, ds: DemandStructure, regime: Regime
     return certificate_report(inst, ds, regime).ok
 
 
-def certificate_rows(ds: DemandStructure, regime: Regime) -> list:
-    """All selected rows the regime's certificate actually consumes.
-
-    The high-memory certificate stands on its own family; the low-memory
-    and uncoded-regime ones mix theirs with the high-memory aggregate
-    whenever the mixing weight is positive, so those certificates rest on
-    the union of both families.
-    """
-    rows = list(selected_family(ds, regime))
-    a, b = ds.inst.a, ds.inst.b
-    needs_high = (regime is Regime.LOW_M and b > 0) or (regime is Regime.LARGE_B and a > 0)
-    if needs_high:
-        rows += selected_family(ds, Regime.HIGH_M)
-    return rows
-
-
 def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     out: dict = {}
     for key, v in first.items():
@@ -715,37 +629,12 @@ def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
     budget. Aggregation can only weaken the LP, so this never exceeds the
     family's LP optimum.
     """
-    avg = average_rows(full_family(ds, dedup=False, full_masks=True))
-    K, N = inst.K, inst.N
-    var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
-    col = {key: j for j, key in enumerate(var_keys)}
-    cons = []
-    for i in range(1, N + 1):
-        cons.append(
-            exactlp.Constraint(
-                coeffs={col[(i, m)]: Fraction(1) for m in range(1 << K)},
-                sense=exactlp.EQUAL,
-                rhs=Fraction(1),
-            )
-        )
-    cons.append(
-        exactlp.Constraint(
-            coeffs={col[k]: Fraction(k[1].bit_count()) for k in var_keys if k[1]},
-            sense=exactlp.LESS_EQ,
-            rhs=Fraction(K) * inst.M,
-        )
-    )
+    avg = average_rows(full_family(ds, dedup=False))
+    lp = build_lp(inst, ds, (), AGGREGATE)
+    col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
-    sol = exactlp.solve(objective, cons, n_vars=len(var_keys))
+    sol = exactlp.solve(objective, _structural_constraints(lp, col), n_vars=len(col))
     return max(Fraction(0), sol.value)
-
-
-def row_satisfied(row: LinearInequality, placement: UncodedPlacement, load: Fraction) -> bool:
-    """Exact soundness check of one row against an achievable (load, placement)."""
-    value = sum(
-        (c * placement.size(i, m) for (i, m), c in row.coeffs.items()), Fraction(0)
-    )
-    return row.rhs_R_coefficient * load >= value
 
 
 def _key_name(key) -> str:
@@ -758,8 +647,8 @@ def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text exact-rational dump: one row per line, `sense rhs coeffs`."""
     lines = ["min R"]
     for row in lp.genie_rows:
-        parts = [f"{exactlp.GREATER_EQ} 0", f"R:{row.rhs_R_coefficient}"]
-        parts += [f"{_key_name(k)}:{-c}" for k, c in sorted(row.coeffs.items())]
+        parts = [f"{exactlp.GREATER_EQ} 0", "R:1"]
+        parts += [f"{_key_name(k)}:{-c}" for k, c in _row_order(row)]
         lines.append(" ".join(parts))
     for coeffs, rhs in lp.partition_rows:
         parts = [f"{exactlp.EQUAL} {rhs}"]

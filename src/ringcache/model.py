@@ -285,8 +285,6 @@ def enumerate_demands(ds: DemandStructure, distinct_only: bool = False) -> Itera
         yield DemandVector(files=d, distinct=distinct)
 
 
-def count_demands(ds: DemandStructure, distinct_only: bool = False) -> int:
-    """Count demand vectors without materialising them all at once."""
-    if not distinct_only:
-        return prod(len(s) for s in ds.demands)
-    return sum(1 for _ in enumerate_demands(ds, distinct_only=True))
+def count_demands(ds: DemandStructure) -> int:
+    """Count demand vectors without enumerating them."""
+    return prod(len(s) for s in ds.demands)

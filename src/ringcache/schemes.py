@@ -138,15 +138,6 @@ class UncodedPlacement:
                 raise PlacementError(f"node {k} uses {used} > M = {inst.M}")
 
 
-def place_man(inst: ProblemInstance, t: int) -> UncodedPlacement:
-    """Canonical coded-caching placement: equal split over all t-subsets."""
-    if not 0 <= t <= inst.K:
-        raise InvalidInstanceError(f"t must lie in [0, K], got {t}")
-    masks = [mask_of(combo) for combo in combinations(range(1, inst.K + 1), t)]
-    frac = Fraction(1, len(masks))
-    return UncodedPlacement(sizes={(i, m): frac for i in range(1, inst.N + 1) for m in masks})
-
-
 @dataclass(frozen=True)
 class Segment:
     fraction: Fraction
@@ -164,9 +155,6 @@ class SchemeSpec:
             raise InvalidInstanceError("segment fractions must sum to 1")
         if any(s.fraction <= 0 for s in self.segments):
             raise InvalidInstanceError("segment fractions must be positive")
-
-    def fraction_of(self, kind: SegmentKind) -> Fraction:
-        return sum((s.fraction for s in self.segments if s.kind is kind), Fraction(0))
 
     def placement(self, inst: ProblemInstance, ds: DemandStructure) -> UncodedPlacement:
         """Combine the per-segment placements, scaled by segment fraction."""

@@ -7,7 +7,6 @@ import pytest
 from ringcache.bounds import (
     cutset_bound,
     gap_check,
-    man_load,
     rstar_multiaccess,
     rstar_u,
 )
@@ -57,21 +56,6 @@ class TestRstarU:
     def test_endpoints(self):
         assert rstar_u(inst(5, 4, 3, M=0)) == 5
         assert rstar_u(inst(5, 4, 3, M=11)) == 0
-
-
-class TestManLoad:
-    def test_unit_t(self):
-        assert man_load(3, 1) == 1
-
-    def test_extremes(self):
-        assert man_load(7, 0) == 7
-        assert man_load(7, 7) == 0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            man_load(4, 5)
-        with pytest.raises(ValueError):
-            man_load(4, -1)
 
 
 class TestCutset:

@@ -205,3 +205,35 @@ class TestConfig:
         code, _, err = run(capsys, ["gap", "--K", "3"])
         assert code == 2
         assert "missing" in err
+
+
+INSTANCE = ["--K", "2", "--a", "1", "--b", "1"]
+UNWRITABLE = "{tmp}/no-such-dir/file"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--config", "{tmp}/missing.json"],
+        ["gap", "--config", "{tmp}/list.json"],
+        ["gap", *INSTANCE, "--out", UNWRITABLE],
+        ["tradeoff", *INSTANCE, "--m-grid", "0,1", "--out", UNWRITABLE],
+        ["simulate", *INSTANCE, "--M", "1", "--dump", UNWRITABLE],
+        ["lp", *INSTANCE, "--M", "1", "--export", UNWRITABLE],
+        ["verify", *INSTANCE, "--trials", "1", "--json", UNWRITABLE],
+        ["tradeoff", *INSTANCE, "--m-grid", "1/0"],
+        ["simulate", *INSTANCE, "--M", "1", "--file-size", "-6"],
+        ["simulate", *INSTANCE, "--M", "1", "--file-size", "0"],
+    ],
+)
+def test_bad_input_is_usage_error_without_traceback(capsys, tmp_path, argv):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -27,7 +27,6 @@ from ringcache.schemes import (
     fill_caches,
     make_scheme,
     min_file_size,
-    place_man,
     worst_case_load,
 )
 
@@ -77,15 +76,6 @@ class TestPlacements:
         for k in range(1, 5):
             assert placement.node_usage(k) == 2
 
-    def test_general_t_partition(self):
-        inst, ds = setup(4, 1, 1, M=4)
-        for t in range(5):
-            placement = place_man(inst, t)
-            for i in range(1, inst.N + 1):
-                assert placement.file_total(i) == 1
-        assert place_man(inst, 0) == kind_placement(SegmentKind.UNCODED_DIRECT, inst, ds)
-        assert place_man(inst, 1) == kind_placement(SegmentKind.MAN_T1, inst, ds)
-
     def test_multiaccess_unique_home(self):
         inst, ds = setup(4, 1, 1, 2, M=2)
         placement = kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
@@ -117,14 +107,18 @@ class TestMakeScheme:
     def test_upper_segment_mixture(self):
         inst, ds = setup(3, 2, 1, M=4)
         scheme = make_scheme(inst, ds)
-        assert scheme.fraction_of(SegmentKind.LOCAL_FULL) == Fraction(1, 2)
-        assert scheme.fraction_of(SegmentKind.MAN_T1) == Fraction(1, 2)
+        assert {s.kind: s.fraction for s in scheme.segments} == {
+            SegmentKind.LOCAL_FULL: Fraction(1, 2),
+            SegmentKind.MAN_T1: Fraction(1, 2),
+        }
 
     def test_uncoded_regime_mixture_and_load(self):
         inst, ds = setup(4, 1, 2, M=1)
         scheme = make_scheme(inst, ds)
-        assert scheme.fraction_of(SegmentKind.UNCODED_DIRECT) == Fraction(3, 4)
-        assert scheme.fraction_of(SegmentKind.LOCAL_FULL) == Fraction(1, 4)
+        assert {s.kind: s.fraction for s in scheme.segments} == {
+            SegmentKind.UNCODED_DIRECT: Fraction(3, 4),
+            SegmentKind.LOCAL_FULL: Fraction(1, 4),
+        }
         assert worst_case_load(inst, ds, scheme) == 3
 
     def test_multiaccess_clamp_above_corner(self):
