@@ -3,8 +3,12 @@
 Commands: tradeoff, simulate, lp, verify, gap. Instance parameters come
 from flags, falling back to a JSON config document (--config) and then to
 defaults. Numeric output is exact rational ("p/q") unless --decimal asks
-for fixed-point rendering. Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 enumeration budget exceeded.
+for fixed-point rendering. Every output path (--out, --dump, --export,
+--json) is probed, opened for appending and closed, before the command's
+work starts, so an unwritable path fails fast; a command that fails later
+leaves a missing output path behind as an empty file. Exit codes: 0 ok,
+1 verification failure, 2 usage error, 3 budget exceeded (demand
+enumeration, genie rows or library size).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from ringcache.schemes import (
     fill_caches,
     make_scheme,
     min_file_size,
+    random_library,
     worst_case_load,
 )
 
@@ -61,14 +66,19 @@ def _grid(text: str) -> list:
     return [_fraction(part) for part in text.split(",")]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type: an integer no smaller than low, called a `name` integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not a {name} integer: {text!r}")
+        return value
+
+    return parse
 
 
 def _demand(text: str) -> tuple:
@@ -187,7 +197,7 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     demand = args.demand or tuple(rng.choice(s) for s in ds.demands)
     size_b = args.file_size or min_file_size(inst, scheme)
-    library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(inst.N)]
+    library = random_library(rng, inst.N, size_b)
 
     transcript = deliver_bits(inst, ds, scheme, demand, library)
     symbolic = deliver(inst, ds, scheme, demand)
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--demand", type=_demand, help='demand vector like "1,6,7"')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--file-size", type=_positive_int, help="file size in bytes")
+    p.add_argument("--file-size", type=_int_at_least(1, "positive"), help="file size in bytes")
     p.add_argument("--dump", help="write the transcript's binary dump here")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_simulate)
@@ -346,17 +356,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance battery")
     _add_instance_flags(p)
-    p.add_argument("--trials", type=int, default=100, help="random round-trip trials per instance")
+    p.add_argument(
+        "--trials",
+        type=_int_at_least(0, "non-negative"),
+        default=100,
+        help="random round-trip trials per instance",
+    )
     p.add_argument("--json", help="write a machine-readable summary here")
     p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+_OUTPUT_FLAGS = ("out", "dump", "export", "json")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in _OUTPUT_FLAGS:
+            path = getattr(args, flag, None)
+            if path:
+                with open(path, "ab"):  # probe: fail now, not after the work
+                    pass
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

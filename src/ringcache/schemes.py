@@ -37,6 +37,7 @@ from ringcache.model import (
 )
 
 WORST_CASE_BUDGET = 10**7
+LIBRARY_BUDGET = 2**28  # bytes of random library drawn at once
 _WHOLE = Fraction(1)
 
 
@@ -313,14 +314,27 @@ def _check_library(inst: ProblemInstance, library) -> int:
     return sizes.pop()
 
 
+def random_library(rng, n_files: int, size_b: int) -> list:
+    """n_files random files of size_b bytes each, drawn from rng.
+
+    Refuses, before drawing anything, a library larger than LIBRARY_BUDGET
+    bytes.
+    """
+    if n_files * size_b > LIBRARY_BUDGET:
+        raise BudgetExceededError(
+            f"library of {n_files} x {size_b} bytes exceeds {LIBRARY_BUDGET} bytes"
+        )
+    return [rng.randbytes(size_b) for _ in range(n_files)]
+
+
 def _xor(parts) -> bytes:
+    """XOR of equal-length byte strings, computed on Python ints."""
     if len(parts) == 1:
         return bytes(parts[0])
-    out = bytearray(parts[0])
-    for p in parts[1:]:
-        for idx, byte in enumerate(p):
-            out[idx] ^= byte
-    return bytes(out)
+    acc = 0
+    for p in parts:
+        acc ^= int.from_bytes(p, "little")
+    return acc.to_bytes(len(parts[0]), "little")  # the fixed length keeps zero bytes
 
 
 def deliver_bits(

@@ -23,6 +23,7 @@ from ringcache.schemes import (
     fill_caches,
     make_scheme,
     min_file_size,
+    random_library,
     worst_case_load,
 )
 
@@ -269,7 +270,7 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
 def _roundtrip_once(inst, ds, rng, demand=None) -> str | None:
     scheme = make_scheme(inst, ds)
     size_b = min_file_size(inst, scheme)
-    library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(inst.N)]
+    library = random_library(rng, inst.N, size_b)
     d = demand or tuple(rng.choice(s) for s in ds.demands)
     transcript = deliver_bits(inst, ds, scheme, d, library)
     symbolic = deliver(inst, ds, scheme, d)

@@ -1,10 +1,14 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from ringcache import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -121,6 +125,28 @@ class TestSimulate:
         assert code == 0
         data = dump.read_bytes()
         assert int.from_bytes(data[:4], "big") == json.loads(out)["messages"]
+        assert data == (GOLDEN / "simulate_211_m2_d13_seed9.bin").read_bytes()
+
+    def test_seeded_dump_is_deterministic(self, capsys, tmp_path):
+        dumps = []
+        for name in ("one.bin", "two.bin"):
+            code, _, _ = run(capsys, ["simulate", "--K", "3", "--a", "2", "--b", "1",
+                                      "--M", "4", "--seed", "9", "--file-size", "60",
+                                      "--dump", str(tmp_path / name)])
+            assert code == 0
+            dumps.append((tmp_path / name).read_bytes())
+        assert dumps[0] == dumps[1]
+
+    def test_library_over_budget_exit_code(self, capsys, monkeypatch):
+        def no_draw(self, n):
+            raise AssertionError("drew library bytes past the budget")
+
+        monkeypatch.setattr(random.Random, "randbytes", no_draw)
+        code, out, err = run(capsys, ["simulate", "--K", "5", "--a", "4", "--b", "1",
+                                      "--M", "3", "--file-size", "1000000000"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget exceeded:")
 
 
 class TestLpCommand:
@@ -209,6 +235,14 @@ class TestConfig:
 
 INSTANCE = ["--K", "2", "--a", "1", "--b", "1"]
 UNWRITABLE = "{tmp}/no-such-dir/file"
+UNWRITABLE_CASES = [
+    ["gap", *INSTANCE, "--out", UNWRITABLE],
+    ["tradeoff", *INSTANCE, "--m-grid", "0,1", "--out", UNWRITABLE],
+    ["simulate", *INSTANCE, "--M", "1", "--dump", UNWRITABLE],
+    ["simulate", *INSTANCE, "--M", "1", "--out", UNWRITABLE],
+    ["lp", *INSTANCE, "--M", "1", "--export", UNWRITABLE],
+    ["verify", *INSTANCE, "--trials", "1", "--json", UNWRITABLE],
+]
 
 
 @pytest.mark.parametrize(
@@ -216,14 +250,11 @@ UNWRITABLE = "{tmp}/no-such-dir/file"
     [
         ["gap", "--config", "{tmp}/missing.json"],
         ["gap", "--config", "{tmp}/list.json"],
-        ["gap", *INSTANCE, "--out", UNWRITABLE],
-        ["tradeoff", *INSTANCE, "--m-grid", "0,1", "--out", UNWRITABLE],
-        ["simulate", *INSTANCE, "--M", "1", "--dump", UNWRITABLE],
-        ["lp", *INSTANCE, "--M", "1", "--export", UNWRITABLE],
-        ["verify", *INSTANCE, "--trials", "1", "--json", UNWRITABLE],
+        *UNWRITABLE_CASES,
         ["tradeoff", *INSTANCE, "--m-grid", "1/0"],
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "-6"],
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "0"],
+        ["verify", *INSTANCE, "--trials", "-5"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, tmp_path, argv):
@@ -233,7 +264,21 @@ def test_bad_input_is_usage_error_without_traceback(capsys, tmp_path, argv):
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects a malformed flag value
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_CASES)
+def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "_load_instance", no_work)
+    code = cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -5,6 +5,8 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ringcache.bounds import rstar_u
 from ringcache.model import (
@@ -16,6 +18,7 @@ from ringcache.model import (
     enumerate_demands,
 )
 from ringcache.schemes import (
+    LIBRARY_BUDGET,
     SchemeSpec,
     Segment,
     SegmentKind,
@@ -27,8 +30,10 @@ from ringcache.schemes import (
     fill_caches,
     make_scheme,
     min_file_size,
+    random_library,
     worst_case_load,
 )
+from ringcache.schemes import _xor
 
 
 def setup(K, a, b, L=1, M=0):
@@ -259,6 +264,60 @@ class TestBitExact:
             for k in range(1, K + 1):
                 reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
                 assert decode(inst, ds, scheme, d, k, reachable, transcript) == library[d[k - 1] - 1]
+
+
+def xor_per_byte(parts) -> bytes:
+    """Reference XOR, one byte at a time."""
+    out = bytearray(parts[0])
+    for p in parts[1:]:
+        for idx, byte in enumerate(p):
+            out[idx] ^= byte
+    return bytes(out)
+
+
+@st.composite
+def equal_length_parts(draw):
+    size = draw(st.integers(0, 64))
+    return draw(st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=4))
+
+
+class TestXor:
+    @given(equal_length_parts())
+    @example([b"\x00\x12\x34\x00", b"\x00\x21\x43\x00"])  # zero bytes at both ends
+    @example([b"\x05\x00\x07", b"\x05\x00\x07"])  # all zero
+    @example([b""])
+    def test_matches_per_byte_oracle(self, parts):
+        got = _xor(parts)
+        assert type(got) is bytes
+        assert got == xor_per_byte(parts)
+
+
+class TestRandomLibrary:
+    def test_shape_and_seed_determinism(self):
+        library = random_library(random.Random(3), 7, 11)
+        assert len(library) == 7
+        assert all(type(f) is bytes and len(f) == 11 for f in library)
+        assert random_library(random.Random(3), 7, 11) == library
+        assert random_library(random.Random(4), 7, 11) != library
+
+    def test_refuses_over_budget_before_drawing(self):
+        class NoDraws(random.Random):
+            def randbytes(self, n):
+                raise AssertionError("drew library bytes past the budget")
+
+        with pytest.raises(BudgetExceededError, match="exceeds"):
+            random_library(NoDraws(0), 25, LIBRARY_BUDGET // 25 + 1)
+
+    def test_budget_is_inclusive(self):
+        drawn = []
+
+        class Counting(random.Random):
+            def randbytes(self, n):
+                drawn.append(n)
+                return b""
+
+        random_library(Counting(0), 2, LIBRARY_BUDGET // 2)
+        assert drawn == [LIBRARY_BUDGET // 2] * 2
 
 
 class TestTranscriptDump:
