@@ -39,6 +39,8 @@ from ringcache.schemes import (
     DecodeError,
     SubpacketizationError,
     accessible_nodes,
+    check_file_size,
+    check_library_budget,
     decode,
     deliver,
     deliver_bits,
@@ -197,6 +199,8 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     demand = args.demand or tuple(rng.choice(s) for s in ds.demands)
     size_b = args.file_size or min_file_size(inst, scheme)
+    check_library_budget(inst.N, size_b)  # exit 3 before the split check's exit 2
+    check_file_size(inst, ds, scheme, size_b)  # before any library byte is drawn
     library = random_library(rng, inst.N, size_b)
 
     transcript = deliver_bits(inst, ds, scheme, demand, library)

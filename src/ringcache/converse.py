@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
-from math import factorial
+from math import factorial, lcm
 
 from ringcache import exactlp
 from ringcache.bounds import coded_gain_regime
@@ -65,7 +65,7 @@ class RegimeMismatchError(ValueError):
     """Certificate regime contradicts the instance's parameter condition."""
 
 
-def row_value(row, x) -> Fraction:
+def row_value(row, x):
     """The right-hand side sum(x[k] for k in row) of a genie row at point x."""
     return sum(x.get(k, 0) for k in row)
 
@@ -322,9 +322,10 @@ def _solve_iterative(lp: LinearProgram):
     active_set = set(active)
     while True:
         value, assignment = _solve_subset(lp, active)
+        scaled_value, scaled = _scaled_point(value, assignment)
         violated = []
         for row in rows:
-            slack = value - row_value(row, assignment)
+            slack = scaled_value - row_value(row, scaled)  # den times the true slack
             if slack < 0:
                 violated.append((slack, _row_order(row), row))
         if not violated:
@@ -336,8 +337,15 @@ def _solve_iterative(lp: LinearProgram):
                 active_set.add(row)
 
 
+def _scaled_point(value, assignment):
+    """(value * den, {key: x * den}) in ints, den the lcm of their denominators."""
+    den = lcm(value.denominator, *(v.denominator for v in assignment.values()))
+    return int(value * den), {k: int(v * den) for k, v in assignment.items()}
+
+
 def _witness_ok(rows, value, assignment) -> bool:
-    return all(value >= row_value(r, assignment) for r in rows)
+    scaled_value, scaled = _scaled_point(value, assignment)
+    return all(scaled_value >= row_value(r, scaled) for r in rows)
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
@@ -355,14 +363,11 @@ def _verify_structural(lp: LinearProgram, assignment) -> None:
             raise exactlp.LpError("witness violates a memory row")
 
 
-def _orbit_of(ds: DemandStructure, key) -> list:
-    i, m = key
-    K = ds.inst.K
-    out = []
-    fi, fm = i, m
-    for _ in range(K):
-        out.append((fi, fm))
-        fi, fm = ds.shift_file(fi), ds.shift_mask(fm)
+def _orbit_of(shift: dict, key) -> list:
+    """The keys key, shift[key], ... up to the first repeat."""
+    out = [key]
+    while shift[out[-1]] != key:
+        out.append(shift[out[-1]])
     return out
 
 
@@ -377,10 +382,11 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
     ds = lp.ds
+    shift = {(i, m): (ds.shift_file(i), ds.shift_mask(m)) for i, m in lp.var_keys}
 
     rows = set(lp.genie_rows)
     for row in lp.genie_rows:
-        if tuple(sorted((ds.shift_file(i), ds.shift_mask(m)) for i, m in row)) not in rows:
+        if tuple(sorted(shift[k] for k in row)) not in rows:
             raise FamilyError("genie family is not closed under the cyclic shift")
 
     orbit_rep: dict = {}
@@ -388,11 +394,11 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     for key in lp.var_keys:
         if key in orbit_rep:
             continue
-        orbit = _orbit_of(ds, key)
+        orbit = _orbit_of(shift, key)
         rep = ("orbit", *min(orbit))
         for mem in orbit:
             orbit_rep[mem] = rep
-        members[rep] = tuple(sorted(set(orbit)))
+        members[rep] = tuple(sorted(orbit))
 
     def project(coeffs) -> dict:
         out: dict = {}

@@ -1,19 +1,31 @@
-"""Exact-rational linear programming via a dense two-phase simplex.
+"""Exact linear programming via an integer-preserving two-phase simplex.
 
-Solves  min c.x  subject to  A x (<=|==|>=) b,  x >= 0  with every number a
-`fractions.Fraction`. The pivot rule is Dantzig's (most negative reduced
-cost, lowest column index on ties) with an automatic switch to Bland's
-rule after a run of degenerate pivots, which makes the method both fast in
-practice and provably cycle-free. Fully deterministic for a fixed input.
+Solves  min c.x  subject to  A x (<=|==|>=) b,  x >= 0  with no rounding.
+The tableau holds Python ints over one shared denominator D > 0. A pivot
+at (r, c) with p = a_rc sets every other entry to
+(a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
+identity (E. H. Bareiss, Math. Comp. 1968), and then D = p; the pivot row
+is negated first when p < 0, so D stays positive. The rhs column is scaled
+once by the lcm of its denominators and the cost by the lcm of its, and a
+constraint with a fractional coefficient is multiplied through by the lcm
+of its denominators before its slack is added; the optimum value and
+point are returned as `fractions.Fraction`s.
+
+The pivot rule is Dantzig's (most negative reduced cost, lowest column
+index on ties) with an automatic switch to Bland's rule after a run of
+degenerate pivots, which makes the method both fast in practice and
+provably cycle-free. Reduced costs and ratios are compared on the scaled
+integers, so on a program with integer coefficients the pivot path is
+the one a `Fraction` tableau takes. Fully deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -55,42 +67,57 @@ class LpSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with basis bookkeeping."""
+    """Dense simplex tableau of ints over one shared denominator."""
 
-    def __init__(self, rows, basis, n_cols):
-        self.rows = rows  # m x (n_cols + 1), rhs last
+    def __init__(self, rows, basis, n_cols, rhs_scale):
+        self.rows = rows  # m x (n_cols + 1), rhs last; an entry means entry / denom
         self.basis = basis  # basic variable per row
         self.n_cols = n_cols
+        self.denom = 1
+        self.rhs_scale = rhs_scale  # the rhs column is also scaled by this
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, c: int, obj=None) -> None:
+        """Pivot at (r, c); ``obj``, a reduced-cost row, takes the same step."""
         rows = self.rows
         piv_row = rows[r]
-        piv = piv_row[c]
-        if piv != 1:
-            inv = 1 / piv
-            rows[r] = piv_row = [v * inv if v else v for v in piv_row]
-        for idx, row in enumerate(rows):
+        p = piv_row[c]
+        if p < 0:
+            p = -p
+            rows[r] = piv_row = [-v for v in piv_row]
+        d = self.denom
+        nonzero = [(j, q) for j, q in enumerate(piv_row) if q]
+        for idx, row in enumerate(rows if obj is None else rows + [obj]):
             if idx == r:
                 continue
             f = row[c]
-            if f:
-                rows[idx] = [v - f * p if p else v for v, p in zip(row, piv_row)]
+            if p == d:  # zero columns of the pivot row keep their entries
+                if f:
+                    for j, q in nonzero:
+                        row[j] -= f * q // p
+            elif f:
+                row[:] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
+            else:
+                row[:] = [v * p // d for v in row]
+        self.denom = p
         self.basis[r] = c
 
     def solve(self, cost, allowed) -> Fraction:
         """Minimise cost over the current basis; returns the optimum.
 
-        `cost` is a dense objective row (length n_cols); `allowed[c]` marks
-        columns that may enter the basis. Raises UnboundedError when a
-        column of non-positive entries has negative reduced cost.
+        `cost` is a dense objective row (length n_cols) of ints or
+        Fractions; `allowed[c]` marks columns that may enter the basis.
+        Raises UnboundedError when a column of non-positive entries has
+        negative reduced cost.
         """
         rows, basis, n = self.rows, self.basis, self.n_cols
-        # Reduced-cost row: z_j - c_j, stored as c_j - z_j so negatives enter.
-        obj = list(cost) + [_ZERO]
+        cden = lcm(*(v.denominator for v in cost))
+        cost = [v.numerator * (cden // v.denominator) for v in cost]
+        # Reduced-cost row c_j - z_j over denom * cden, so negatives enter.
+        obj = [self.denom * v for v in cost] + [0]
         for r, bv in enumerate(basis):
-            f = obj[bv]
+            f = cost[bv]
             if f:
-                obj = [v - f * p if p else v for v, p in zip(obj, rows[r])]
+                obj = [v - f * a for v, a in zip(obj, rows[r])]
         degenerate_run = 0
         bland_after = 4 * (len(rows) + n) + 32
         while True:
@@ -102,33 +129,29 @@ class _Tableau:
                         enter = c
                         break
             else:
-                best = _ZERO
+                best = 0
                 for c in range(n):
                     if allowed[c] and obj[c] < best:
                         best = obj[c]
                         enter = c
             if enter < 0:
-                return -obj[-1]
+                return Fraction(-obj[-1], self.denom * cden * self.rhs_scale)
+            # Ratio test b_r / a_r, compared as b_r * a_s < b_s * a_r.
             leave = -1
-            best_ratio = None
-            for r in range(len(rows)):
-                a = rows[r][enter]
+            for r, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = rows[r][-1] / a
+                    b = row[-1]
                     if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leave])
+                        leave < 0
+                        or b * best_a < best_b * a
+                        or (b * best_a == best_b * a and basis[r] < basis[leave])
                     ):
-                        best_ratio = ratio
-                        leave = r
+                        leave, best_a, best_b = r, a, b
             if leave < 0:
                 raise UnboundedError("objective unbounded below")
-            degenerate_run = degenerate_run + 1 if best_ratio == 0 else 0
-            self.pivot(leave, enter)
-            f = obj[enter]
-            if f:
-                obj = [v - f * p if p else v for v, p in zip(obj, rows[leave])]
+            degenerate_run = degenerate_run + 1 if best_b == 0 else 0
+            self.pivot(leave, enter, obj)
 
 
 def solve(objective, constraints, n_vars: int) -> LpSolution:
@@ -149,20 +172,24 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
     slack_seen = 0
     art_seen = 0
     for r, con in enumerate(constraints):
-        dense = [_ZERO] * (n_vars + n_slack)
+        coeffs = {}
         for j, v in con.coeffs.items():
             if not 0 <= j < n_vars:
                 raise ValueError(f"variable index {j} out of range")
-            dense[j] += Fraction(v)
-        rhs = con.rhs
+            coeffs[j] = Fraction(v)
+        scale = lcm(*(v.denominator for v in coeffs.values()))  # makes the row integral
+        rhs = con.rhs * scale
         sense = con.sense
         if rhs < 0:  # normalise to rhs >= 0
-            dense = [-v for v in dense]
+            scale = -scale
             rhs = -rhs
             sense = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[sense]
+        dense = [0] * (n_vars + n_slack)
+        for j, v in coeffs.items():
+            dense[j] = int(v * scale)
         if sense != EQUAL:
             col = first_slack + slack_seen
-            dense[col] = _ONE if sense == LESS_EQ else -_ONE
+            dense[col] = 1 if sense == LESS_EQ else -1
             slack_seen += 1
             if sense == LESS_EQ:
                 basis[r] = col
@@ -171,24 +198,25 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
             art_seen += 1
 
     n_cols = n_vars + n_slack + art_seen
+    rhs_scale = lcm(*(rhs.denominator for _, rhs in rows))
     tab_rows = []
     art_seen = 0
     for r, (dense, rhs) in enumerate(rows):
-        row = dense + [_ZERO] * (n_cols - len(dense)) + [rhs]
+        row = dense + [0] * (n_cols - len(dense)) + [int(rhs * rhs_scale)]
         if basis[r] < 0:
             col = first_art + art_seen
             art_cols.append(col)
-            row[col] = _ONE
+            row[col] = 1
             basis[r] = col
             art_seen += 1
         tab_rows.append(row)
 
-    tab = _Tableau(tab_rows, basis, n_cols)
+    tab = _Tableau(tab_rows, basis, n_cols, rhs_scale)
 
     if art_cols:
-        phase1_cost = [_ZERO] * n_cols
+        phase1_cost = [0] * n_cols
         for c in art_cols:
-            phase1_cost[c] = _ONE
+            phase1_cost[c] = 1
         allowed = [True] * n_cols
         value = tab.solve(phase1_cost, allowed)
         if value != 0:
@@ -223,5 +251,5 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
     x = [_ZERO] * n_vars
     for r, bv in enumerate(tab.basis):
         if bv < n_vars:
-            x[bv] = tab.rows[r][-1]
+            x[bv] = Fraction(tab.rows[r][-1], tab.denom * rhs_scale)
     return LpSolution(value=value, x=x)

@@ -314,16 +314,33 @@ def _check_library(inst: ProblemInstance, library) -> int:
     return sizes.pop()
 
 
+def check_file_size(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, size_b: int) -> None:
+    """Raise the SubpacketizationError delivery would raise for size_b-byte files.
+
+    Every subfile must be a whole number of bytes; this needs no library.
+    """
+    bounds = _segment_bounds(scheme, size_b)
+    files = range(1, inst.N + 1)
+    for seg_idx in range(len(scheme.segments)):
+        for _ in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
+            pass
+
+
+def check_library_budget(n_files: int, size_b: int) -> None:
+    """Refuse a library larger than LIBRARY_BUDGET bytes."""
+    if n_files * size_b > LIBRARY_BUDGET:
+        raise BudgetExceededError(
+            f"library of {n_files} x {size_b} bytes exceeds {LIBRARY_BUDGET} bytes"
+        )
+
+
 def random_library(rng, n_files: int, size_b: int) -> list:
     """n_files random files of size_b bytes each, drawn from rng.
 
     Refuses, before drawing anything, a library larger than LIBRARY_BUDGET
     bytes.
     """
-    if n_files * size_b > LIBRARY_BUDGET:
-        raise BudgetExceededError(
-            f"library of {n_files} x {size_b} bytes exceeds {LIBRARY_BUDGET} bytes"
-        )
+    check_library_budget(n_files, size_b)
     return [rng.randbytes(size_b) for _ in range(n_files)]
 
 

@@ -149,6 +149,17 @@ class TestSimulate:
         assert err.startswith("budget exceeded:")
 
 
+    def test_indivisible_file_size_refused_before_drawing(self, capsys, monkeypatch):
+        def no_draw(self, n):
+            raise AssertionError("drew library bytes for an indivisible file size")
+
+        monkeypatch.setattr(random.Random, "randbytes", no_draw)
+        code, out, err = run(capsys, ["simulate", "--K", "5", "--a", "4", "--b", "1",
+                                      "--M", "3", "--file-size", "200001"])
+        assert (code, out) == (2, "")
+        assert err == "error: file size 200001 not divisible for segment uncoded_direct\n"
+
+
 class TestLpCommand:
     def test_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1", "--M", "3"])
@@ -172,6 +183,13 @@ class TestLpCommand:
         doc = json.loads(out)
         assert doc["sum_all_bound"] == "54/95"
         assert doc["matches_reference"] is True
+
+    def test_running_example_report_matches_pinned_output(self, capsys):
+        pinned = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+        code, out, err = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1", "--M", "3",
+                                      "--certificates", "--sum-all"])
+        assert (code, err) == (0, "")
+        assert out == (pinned / "lp_321_full_m3.txt").read_text()
 
     def test_certificates_and_export(self, capsys, tmp_path):
         lp_path = tmp_path / "program.lp"

@@ -173,6 +173,11 @@ class TestSolveLp:
             out = cv.solve_lp(cv.build_lp(inst, ds, family))
             assert out.value == rstar_u(inst), f"M={m}"
 
+    @pytest.mark.parametrize("M", [Fraction(2), Fraction(5, 2)])  # a + b, (3a + 2b) / 2
+    def test_tightness_at_k5(self, M):
+        inst, ds = setup(5, 1, 1, M=M)
+        assert cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value == rstar_u(inst)
+
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 1), (4, 1, 2)])
     def test_selected_rows_suffice_at_corners(self, K, a, b):
         # The low-memory and uncoded-regime certificates mix their family

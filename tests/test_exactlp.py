@@ -1,16 +1,165 @@
-"""The exact simplex against known optima and a floating-point oracle."""
+"""The exact simplex against known optima, a Fraction tableau and a float oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from ringcache import converse as cv
 from ringcache import exactlp
 from ringcache.exactlp import EQUAL, GREATER_EQ, LESS_EQ, Constraint
+from ringcache.model import ProblemInstance, build_demand_structure
 
 
 def C(coeffs, sense, rhs):
     return Constraint(coeffs=coeffs, sense=sense, rhs=Fraction(rhs))
+
+
+class FractionTableau:
+    """The dense simplex tableau over Fractions that the integer one replaced.
+
+    Kept as the oracle: same column layout, same Dantzig rule with the
+    switch to Bland's rule, same ratio-test tie-break.
+    """
+
+    def __init__(self, rows, basis, n_cols):
+        self.rows = rows  # m x (n_cols + 1), rhs last
+        self.basis = basis
+        self.n_cols = n_cols
+
+    def pivot(self, r, c):
+        rows = self.rows
+        piv_row = rows[r]
+        piv = piv_row[c]
+        if piv != 1:
+            rows[r] = piv_row = [v / piv for v in piv_row]
+        for idx, row in enumerate(rows):
+            f = row[c]
+            if idx != r and f:
+                rows[idx] = [v - f * p if p else v for v, p in zip(row, piv_row)]
+        self.basis[r] = c
+
+    def solve(self, cost, allowed):
+        rows, basis, n = self.rows, self.basis, self.n_cols
+        obj = list(cost) + [Fraction(0)]
+        for r, bv in enumerate(basis):
+            f = obj[bv]
+            if f:
+                obj = [v - f * p if p else v for v, p in zip(obj, rows[r])]
+        degenerate_run = 0
+        bland_after = 4 * (len(rows) + n) + 32
+        while True:
+            candidates = [c for c in range(n) if allowed[c] and obj[c] < 0]
+            if not candidates:
+                return -obj[-1]
+            if degenerate_run >= bland_after:
+                enter = candidates[0]
+            else:
+                enter = min(candidates, key=lambda c: (obj[c], c))
+            leave, best_ratio = -1, None
+            for r, row in enumerate(rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[leave])
+                    ):
+                        leave, best_ratio = r, ratio
+            if leave < 0:
+                raise exactlp.UnboundedError("objective unbounded below")
+            degenerate_run = degenerate_run + 1 if best_ratio == 0 else 0
+            self.pivot(leave, enter)
+            f = obj[enter]
+            if f:
+                obj = [v - f * p if p else v for v, p in zip(obj, rows[leave])]
+
+
+def oracle_solve(objective, constraints, n_vars):
+    """exactlp.solve's two phases, run on a FractionTableau."""
+    flip = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}
+    n_slack = sum(1 for c in constraints if c.sense != EQUAL)
+    first_art = n_vars + n_slack
+    rows, basis = [], []
+    col = n_vars  # the next slack column
+    for con in constraints:
+        dense = [Fraction(0)] * first_art
+        for j, v in con.coeffs.items():
+            dense[j] = Fraction(v)
+        rhs, sense = con.rhs, con.sense
+        if rhs < 0:
+            dense, rhs, sense = [-v for v in dense], -rhs, flip[sense]
+        basis.append(col if sense == LESS_EQ else -1)
+        if sense != EQUAL:
+            dense[col] = Fraction(1 if sense == LESS_EQ else -1)
+            col += 1
+        rows.append((dense, rhs))
+    art_cols = []
+    n_cols = first_art + basis.count(-1)
+    tab_rows = []
+    for r, (dense, rhs) in enumerate(rows):
+        row = dense + [Fraction(0)] * (n_cols - first_art) + [rhs]
+        if basis[r] < 0:
+            basis[r] = first_art + len(art_cols)
+            art_cols.append(basis[r])
+            row[basis[r]] = Fraction(1)
+        tab_rows.append(row)
+    tab = FractionTableau(tab_rows, basis, n_cols)
+    if art_cols:
+        cost = [Fraction(int(c in art_cols)) for c in range(n_cols)]
+        if tab.solve(cost, [True] * n_cols) != 0:
+            raise exactlp.InfeasibleError("phase 1 optimum > 0")
+        keep = []
+        for r, row in enumerate(tab.rows):
+            if tab.basis[r] in art_cols:
+                enter = next((c for c in range(first_art) if row[c] != 0), -1)
+                if enter < 0:
+                    continue
+                tab.pivot(r, enter)
+            keep.append(r)
+        tab.rows = [tab.rows[r] for r in keep]
+        tab.basis = [tab.basis[r] for r in keep]
+    cost = [Fraction(0)] * n_cols
+    for j, v in objective.items():
+        cost[j] = Fraction(v)
+    value = tab.solve(cost, [c < first_art for c in range(n_cols)])
+    x = [Fraction(0)] * n_vars
+    for r, bv in enumerate(tab.basis):
+        if bv < n_vars:
+            x[bv] = tab.rows[r][-1]
+    return exactlp.LpSolution(value=value, x=x)
+
+
+def outcome(solver, objective, constraints, n_vars):
+    """The solution's (value, x), or the class of the error raised."""
+    try:
+        sol = solver(objective, constraints, n_vars)
+    except exactlp.LpError as exc:
+        return type(exc)
+    return sol.value, sol.x
+
+
+def random_program(rng, fractional_coeffs=False):
+    """A small program with every sense, rational rhs and costs, and some
+    negative right-hand sides, repeated constraints through one vertex and
+    redundant (scaled) equalities."""
+    n = rng.randrange(1, 6)
+    dens = (1, 1, 1, 2, 3, 6)
+    cons = []
+    for _ in range(rng.randrange(1, 7)):
+        coeffs = {j: rng.randrange(-4, 5) for j in range(n) if rng.random() < 0.8}
+        if fractional_coeffs:
+            coeffs = {j: Fraction(v, rng.choice(dens)) for j, v in coeffs.items()}
+        rhs = Fraction(rng.randrange(-6, 13), rng.choice(dens))
+        cons.append(C(coeffs, rng.choice([LESS_EQ, GREATER_EQ, EQUAL]), rhs))
+        if rng.random() < 0.25:  # a redundant copy: same hyperplane, scaled
+            k = rng.randrange(1, 4)
+            cons.append(C({j: k * v for j, v in coeffs.items()}, cons[-1].sense, k * rhs))
+        if rng.random() < 0.15:  # a second face through the same vertex
+            cons.append(C({j: 2 * v for j, v in coeffs.items()}, LESS_EQ, 2 * rhs))
+    rng.shuffle(cons)
+    cost = {j: Fraction(rng.randrange(-3, 7), rng.choice(dens)) for j in range(n)}
+    return cost, cons, n
 
 
 class TestKnownPrograms:
@@ -133,3 +282,74 @@ class TestAgainstScipy:
             except exactlp.UnboundedError:
                 assert ref.status == 3
                 solved += 1
+
+
+class TestAgainstFractionTableau:
+    def test_random_integer_programs_match_exactly(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(600):
+            cost, cons, n = random_program(rng)
+            got = outcome(exactlp.solve, cost, cons, n)
+            assert got == outcome(oracle_solve, cost, cons, n), (cost, cons)
+            kinds.add(got if isinstance(got, type) else "optimal")
+        assert kinds == {"optimal", exactlp.InfeasibleError, exactlp.UnboundedError}
+
+    def test_random_fractional_programs_match_in_value(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            cost, cons, n = random_program(rng, fractional_coeffs=True)
+            got = outcome(exactlp.solve, cost, cons, n)
+            want = outcome(oracle_solve, cost, cons, n)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert got[0] == want[0]
+
+    def test_phase1_cleanup_pivots_on_a_negative_entry(self, monkeypatch):
+        # -2x0 - 3x1 == 0 leaves its artificial basic at zero after phase 1,
+        # and the first non-artificial entry of that row is -2.
+        pivots = []
+        original = exactlp._Tableau.pivot
+
+        def spy(self, r, c, obj=None):
+            pivots.append(self.rows[r][c])
+            return original(self, r, c, obj)
+
+        monkeypatch.setattr(exactlp._Tableau, "pivot", spy)
+        cost = {0: Fraction(-1), 2: Fraction(-1)}
+        cons = [C({0: -2, 1: -3}, EQUAL, 0), C({0: 1, 2: 3}, LESS_EQ, Fraction(7, 2))]
+        sol = exactlp.solve(cost, cons, n_vars=3)
+        assert any(p < 0 for p in pivots)
+        assert (sol.value, sol.x) == outcome(oracle_solve, cost, cons, 3)
+        assert sol.value == Fraction(-7, 6) and sol.x == [0, 0, Fraction(7, 6)]
+
+    def test_fractional_coefficient_constraint(self):
+        # x0/2 + x1/3 >= 5/4 is multiplied through by 6 before its slack.
+        cost = {0: Fraction(1), 1: Fraction(1, 2)}
+        cons = [C({0: Fraction(1, 2), 1: Fraction(1, 3)}, GREATER_EQ, Fraction(5, 4)),
+                C({1: 1}, LESS_EQ, 2)]
+        sol = exactlp.solve(cost, cons, n_vars=2)
+        assert sol.value == oracle_solve(cost, cons, 2).value == Fraction(13, 6)
+
+    def test_converse_programs_match_exactly(self, monkeypatch):
+        # The programs solve_lp builds at (3,2,1), M = 3: the full family
+        # through its orbit collapse, a selected family on both routes.
+        calls = []
+        original = exactlp.solve
+
+        def both(objective, constraints, n_vars):
+            sol = original(objective, constraints, n_vars)
+            want = oracle_solve(objective, constraints, n_vars)
+            calls.append((sol.value, sol.x) == (want.value, want.x))
+            return sol
+
+        monkeypatch.setattr(exactlp, "solve", both)
+        inst = ProblemInstance(K=3, a=2, b=1, M=Fraction(3))
+        ds = build_demand_structure(inst)
+        full = cv.build_lp(inst, ds, cv.full_family(ds), cv.PER_NODE)
+        assert cv.solve_lp(full, use_symmetry=True).value == 1
+        high = cv.build_lp(inst, ds, cv.selected_family(ds, cv.Regime.HIGH_M))
+        for use_symmetry in (True, False):
+            assert cv.solve_lp(high, use_symmetry=use_symmetry).value == 1
+        assert len(calls) >= 3 and all(calls)

@@ -24,6 +24,7 @@ from ringcache.schemes import (
     SegmentKind,
     SubpacketizationError,
     accessible_nodes,
+    check_file_size,
     decode,
     deliver,
     deliver_bits,
@@ -187,6 +188,30 @@ class TestBitExact:
         library = [bytes(5) for _ in range(inst.N)]
         with pytest.raises(SubpacketizationError):
             deliver_bits(inst, ds, scheme, (1, 6, 7), library)
+
+    @pytest.mark.parametrize("K,a,b,L,M", [
+        (3, 2, 1, 1, 3), (3, 2, 1, 1, Fraction(3, 2)), (4, 1, 2, 1, 2),
+        (5, 4, 1, 1, 3), (4, 2, 1, 2, Fraction(5, 2)), (3, 1, 1, 2, Fraction(1, 3)),
+    ])
+    def test_file_size_check_matches_delivery(self, K, a, b, L, M):
+        # check_file_size raises exactly what deliver_bits, then fill_caches, raise.
+        inst, ds = setup(K, a, b, L, M)
+        scheme = make_scheme(inst, ds)
+        demand = next(iter(enumerate_demands(ds)))
+        for size_b in range(1, 2 * min_file_size(inst, scheme) + 2):
+            library = [bytes(size_b)] * inst.N
+            try:
+                deliver_bits(inst, ds, scheme, demand, library)
+                fill_caches(inst, ds, scheme, library)
+                want = None
+            except SubpacketizationError as exc:
+                want = str(exc)
+            try:
+                check_file_size(inst, ds, scheme, size_b)
+                got = None
+            except SubpacketizationError as exc:
+                got = str(exc)
+            assert got == want, size_b
 
     def test_example_decode_uses_both_pair_messages(self):
         inst, ds = setup(3, 2, 1, M=3)
