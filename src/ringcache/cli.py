@@ -153,7 +153,8 @@ def cmd_tradeoff(args) -> int:
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
-    family = cv.full_family(ds) if args.lp else None
+    if args.lp:  # one collapse, re-solved at every M
+        reduced = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode))
 
     labels = [PointLabel.ACHIEVABLE, PointLabel.OPT_UNCODED, PointLabel.CUTSET]
     header = ["M", "R_ach", "R_star_u", "R_cutset"]
@@ -175,7 +176,7 @@ def cmd_tradeoff(args) -> int:
             )
         )
         if args.lp:
-            value = cv.solve_lp(cv.build_lp(sub, ds, family, args.memory_mode)).value
+            value = cv.solve_lp(reduced.with_m(sub.M)).value
             points.append(TradeoffPoint(M=sub.M, R=value, label=PointLabel.LP))
     by_cell = {(p.M, p.label): p.R for p in points}
     rows = [[m] + [by_cell[(Fraction(m), label)] for label in labels] for m in grid]

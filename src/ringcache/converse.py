@@ -6,8 +6,9 @@ user permutation) pair. Together with per-file partition equalities and
 the memory budget these form an exact-rational LP whose optimum equals the
 optimal uncoded-placement load. This module generates the inequality
 families (the full one and the hand-picked per-regime selections), solves
-the LP exactly, collapses it by the ring's cyclic symmetry, and rebuilds
-the weighted-sum certificates that give the closed forms.
+the LP exactly, collapses it by the ring's full symmetry group (rotations,
+reflections and relabelling of files inside one part), and rebuilds the
+weighted-sum certificates that give the closed forms.
 
 Variable keys are (file, node-mask) pairs; symmetrised programs use
 ("orbit", file, mask) keys naming the orbit representative.
@@ -16,17 +17,19 @@ A genie row R >= sum(y[k] for k in row) has every coefficient one, so a
 row is stored as the sorted tuple of the keys it covers. A symmetrised
 row repeats each orbit key once per raw key it stands for, so its
 coefficients are multiplicities; ``row_value`` evaluates both kinds.
-Rows are ordered by their (key, multiplicity) pairs (``_row_order``),
-not by plain tuple order: the two differ on rows with repeats, and the
-order fixes the constraint order the simplex sees, hence its pivot path.
+Rows are ordered by their (key, multiplicity) pairs (``_row_order``):
+the order fixes the constraint order the simplex sees, hence its pivot
+path. On a raw row, whose keys are distinct, that order is plain tuple
+order, so only symmetrised rows are sorted with ``_row_order`` as key.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import groupby, permutations, product, repeat
 from math import factorial, lcm
 
 from ringcache import exactlp
@@ -39,7 +42,6 @@ from ringcache.model import (
     count_demands,
     cyclic_mod,
     enumerate_demands,
-    mask_of,
 )
 
 FAMILY_BUDGET = 10**6
@@ -67,7 +69,7 @@ class RegimeMismatchError(ValueError):
 
 def row_value(row, x):
     """The right-hand side sum(x[k] for k in row) of a genie row at point x."""
-    return sum(x.get(k, 0) for k in row)
+    return sum(map(x.get, row, repeat(0)))
 
 
 def _row_order(row) -> tuple:
@@ -92,13 +94,17 @@ def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tup
     if len(set(d)) != K:
         raise DemandError("genie rows need pairwise-distinct demands")
     keys = []
-    consumed: set = set()
+    rest = (1 << K) - 1  # mask of the users not yet consumed
     for uk in u:
-        consumed.add(uk)
-        rest = [j for j in range(1, K + 1) if j not in consumed]
-        file_i = d[uk - 1]
-        sizes = range(len(rest) + 1) if full_masks else (0, 1)
-        keys += [(file_i, mask_of(c)) for r in sizes for c in combinations(rest, r)]
+        rest ^= 1 << (uk - 1)
+        if full_masks:  # every submask of rest, walked downwards
+            masks, sub = [0], rest
+            while sub:
+                masks.append(sub)
+                sub = (sub - 1) & rest
+        else:
+            masks = [0] + [1 << j for j in range(K) if rest >> j & 1]
+        keys += [(d[uk - 1], m) for m in masks]
     return tuple(sorted(keys))
 
 
@@ -112,8 +118,8 @@ def cut_inequality(ds: DemandStructure, d) -> tuple:
 
 
 def dedup_rows(rows) -> list:
-    """The distinct rows, sorted."""
-    return sorted(set(rows), key=_row_order)
+    """The distinct raw rows, sorted (plain tuple order is their ``_row_order``)."""
+    return sorted(set(rows))
 
 
 def full_family(ds: DemandStructure, dedup: bool = True) -> list:
@@ -184,7 +190,11 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
 
 @dataclass
 class LinearProgram:
-    """min R subject to genie rows, per-file partition and memory rows."""
+    """min R subject to genie rows, per-file partition and memory rows.
+
+    A symmetrised program names its orbits in ``orbit_members`` and keeps
+    the program it collapses in ``raw``.
+    """
 
     inst: ProblemInstance
     ds: DemandStructure
@@ -194,10 +204,27 @@ class LinearProgram:
     memory_rows: tuple  # (coeffs, rhs) upper bounds
     memory_mode: str = AGGREGATE
     orbit_members: dict | None = field(default=None, repr=False)
+    raw: LinearProgram | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
         return len(self.genie_rows) + len(self.partition_rows) + len(self.memory_rows)
+
+    def with_m(self, M) -> LinearProgram:
+        """The same program at cache size M; only the memory bounds move."""
+        inst = self.inst.with_m(M)
+        rhs = _memory_rhs(inst, self.memory_mode)
+        return replace(
+            self,
+            inst=inst,
+            memory_rows=tuple((coeffs, rhs) for coeffs, _ in self.memory_rows),
+            raw=None if self.raw is None else self.raw.with_m(M),
+        )
+
+
+def _memory_rhs(inst: ProblemInstance, memory_mode: str) -> Fraction:
+    """K*M for the one aggregate memory row, M for each per-node row."""
+    return Fraction(inst.K) * inst.M if memory_mode == AGGREGATE else Fraction(inst.M)
 
 
 def build_lp(
@@ -214,6 +241,7 @@ def build_lp(
     partition = tuple(
         ({(i, m): Fraction(1) for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
     )
+    rhs = _memory_rhs(inst, memory_mode)
     if memory_mode == AGGREGATE:
         coeffs = {
             (i, m): Fraction(m.bit_count())
@@ -221,7 +249,7 @@ def build_lp(
             for m in range(1 << K)
             if m
         }
-        memory = ((coeffs, Fraction(K) * inst.M),)
+        memory = ((coeffs, rhs),)
     else:
         memory = tuple(
             (
@@ -231,7 +259,7 @@ def build_lp(
                     for m in range(1 << K)
                     if m >> (k - 1) & 1
                 },
-                Fraction(inst.M),
+                rhs,
             )
             for k in range(1, K + 1)
         )
@@ -239,7 +267,7 @@ def build_lp(
         inst=inst,
         ds=ds,
         var_keys=var_keys,
-        genie_rows=tuple(sorted(family, key=_row_order)),
+        genie_rows=tuple(sorted(family)),
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
@@ -278,34 +306,34 @@ def _solve_subset(lp: LinearProgram, genie_subset):
 def solve_lp(lp: LinearProgram, use_symmetry: bool | None = None) -> LpOutcome:
     """Exact optimum of min R, with the witness checked against every row.
 
-    Raw programs whose genie family is closed under the cyclic shift are
-    solved through their orbit collapse: restricting to shift-invariant
-    placements preserves the optimum (group-averaging a feasible point is
-    feasible and keeps R), and the expanded symmetric witness is verified
-    exactly against every raw row afterwards. Pass ``use_symmetry=False``
-    to force the direct route; non-closed families fall back to it. Large
-    families are handled by row generation either way.
+    Raw programs whose genie family is closed under the ring's full
+    symmetry group are solved through their orbit collapse: restricting to
+    invariant placements preserves the optimum (group-averaging a feasible
+    point is feasible and keeps R). A program ``symmetrize`` returned,
+    possibly moved to another M by ``with_m``, is solved the same way
+    without collapsing again. Either way the expanded witness is verified
+    exactly against every raw row and the raw structural rows. Pass
+    ``use_symmetry=False`` to force the direct route on a raw program;
+    non-closed families fall back to it. Large families are handled by
+    row generation either way.
     """
-    if use_symmetry is None or use_symmetry:
-        reduced = None
-        if lp.orbit_members is None:
-            try:
-                reduced = symmetrize(lp)
-            except FamilyError:
-                if use_symmetry:
-                    raise
-        if reduced is not None:
-            value, orbit_assignment = _solve_iterative(reduced)
-            assignment = {}
-            for rep, val in orbit_assignment.items():
-                if val:
-                    for member in reduced.orbit_members[rep]:
-                        assignment[member] = val
-            if not _witness_ok(lp.genie_rows, value, assignment):
-                raise exactlp.LpError("expanded symmetric witness fails a raw row")
-            _verify_structural(lp, assignment)
-            return LpOutcome(value=value, assignment=assignment)
+    if lp.orbit_members is None and use_symmetry is not False:
+        try:
+            lp = symmetrize(lp)
+        except FamilyError:
+            if use_symmetry:
+                raise
     value, assignment = _solve_iterative(lp)
+    if lp.orbit_members is not None:
+        assignment = {
+            member: val
+            for rep, val in assignment.items()
+            if val
+            for member in lp.orbit_members[rep]
+        }
+        lp = lp.raw
+        if not _witness_ok(lp.genie_rows, value, assignment):
+            raise exactlp.LpError("expanded symmetric witness fails a raw row")
     _verify_structural(lp, assignment)
     return LpOutcome(value=value, assignment=assignment)
 
@@ -349,82 +377,112 @@ def _witness_ok(rows, value, assignment) -> bool:
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
-    for coeffs, rhs in lp.partition_rows:
-        total = sum(
-            (c * assignment.get(k, Fraction(0)) for k, c in coeffs.items()), Fraction(0)
-        )
-        if total != rhs:
-            raise exactlp.LpError("witness violates a partition row")
-    for coeffs, rhs in lp.memory_rows:
-        total = sum(
-            (c * assignment.get(k, Fraction(0)) for k, c in coeffs.items()), Fraction(0)
-        )
-        if total > rhs:
-            raise exactlp.LpError("witness violates a memory row")
+    """Partition and memory rows at a point whose omitted keys are zero."""
+    for rows, holds, kind in (
+        (lp.partition_rows, operator.eq, "partition"),
+        (lp.memory_rows, operator.le, "memory"),
+    ):
+        for coeffs, rhs in rows:
+            total = sum(c * assignment[k] for k, c in coeffs.items() if k in assignment)
+            if not holds(total, rhs):
+                raise exactlp.LpError(f"witness violates a {kind} row")
 
 
-def _orbit_of(shift: dict, key) -> list:
-    """The keys key, shift[key], ... up to the first repeat."""
-    out = [key]
-    while shift[out[-1]] != key:
-        out.append(shift[out[-1]])
-    return out
+def _ring_generators(ds: DemandStructure) -> dict:
+    """Key maps, by name, generating the ring's symmetry group.
+
+    The shift, the reflection k -> K+1-k (part1[k] -> part3[K+1-k],
+    part2[k] -> part2[K+1-k], mask bits reversed), and a transposition and
+    a cycle of the files inside part1[1] and inside part2[1]. A part too
+    small for one of them leaves it out: a transposition needs two files,
+    a cycle distinct from it three.
+    """
+    K, N = ds.inst.K, ds.inst.N
+    masks = range(1 << K)
+    same = list(masks)
+    flip: dict = {}
+    for k in range(K):
+        flip.update(zip(ds.part1[k], ds.part3[K - 1 - k]))
+        flip.update(zip(ds.part2[k], ds.part2[K - 1 - k]))
+    maps = {  # name -> (file map, mask image by mask); files a map omits stay put
+        "shift": ({i: ds.shift_file(i) for i in range(1, N + 1)}, list(map(ds.shift_mask, masks))),
+        "reflection": (flip, [int(f"{m:0{K}b}"[::-1], 2) for m in masks]),
+    }
+    for name, part in (("part1[1]", ds.part1[0]), ("part2[1]", ds.part2[0])):
+        if len(part) >= 2:
+            maps[f"transposition in {name}"] = ({part[0]: part[1], part[1]: part[0]}, same)
+        if len(part) >= 3:
+            maps[f"cycle in {name}"] = (dict(zip(part, part[1:] + part[:1])), same)
+    return {
+        name: {(i, m): (files.get(i, i), mask_map[m]) for i in range(1, N + 1) for m in masks}
+        for name, (files, mask_map) in maps.items()
+    }
 
 
 def symmetrize(lp: LinearProgram) -> LinearProgram:
-    """Collapse the LP onto orbits of the ring's cyclic shift.
+    """Collapse the LP onto orbits of the ring's full symmetry group.
 
-    Requires the genie family to be closed under the shift (every shifted
-    row is again a row); then restricting to shift-invariant placements
-    keeps the optimum, and variables collapse from N * 2^K to one per
-    orbit.
+    The group is generated by ``_ring_generators``. The genie family must be
+    closed under every generator (each image of a row is again a row),
+    else FamilyError; then restricting to invariant placements keeps the
+    optimum, and the variables collapse from N * 2^K to one per orbit,
+    named ("orbit", *least member). Each raw row projects to the sorted
+    tuple of its keys' orbit names; the distinct projections, sorted by
+    ``_row_order``, are the genie rows of the result.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
-    ds = lp.ds
-    shift = {(i, m): (ds.shift_file(i), ds.shift_mask(m)) for i, m in lp.var_keys}
+    keys = lp.var_keys  # ascending, as build_lp lists them
+    pos = {key: j for j, key in enumerate(keys)}
+    rows = [tuple(map(pos.__getitem__, row)) for row in lp.genie_rows]
+    row_sets = set(map(frozenset, rows))  # a raw row's keys are distinct
+    generators = []
+    for name, image in _ring_generators(lp.ds).items():
+        moved = [pos[image[key]] for key in keys]
+        if not row_sets.issuperset(frozenset(map(moved.__getitem__, row)) for row in rows):
+            raise FamilyError(f"genie family is not closed under the {name}")
+        generators.append(moved)
 
-    rows = set(lp.genie_rows)
-    for row in lp.genie_rows:
-        if tuple(sorted(shift[k] for k in row)) not in rows:
-            raise FamilyError("genie family is not closed under the cyclic shift")
-
-    orbit_rep: dict = {}
+    index = [-1] * len(keys)  # key position -> position of its orbit's name
+    names: list = []
     members: dict = {}
-    for key in lp.var_keys:
-        if key in orbit_rep:
+    for j, key in enumerate(keys):
+        if index[j] >= 0:
             continue
-        orbit = _orbit_of(shift, key)
-        rep = ("orbit", *min(orbit))
+        orbit = [j]  # keys come in order, so key is the orbit's least
+        index[j] = len(names)
         for mem in orbit:
-            orbit_rep[mem] = rep
-        members[rep] = tuple(sorted(orbit))
+            for moved in generators:
+                if index[moved[mem]] < 0:
+                    index[moved[mem]] = len(names)
+                    orbit.append(moved[mem])
+        names.append(("orbit", *key))
+        members[names[-1]] = tuple(sorted(keys[mem] for mem in orbit))
 
-    def project(coeffs) -> dict:
+    def project(coeffs) -> tuple:
         out: dict = {}
         for key, c in coeffs.items():
-            rep = orbit_rep[key]
-            out[rep] = out.get(rep, Fraction(0)) + c
-        return out
+            name = names[index[pos[key]]]
+            out[name] = out.get(name, Fraction(0)) + c
+        return tuple(sorted(out.items()))
 
-    genie = dedup_rows(tuple(sorted(orbit_rep[k] for k in row)) for row in lp.genie_rows)
-    partition: dict = {}
-    for coeffs, rhs in lp.partition_rows:
-        proj = tuple(sorted(project(coeffs).items()))
-        partition[proj] = rhs
+    projected = {tuple(sorted(map(index.__getitem__, row))) for row in rows}
+    genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
+    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
     memory: dict = {}
     for coeffs, rhs in lp.memory_rows:
-        proj = tuple(sorted(project(coeffs).items()))
+        proj = project(coeffs)
         memory[proj] = min(memory.get(proj, rhs), rhs)
     return LinearProgram(
         inst=lp.inst,
-        ds=ds,
-        var_keys=tuple(sorted(members)),
+        ds=lp.ds,
+        var_keys=tuple(names),
         genie_rows=tuple(genie),
         partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
         memory_rows=tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
         memory_mode=lp.memory_mode,
         orbit_members=members,
+        raw=lp,
     )
 
 

@@ -134,10 +134,10 @@ def criterion_3_lp_tightness() -> CriterionResult:
     """solve_lp(full_family) = rstar_u at every corner of the five instances."""
     checked = 0
     for base, ds in _structures(TIGHTNESS_INSTANCES):
-        family = cv.full_family(ds)
+        reduced = cv.symmetrize(cv.build_lp(base, ds, cv.full_family(ds)))
         for m in corner_memories(base.K, base.a, base.b):
             inst = base.with_m(m)
-            opt = cv.solve_lp(cv.build_lp(inst, ds, family)).value
+            opt = cv.solve_lp(reduced.with_m(m)).value
             want = rstar_u(inst)
             if opt != want:
                 return CriterionResult(

@@ -2,11 +2,14 @@
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ringcache import cli
+from ringcache import converse as cv
+from ringcache.model import ProblemInstance, build_demand_structure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,6 +69,21 @@ class TestTradeoff:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[2] == cells[-1]  # LP column equals R_star_u
+
+    @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (4, 1, 2)])
+    @pytest.mark.parametrize("mode", ["aggregate", "per_node"])
+    def test_lp_column_equals_a_solve_per_memory(self, capsys, K, a, b, mode):
+        code, out, _ = run(capsys, ["tradeoff", "--K", str(K), "--a", str(a), "--b", str(b),
+                                    "--m-steps", "5", "--memory-mode", mode, "--lp"])
+        assert code == 0
+        base = ProblemInstance(K, a, b)
+        ds = build_demand_structure(base)
+        family = cv.full_family(ds)
+        for line in out.strip().split("\n")[1:]:
+            cells = line.split(",")
+            inst = base.with_m(Fraction(cells[0]))
+            want = cv.solve_lp(cv.build_lp(inst, ds, family, mode)).value
+            assert Fraction(cells[-1]) == want
 
     def test_json_and_decimal(self, capsys):
         code, out, _ = run(capsys, ["tradeoff", "--K", "3", "--a", "2", "--b", "1",

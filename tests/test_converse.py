@@ -1,7 +1,8 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,10 @@ from ringcache.model import (
     ProblemInstance,
     build_demand_structure,
     enumerate_demands,
+    mask_of,
 )
 from ringcache.schemes import make_scheme, worst_case_load
+from ringcache.verify import corner_memories
 
 
 def setup(K, a, b, L=1, M=0):
@@ -33,6 +36,80 @@ def family_for(ds):
     if key not in _FAMILY_CACHE:
         _FAMILY_CACHE[key] = cv.full_family(ds)
     return _FAMILY_CACHE[key]
+
+
+def reference_genie_row(K, d, u, full_masks):
+    """``genie_inequality`` over subsets of node lists rather than submasks."""
+    keys, consumed = [], set()
+    for uk in u:
+        consumed.add(uk)
+        rest = [j for j in range(1, K + 1) if j not in consumed]
+        sizes = range(len(rest) + 1) if full_masks else (0, 1)
+        keys += [(d[uk - 1], mask_of(c)) for r in sizes for c in combinations(rest, r)]
+    return tuple(sorted(keys))
+
+
+def cyclic_symmetrize(lp):
+    """Collapse the LP onto orbits of the cyclic shift alone.
+
+    The oracle for ``cv.symmetrize``, which collapses by the ring's full
+    group: both must give the same optimum, and the ``_sym`` goldens pin
+    this collapse's export bytes and orbit-row order.
+    """
+    ds = lp.ds
+    shift = {(i, m): (ds.shift_file(i), ds.shift_mask(m)) for i, m in lp.var_keys}
+    rows = set(lp.genie_rows)
+    for row in lp.genie_rows:
+        if tuple(sorted(shift[k] for k in row)) not in rows:
+            raise cv.FamilyError("genie family is not closed under the cyclic shift")
+    orbit_rep: dict = {}
+    members: dict = {}
+    for key in lp.var_keys:
+        if key in orbit_rep:
+            continue
+        orbit = [key]
+        while shift[orbit[-1]] != key:
+            orbit.append(shift[orbit[-1]])
+        rep = ("orbit", *min(orbit))
+        for mem in orbit:
+            orbit_rep[mem] = rep
+        members[rep] = tuple(sorted(orbit))
+
+    def project(coeffs) -> tuple:
+        out: dict = {}
+        for key, c in coeffs.items():
+            out[orbit_rep[key]] = out.get(orbit_rep[key], Fraction(0)) + c
+        return tuple(sorted(out.items()))
+
+    genie = {tuple(sorted(orbit_rep[k] for k in row)) for row in lp.genie_rows}
+    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
+    memory: dict = {}
+    for coeffs, rhs in lp.memory_rows:
+        proj = project(coeffs)
+        memory[proj] = min(memory.get(proj, rhs), rhs)
+    return replace(
+        lp,
+        var_keys=tuple(sorted(members)),
+        genie_rows=tuple(sorted(genie, key=cv._row_order)),
+        partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
+        memory_rows=tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
+        orbit_members=members,
+        raw=lp,
+    )
+
+
+SMALL_INSTANCES = [(K, a, b) for K in (2, 3, 4) for a in (0, 1, 2) for b in (0, 1, 2) if a + b]
+
+
+def every_family(ds) -> list:
+    """(name, rows) for the full family and every constructible selection."""
+    out = [("full", family_for(ds))]
+    for regime in cv.Regime:
+        try:
+            out.append((regime.value, cv.selected_family(ds, regime)))
+        except cv.FamilyError:
+            pass
+    return out
 
 
 class TestGenieInequality:
@@ -66,6 +143,16 @@ class TestGenieInequality:
             cv.genie_inequality(ds, (1, 6, 7), (1, 1, 2))
 
 
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1)])
+    def test_matches_subset_reference(self, K, a, b):
+        _, ds = setup(K, a, b)
+        for d in enumerate_demands(ds, distinct_only=True):
+            for u in permutations(range(1, K + 1)):
+                for full in (False, True):
+                    want = reference_genie_row(K, d.files, u, full)
+                    assert cv.genie_inequality(ds, d, u, full) == want
+
+
 class TestFullFamily:
     def test_running_example_row_count(self):
         _, ds = setup(3, 2, 1)
@@ -85,6 +172,14 @@ class TestFullFamily:
             for u in permutations(range(1, 4))
         }
         assert deduped == sorted(every)
+
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
+    def test_plain_sort_is_row_order_on_raw_rows(self, K, a, b):
+        # dedup_rows and build_lp sort raw rows without a key on this equality.
+        _, ds = setup(K, a, b)
+        for name, rows in every_family(ds):
+            assert all(len(set(row)) == len(row) for row in rows), name
+            assert sorted(rows) == sorted(rows, key=cv._row_order), name
 
     def test_budget_guard(self):
         _, ds = setup(8, 4, 3)
@@ -215,14 +310,29 @@ class TestSymmetrize:
     def test_orbit_counts(self):
         inst, ds = setup(3, 2, 1, M=3)
         lp = cv.build_lp(inst, ds, family_for(ds))
-        sym = cv.symmetrize(lp)
+        sym = cyclic_symmetrize(lp)
         assert len(lp.var_keys) == 72
         assert len(sym.var_keys) == 24
 
     def test_orbit_count_bound_k4(self):
         inst, ds = setup(4, 1, 1, M=2)
-        sym = cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+        sym = cyclic_symmetrize(cv.build_lp(inst, ds, family_for(ds)))
         assert len(sym.var_keys) == 32 <= 40
+
+    @pytest.mark.parametrize(
+        "K,a,b,n_vars,n_genie",
+        [(3, 2, 1, 12, 12), (4, 1, 2, 22, 52), (4, 2, 2, 22, 52), (5, 1, 1, 40, 360),
+         (5, 1, 2, 40, 360)],
+    )
+    def test_full_group_orbit_sizes(self, K, a, b, n_vars, n_genie):
+        inst, ds = setup(K, a, b, M=1)
+        # Not cached: the (5,1,2) family alone holds about 400 MiB.
+        sym = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds)))
+        assert len(sym.var_keys) == n_vars
+        assert len(sym.genie_rows) == n_genie
+        assert sorted(k for orbit in sym.orbit_members.values() for k in orbit) == sorted(
+            sym.raw.var_keys
+        )
 
     @pytest.mark.parametrize("K,a,b,M", [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 3)])
     def test_preserves_optimum(self, K, a, b, M):
@@ -238,12 +348,79 @@ class TestSymmetrize:
         with pytest.raises(cv.FamilyError):
             cv.symmetrize(cv.build_lp(inst, ds, lone))
 
+    def test_rejects_family_closed_under_the_shift_only(self):
+        # The leftward chains of HIGH_M: the shift maps them onto each
+        # other, the reflection onto the rightward chains, which are absent.
+        inst, ds = setup(3, 2, 1, M=3)
+        rows = []
+        for k in range(1, 4):
+            left, _ = cv._chain_permutations(3, k)
+            pools = [ds.part1[left[0] - 1], ds.part1[left[1] - 1], ds.part2[left[2] - 1]]
+            for choice in product(*pools):
+                d = [0] * 3
+                for j, uk in enumerate(left):
+                    d[uk - 1] = choice[j]
+                rows.append(cv.genie_inequality(ds, tuple(d), left))
+        lp = cv.build_lp(inst, ds, rows)
+        cyclic_symmetrize(lp)
+        with pytest.raises(cv.FamilyError, match="reflection"):
+            cv.symmetrize(lp)
+
+    def test_rejects_family_closed_under_the_dihedral_group_only(self):
+        # One fixed file per pool at a = 2: rotations and the reflection keep
+        # each file's position in its part, relabelling inside a part does not.
+        inst, ds = setup(3, 2, 1, M=3)
+        rows = []
+        for k in range(1, 4):
+            for perm, parts in zip(cv._chain_permutations(3, k), (ds.part1, ds.part3)):
+                pools = [parts[perm[0] - 1], parts[perm[1] - 1], ds.part2[perm[2] - 1]]
+                d = [0] * 3
+                for j, uk in enumerate(perm):
+                    d[uk - 1] = pools[j][0]
+                rows.append(cv.genie_inequality(ds, tuple(d), perm))
+        lp = cv.build_lp(inst, ds, rows)
+        cyclic_symmetrize(lp)
+        reflect = cv._ring_generators(ds)["reflection"]  # a key map
+        assert {tuple(sorted(reflect[k] for k in row)) for row in rows} == set(rows)
+        with pytest.raises(cv.FamilyError, match="transposition in part1"):
+            cv.symmetrize(lp)
+
     def test_selected_families_are_closed(self):
         inst, ds = setup(3, 2, 1, M=3)
         for regime in cv.Regime:
             lp = cv.build_lp(inst, ds, cv.selected_family(ds, regime))
             sym = cv.symmetrize(lp)
             assert cv.solve_lp(sym).value == cv.solve_lp(lp, use_symmetry=False).value
+
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_with_m_equals_a_fresh_build(self, mode):
+        base, ds = setup(3, 2, 1)
+        lp = cv.build_lp(base, ds, family_for(ds), mode)
+        sym = cv.symmetrize(lp)
+        for m in (Fraction(0), Fraction(3, 2), Fraction(5), Fraction(7)):
+            fresh = cv.build_lp(base.with_m(m), ds, family_for(ds), mode)
+            assert lp.with_m(m) == fresh
+            moved = sym.with_m(m)
+            assert moved == cv.symmetrize(fresh)
+            assert moved.raw == fresh
+
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_full_group_matches_cyclic_oracle_and_direct_route(self, K, a, b, mode):
+        base, ds = setup(K, a, b)
+        corners = corner_memories(K, a, b)
+        grid = corners + [(lo + hi) / 2 for lo, hi in zip(corners, corners[1:])]
+        for name, rows in every_family(ds):
+            lp = cv.build_lp(base, ds, rows, mode)
+            full, cyclic = cv.symmetrize(lp), cyclic_symmetrize(lp)
+            # The direct route needs 5 s to minutes per point on larger raw
+            # programs (33 s at (3,2,2), per node, M = 3, on a 2-core VM).
+            direct = len(rows) <= 400
+            for m in grid:
+                want = cv.solve_lp(cyclic.with_m(m)).value
+                assert cv.solve_lp(full.with_m(m)).value == want, (name, m)
+                if direct:
+                    assert cv.solve_lp(lp.with_m(m), use_symmetry=False).value == want
 
 
 class TestCertificates:
@@ -353,5 +530,5 @@ class TestLpExport:
         else:
             rows = cv.selected_family(ds, cv.Regime(family))
         lp = cv.build_lp(inst, ds, rows, mode)
-        text = cv.lp_to_text(lp if raw else cv.symmetrize(lp))
+        text = cv.lp_to_text(lp if raw else cyclic_symmetrize(lp))
         assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
