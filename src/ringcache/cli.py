@@ -139,6 +139,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_single_access(inst: ProblemInstance) -> None:
+    if inst.L >= 2:
+        raise InvalidInstanceError(f"the LP converse models L = 1 only; got L={inst.L}")
+
+
 def cmd_tradeoff(args) -> int:
     inst = _load_instance(args)
     if args.m_grid:
@@ -154,6 +159,7 @@ def cmd_tradeoff(args) -> int:
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
     if args.lp:  # one collapse, re-solved at every M
+        _require_single_access(inst)
         reduced = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode))
 
     labels = [PointLabel.ACHIEVABLE, PointLabel.OPT_UNCODED, PointLabel.CUTSET]
@@ -245,6 +251,7 @@ _FAMILIES = {
 
 def cmd_lp(args) -> int:
     inst = _load_instance(args)
+    _require_single_access(inst)
     ds = build_demand_structure(inst)
     regime = _FAMILIES[args.family]
     family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
@@ -331,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lp", action="store_true", help="add the full-family LP column")
     p.add_argument("--memory-mode", choices=(cv.AGGREGATE, cv.PER_NODE), default=cv.AGGREGATE)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--decimal", type=int, help="render decimals at this precision")
+    p.add_argument("--decimal", type=_int_at_least(0, "non-negative"),
+                   help="render decimals at this precision")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_tradeoff)
 

@@ -14,22 +14,25 @@ Variable keys are (file, node-mask) pairs; symmetrised programs use
 ("orbit", file, mask) keys naming the orbit representative.
 
 A genie row R >= sum(y[k] for k in row) has every coefficient one, so a
-row is stored as the sorted tuple of the keys it covers. A symmetrised
-row repeats each orbit key once per raw key it stands for, so its
-coefficients are multiplicities; ``row_value`` evaluates both kinds.
-Rows are ordered by their (key, multiplicity) pairs (``_row_order``):
-the order fixes the constraint order the simplex sees, hence its pivot
-path. On a raw row, whose keys are distinct, that order is plain tuple
-order, so only symmetrised rows are sorted with ``_row_order`` as key.
+row is stored as the sorted tuple of the keys it covers: its users' (file,
+mask) key tuples in ascending file order, each user's masks read from one
+template per decoding order (``_order_masks``). A symmetrised row repeats
+each orbit key once per raw key it stands for, so its coefficients are
+multiplicities; ``row_value`` evaluates both kinds. Rows are ordered by
+their (key, multiplicity) pairs (``_row_order``): the order fixes the
+constraint order the simplex sees, hence its pivot path. On a raw row,
+whose keys are distinct, that order is plain tuple order, so only
+symmetrised rows are sorted with ``_row_order`` as key.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby, permutations, product, repeat
+from itertools import chain, groupby, permutations, product, repeat
 from math import factorial, lcm
 
 from ringcache import exactlp
@@ -77,44 +80,50 @@ def _row_order(row) -> tuple:
     return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
 
 
+def _order_masks(K: int, u, full_masks: bool) -> list:
+    """Per user (index user-1), its ascending masks under decoding order u.
+
+    The i-th decoded user u_i reads the node sets that avoid the consumed
+    users u_1..u_i: all of them with ``full_masks``, else the empty set
+    and the singletons (the weakened form the per-regime selections sum
+    up).
+    """
+    out = [()] * K
+    rest = (1 << K) - 1  # mask of the users not yet consumed
+    for uk in u:
+        rest ^= 1 << (uk - 1)
+        subs = (m for m in range(rest + 1) if m & rest == m)
+        out[uk - 1] = tuple(m for m in subs if full_masks or m.bit_count() <= 1)
+    return out
+
+
+class _KeyMemo(dict):
+    """(file, masks) -> the key tuple ((file, m) for m in masks), made once."""
+
+    def __missing__(self, pair):
+        keys = self[pair] = tuple([(pair[0], m) for m in pair[1]])
+        return keys
+
+
+def _genie_row(files, masks, memo: _KeyMemo) -> tuple:
+    """The row of distinct files through aligned masks, sorted by file then mask."""
+    return tuple(chain.from_iterable(map(memo.__getitem__, sorted(zip(files, masks)))))
+
+
 def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tuple:
     """The genie row for demand vector d decoded in permutation order u.
 
-    The i-th decoded user contributes the variables of its demanded file
-    over node sets disjoint from the already-consumed users u_1..u_i. By
-    default only the empty set and singletons are kept (the weakened form
-    the per-regime selections sum up); ``full_masks`` keeps every subset.
+    Each user contributes its demanded file over its ``_order_masks``
+    masks; the families build rows the same way but check inputs once.
     """
     K = ds.inst.K
     d = tuple(getattr(d, "files", d))
     u = tuple(u)
     if sorted(u) != list(range(1, K + 1)):
         raise DemandError(f"u={u} is not a permutation of [1..{K}]")
-    ds.validate_demand(d)
-    if len(set(d)) != K:
+    if not ds.validate_demand(d).distinct:
         raise DemandError("genie rows need pairwise-distinct demands")
-    keys = []
-    rest = (1 << K) - 1  # mask of the users not yet consumed
-    for uk in u:
-        rest ^= 1 << (uk - 1)
-        if full_masks:  # every submask of rest, walked downwards
-            masks, sub = [0], rest
-            while sub:
-                masks.append(sub)
-                sub = (sub - 1) & rest
-        else:
-            masks = [0] + [1 << j for j in range(K) if rest >> j & 1]
-        keys += [(d[uk - 1], m) for m in masks]
-    return tuple(sorted(keys))
-
-
-def cut_inequality(ds: DemandStructure, d) -> tuple:
-    """No-genie cut row R >= sum_k y[d_k, empty] for unique-file demands."""
-    d = tuple(getattr(d, "files", d))
-    ds.validate_demand(d)
-    if len(set(d)) != len(d):
-        raise DemandError("cut rows need pairwise-distinct demands")
-    return tuple(sorted((di, 0) for di in d))
+    return _genie_row(d, _order_masks(K, u, full_masks), _KeyMemo())
 
 
 def dedup_rows(rows) -> list:
@@ -123,7 +132,11 @@ def dedup_rows(rows) -> list:
 
 
 def full_family(ds: DemandStructure, dedup: bool = True) -> list:
-    """One full-mask genie row per (distinct-demand vector, permutation) pair."""
+    """One full-mask genie row per (distinct-demand vector, permutation) pair.
+
+    Undeduplicated, rows come vector by vector, orders in ``permutations``
+    order. The K! order templates are made and each vector checked once.
+    """
     K = ds.inst.K
     n_all = count_demands(ds)
     if n_all > FAMILY_BUDGET:  # listing distinct vectors walks the whole product
@@ -134,11 +147,11 @@ def full_family(ds: DemandStructure, dedup: bool = True) -> list:
     n_rows = len(distinct) * factorial(K)
     if n_rows > FAMILY_BUDGET:
         raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
-    rows = [
-        genie_inequality(ds, d, u, full_masks=True)
-        for d in distinct
-        for u in permutations(range(1, K + 1))
-    ]
+    if not all(ds.validate_demand(d.files).distinct for d in distinct):
+        raise DemandError("genie rows need pairwise-distinct demands")
+    templates = [_order_masks(K, u, True) for u in permutations(range(1, K + 1))]
+    memo = _KeyMemo()
+    rows = [_genie_row(d.files, masks, memo) for d in distinct for masks in templates]
     return dedup_rows(rows) if dedup else rows
 
 
@@ -157,34 +170,41 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
     user from its unique part (a^(K-1) * b rows each). LOW_M: same
     orderings with every demand from the directional shared part (a^K
     rows each). LARGE_B: all demand vectors drawn from the unique parts,
-    bound by the no-genie cut rows (b^K rows).
+    bound by the no-genie cut rows R >= sum_k y[d_k, empty] (b^K rows).
+
+    Each chain (an ordering, one pool and mask template per user) is checked
+    once: pools inside their users' demand sets and pairwise disjoint make
+    every vector drawn from them admissible and pairwise distinct.
     """
-    inst = ds.inst
-    K, a, b = inst.K, inst.a, inst.b
-    rows: list = []
+    K, a, b = ds.inst.K, ds.inst.a, ds.inst.b
     if regime is Regime.LARGE_B:
         if b < 1:
             raise FamilyError("LARGE_B family needs b >= 1")
-        for d_parts in product(*ds.part2):
-            rows.append(cut_inequality(ds, d_parts))
-        return rows
-    if a < 1:
+        chains = [(tuple(range(1, K + 1)), ds.part2, [(0,)] * K)]
+    elif a < 1:
         raise FamilyError(f"{regime.value} family needs a >= 1")
-    if regime is Regime.HIGH_M and b < 1:
+    elif regime is Regime.HIGH_M and b < 1:
         raise FamilyError("HIGH_M family needs b >= 1")
-    for k in range(1, K + 1):
-        left, right = _chain_permutations(K, k)
-        for perm, parts in ((left, ds.part1), (right, ds.part3)):
-            if regime is Regime.HIGH_M:
-                pools = [parts[perm[j] - 1] for j in range(K - 1)]
-                pools.append(ds.part2[perm[K - 1] - 1])
-            else:
-                pools = [parts[perm[j] - 1] for j in range(K)]
-            for choice in product(*pools):
-                d = [0] * K
-                for j, uk in enumerate(perm):
-                    d[uk - 1] = choice[j]
-                rows.append(genie_inequality(ds, tuple(d), perm, full_masks=False))
+    else:
+        chains = []
+        for k in range(1, K + 1):
+            for perm, parts in zip(_chain_permutations(K, k), (ds.part1, ds.part3)):
+                pools = [parts[uk - 1] for uk in perm]
+                if regime is Regime.HIGH_M:
+                    pools[-1] = ds.part2[perm[-1] - 1]
+                template = _order_masks(K, perm, False)
+                chains.append((perm, pools, [template[uk - 1] for uk in perm]))
+    rows: list = []
+    memo = _KeyMemo()
+    for perm, pools, masks in chains:  # pools[j] and masks[j] belong to user perm[j]
+        if sorted(perm) != list(range(1, K + 1)):
+            raise DemandError(f"u={perm} is not a permutation of [1..{K}]")
+        for pool, uk in zip(pools, perm):
+            if not ds.demand_sets[uk - 1].issuperset(pool):
+                raise DemandError(f"a pool is not demandable in region {uk}")
+        if len(set(chain.from_iterable(pools))) != sum(map(len, pools)):
+            raise DemandError("genie rows need pairwise-distinct demands")
+        rows += [_genie_row(choice, masks, memo) for choice in product(*pools)]
     return rows
 
 
@@ -489,12 +509,8 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 def average_rows(rows) -> dict:
     """Uniform average of the rows' coefficients, multiplicity included."""
     rows = list(rows)
-    total: dict = {}
-    for row in rows:
-        for key in row:
-            total[key] = total.get(key, 0) + 1
-    n = len(rows)
-    return {key: Fraction(v, n) for key, v in total.items()}
+    total = Counter(chain.from_iterable(rows))
+    return {key: Fraction(v, len(rows)) for key, v in total.items()}
 
 
 def _aggregate_map(ds: DemandStructure, c1_empty, c2_empty, c1_single) -> dict:

@@ -281,6 +281,13 @@ UNWRITABLE_CASES = [
 ]
 
 
+REFUSED_BEFORE_THE_WORK = [
+    ["lp", "--K", "3", "--a", "1", "--b", "1", "--L", "2", "--M", "1"],
+    ["tradeoff", "--K", "3", "--a", "1", "--b", "1", "--L", "2", "--lp", "--m-grid", "0,1,2"],
+    ["tradeoff", *INSTANCE, "--m-grid", "0,1", "--decimal", "-1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -291,6 +298,7 @@ UNWRITABLE_CASES = [
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "-6"],
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "0"],
         ["verify", *INSTANCE, "--trials", "-5"],
+        *REFUSED_BEFORE_THE_WORK,
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, tmp_path, argv):
@@ -318,3 +326,21 @@ def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path, 
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", REFUSED_BEFORE_THE_WORK)
+def test_refusal_comes_before_any_family_or_grid_point(capsys, monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("full_family", "selected_family"):
+        monkeypatch.setattr(cli.cv, name, no_work)
+    monkeypatch.setattr(cli, "worst_case_load", no_work)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

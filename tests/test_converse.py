@@ -49,6 +49,72 @@ def reference_genie_row(K, d, u, full_masks):
     return tuple(sorted(keys))
 
 
+def oracle_genie_row(ds, d, u, full_masks):
+    """The per-row ``genie_inequality`` the mask templates replaced."""
+    K = ds.inst.K
+    d, u = tuple(getattr(d, "files", d)), tuple(u)
+    if sorted(u) != list(range(1, K + 1)):
+        raise DemandError(f"u={u} is not a permutation of [1..{K}]")
+    ds.validate_demand(d)
+    if len(set(d)) != K:
+        raise DemandError("genie rows need pairwise-distinct demands")
+    keys = []
+    rest = (1 << K) - 1  # mask of the users not yet consumed
+    for uk in u:
+        rest ^= 1 << (uk - 1)
+        if full_masks:  # every submask of rest, walked downwards
+            masks, sub = [0], rest
+            while sub:
+                masks.append(sub)
+                sub = (sub - 1) & rest
+        else:
+            masks = [0] + [1 << j for j in range(K) if rest >> j & 1]
+        keys += [(d[uk - 1], m) for m in masks]
+    return tuple(sorted(keys))
+
+
+def oracle_full_family(ds):
+    """The per-row construction ``full_family(ds, dedup=False)`` replaced."""
+    K = ds.inst.K
+    return [
+        oracle_genie_row(ds, d, u, full_masks=True)
+        for d in enumerate_demands(ds, distinct_only=True)
+        for u in permutations(range(1, K + 1))
+    ]
+
+
+def oracle_selected_family(ds, regime):
+    """The per-row chain loop ``selected_family`` replaced."""
+    K, a, b = ds.inst.K, ds.inst.a, ds.inst.b
+    if regime is cv.Regime.LARGE_B:
+        if b < 1:
+            raise cv.FamilyError("LARGE_B family needs b >= 1")
+        rows = []
+        for d in product(*ds.part2):  # the no-genie cut rows
+            ds.validate_demand(d)
+            if len(set(d)) != len(d):
+                raise DemandError("cut rows need pairwise-distinct demands")
+            rows.append(tuple(sorted((di, 0) for di in d)))
+        return rows
+    if a < 1 or (regime is cv.Regime.HIGH_M and b < 1):
+        raise cv.FamilyError(f"{regime.value} family is not constructible")
+    rows = []
+    for k in range(1, K + 1):
+        left, right = cv._chain_permutations(K, k)
+        for perm, parts in ((left, ds.part1), (right, ds.part3)):
+            if regime is cv.Regime.HIGH_M:
+                pools = [parts[perm[j] - 1] for j in range(K - 1)]
+                pools.append(ds.part2[perm[K - 1] - 1])
+            else:
+                pools = [parts[perm[j] - 1] for j in range(K)]
+            for choice in product(*pools):
+                d = [0] * K
+                for j, uk in enumerate(perm):
+                    d[uk - 1] = choice[j]
+                rows.append(oracle_genie_row(ds, tuple(d), perm, full_masks=False))
+    return rows
+
+
 def cyclic_symmetrize(lp):
     """Collapse the LP onto orbits of the cyclic shift alone.
 
@@ -218,6 +284,46 @@ class TestSelectedFamily:
             cv.selected_family(ds, cv.Regime.LOW_M)
         with pytest.raises(cv.FamilyError):
             cv.selected_family(ds, cv.Regime.HIGH_M)
+
+
+ORACLE_FAMILIES = [
+    (K, a, b, regime) for K, a, b in SMALL_INSTANCES for regime in (None, *cv.Regime)
+] + [(5, 1, 1, None), (5, 3, 1, cv.Regime.HIGH_M), (5, 3, 1, cv.Regime.LOW_M)]
+
+
+class TestFamiliesMatchPerRowOracles:
+    @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
+    def test_same_rows_in_the_same_order(self, K, a, b, regime):
+        _, ds = setup(K, a, b)
+        if regime is None:
+            want = oracle_full_family(ds)
+            assert cv.full_family(ds, dedup=False) == want
+            assert [
+                cv.genie_inequality(ds, d, u, full_masks=True)
+                for d in enumerate_demands(ds, distinct_only=True)
+                for u in permutations(range(1, K + 1))
+            ] == want
+            return
+        try:
+            want = oracle_selected_family(ds, regime)
+        except cv.FamilyError:
+            with pytest.raises(cv.FamilyError):
+                cv.selected_family(ds, regime)
+            return
+        assert cv.selected_family(ds, regime) == want
+
+    @pytest.mark.parametrize("regime", list(cv.Regime))
+    def test_chain_checks_refuse_what_the_row_checks_refused(self, regime):
+        _, ds = setup(3, 2, 1)
+        outside = replace(ds, demand_sets=(frozenset(),) + ds.demand_sets[1:])
+        same = (ds.part1[0],) * 3  # every user's pool is the same two files
+        overlap = replace(ds, part1=same, part2=same, part3=same,
+                          demand_sets=tuple(s | set(same[0]) for s in ds.demand_sets))
+        for bad in (outside, overlap):
+            with pytest.raises(DemandError):
+                oracle_selected_family(bad, regime)
+            with pytest.raises(DemandError):
+                cv.selected_family(bad, regime)
 
 
 class TestSoundness:
