@@ -122,13 +122,18 @@ def _load_instance(args, default_m: Fraction | None = Fraction(0)) -> ProblemIns
 
 
 class _Renderer:
+    """Exact "p/q" text, or with ``decimal`` digits fixed-point rounded half up."""
+
     def __init__(self, decimal: int | None):
         self.decimal = decimal
 
     def __call__(self, value) -> str:
-        if isinstance(value, Fraction) and self.decimal is not None:
-            return f"{float(value):.{self.decimal}f}"
-        return str(value)
+        if not isinstance(value, Fraction) or self.decimal is None:
+            return str(value)
+        d, den = self.decimal, value.denominator
+        units = (2 * value.numerator * 10**d + den) // (2 * den)  # floor(value * 10^d + 1/2)
+        digits = str(abs(units)).rjust(d + 1, "0")
+        return ("-" if units < 0 else "") + (f"{digits[:-d]}.{digits[-d:]}" if d else digits)
 
 
 def _emit(text: str, out: str | None) -> None:

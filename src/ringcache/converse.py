@@ -13,16 +13,18 @@ weighted-sum certificates that give the closed forms.
 Variable keys are (file, node-mask) pairs; symmetrised programs use
 ("orbit", file, mask) keys naming the orbit representative.
 
-A genie row R >= sum(y[k] for k in row) has every coefficient one, so a
-row is stored as the sorted tuple of the keys it covers: its users' (file,
-mask) key tuples in ascending file order, each user's masks read from one
-template per decoding order (``_order_masks``). A symmetrised row repeats
-each orbit key once per raw key it stands for, so its coefficients are
-multiplicities; ``row_value`` evaluates both kinds. Rows are ordered by
-their (key, multiplicity) pairs (``_row_order``): the order fixes the
-constraint order the simplex sees, hence its pivot path. On a raw row,
-whose keys are distinct, that order is plain tuple order, so only
-symmetrised rows are sorted with ``_row_order`` as key.
+A genie row R >= sum(y[k] for k in row) has every coefficient one. Its
+i-th decoded user covers its file over every submask of ``top``, the
+users not yet consumed (``_order_masks``), or, in the weakened per-regime
+rows, over the empty mask and the singletons of ``top``. A raw row is the
+sorted tuple of its K links, one int per user holding file, ``top`` and
+rule (``_link``), and denotes the disjoint union of their key sets; only
+the raw text export and the direct solve route expand it (``_expand``),
+taking rows in expanded key order. A symmetrised row is the sorted tuple
+of its keys' orbit names, so its coefficients are multiplicities; such
+rows are sorted by their (key, multiplicity) pairs (``_row_order``), the
+constraint order the simplex pivots through. On an expanded raw row,
+whose keys are distinct, that order is plain tuple order.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, groupby, permutations, product, repeat
 from math import factorial, lcm
 
@@ -70,51 +73,86 @@ class RegimeMismatchError(ValueError):
     """Certificate regime contradicts the instance's parameter condition."""
 
 
-def row_value(row, x):
-    """The right-hand side sum(x[k] for k in row) of a genie row at point x."""
-    return sum(map(x.get, row, repeat(0)))
+class _Memo(dict):
+    """key -> fn(key), computed once per key."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _link(K: int, file: int, top: int, full) -> int:
+    """One user's share of a row: ``file`` over every submask of ``top`` if
+    full, else over the empty mask and singletons; a top of at most one bit,
+    where the rules agree, takes the weakened one, so equal key sets have
+    equal links."""
+    return (file << K | top) << 1 | (full and top & (top - 1) > 0)
+
+
+def _link_keys(K: int) -> _Memo:
+    """link -> its (file, mask) keys in ascending mask order."""
+
+    def keys(link):
+        file, top = link >> K + 1, link >> 1 & ~(-1 << K)
+        subs = (m for m in range(top + 1) if m & top == m)
+        return tuple([(file, m) for m in subs if link & 1 or m & (m - 1) == 0])
+
+    return _Memo(keys)
+
+
+def _expand(link_keys: _Memo, row) -> tuple:
+    """The sorted (file, mask) key tuple a link row denotes."""
+    return tuple(chain.from_iterable(map(link_keys.__getitem__, row)))
+
+
+def _point_sums(lp, x: dict) -> _Memo:
+    """Row element -> value at x: a raw row's link sums x over its keys, an
+    orbit name of a symmetrised row reads x."""
+    if lp.orbit_members is not None:
+        return _Memo(lambda name: x.get(name, 0))
+    link_keys = _link_keys(lp.inst.K)
+    return _Memo(lambda link: sum(map(x.get, link_keys[link], repeat(0))))
+
+
+def row_value(row, sums: _Memo):
+    """The right-hand side of a genie row at the point ``sums`` reads."""
+    return sum(map(sums.__getitem__, row))
 
 
 def _row_order(row) -> tuple:
-    """The row's (key, multiplicity) pairs; rows are sorted by these."""
+    """The row's (key, multiplicity) pairs; key rows are sorted by these."""
     return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
 
 
-def _order_masks(K: int, u, full_masks: bool) -> list:
-    """Per user (index user-1), its ascending masks under decoding order u.
-
-    The i-th decoded user u_i reads the node sets that avoid the consumed
-    users u_1..u_i: all of them with ``full_masks``, else the empty set
-    and the singletons (the weakened form the per-regime selections sum
-    up).
-    """
-    out = [()] * K
+def _order_masks(K: int, u) -> list:
+    """Per user (index user-1), its ``top`` under decoding order u: the mask
+    of the users still unconsumed once it and the users before it are."""
+    out = [0] * K
     rest = (1 << K) - 1  # mask of the users not yet consumed
     for uk in u:
         rest ^= 1 << (uk - 1)
-        subs = (m for m in range(rest + 1) if m & rest == m)
-        out[uk - 1] = tuple(m for m in subs if full_masks or m.bit_count() <= 1)
+        out[uk - 1] = rest
     return out
 
 
-class _KeyMemo(dict):
-    """(file, masks) -> the key tuple ((file, m) for m in masks), made once."""
-
-    def __missing__(self, pair):
-        keys = self[pair] = tuple([(pair[0], m) for m in pair[1]])
-        return keys
+def _link_tables(ds: DemandStructure, full: bool) -> _Memo:
+    """(user, top) -> {file: link} over the user's demand set."""
+    K = ds.inst.K
+    return _Memo(lambda p: {f: _link(K, f, p[1], full) for f in ds.demand_sets[p[0] - 1]})
 
 
-def _genie_row(files, masks, memo: _KeyMemo) -> tuple:
-    """The row of distinct files through aligned masks, sorted by file then mask."""
-    return tuple(chain.from_iterable(map(memo.__getitem__, sorted(zip(files, masks)))))
+def _link_row(tables, files) -> tuple:
+    """The row of distinct files, one per user, through the users' link tables."""
+    return tuple(sorted(map(dict.__getitem__, tables, files)))
 
 
 def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tuple:
     """The genie row for demand vector d decoded in permutation order u.
 
-    Each user contributes its demanded file over its ``_order_masks``
-    masks; the families build rows the same way but check inputs once.
+    The families build rows through the same helpers but check inputs once.
     """
     K = ds.inst.K
     d = tuple(getattr(d, "files", d))
@@ -123,16 +161,17 @@ def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tup
         raise DemandError(f"u={u} is not a permutation of [1..{K}]")
     if not ds.validate_demand(d).distinct:
         raise DemandError("genie rows need pairwise-distinct demands")
-    return _genie_row(d, _order_masks(K, u, full_masks), _KeyMemo())
+    tables = _link_tables(ds, full_masks)
+    return _link_row([tables[uk, top] for uk, top in enumerate(_order_masks(K, u), 1)], d)
 
 
 def dedup_rows(rows) -> list:
-    """The distinct raw rows, sorted (plain tuple order is their ``_row_order``)."""
+    """The distinct rows, sorted by their links."""
     return sorted(set(rows))
 
 
 def full_family(ds: DemandStructure, dedup: bool = True) -> list:
-    """One full-mask genie row per (distinct-demand vector, permutation) pair.
+    """One full-rule genie row per (distinct-demand vector, permutation) pair.
 
     Undeduplicated, rows come vector by vector, orders in ``permutations``
     order. The K! order templates are made and each vector checked once.
@@ -149,9 +188,12 @@ def full_family(ds: DemandStructure, dedup: bool = True) -> list:
         raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
     if not all(ds.validate_demand(d.files).distinct for d in distinct):
         raise DemandError("genie rows need pairwise-distinct demands")
-    templates = [_order_masks(K, u, True) for u in permutations(range(1, K + 1))]
-    memo = _KeyMemo()
-    rows = [_genie_row(d.files, masks, memo) for d in distinct for masks in templates]
+    tables = _link_tables(ds, True)
+    templates = [
+        [tables[uk, top] for uk, top in enumerate(_order_masks(K, u), 1)]
+        for u in permutations(range(1, K + 1))
+    ]
+    rows = [_link_row(template, d.files) for d in distinct for template in templates]
     return dedup_rows(rows) if dedup else rows
 
 
@@ -172,7 +214,7 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
     rows each). LARGE_B: all demand vectors drawn from the unique parts,
     bound by the no-genie cut rows R >= sum_k y[d_k, empty] (b^K rows).
 
-    Each chain (an ordering, one pool and mask template per user) is checked
+    Each chain (an ordering, one pool and ``top`` per user) is checked
     once: pools inside their users' demand sets and pairwise disjoint make
     every vector drawn from them admissible and pairwise distinct.
     """
@@ -180,7 +222,7 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
     if regime is Regime.LARGE_B:
         if b < 1:
             raise FamilyError("LARGE_B family needs b >= 1")
-        chains = [(tuple(range(1, K + 1)), ds.part2, [(0,)] * K)]
+        chains = [(tuple(range(1, K + 1)), ds.part2, [0] * K)]
     elif a < 1:
         raise FamilyError(f"{regime.value} family needs a >= 1")
     elif regime is Regime.HIGH_M and b < 1:
@@ -192,11 +234,10 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
                 pools = [parts[uk - 1] for uk in perm]
                 if regime is Regime.HIGH_M:
                     pools[-1] = ds.part2[perm[-1] - 1]
-                template = _order_masks(K, perm, False)
-                chains.append((perm, pools, [template[uk - 1] for uk in perm]))
+                chains.append((perm, pools, _order_masks(K, perm)))
     rows: list = []
-    memo = _KeyMemo()
-    for perm, pools, masks in chains:  # pools[j] and masks[j] belong to user perm[j]
+    tables = _link_tables(ds, False)
+    for perm, pools, tops in chains:  # pools[j] belongs to user perm[j], tops[uk-1] to uk
         if sorted(perm) != list(range(1, K + 1)):
             raise DemandError(f"u={perm} is not a permutation of [1..{K}]")
         for pool, uk in zip(pools, perm):
@@ -204,7 +245,8 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
                 raise DemandError(f"a pool is not demandable in region {uk}")
         if len(set(chain.from_iterable(pools))) != sum(map(len, pools)):
             raise DemandError("genie rows need pairwise-distinct demands")
-        rows += [_genie_row(choice, masks, memo) for choice in product(*pools)]
+        template = [tables[uk, tops[uk - 1]] for uk in perm]
+        rows += [_link_row(template, choice) for choice in product(*pools)]
     return rows
 
 
@@ -263,26 +305,10 @@ def build_lp(
     )
     rhs = _memory_rhs(inst, memory_mode)
     if memory_mode == AGGREGATE:
-        coeffs = {
-            (i, m): Fraction(m.bit_count())
-            for i in range(1, N + 1)
-            for m in range(1 << K)
-            if m
-        }
-        memory = ((coeffs, rhs),)
+        memory = (({(i, m): Fraction(m.bit_count()) for i, m in var_keys if m}, rhs),)
     else:
-        memory = tuple(
-            (
-                {
-                    (i, m): Fraction(1)
-                    for i in range(1, N + 1)
-                    for m in range(1 << K)
-                    if m >> (k - 1) & 1
-                },
-                rhs,
-            )
-            for k in range(1, K + 1)
-        )
+        bits = [1 << k for k in range(K)]
+        memory = tuple(({(i, m): Fraction(1) for i, m in var_keys if m & j}, rhs) for j in bits)
     return LinearProgram(
         inst=inst,
         ds=ds,
@@ -312,9 +338,11 @@ def _structural_constraints(lp: LinearProgram, col: dict) -> list:
 def _solve_subset(lp: LinearProgram, genie_subset):
     col = {key: j for j, key in enumerate(lp.var_keys)}
     r_col = len(lp.var_keys)
+    raw = lp.orbit_members is None
+    link_keys = _link_keys(lp.inst.K)
     cons = []
     for row in genie_subset:
-        coeffs = {col[k]: c for k, c in _row_order(row)}
+        coeffs = {col[k]: c for k, c in _row_order(_expand(link_keys, row) if raw else row)}
         coeffs[r_col] = -1
         cons.append(exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=Fraction(0)))
     cons += _structural_constraints(lp, col)
@@ -352,48 +380,52 @@ def solve_lp(lp: LinearProgram, use_symmetry: bool | None = None) -> LpOutcome:
             for member in lp.orbit_members[rep]
         }
         lp = lp.raw
-        if not _witness_ok(lp.genie_rows, value, assignment):
+        if not _witness_ok(lp, value, assignment):
             raise exactlp.LpError("expanded symmetric witness fails a raw row")
     _verify_structural(lp, assignment)
     return LpOutcome(value=value, assignment=assignment)
 
 
 def _solve_iterative(lp: LinearProgram):
-    """Row generation over the genie family; returns (value, assignment)."""
+    """Row generation over the genie family; returns (value, assignment).
+
+    Rows go in ``_row_order``, which on raw rows is expanded key order.
+    """
     rows = list(lp.genie_rows)
+    if lp.orbit_members is None:
+        rows.sort(key=partial(_expand, _link_keys(lp.inst.K)))
     if len(rows) <= _ROWGEN_THRESHOLD:
         value, assignment = _solve_subset(lp, rows)
-        if rows and not _witness_ok(rows, value, assignment):
+        if rows and not _witness_ok(lp, value, assignment):
             raise exactlp.LpError("witness fails a row it was solved under")
         return value, assignment
     active = rows[:_ROWGEN_SEED]
     active_set = set(active)
     while True:
         value, assignment = _solve_subset(lp, active)
-        scaled_value, scaled = _scaled_point(value, assignment)
-        violated = []
-        for row in rows:
-            slack = scaled_value - row_value(row, scaled)  # den times the true slack
-            if slack < 0:
-                violated.append((slack, _row_order(row), row))
+        scaled_value, sums = _scaled_sums(lp, value, assignment)
+        # den times the true slack; ties go by position, that is by _row_order
+        slacks = ((scaled_value - row_value(row, sums), j) for j, row in enumerate(rows))
+        violated = sorted(t for t in slacks if t[0] < 0)
         if not violated:
             return value, assignment
-        violated.sort(key=lambda t: (t[0], t[1]))
-        for _, _, row in violated[:_ROWGEN_BATCH]:
-            if row not in active_set:
-                active.append(row)
-                active_set.add(row)
+        for _, j in violated[:_ROWGEN_BATCH]:
+            if rows[j] not in active_set:
+                active.append(rows[j])
+                active_set.add(rows[j])
 
 
-def _scaled_point(value, assignment):
-    """(value * den, {key: x * den}) in ints, den the lcm of their denominators."""
+def _scaled_sums(lp: LinearProgram, value, assignment):
+    """(value * den, the ``_point_sums`` of assignment * den), den the lcm of all denominators."""
     den = lcm(value.denominator, *(v.denominator for v in assignment.values()))
-    return int(value * den), {k: int(v * den) for k, v in assignment.items()}
+    scaled = {k: int(v * den) for k, v in assignment.items()}
+    return int(value * den), _point_sums(lp, scaled)
 
 
-def _witness_ok(rows, value, assignment) -> bool:
-    scaled_value, scaled = _scaled_point(value, assignment)
-    return all(scaled_value >= row_value(r, scaled) for r in rows)
+def _witness_ok(lp: LinearProgram, value, assignment) -> bool:
+    """True when (value, assignment) satisfies every genie row of lp."""
+    scaled_value, sums = _scaled_sums(lp, value, assignment)
+    return all(scaled_value >= row_value(row, sums) for row in lp.genie_rows)
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
@@ -442,26 +474,35 @@ def _ring_generators(ds: DemandStructure) -> dict:
 def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's full symmetry group.
 
-    The group is generated by ``_ring_generators``. The genie family must be
-    closed under every generator (each image of a row is again a row),
-    else FamilyError; then restricting to invariant placements keeps the
-    optimum, and the variables collapse from N * 2^K to one per orbit,
-    named ("orbit", *least member). Each raw row projects to the sorted
-    tuple of its keys' orbit names; the distinct projections, sorted by
-    ``_row_order``, are the genie rows of the result.
+    The family must be closed under every generator of ``_ring_generators``,
+    else FamilyError. That is checked on links: each link's key set must
+    map onto a link's, and each row's sorted link images onto a row; as a
+    row's key set is the disjoint union of its links' and equal key sets
+    have equal links, this is closure of the expanded family. Restricting
+    to invariant placements then keeps the optimum, and the variables
+    collapse to one per orbit, named ("orbit", *least member). A row
+    projects to its keys' orbit names, sorted; the distinct projections,
+    sorted by ``_row_order``, are the genie rows of the result.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
+    K = lp.inst.K
     keys = lp.var_keys  # ascending, as build_lp lists them
     pos = {key: j for j, key in enumerate(keys)}
-    rows = [tuple(map(pos.__getitem__, row)) for row in lp.genie_rows]
-    row_sets = set(map(frozenset, rows))  # a raw row's keys are distinct
+    link_keys = _link_keys(K)
+    rows = lp.genie_rows
+    row_set = set(rows)
+    links = set(chain.from_iterable(rows))
     generators = []
     for name, image in _ring_generators(lp.ds).items():
-        moved = [pos[image[key]] for key in keys]
-        if not row_sets.issuperset(frozenset(map(moved.__getitem__, row)) for row in rows):
+        link_image: dict = {}
+        for link in links:
+            link_image[link] = _link(K, *image[link >> K + 1, link >> 1 & ~(-1 << K)], link & 1)
+            if set(map(image.__getitem__, link_keys[link])) != set(link_keys[link_image[link]]):
+                raise FamilyError(f"the {name} maps a link's keys onto no link")
+        if not all(tuple(sorted(map(link_image.__getitem__, row))) in row_set for row in rows):
             raise FamilyError(f"genie family is not closed under the {name}")
-        generators.append(moved)
+        generators.append([pos[image[key]] for key in keys])
 
     index = [-1] * len(keys)  # key position -> position of its orbit's name
     names: list = []
@@ -480,13 +521,22 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
         members[names[-1]] = tuple(sorted(keys[mem] for mem in orbit))
 
     def project(coeffs) -> tuple:
-        out: dict = {}
-        for key, c in coeffs.items():
-            name = names[index[pos[key]]]
-            out[name] = out.get(name, Fraction(0)) + c
-        return tuple(sorted(out.items()))
+        counts: Counter = Counter()
+        for key, c in coeffs.items():  # build_lp's coefficients are whole numbers
+            counts[index[pos[key]]] += c.numerator
+        return tuple((names[j], Fraction(n)) for j, n in sorted(counts.items()))
 
-    projected = {tuple(sorted(map(index.__getitem__, row))) for row in rows}
+    # A link's projection is the sorted orbit positions of its keys, named
+    # by an id; rows with equal id multisets project alike, so each such
+    # multiset is concatenated and sorted once.
+    ids: dict = {}
+    link_id = {
+        link: ids.setdefault(tuple(sorted(index[pos[k]] for k in link_keys[link])), len(ids))
+        for link in links
+    }
+    shapes = {tuple(sorted(map(link_id.__getitem__, row))) for row in rows}
+    by_id = list(ids)
+    projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
     genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
     partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
     memory: dict = {}
@@ -506,10 +556,13 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     )
 
 
-def average_rows(rows) -> dict:
-    """Uniform average of the rows' coefficients, multiplicity included."""
+def average_rows(K: int, rows) -> dict:
+    """Uniform average of the rows' key coefficients; links are counted, then
+    each count is spread over the link's keys."""
     rows = list(rows)
-    total = Counter(chain.from_iterable(rows))
+    link_keys, total = _link_keys(K), Counter()
+    for link, n in Counter(chain.from_iterable(rows)).items():
+        total.update(dict.fromkeys(link_keys[link], n))
     return {key: Fraction(v, len(rows)) for key, v in total.items()}
 
 
@@ -541,9 +594,6 @@ class CertificateReport:
     aggregate_matches: bool
     residuals: dict
     ok: bool
-
-    def bound_at(self, M: Fraction) -> Fraction:
-        return self.bound_const + self.bound_m_coeff * M
 
     def to_json_dict(self) -> dict:
         worst = min(self.residuals.values()) if self.residuals else Fraction(0)
@@ -579,70 +629,51 @@ def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regim
     K, a, b = inst.K, inst.a, inst.b
     aK, bK = Fraction(a * K), Fraction(b * K)
     weights: dict = {}
+    if regime is Regime.LARGE_B and coded_gain_regime(inst):
+        w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
+        raise RegimeMismatchError(
+            f"large_b needs b(K-1) >= 2a; mixing weight {w} falls outside [0, 1]"
+        )
+    if regime is not Regime.LARGE_B and not coded_gain_regime(inst):
+        raise RegimeMismatchError(
+            f"{regime.value} needs b(K-1) < 2a; got b(K-1)={b * (K - 1)}, 2a={2 * a}"
+        )
+    agg = average_rows(K, selected_family(ds, regime))
 
-    if regime in (Regime.HIGH_M, Regime.LOW_M):
-        if not coded_gain_regime(inst):
-            raise RegimeMismatchError(
-                f"{regime.value} needs b(K-1) < 2a; got b(K-1)={b * (K - 1)}, 2a={2 * a}"
-            )
-        if regime is Regime.HIGH_M:
-            agg = average_rows(selected_family(ds, Regime.HIGH_M))
-            expected_agg = _aggregate_map(
-                ds, Fraction(K - 1, a * K), Fraction(1, b * K), Fraction(K - 1, 2 * a * K)
-            )
-            # the beta0 coefficient may be lowered to the multiplier level
-            weights["beta_slack"] = Fraction(1, b * K) - Fraction(K - 1, 2 * a * K)
-            mu = (Fraction(K - 1, a * K), Fraction(K - 1, 2 * a * K), Fraction(K - 1, 2 * a * K))
-            expected_const = Fraction((K - 1) * (2 * a + b), 2 * a)
-            expected_m = -Fraction(K - 1, 2 * a)
-        else:
+    def high_m_aggregate() -> dict:
+        return _aggregate_map(
+            ds, Fraction(K - 1, a * K), Fraction(1, b * K), Fraction(K - 1, 2 * a * K)
+        )
+
+    if regime is Regime.HIGH_M:
+        expected_agg = high_m_aggregate()
+        # the beta0 coefficient may be lowered to the multiplier level
+        weights["beta_slack"] = Fraction(1, b * K) - Fraction(K - 1, 2 * a * K)
+        mu = (Fraction(K - 1, a * K), Fraction(K - 1, 2 * a * K), Fraction(K - 1, 2 * a * K))
+        expected_const = Fraction((K - 1) * (2 * a + b), 2 * a)
+        expected_m = -Fraction(K - 1, 2 * a)
+    else:  # the regime's own family, mixed with HIGH_M's at weight w
+        if regime is Regime.LOW_M:
             w = Fraction((K + 1) * b, 2 * (a + b))
-            weights["mix"] = w
-            agg = average_rows(selected_family(ds, Regime.LOW_M))
             expected_agg = _aggregate_map(
                 ds, Fraction(1, a), Fraction(0), Fraction(K - 1, 2 * a * K)
             )
-            if w:
-                high = average_rows(selected_family(ds, Regime.HIGH_M))
-                expected_high = _aggregate_map(
-                    ds, Fraction(K - 1, a * K), Fraction(1, b * K), Fraction(K - 1, 2 * a * K)
-                )
-                agg = _mix_maps(w, high, agg)
-                expected_agg = _mix_maps(w, expected_high, expected_agg)
             mu = (
                 Fraction(2 * a * K + b * (K - 1), 2 * (a + b) * a * K),
                 Fraction(K + 1, 2 * (a + b) * K),
                 Fraction(K + 1, 2 * (a + b) * K),
             )
-            expected_const = Fraction(K)
             expected_m = -Fraction(K + 1, 2 * (a + b))
-    else:
-        if coded_gain_regime(inst):
-            w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
-            raise RegimeMismatchError(
-                f"large_b needs b(K-1) >= 2a; mixing weight {w} falls outside [0, 1]"
-            )
-        w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
-        weights["mix"] = w
-        beta = average_rows(selected_family(ds, Regime.LARGE_B))
-        expected_beta = _aggregate_map(ds, Fraction(0), Fraction(1, b), Fraction(0))
-        if w:
-            high = average_rows(selected_family(ds, Regime.HIGH_M))
-            expected_high = _aggregate_map(
-                ds, Fraction(K - 1, a * K), Fraction(1, b * K), Fraction(K - 1, 2 * a * K)
-            )
-            agg = _mix_maps(w, high, beta)
-            expected_agg = _mix_maps(w, expected_high, expected_beta)
         else:
-            agg = beta
-            expected_agg = expected_beta
-        mu = (
-            Fraction(2, 2 * a + b),
-            Fraction(1, 2 * a + b),
-            Fraction(1, 2 * a + b),
-        )
+            w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
+            expected_agg = _aggregate_map(ds, Fraction(0), Fraction(1, b), Fraction(0))
+            mu = (Fraction(2, 2 * a + b), Fraction(1, 2 * a + b), Fraction(1, 2 * a + b))
+            expected_m = -Fraction(K, 2 * a + b)
+        weights["mix"] = w
         expected_const = Fraction(K)
-        expected_m = -Fraction(K, 2 * a + b)
+        if w:
+            agg = _mix_maps(w, average_rows(K, selected_family(ds, Regime.HIGH_M)), agg)
+            expected_agg = _mix_maps(w, high_m_aggregate(), expected_agg)
 
     weights_ok = all(0 <= v <= 1 for v in weights.values())
     aggregate_matches = _maps_equal(agg, expected_agg)
@@ -709,7 +740,7 @@ def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
     budget. Aggregation can only weaken the LP, so this never exceeds the
     family's LP optimum.
     """
-    avg = average_rows(full_family(ds, dedup=False))
+    avg = average_rows(ds.inst.K, full_family(ds, dedup=False))
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
@@ -726,16 +757,14 @@ def _key_name(key) -> str:
 def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text exact-rational dump: one row per line, `sense rhs coeffs`."""
     lines = ["min R"]
-    for row in lp.genie_rows:
-        parts = [f"{exactlp.GREATER_EQ} 0", "R:1"]
-        parts += [f"{_key_name(k)}:{-c}" for k, c in _row_order(row)]
-        lines.append(" ".join(parts))
-    for coeffs, rhs in lp.partition_rows:
-        parts = [f"{exactlp.EQUAL} {rhs}"]
-        parts += [f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items())]
-        lines.append(" ".join(parts))
-    for coeffs, rhs in lp.memory_rows:
-        parts = [f"{exactlp.LESS_EQ} {rhs}"]
-        parts += [f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items())]
-        lines.append(" ".join(parts))
+    rows = lp.genie_rows
+    if lp.orbit_members is None:  # raw rows print expanded, in expanded order
+        rows = sorted(map(partial(_expand, _link_keys(lp.inst.K)), rows))
+    for row in rows:
+        terms = (f"{_key_name(k)}:{-c}" for k, c in _row_order(row))
+        lines.append(" ".join((f"{exactlp.GREATER_EQ} 0", "R:1", *terms)))
+    for sense, group in ((exactlp.EQUAL, lp.partition_rows), (exactlp.LESS_EQ, lp.memory_rows)):
+        for coeffs, rhs in group:
+            terms = (f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items()))
+            lines.append(" ".join((f"{sense} {rhs}", *terms)))
     return "\n".join(lines) + "\n"

@@ -41,10 +41,6 @@ LIBRARY_BUDGET = 2**28  # bytes of random library drawn at once
 _WHOLE = Fraction(1)
 
 
-class PlacementError(ValueError):
-    """A placement violates the partition or memory invariants."""
-
-
 class SubpacketizationError(ValueError):
     """File size not divisible by the scheme's subpacketization."""
 
@@ -114,29 +110,9 @@ class UncodedPlacement:
     def size(self, i: int, mask: int) -> Fraction:
         return self.sizes.get((i, mask), Fraction(0))
 
-    def file_total(self, i: int) -> Fraction:
-        return sum((v for (f, _), v in self.sizes.items() if f == i), Fraction(0))
-
     def node_usage(self, k: int) -> Fraction:
         bit = 1 << (k - 1)
         return sum((v for (_, m), v in self.sizes.items() if m & bit), Fraction(0))
-
-    def validate(self, inst: ProblemInstance) -> None:
-        """Exact partition, memory and non-negativity checks."""
-        totals = {i: Fraction(0) for i in range(1, inst.N + 1)}
-        for (i, mask), v in self.sizes.items():
-            if v < 0:
-                raise PlacementError(f"negative fraction for file {i}, mask {mask}")
-            if not 0 <= mask < (1 << inst.K):
-                raise PlacementError(f"mask {mask} outside [0, 2^K)")
-            totals[i] += v
-        for i, tot in totals.items():
-            if tot != 1:
-                raise PlacementError(f"file {i} fractions sum to {tot}, not 1")
-        for k in range(1, inst.K + 1):
-            used = self.node_usage(k)
-            if used > inst.M:
-                raise PlacementError(f"node {k} uses {used} > M = {inst.M}")
 
 
 @dataclass(frozen=True)

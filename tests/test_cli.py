@@ -93,6 +93,19 @@ class TestTradeoff:
         doc = json.loads(out)
         assert doc["points"][0]["R_star_u"] == "3.000"
 
+    def test_decimal_is_exact(self, capsys):
+        code, out, _ = run(capsys, ["tradeoff", "--K", "3", "--a", "1", "--b", "1",
+                                    "--m-grid", "0,1/3,5/2", "--decimal", "20"])
+        assert code == 0
+        assert out.split("\n")[2].split(",")[0] == "0.33333333333333333333"
+
+    def test_decimal_rounds_half_up(self, capsys):
+        code, out, _ = run(capsys, ["tradeoff", "--K", "3", "--a", "1", "--b", "1",
+                                    "--m-grid", "0,1/3,5/2", "--decimal", "0"])
+        assert code == 0
+        # M = 5/2 and R = 1/2 round up; R_cutset 1/6 rounds down
+        assert out.split("\n")[3] == "3,1,1,0"
+
     def test_grid_outside_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["tradeoff", "--K", "3", "--a", "2", "--b", "1",
                                     "--m-grid", "0,9"])
@@ -220,6 +233,13 @@ class TestLpCommand:
         assert doc["certificates"]["large_b"]["ok"] is False
         text = lp_path.read_text()
         assert text.startswith("min R\n")
+
+    def test_full_family_at_k6(self, capsys):
+        code, out, err = run(capsys, ["lp", "--K", "6", "--a", "1", "--b", "1", "--M", "2"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["rows"] == 231840
+        assert (doc["lp_optimum"], doc["matches_rstar_u"]) == ("2", True)
 
     def test_selected_family_flag(self, capsys):
         code, out, _ = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1",

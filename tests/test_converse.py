@@ -1,8 +1,10 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,17 @@ def family_for(ds):
     return _FAMILY_CACHE[key]
 
 
+def expand(K, row):
+    """A link row's sorted (file, mask) key tuple, through the product's one expansion."""
+    return cv._expand(cv._link_keys(K), row)
+
+
+def expanded(ds, rows):
+    return [expand(ds.inst.K, row) for row in rows]
+
+
 def reference_genie_row(K, d, u, full_masks):
-    """``genie_inequality`` over subsets of node lists rather than submasks."""
+    """``genie_inequality``'s keys over subsets of node lists rather than submasks."""
     keys, consumed = [], set()
     for uk in u:
         consumed.add(uk)
@@ -49,8 +60,49 @@ def reference_genie_row(K, d, u, full_masks):
     return tuple(sorted(keys))
 
 
+def key_masks(K, u, full_masks):
+    """Per user (index user-1), its ascending masks under decoding order u.
+
+    The key-tuple template the link rows replaced: the i-th decoded user
+    reads the node sets avoiding u_1..u_i, all of them with ``full_masks``,
+    else the empty set and the singletons.
+    """
+    out = [()] * K
+    rest = (1 << K) - 1
+    for uk in u:
+        rest ^= 1 << (uk - 1)
+        subs = (m for m in range(rest + 1) if m & rest == m)
+        out[uk - 1] = tuple(m for m in subs if full_masks or m.bit_count() <= 1)
+    return out
+
+
+class KeyMemo(dict):
+    """(file, masks) -> the key tuple ((file, m) for m in masks), made once."""
+
+    def __missing__(self, pair):
+        keys = self[pair] = tuple([(pair[0], m) for m in pair[1]])
+        return keys
+
+
+def key_row(files, masks, memo):
+    """The key-tuple row of distinct files through aligned masks, sorted by file then mask."""
+    return tuple(chain.from_iterable(map(memo.__getitem__, sorted(zip(files, masks)))))
+
+
+def key_full_family(ds):
+    """The key-tuple ``full_family(ds, dedup=False)`` the link rows replaced."""
+    K = ds.inst.K
+    templates = [key_masks(K, u, True) for u in permutations(range(1, K + 1))]
+    memo = KeyMemo()
+    return [
+        key_row(d.files, masks, memo)
+        for d in enumerate_demands(ds, distinct_only=True)
+        for masks in templates
+    ]
+
+
 def oracle_genie_row(ds, d, u, full_masks):
-    """The per-row ``genie_inequality`` the mask templates replaced."""
+    """The per-row ``genie_inequality`` the mask templates replaced (key tuples)."""
     K = ds.inst.K
     d, u = tuple(getattr(d, "files", d)), tuple(u)
     if sorted(u) != list(range(1, K + 1)):
@@ -124,8 +176,9 @@ def cyclic_symmetrize(lp):
     """
     ds = lp.ds
     shift = {(i, m): (ds.shift_file(i), ds.shift_mask(m)) for i, m in lp.var_keys}
-    rows = set(lp.genie_rows)
-    for row in lp.genie_rows:
+    key_rows = expanded(ds, lp.genie_rows)
+    rows = set(key_rows)
+    for row in key_rows:
         if tuple(sorted(shift[k] for k in row)) not in rows:
             raise cv.FamilyError("genie family is not closed under the cyclic shift")
     orbit_rep: dict = {}
@@ -147,7 +200,7 @@ def cyclic_symmetrize(lp):
             out[orbit_rep[key]] = out.get(orbit_rep[key], Fraction(0)) + c
         return tuple(sorted(out.items()))
 
-    genie = {tuple(sorted(orbit_rep[k] for k in row)) for row in lp.genie_rows}
+    genie = {tuple(sorted(orbit_rep[k] for k in row)) for row in key_rows}
     partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
     memory: dict = {}
     for coeffs, rhs in lp.memory_rows:
@@ -162,6 +215,72 @@ def cyclic_symmetrize(lp):
         orbit_members=members,
         raw=lp,
     )
+
+
+def key_symmetrize(lp):
+    """The full-group collapse ``cv.symmetrize`` made on expanded key rows.
+
+    The oracle for the link collapse: closure is checked on every row's
+    key set, and each row is projected key by key. Returns the fields the
+    link collapse must reproduce.
+    """
+    keys = lp.var_keys
+    pos = {key: j for j, key in enumerate(keys)}
+    rows = [tuple(map(pos.__getitem__, row)) for row in expanded(lp.ds, lp.genie_rows)]
+    row_sets = set(map(frozenset, rows))
+    generators = []
+    for name, image in cv._ring_generators(lp.ds).items():
+        moved = [pos[image[key]] for key in keys]
+        if not row_sets.issuperset(frozenset(map(moved.__getitem__, row)) for row in rows):
+            raise cv.FamilyError(f"genie family is not closed under the {name}")
+        generators.append(moved)
+    index = [-1] * len(keys)
+    names, members = [], {}
+    for j, key in enumerate(keys):
+        if index[j] >= 0:
+            continue
+        orbit = [j]
+        index[j] = len(names)
+        for mem in orbit:
+            for moved in generators:
+                if index[moved[mem]] < 0:
+                    index[moved[mem]] = len(names)
+                    orbit.append(moved[mem])
+        names.append(("orbit", *key))
+        members[names[-1]] = tuple(sorted(keys[mem] for mem in orbit))
+
+    def project(coeffs):
+        out = {}
+        for key, c in coeffs.items():
+            name = names[index[pos[key]]]
+            out[name] = out.get(name, Fraction(0)) + c
+        return tuple(sorted(out.items()))
+
+    projected = {tuple(sorted(map(index.__getitem__, row))) for row in rows}
+    genie = sorted((tuple(names[j] for j in row) for row in projected), key=cv._row_order)
+    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
+    memory = {}
+    for coeffs, rhs in lp.memory_rows:
+        proj = project(coeffs)
+        memory[proj] = min(memory.get(proj, rhs), rhs)
+    return (
+        tuple(names),
+        tuple(genie),
+        tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
+        tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
+        members,
+    )
+
+
+def orbit_fields(sym):
+    return sym.var_keys, sym.genie_rows, sym.partition_rows, sym.memory_rows, sym.orbit_members
+
+
+def key_witness_ok(key_rows, value, assignment):
+    """The witness scan on expanded key rows: every row's key sum at most R."""
+    den = lcm(value.denominator, *(v.denominator for v in assignment.values()))
+    scaled = {k: int(v * den) for k, v in assignment.items()}
+    return all(int(value * den) >= sum(scaled.get(k, 0) for k in row) for row in key_rows)
 
 
 SMALL_INSTANCES = [(K, a, b) for K in (2, 3, 4) for a in (0, 1, 2) for b in (0, 1, 2) if a + b]
@@ -181,24 +300,24 @@ def every_family(ds) -> list:
 class TestGenieInequality:
     def test_example_row_after_drop(self):
         _, ds = setup(3, 2, 1)
-        row = cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2))
+        row = expand(3, cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2)))
         assert row == tuple(sorted({(1, 0), (1, 0b10), (1, 0b100), (7, 0), (7, 0b10), (6, 0)}))
 
     def test_full_masks_add_the_pair(self):
         _, ds = setup(3, 2, 1)
-        row = cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2), full_masks=True)
+        row = expand(3, cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2), full_masks=True))
         assert set(row) == {
             (1, 0), (1, 0b10), (1, 0b100), (1, 0b110), (7, 0), (7, 0b10), (6, 0),
         }
 
     def test_smallest_case(self):
         _, ds = setup(2, 1, 1)
-        row = cv.genie_inequality(ds, (2, 4), (1, 2))
+        row = expand(2, cv.genie_inequality(ds, (2, 4), (1, 2)))
         assert set(row) == {(2, 0), (2, 0b10), (4, 0)}
 
     def test_second_strategy_row(self):
         _, ds = setup(3, 2, 1)
-        row = cv.genie_inequality(ds, (1, 4, 7), (1, 3, 2))
+        row = expand(3, cv.genie_inequality(ds, (1, 4, 7), (1, 3, 2)))
         assert set(row) == {(1, 0), (1, 0b10), (1, 0b100), (7, 0), (7, 0b10), (4, 0)}
 
     def test_rejects_repeats_and_bad_permutation(self):
@@ -216,7 +335,8 @@ class TestGenieInequality:
             for u in permutations(range(1, K + 1)):
                 for full in (False, True):
                     want = reference_genie_row(K, d.files, u, full)
-                    assert cv.genie_inequality(ds, d, u, full) == want
+                    assert expand(K, cv.genie_inequality(ds, d, u, full)) == want
+                    assert want == key_row(d.files, key_masks(K, u, full), KeyMemo())
 
 
 class TestFullFamily:
@@ -241,9 +361,10 @@ class TestFullFamily:
 
     @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
     def test_plain_sort_is_row_order_on_raw_rows(self, K, a, b):
-        # dedup_rows and build_lp sort raw rows without a key on this equality.
+        # lp_to_text and the direct route sort expanded rows without a key on this equality.
         _, ds = setup(K, a, b)
         for name, rows in every_family(ds):
+            rows = expanded(ds, rows)
             assert all(len(set(row)) == len(row) for row in rows), name
             assert sorted(rows) == sorted(rows, key=cv._row_order), name
 
@@ -276,7 +397,7 @@ class TestSelectedFamily:
         _, ds = setup(3, 2, 1)
         rows = cv.selected_family(ds, cv.Regime.LARGE_B)
         assert len(rows) == 1  # b^K
-        assert rows == [((3, 0), (6, 0), (9, 0))]
+        assert expanded(ds, rows) == [((3, 0), (6, 0), (9, 0))]
 
     def test_errors_on_unbuildable_family(self):
         _, ds = setup(3, 0, 2)
@@ -297,12 +418,15 @@ class TestFamiliesMatchPerRowOracles:
         _, ds = setup(K, a, b)
         if regime is None:
             want = oracle_full_family(ds)
-            assert cv.full_family(ds, dedup=False) == want
-            assert [
+            assert key_full_family(ds) == want
+            assert expanded(ds, cv.full_family(ds, dedup=False)) == want
+            assert expanded(ds, [
                 cv.genie_inequality(ds, d, u, full_masks=True)
                 for d in enumerate_demands(ds, distinct_only=True)
                 for u in permutations(range(1, K + 1))
-            ] == want
+            ]) == want
+            # equal key sets have equal links, so dedup on links is dedup on key sets
+            assert sorted(expanded(ds, cv.full_family(ds))) == sorted(set(want))
             return
         try:
             want = oracle_selected_family(ds, regime)
@@ -310,7 +434,7 @@ class TestFamiliesMatchPerRowOracles:
             with pytest.raises(cv.FamilyError):
                 cv.selected_family(ds, regime)
             return
-        assert cv.selected_family(ds, regime) == want
+        assert expanded(ds, cv.selected_family(ds, regime)) == want
 
     @pytest.mark.parametrize("regime", list(cv.Regime))
     def test_chain_checks_refuse_what_the_row_checks_refused(self, regime):
@@ -342,8 +466,9 @@ class TestSoundness:
             scheme = make_scheme(inst, ds)
             placement = scheme.placement(inst, ds)
             load = worst_case_load(inst, ds, scheme)
+            sums = cv._point_sums(cv.build_lp(inst, ds, ()), placement.sizes)
             for row in rows:
-                assert cv.row_value(row, placement.sizes) <= load
+                assert cv.row_value(row, sums) <= load
 
 
 class TestSolveLp:
@@ -378,6 +503,13 @@ class TestSolveLp:
     def test_tightness_at_k5(self, M):
         inst, ds = setup(5, 1, 1, M=M)
         assert cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value == rstar_u(inst)
+
+    @pytest.mark.parametrize("K,a,b,M,want", [(5, 1, 2, 3, Fraction(5, 4)), (6, 1, 1, 2, 2)])
+    def test_tightness_at_the_frontier(self, K, a, b, M, want):
+        inst, ds = setup(K, a, b, M=M)
+        # Not cached: the (6,1,1) family has 231,840 rows.
+        out = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds)))
+        assert out.value == rstar_u(inst) == want
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 1), (4, 1, 2)])
     def test_selected_rows_suffice_at_corners(self, K, a, b):
@@ -432,7 +564,7 @@ class TestSymmetrize:
     )
     def test_full_group_orbit_sizes(self, K, a, b, n_vars, n_genie):
         inst, ds = setup(K, a, b, M=1)
-        # Not cached: the (5,1,2) family alone holds about 400 MiB.
+        # Not cached: the (5,1,2) family has 86,880 rows.
         sym = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds)))
         assert len(sym.var_keys) == n_vars
         assert len(sym.genie_rows) == n_genie
@@ -487,7 +619,8 @@ class TestSymmetrize:
         lp = cv.build_lp(inst, ds, rows)
         cyclic_symmetrize(lp)
         reflect = cv._ring_generators(ds)["reflection"]  # a key map
-        assert {tuple(sorted(reflect[k] for k in row)) for row in rows} == set(rows)
+        key_rows = expanded(ds, rows)
+        assert {tuple(sorted(reflect[k] for k in row)) for row in key_rows} == set(key_rows)
         with pytest.raises(cv.FamilyError, match="transposition in part1"):
             cv.symmetrize(lp)
 
@@ -529,6 +662,84 @@ class TestSymmetrize:
                     assert cv.solve_lp(lp.with_m(m), use_symmetry=False).value == want
 
 
+def oracle_family(ds, regime):
+    return family_for(ds) if regime is None else cv.selected_family(ds, regime)
+
+
+class TestLinkRowsMatchKeyOracles:
+    @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_same_orbit_program(self, K, a, b, regime, mode):
+        inst, ds = setup(K, a, b, M=a + b)
+        try:
+            rows = oracle_family(ds, regime)
+        except cv.FamilyError:
+            return
+        lp = cv.build_lp(inst, ds, rows, mode)
+        try:
+            want = key_symmetrize(lp)
+        except cv.FamilyError as exc:
+            with pytest.raises(cv.FamilyError, match=str(exc)):
+                cv.symmetrize(lp)
+            return
+        assert orbit_fields(cv.symmetrize(lp)) == want
+
+    @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
+    def test_same_witness_verdicts(self, K, a, b, regime):
+        inst, ds = setup(K, a, b, M=Fraction(a + b, 2))
+        try:
+            rows = oracle_family(ds, regime)
+        except cv.FamilyError:
+            return
+        lp = cv.build_lp(inst, ds, rows)
+        key_rows = expanded(ds, lp.genie_rows)
+        out = cv.solve_lp(lp)
+        value, x = out.value, out.assignment
+        points = [(value, x), (value - Fraction(1, 97), x), (value + Fraction(1, 97), x)]
+        for key in sorted(x)[:: max(1, len(x) // 6)]:  # move mass onto one key at a time
+            points.append((value, {**x, key: x[key] + Fraction(1, 5)}))
+            points.append((value + Fraction(1, 5), {**x, key: x[key] + Fraction(1, 5)}))
+        verdicts = [key_witness_ok(key_rows, v, pt) for v, pt in points]
+        assert verdicts[:3] == [True, False, True]
+        assert [cv._witness_ok(lp, v, pt) for v, pt in points] == verdicts
+        try:
+            sym = cv.symmetrize(lp)
+        except cv.FamilyError:
+            return
+        value, x = cv._solve_iterative(sym)
+        for v in (value, value - Fraction(1, 97)):
+            assert cv._witness_ok(sym, v, x) == key_witness_ok(sym.genie_rows, v, x)
+
+    @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (4, 1, 2)])
+    def test_same_closure_verdicts_on_partial_families(self, K, a, b):
+        inst, ds = setup(K, a, b, M=1)
+        rows = family_for(ds)
+        for part in (rows[: len(rows) // 2], rows[1:], rows[::3]):
+            lp = cv.build_lp(inst, ds, part)
+            with pytest.raises(cv.FamilyError) as exc:
+                key_symmetrize(lp)
+            with pytest.raises(cv.FamilyError, match=str(exc.value)):
+                cv.symmetrize(lp)
+
+    def test_a_generator_must_map_links_onto_links(self, monkeypatch):
+        # Swapping masks 0b001 and 0b011 keeps the full family's key sets
+        # only where both masks are present; a link {0, 0b001} has no image.
+        inst, ds = setup(3, 1, 1, M=1)
+        lp = cv.build_lp(inst, ds, family_for(ds))
+        swap = {1: 3, 3: 1}
+        keys = {key: (key[0], swap.get(key[1], key[1])) for key in lp.var_keys}
+        monkeypatch.setattr(cv, "_ring_generators", lambda ds: {"mask swap": keys})
+        with pytest.raises(cv.FamilyError, match="mask swap maps a link's keys onto no link"):
+            cv.symmetrize(lp)
+
+    def test_average_matches_the_key_count(self):
+        _, ds = setup(4, 1, 2)
+        for rows in (cv.full_family(ds, dedup=False), cv.selected_family(ds, cv.Regime.LARGE_B)):
+            keys = Counter(chain.from_iterable(expanded(ds, rows)))
+            want = {key: Fraction(n, len(rows)) for key, n in keys.items()}
+            assert cv.average_rows(4, rows) == want
+
+
 class TestCertificates:
     def test_high_m_bound_matches_closed_form(self):
         inst, ds = setup(3, 2, 1, M=4)
@@ -536,21 +747,21 @@ class TestCertificates:
         assert report.ok
         assert report.bound_const == Fraction((3 - 1) * 5, 2 * 2)
         assert report.bound_m_coeff == -Fraction(3 - 1, 2 * 2)
-        assert report.bound_at(inst.M) == rstar_u(inst)
+        assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
     def test_low_m_weight_is_papers_two_thirds(self):
         inst, ds = setup(3, 2, 1, M=1)
         report = cv.certificate_report(inst, ds, cv.Regime.LOW_M)
         assert report.ok
         assert report.weights["mix"] == Fraction(2, 3)
-        assert report.bound_at(inst.M) == rstar_u(inst)
+        assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
     def test_large_b_weight(self):
         inst, ds = setup(4, 1, 2, M=2)
         report = cv.certificate_report(inst, ds, cv.Regime.LARGE_B)
         assert report.ok
         assert report.weights["mix"] == Fraction(8, 12)
-        assert report.bound_at(inst.M) == rstar_u(inst)
+        assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
     def test_mismatch_raises(self):
         inst, ds = setup(3, 2, 1, M=1)

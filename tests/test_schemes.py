@@ -47,6 +47,20 @@ def kind_placement(kind, inst, ds):
     return SchemeSpec(segments=(Segment(Fraction(1), kind),)).placement(inst, ds)
 
 
+def validate_placement(placement, inst):
+    """Exact partition, memory and non-negativity checks of a placement."""
+    totals = {i: Fraction(0) for i in range(1, inst.N + 1)}
+    for (i, mask), v in placement.sizes.items():
+        assert v >= 0, f"negative fraction for file {i}, mask {mask}"
+        assert 0 <= mask < (1 << inst.K), f"mask {mask} outside [0, 2^K)"
+        totals[i] += v
+    for i, tot in totals.items():
+        assert tot == 1, f"file {i} fractions sum to {tot}, not 1"
+    for k in range(1, inst.K + 1):
+        used = placement.node_usage(k)
+        assert used <= inst.M, f"node {k} uses {used} > M = {inst.M}"
+
+
 def memory_used(inst, ds, scheme):
     """The largest cache any node fills under the scheme's placement."""
     placement = scheme.placement(inst, ds)
@@ -59,7 +73,7 @@ class TestPlacements:
         placement = kind_placement(SegmentKind.LOCAL_FULL, inst, ds)
         assert placement.size(4, 0b011) == 1  # nodes {1, 2}
         assert placement.size(3, 0b001) == 1  # unique file, one home
-        placement.validate(inst)
+        validate_placement(placement, inst)
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2), (5, 3, 2), (3, 0, 2)])
     def test_local_full_usage_is_full_demand_set(self, K, a, b):
@@ -74,7 +88,7 @@ class TestPlacements:
         assert placement.size(5, 0b010) == Fraction(1, 3)
         for k in range(1, 4):
             assert placement.node_usage(k) == 3  # a+b = N/K
-        placement.validate(inst)
+        validate_placement(placement, inst)
 
     def test_man_t1_usage_eight_files(self):
         inst, ds = setup(4, 1, 1, M=2)
@@ -88,7 +102,7 @@ class TestPlacements:
         assert placement.size(3, 0b0010) == 1  # file 3 cached only at node 2
         for k in range(1, 5):
             assert placement.node_usage(k) == 2
-        placement.validate(inst)
+        validate_placement(placement, inst)
 
     def test_multiaccess_partitions_library(self):
         inst, ds = setup(3, 2, 1, 2, M=3)
@@ -142,7 +156,7 @@ class TestMakeScheme:
             assert memory_used(inst, ds, scheme) <= inst.M
             if L == 1:
                 assert memory_used(inst, ds, scheme) == inst.M
-            scheme.placement(inst, ds).validate(inst)
+            validate_placement(scheme.placement(inst, ds), inst)
 
     def test_rejects_m_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
