@@ -108,7 +108,7 @@ def _expand(link_keys: _Memo, row) -> tuple:
     return tuple(chain.from_iterable(map(link_keys.__getitem__, row)))
 
 
-def _point_sums(lp, x: dict) -> _Memo:
+def _point_sums(lp: LinearProgram, x: dict) -> _Memo:
     """Row element -> value at x: a raw row's link sums x over its keys, an
     orbit name of a symmetrised row reads x."""
     if lp.orbit_members is not None:
