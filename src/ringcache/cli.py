@@ -8,7 +8,7 @@ for fixed-point rendering. Every output path (--out, --dump, --export,
 work starts, so an unwritable path fails fast; a command that fails later
 leaves a missing output path behind as an empty file. Exit codes: 0 ok,
 1 verification failure, 2 usage error, 3 budget exceeded (demand
-enumeration, genie rows or library size).
+enumeration, genie rows, library size or tradeoff grid points).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+GRID_BUDGET = 10**5  # tradeoff points; every point costs a worst-case load, or an LP solve
 
 
 def _fraction(text: str) -> Fraction:
@@ -159,6 +160,8 @@ def cmd_tradeoff(args) -> int:
         steps = args.m_steps
         if steps < 2:
             raise InvalidInstanceError("grid needs at least 2 steps")
+        if steps > GRID_BUDGET:
+            raise BudgetExceededError(f"{steps} grid points exceed the grid budget {GRID_BUDGET}")
         grid = [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
@@ -259,7 +262,9 @@ def cmd_lp(args) -> int:
     _require_single_access(inst)
     ds = build_demand_structure(inst)
     regime = _FAMILIES[args.family]
-    family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
+    # the LP reads the distinct rows, --sum-all's average every row
+    every = cv.full_family(ds, dedup=False) if regime is None or args.sum_all else None
+    family = every.distinct() if regime is None else cv.selected_family(ds, regime)
     lp = cv.build_lp(inst, ds, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)
@@ -273,15 +278,14 @@ def cmd_lp(args) -> int:
         "matches_rstar_u": outcome.value == closed,
     }
     if args.certificates:
-        certs = {}
-        for reg in cv.Regime:
-            try:
-                certs[reg.value] = cv.certificate_report(inst, ds, reg).to_json_dict()
-            except (cv.RegimeMismatchError, cv.FamilyError) as exc:
-                certs[reg.value] = {"ok": False, "error": str(exc)}
-        report["certificates"] = certs
+        report["certificates"] = {
+            reg.value: cert.to_json_dict()
+            if isinstance(cert, cv.CertificateReport)
+            else {"ok": False, "error": str(cert)}
+            for reg, cert in cv.certificate_reports(inst, ds).items()
+        }
     if args.sum_all:
-        loose = cv.sum_all_bound(inst, ds)
+        loose = cv.sum_all_bound(inst, ds, every)
         report["sum_all_bound"] = str(loose)
         if (inst.K, inst.a, inst.b, inst.M) == (3, 2, 1, Fraction(3)):
             report["reference_value"] = "54/95"

@@ -4,11 +4,13 @@ A genie-aided super user that decodes the K distinct demanded files in a
 chosen order yields one linear lower bound on the load per (demand vector,
 user permutation) pair. Together with per-file partition equalities and
 the memory budget these form an exact-rational LP whose optimum equals the
-optimal uncoded-placement load. This module generates the inequality
-families (the full one and the hand-picked per-regime selections), solves
-the LP exactly, collapses it by the ring's full symmetry group (rotations,
-reflections and relabelling of files inside one part), and rebuilds the
-weighted-sum certificates that give the closed forms.
+optimal uncoded-placement load. This module builds the inequality
+families (the full one and the per-regime selections) from blocks of
+decoding-order templates and per-user file pools (``Block``), solves the
+LP exactly, collapses it by the ring's full symmetry group (rotations,
+the reflection and relabelling of files inside one part, each generator
+a file and a node permutation), proving closure block by block, and
+rebuilds the weighted-sum certificates that give the closed forms.
 
 Variable keys are (file, node-mask) pairs; symmetrised programs use
 ("orbit", file, mask) keys naming the orbit representative.
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, permutations, product, repeat
-from math import factorial, lcm
+from math import lcm, prod
+from typing import NamedTuple
 
 from ringcache import exactlp
 from ringcache.bounds import coded_gain_regime
@@ -45,9 +48,7 @@ from ringcache.model import (
     DemandError,
     DemandStructure,
     ProblemInstance,
-    count_demands,
     cyclic_mod,
-    enumerate_demands,
 )
 
 FAMILY_BUDGET = 10**6
@@ -127,7 +128,7 @@ def _row_order(row) -> tuple:
     return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
 
 
-def _order_masks(K: int, u) -> list:
+def _order_masks(K: int, u) -> tuple:
     """Per user (index user-1), its ``top`` under decoding order u: the mask
     of the users still unconsumed once it and the users before it are."""
     out = [0] * K
@@ -135,34 +136,58 @@ def _order_masks(K: int, u) -> list:
     for uk in u:
         rest ^= 1 << (uk - 1)
         out[uk - 1] = rest
-    return out
+    return tuple(out)
 
 
-def _link_tables(ds: DemandStructure, full: bool) -> _Memo:
-    """(user, top) -> {file: link} over the user's demand set."""
+class Block(NamedTuple):
+    """Genie rows: each pairwise-distinct choice of one file per user from
+    its pool, under each template, by the mask rule ``full``. A pool, and a
+    template's ``top``, per user (index user-1); ``users`` orders choices."""
+
+    users: tuple
+    pools: tuple
+    tops: tuple
+    full: bool
+
+
+class Family(tuple):
+    """Genie rows and the blocks ``_block_rows`` derived them from. A slice,
+    a sum or any other sequence of rows is plain and has no blocks."""
+
+    def __new__(cls, rows, blocks):
+        family = super().__new__(cls, rows)
+        family.blocks = tuple(blocks)
+        return family
+
+    def distinct(self) -> Family:
+        """The distinct rows, sorted by their links, from the same blocks."""
+        return Family(dedup_rows(self), self.blocks)
+
+
+def _block_rows(ds: DemandStructure, block: Block) -> list:
+    """The block's rows: choices in ``product`` order, each under every
+    template. Pools inside their users' demand sets make every choice an
+    admissible demand vector, so they are checked once."""
+    for uk, pool in enumerate(block.pools, 1):
+        if not ds.demand_sets[uk - 1].issuperset(pool):
+            raise DemandError(f"a pool is not demandable in region {uk}")
+    pools = [block.pools[uk - 1] for uk in block.users]
+    n_all = prod(map(len, pools))
+    if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
+        raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}")
+    disjoint = len(set(chain.from_iterable(pools))) == sum(map(len, pools))  # no choice repeats
+    choices = [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
+    n_rows = len(choices) * len(block.tops)
+    if n_rows > FAMILY_BUDGET:
+        raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
     K = ds.inst.K
-    return _Memo(lambda p: {f: _link(K, f, p[1], full) for f in ds.demand_sets[p[0] - 1]})
+    tables = _Memo(lambda p: {f: _link(K, f, p[1], block.full) for f in ds.demand_sets[p[0] - 1]})
+    templates = [[tables[uk, tops[uk - 1]] for uk in block.users] for tops in block.tops]
+    return [tuple(sorted(map(dict.__getitem__, t, c))) for c in choices for t in templates]
 
 
-def _link_row(tables, files) -> tuple:
-    """The row of distinct files, one per user, through the users' link tables."""
-    return tuple(sorted(map(dict.__getitem__, tables, files)))
-
-
-def genie_inequality(ds: DemandStructure, d, u, full_masks: bool = False) -> tuple:
-    """The genie row for demand vector d decoded in permutation order u.
-
-    The families build rows through the same helpers but check inputs once.
-    """
-    K = ds.inst.K
-    d = tuple(getattr(d, "files", d))
-    u = tuple(u)
-    if sorted(u) != list(range(1, K + 1)):
-        raise DemandError(f"u={u} is not a permutation of [1..{K}]")
-    if not ds.validate_demand(d).distinct:
-        raise DemandError("genie rows need pairwise-distinct demands")
-    tables = _link_tables(ds, full_masks)
-    return _link_row([tables[uk, top] for uk, top in enumerate(_order_masks(K, u), 1)], d)
+def _family(ds: DemandStructure, blocks) -> Family:
+    return Family(chain.from_iterable(_block_rows(ds, block) for block in blocks), blocks)
 
 
 def dedup_rows(rows) -> list:
@@ -170,31 +195,14 @@ def dedup_rows(rows) -> list:
     return sorted(set(rows))
 
 
-def full_family(ds: DemandStructure, dedup: bool = True) -> list:
-    """One full-rule genie row per (distinct-demand vector, permutation) pair.
-
-    Undeduplicated, rows come vector by vector, orders in ``permutations``
-    order. The K! order templates are made and each vector checked once.
-    """
-    K = ds.inst.K
-    n_all = count_demands(ds)
-    if n_all > FAMILY_BUDGET:  # listing distinct vectors walks the whole product
-        raise BudgetExceededError(
-            f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}"
-        )
-    distinct = list(enumerate_demands(ds, distinct_only=True))
-    n_rows = len(distinct) * factorial(K)
-    if n_rows > FAMILY_BUDGET:
-        raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
-    if not all(ds.validate_demand(d.files).distinct for d in distinct):
-        raise DemandError("genie rows need pairwise-distinct demands")
-    tables = _link_tables(ds, True)
-    templates = [
-        [tables[uk, top] for uk, top in enumerate(_order_masks(K, u), 1)]
-        for u in permutations(range(1, K + 1))
-    ]
-    rows = [_link_row(template, d.files) for d in distinct for template in templates]
-    return dedup_rows(rows) if dedup else rows
+def full_family(ds: DemandStructure, dedup: bool = True) -> Family:
+    """One full-rule genie row per (distinct-demand vector, permutation) pair,
+    from one block: the K! order templates over the demand sets. Undeduplicated,
+    rows come vector by vector, orders in ``permutations`` order."""
+    users = tuple(range(1, ds.inst.K + 1))
+    orders = tuple(_order_masks(ds.inst.K, u) for u in permutations(users))
+    family = _family(ds, [Block(users, ds.demands, orders, True)])
+    return family.distinct() if dedup else family
 
 
 def _chain_permutations(K: int, k: int) -> tuple:
@@ -204,7 +212,7 @@ def _chain_permutations(K: int, k: int) -> tuple:
     return left, right
 
 
-def selected_family(ds: DemandStructure, regime: Regime) -> list:
+def selected_family(ds: DemandStructure, regime: Regime) -> Family:
     """The hand-picked non-redundant rows backing one regime's certificate.
 
     HIGH_M: per anchor k, both ring orderings, the first K-1 users demand
@@ -214,40 +222,29 @@ def selected_family(ds: DemandStructure, regime: Regime) -> list:
     rows each). LARGE_B: all demand vectors drawn from the unique parts,
     bound by the no-genie cut rows R >= sum_k y[d_k, empty] (b^K rows).
 
-    Each chain (an ordering, one pool and ``top`` per user) is checked
-    once: pools inside their users' demand sets and pairwise disjoint make
-    every vector drawn from them admissible and pairwise distinct.
+    Each chain (an ordering, one pool and ``top`` per user), and the cut,
+    is one block with one template and pairwise disjoint pools.
     """
     K, a, b = ds.inst.K, ds.inst.a, ds.inst.b
     if regime is Regime.LARGE_B:
         if b < 1:
             raise FamilyError("LARGE_B family needs b >= 1")
-        chains = [(tuple(range(1, K + 1)), ds.part2, [0] * K)]
+        blocks = [Block(tuple(range(1, K + 1)), ds.part2, ((0,) * K,), False)]
     elif a < 1:
         raise FamilyError(f"{regime.value} family needs a >= 1")
     elif regime is Regime.HIGH_M and b < 1:
         raise FamilyError("HIGH_M family needs b >= 1")
     else:
-        chains = []
+        blocks = []
         for k in range(1, K + 1):
             for perm, parts in zip(_chain_permutations(K, k), (ds.part1, ds.part3)):
-                pools = [parts[uk - 1] for uk in perm]
+                pools = list(parts)  # user uk's pool is parts[uk - 1]
                 if regime is Regime.HIGH_M:
-                    pools[-1] = ds.part2[perm[-1] - 1]
-                chains.append((perm, pools, _order_masks(K, perm)))
-    rows: list = []
-    tables = _link_tables(ds, False)
-    for perm, pools, tops in chains:  # pools[j] belongs to user perm[j], tops[uk-1] to uk
-        if sorted(perm) != list(range(1, K + 1)):
-            raise DemandError(f"u={perm} is not a permutation of [1..{K}]")
-        for pool, uk in zip(pools, perm):
-            if not ds.demand_sets[uk - 1].issuperset(pool):
-                raise DemandError(f"a pool is not demandable in region {uk}")
-        if len(set(chain.from_iterable(pools))) != sum(map(len, pools)):
-            raise DemandError("genie rows need pairwise-distinct demands")
-        template = [tables[uk, tops[uk - 1]] for uk in perm]
-        rows += [_link_row(template, choice) for choice in product(*pools)]
-    return rows
+                    pools[perm[-1] - 1] = ds.part2[perm[-1] - 1]
+                blocks.append(Block(perm, tuple(pools), (_order_masks(K, perm),), False))
+    if any(len(set(chain.from_iterable(bl.pools))) != sum(map(len, bl.pools)) for bl in blocks):
+        raise DemandError("genie rows need pairwise-distinct demands")
+    return _family(ds, blocks)
 
 
 @dataclass
@@ -267,6 +264,7 @@ class LinearProgram:
     memory_mode: str = AGGREGATE
     orbit_members: dict | None = field(default=None, repr=False)
     raw: LinearProgram | None = field(default=None, repr=False)
+    blocks: tuple = field(default=(), repr=False)  # a raw program's Family's
 
     @property
     def n_rows(self) -> int:
@@ -317,6 +315,7 @@ def build_lp(
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
+        blocks=getattr(family, "blocks", ()),
     )
 
 
@@ -441,48 +440,68 @@ def _verify_structural(lp: LinearProgram, assignment) -> None:
 
 
 def _ring_generators(ds: DemandStructure) -> dict:
-    """Key maps, by name, generating the ring's symmetry group.
+    """Pairs (phi, sigma), by name, generating the ring's symmetry group:
+    phi maps each file, ``sigma[k-1]`` is node k's image, and a mask's image
+    has its bits moved by sigma.
 
     The shift, the reflection k -> K+1-k (part1[k] -> part3[K+1-k],
-    part2[k] -> part2[K+1-k], mask bits reversed), and a transposition and
-    a cycle of the files inside part1[1] and inside part2[1]. A part too
-    small for one of them leaves it out: a transposition needs two files,
-    a cycle distinct from it three.
+    part2[k] -> part2[K+1-k]), and a transposition and a cycle of the
+    files inside part1[1] and inside part2[1]. A part too small for one of
+    them leaves it out: a transposition needs two files, a cycle distinct
+    from it three.
     """
     K, N = ds.inst.K, ds.inst.N
-    masks = range(1 << K)
-    same = list(masks)
+    same, nodes = {i: i for i in range(1, N + 1)}, tuple(range(1, K + 1))
     flip: dict = {}
     for k in range(K):
         flip.update(zip(ds.part1[k], ds.part3[K - 1 - k]))
         flip.update(zip(ds.part2[k], ds.part2[K - 1 - k]))
-    maps = {  # name -> (file map, mask image by mask); files a map omits stay put
-        "shift": ({i: ds.shift_file(i) for i in range(1, N + 1)}, list(map(ds.shift_mask, masks))),
-        "reflection": (flip, [int(f"{m:0{K}b}"[::-1], 2) for m in masks]),
+    gens = {
+        "shift": ({i: ds.shift_file(i) for i in same}, nodes[1:] + nodes[:1]),
+        "reflection": (flip, nodes[::-1]),
     }
     for name, part in (("part1[1]", ds.part1[0]), ("part2[1]", ds.part2[0])):
         if len(part) >= 2:
-            maps[f"transposition in {name}"] = ({part[0]: part[1], part[1]: part[0]}, same)
+            gens[f"transposition in {name}"] = ({**same, part[0]: part[1], part[1]: part[0]}, nodes)
         if len(part) >= 3:
-            maps[f"cycle in {name}"] = (dict(zip(part, part[1:] + part[:1])), same)
-    return {
-        name: {(i, m): (files.get(i, i), mask_map[m]) for i in range(1, N + 1) for m in masks}
-        for name, (files, mask_map) in maps.items()
-    }
+            gens[f"cycle in {name}"] = ({**same, **dict(zip(part, part[1:] + part[:1]))}, nodes)
+    return gens
+
+
+def _block_key(block: Block, phi, sigma, masks) -> tuple:
+    """The block's image under (phi, sigma) as template set, pools by user and
+    rule; user k's pool and top go to user sigma(k). Equal keys, equal rows."""
+    moved_from = sorted(range(len(sigma)), key=sigma.__getitem__)  # user sigma(k) <- user k
+    return (
+        frozenset(tuple(masks[tops[k]] for k in moved_from) for tops in block.tops),
+        tuple(frozenset(map(phi.__getitem__, block.pools[k])) for k in moved_from),
+        block.full,
+    )
+
+
+def _rows_closed(lp: LinearProgram, rows, phi, masks) -> bool:
+    """Whether (phi, masks) maps each of the rows, link by link, onto a row
+    of lp; masks that move bits map a link's keys onto a link's."""
+    K = lp.inst.K
+    image = _Memo(lambda ln: _link(K, phi[ln >> K + 1], masks[ln >> 1 & ~(-1 << K)], ln & 1))
+    row_set = set(lp.genie_rows)
+    return all(tuple(sorted(map(image.__getitem__, row))) in row_set for row in rows)
 
 
 def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's full symmetry group.
 
-    The family must be closed under every generator of ``_ring_generators``,
-    else FamilyError. That is checked on links: each link's key set must
-    map onto a link's, and each row's sorted link images onto a row; as a
-    row's key set is the disjoint union of its links' and equal key sets
-    have equal links, this is closure of the expanded family. Restricting
-    to invariant placements then keeps the optimum, and the variables
-    collapse to one per orbit, named ("orbit", *least member). A row
-    projects to its keys' orbit names, sorted; the distinct projections,
-    sorted by ``_row_order``, are the genie rows of the result.
+    The family must be closed under every generator of
+    ``_ring_generators``, else FamilyError naming the first that fails. A
+    block whose image (``_block_key``) is a block of the family maps onto
+    its rows; the rows of any other block, or of a program without blocks,
+    are mapped one by one (``_rows_closed``). As a row's key set is the
+    disjoint union of its links' and equal key sets have equal links, this
+    is closure of the expanded family. Restricting to invariant placements
+    then keeps the optimum, and the variables collapse to one per orbit,
+    named ("orbit", *least member). A row projects to its keys' orbit
+    names, sorted; the distinct projections, sorted by ``_row_order``, are
+    the genie rows of the result.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
@@ -491,18 +510,17 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     pos = {key: j for j, key in enumerate(keys)}
     link_keys = _link_keys(K)
     rows = lp.genie_rows
-    row_set = set(rows)
     links = set(chain.from_iterable(rows))
+    identity = range(lp.inst.N + 1), range(1, K + 1), range(1 << K)  # phi, sigma, masks
+    block_keys = {_block_key(b, *identity) for b in lp.blocks}
     generators = []
-    for name, image in _ring_generators(lp.ds).items():
-        link_image: dict = {}
-        for link in links:
-            link_image[link] = _link(K, *image[link >> K + 1, link >> 1 & ~(-1 << K)], link & 1)
-            if set(map(image.__getitem__, link_keys[link])) != set(link_keys[link_image[link]]):
-                raise FamilyError(f"the {name} maps a link's keys onto no link")
-        if not all(tuple(sorted(map(link_image.__getitem__, row))) in row_set for row in rows):
+    for name, (phi, sigma) in _ring_generators(lp.ds).items():
+        masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
+        unmatched = [b for b in lp.blocks if _block_key(b, phi, sigma, masks) not in block_keys]
+        unchecked = [r for b in unmatched for r in _block_rows(lp.ds, b)] if lp.blocks else rows
+        if unchecked and not _rows_closed(lp, unchecked, phi, masks):
             raise FamilyError(f"genie family is not closed under the {name}")
-        generators.append([pos[image[key]] for key in keys])
+        generators.append([pos[phi[i], masks[m]] for i, m in keys])
 
     index = [-1] * len(keys)  # key position -> position of its orbit's name
     names: list = []
@@ -614,7 +632,21 @@ class CertificateReport:
         }
 
 
-def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regime) -> CertificateReport:
+def certificate_reports(inst: ProblemInstance, ds: DemandStructure) -> dict:
+    """Regime -> its CertificateReport, or the error refusing it; each
+    selected family is built and averaged at most once."""
+    averages, out = _Memo(lambda regime: average_rows(inst.K, selected_family(ds, regime))), {}
+    for regime in Regime:
+        try:
+            out[regime] = certificate_report(inst, ds, regime, averages)
+        except (RegimeMismatchError, FamilyError) as exc:
+            out[regime] = exc
+    return out
+
+
+def certificate_report(
+    inst: ProblemInstance, ds: DemandStructure, regime: Regime, averages: _Memo
+) -> CertificateReport:
     """Rebuild one regime's weighted-sum certificate and verify it.
 
     The selected family is averaged into the aggregate inequality, mixed
@@ -624,7 +656,8 @@ def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regim
     are admissible, the aggregate matches its closed form, every residual
     coefficient is non-negative, and the resulting bound is the regime's
     straight line. A regime whose parameter condition fails raises
-    RegimeMismatchError.
+    RegimeMismatchError. ``averages`` maps a regime to the average of
+    its selected family.
     """
     K, a, b = inst.K, inst.a, inst.b
     aK, bK = Fraction(a * K), Fraction(b * K)
@@ -638,7 +671,7 @@ def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regim
         raise RegimeMismatchError(
             f"{regime.value} needs b(K-1) < 2a; got b(K-1)={b * (K - 1)}, 2a={2 * a}"
         )
-    agg = average_rows(K, selected_family(ds, regime))
+    agg = averages[regime]
 
     def high_m_aggregate() -> dict:
         return _aggregate_map(
@@ -672,7 +705,7 @@ def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regim
         weights["mix"] = w
         expected_const = Fraction(K)
         if w:
-            agg = _mix_maps(w, average_rows(K, selected_family(ds, Regime.HIGH_M)), agg)
+            agg = _mix_maps(w, averages[Regime.HIGH_M], agg)
             expected_agg = _mix_maps(w, high_m_aggregate(), expected_agg)
 
     weights_ok = all(0 <= v <= 1 for v in weights.values())
@@ -712,11 +745,6 @@ def certificate_report(inst: ProblemInstance, ds: DemandStructure, regime: Regim
     )
 
 
-def certificate_check(inst: ProblemInstance, ds: DemandStructure, regime: Regime) -> bool:
-    """True when the regime's weighted-sum certificate verifies exactly."""
-    return certificate_report(inst, ds, regime).ok
-
-
 def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     out: dict = {}
     for key, v in first.items():
@@ -731,16 +759,17 @@ def _maps_equal(x: dict, y: dict) -> bool:
     return all(x.get(k, Fraction(0)) == y.get(k, Fraction(0)) for k in keys)
 
 
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
+def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, rows=None) -> Fraction:
     """The loose bound from averaging the whole family into a single row.
 
-    All full-mask genie rows are summed with multiplicity and normalised;
+    All full-mask genie rows (``full_family(ds, dedup=False)``, built
+    unless passed as ``rows``) are summed with multiplicity and normalised;
     the bound is the minimum of that one averaged expression over
     placements satisfying the per-file partition and the aggregate memory
     budget. Aggregation can only weaken the LP, so this never exceeds the
     family's LP optimum.
     """
-    avg = average_rows(ds.inst.K, full_family(ds, dedup=False))
+    avg = average_rows(ds.inst.K, full_family(ds, dedup=False) if rows is None else rows)
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}

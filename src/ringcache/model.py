@@ -170,13 +170,6 @@ class DemandStructure:
         """Image of file i under `steps` one-region rotations of the ring."""
         return cyclic_mod(i + steps * (self.inst.a + self.inst.b), self.inst.N)
 
-    def shift_mask(self, mask: int, steps: int = 1) -> int:
-        """Image of a node mask under `steps` one-region rotations."""
-        K = self.inst.K
-        steps %= K
-        full = (1 << K) - 1
-        return ((mask << steps) | (mask >> (K - steps))) & full if steps else mask
-
 
 @dataclass(frozen=True)
 class DemandVector:

@@ -107,13 +107,6 @@ class UncodedPlacement:
 
     sizes: dict
 
-    def size(self, i: int, mask: int) -> Fraction:
-        return self.sizes.get((i, mask), Fraction(0))
-
-    def node_usage(self, k: int) -> Fraction:
-        bit = 1 << (k - 1)
-        return sum((v for (_, m), v in self.sizes.items() if m & bit), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Segment:

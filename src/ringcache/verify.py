@@ -161,28 +161,14 @@ def criterion_4_certificates(instances=None) -> CriterionResult:
     for base, ds in _structures(instances):
         inst = base.with_m(Fraction(1))
         coded = coded_gain_regime(inst)
-        for regime in cv.Regime:
+        for regime, report in cv.certificate_reports(inst, ds).items():
             matching = coded if regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M) else not coded
-            try:
-                ok = cv.certificate_check(inst, ds, regime)
-                raised = False
-            except cv.RegimeMismatchError:
-                raised = True
-                ok = False
-            if matching and (raised or not ok):
-                return CriterionResult(
-                    4,
-                    "Certificate verification",
-                    False,
-                    f"({base.K},{base.a},{base.b}) {regime.value}: expected pass",
-                )
-            if not matching and not raised:
-                return CriterionResult(
-                    4,
-                    "Certificate verification",
-                    False,
-                    f"({base.K},{base.a},{base.b}) {regime.value}: expected mismatch error",
-                )
+            raised = isinstance(report, cv.RegimeMismatchError)
+            passed = isinstance(report, cv.CertificateReport) and report.ok
+            if (passed, raised) != (matching, not matching):
+                want = "pass" if matching else "mismatch error"
+                detail = f"({base.K},{base.a},{base.b}) {regime.value}: expected {want}"
+                return CriterionResult(4, "Certificate verification", False, detail)
     return CriterionResult(
         4,
         "Certificate verification",

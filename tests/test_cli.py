@@ -118,6 +118,17 @@ class TestTradeoff:
         assert code == 3
         assert "budget" in err
 
+    def test_grid_over_budget_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        def no_point(*_args, **_kwargs):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli, "worst_case_load", no_point)
+        steps = cli.GRID_BUDGET + 1
+        code, out, err = run(capsys, ["tradeoff", "--K", "3", "--a", "2", "--b", "1",
+                                      "--m-steps", str(steps)])
+        assert (code, out) == (3, "")
+        assert err == f"budget exceeded: {steps} grid points exceed the grid budget 100000\n"
+
 
 class TestSimulate:
     def test_running_example(self, capsys):
@@ -240,6 +251,13 @@ class TestLpCommand:
         doc = json.loads(out)
         assert doc["rows"] == 231840
         assert (doc["lp_optimum"], doc["matches_rstar_u"]) == ("2", True)
+        # the corners and a+b: one collapse, solved at each M
+        code, out, err = run(capsys, ["tradeoff", "--K", "6", "--a", "1", "--b", "1", "--lp",
+                                      "--m-grid", "0,2,3"])
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(r[0], r[2], r[-1]) for r in rows] == [("0", "6", "6"), ("2", "2", "2"),
+                                                        ("3", "0", "0")]
 
     def test_selected_family_flag(self, capsys):
         code, out, _ = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1",

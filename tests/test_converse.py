@@ -18,6 +18,7 @@ from ringcache.model import (
     build_demand_structure,
     enumerate_demands,
     mask_of,
+    nodes_of,
 )
 from ringcache.schemes import make_scheme, worst_case_load
 from ringcache.verify import corner_memories
@@ -47,6 +48,38 @@ def expand(K, row):
 
 def expanded(ds, rows):
     return [expand(ds.inst.K, row) for row in rows]
+
+
+def genie_inequality(ds, d, u, full_masks=False):
+    """The genie row for demand vector d decoded in permutation order u: the
+    row of a block with one choice and one template."""
+    K = ds.inst.K
+    d, u = tuple(getattr(d, "files", d)), tuple(u)
+    if sorted(u) != list(range(1, K + 1)):
+        raise DemandError(f"u={u} is not a permutation of [1..{K}]")
+    if not ds.validate_demand(d).distinct:
+        raise DemandError("genie rows need pairwise-distinct demands")
+    block = cv.Block(tuple(range(1, K + 1)), tuple((f,) for f in d), (cv._order_masks(K, u),),
+                     full_masks)
+    (row,) = cv._block_rows(ds, block)
+    return row
+
+
+def certificate(inst, ds, regime):
+    """One regime's certificate report; raises the error that refuses it."""
+    report = cv.certificate_reports(inst, ds)[regime]
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def certificate_check(inst, ds, regime):
+    return certificate(inst, ds, regime).ok
+
+
+def shift_mask(K, mask):
+    """A node mask rotated by one region: node k's bit to node k+1's."""
+    return (mask << 1 | mask >> (K - 1)) & ((1 << K) - 1)
 
 
 def reference_genie_row(K, d, u, full_masks):
@@ -175,7 +208,7 @@ def cyclic_symmetrize(lp):
     this collapse's export bytes and orbit-row order.
     """
     ds = lp.ds
-    shift = {(i, m): (ds.shift_file(i), ds.shift_mask(m)) for i, m in lp.var_keys}
+    shift = {(i, m): (ds.shift_file(i), shift_mask(ds.inst.K, m)) for i, m in lp.var_keys}
     key_rows = expanded(ds, lp.genie_rows)
     rows = set(key_rows)
     for row in key_rows:
@@ -217,6 +250,59 @@ def cyclic_symmetrize(lp):
     )
 
 
+def key_ring_generators(ds):
+    """The generators as the (file, mask) key maps ``cv._ring_generators``
+    returned before it returned (phi, sigma) pairs: the oracle for them."""
+    K, N = ds.inst.K, ds.inst.N
+    masks = range(1 << K)
+    same = list(masks)
+    flip = {}
+    for k in range(K):
+        flip.update(zip(ds.part1[k], ds.part3[K - 1 - k]))
+        flip.update(zip(ds.part2[k], ds.part2[K - 1 - k]))
+    maps = {
+        "shift": ({i: ds.shift_file(i) for i in range(1, N + 1)}, [shift_mask(K, m) for m in masks]),
+        "reflection": (flip, [int(f"{m:0{K}b}"[::-1], 2) for m in masks]),
+    }
+    for name, part in (("part1[1]", ds.part1[0]), ("part2[1]", ds.part2[0])):
+        if len(part) >= 2:
+            maps[f"transposition in {name}"] = ({part[0]: part[1], part[1]: part[0]}, same)
+        if len(part) >= 3:
+            maps[f"cycle in {name}"] = (dict(zip(part, part[1:] + part[:1])), same)
+    return {
+        name: {(i, m): (files.get(i, i), mask_map[m]) for i in range(1, N + 1) for m in masks}
+        for name, (files, mask_map) in maps.items()
+    }
+
+
+def oracle_closure(lp):
+    """The link-by-link, row-by-row closure check ``cv.symmetrize`` made
+    before it checked blocks: the FamilyError text, or None when closed."""
+    K = lp.inst.K
+    link_keys = cv._link_keys(K)
+    rows = lp.genie_rows
+    row_set = set(rows)
+    links = set(chain.from_iterable(rows))
+    for name, image in key_ring_generators(lp.ds).items():
+        link_image = {}
+        for link in links:
+            link_image[link] = cv._link(K, *image[link >> K + 1, link >> 1 & ~(-1 << K)], link & 1)
+            if set(map(image.__getitem__, link_keys[link])) != set(link_keys[link_image[link]]):
+                return f"the {name} maps a link's keys onto no link"
+        if not all(tuple(sorted(map(link_image.__getitem__, row))) in row_set for row in rows):
+            return f"genie family is not closed under the {name}"
+    return None
+
+
+def closure_verdict(lp):
+    """``cv.symmetrize``'s verdict on lp: the FamilyError text, or None."""
+    try:
+        cv.symmetrize(lp)
+    except cv.FamilyError as exc:
+        return str(exc)
+    return None
+
+
 def key_symmetrize(lp):
     """The full-group collapse ``cv.symmetrize`` made on expanded key rows.
 
@@ -229,7 +315,7 @@ def key_symmetrize(lp):
     rows = [tuple(map(pos.__getitem__, row)) for row in expanded(lp.ds, lp.genie_rows)]
     row_sets = set(map(frozenset, rows))
     generators = []
-    for name, image in cv._ring_generators(lp.ds).items():
+    for name, image in key_ring_generators(lp.ds).items():
         moved = [pos[image[key]] for key in keys]
         if not row_sets.issuperset(frozenset(map(moved.__getitem__, row)) for row in rows):
             raise cv.FamilyError(f"genie family is not closed under the {name}")
@@ -300,32 +386,32 @@ def every_family(ds) -> list:
 class TestGenieInequality:
     def test_example_row_after_drop(self):
         _, ds = setup(3, 2, 1)
-        row = expand(3, cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2)))
+        row = expand(3, genie_inequality(ds, (1, 6, 7), (1, 3, 2)))
         assert row == tuple(sorted({(1, 0), (1, 0b10), (1, 0b100), (7, 0), (7, 0b10), (6, 0)}))
 
     def test_full_masks_add_the_pair(self):
         _, ds = setup(3, 2, 1)
-        row = expand(3, cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2), full_masks=True))
+        row = expand(3, genie_inequality(ds, (1, 6, 7), (1, 3, 2), full_masks=True))
         assert set(row) == {
             (1, 0), (1, 0b10), (1, 0b100), (1, 0b110), (7, 0), (7, 0b10), (6, 0),
         }
 
     def test_smallest_case(self):
         _, ds = setup(2, 1, 1)
-        row = expand(2, cv.genie_inequality(ds, (2, 4), (1, 2)))
+        row = expand(2, genie_inequality(ds, (2, 4), (1, 2)))
         assert set(row) == {(2, 0), (2, 0b10), (4, 0)}
 
     def test_second_strategy_row(self):
         _, ds = setup(3, 2, 1)
-        row = expand(3, cv.genie_inequality(ds, (1, 4, 7), (1, 3, 2)))
+        row = expand(3, genie_inequality(ds, (1, 4, 7), (1, 3, 2)))
         assert set(row) == {(1, 0), (1, 0b10), (1, 0b100), (7, 0), (7, 0b10), (4, 0)}
 
     def test_rejects_repeats_and_bad_permutation(self):
         _, ds = setup(3, 2, 1)
         with pytest.raises(DemandError):
-            cv.genie_inequality(ds, (4, 4, 9), (1, 2, 3))
+            genie_inequality(ds, (4, 4, 9), (1, 2, 3))
         with pytest.raises(DemandError):
-            cv.genie_inequality(ds, (1, 6, 7), (1, 1, 2))
+            genie_inequality(ds, (1, 6, 7), (1, 1, 2))
 
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1)])
@@ -335,7 +421,7 @@ class TestGenieInequality:
             for u in permutations(range(1, K + 1)):
                 for full in (False, True):
                     want = reference_genie_row(K, d.files, u, full)
-                    assert expand(K, cv.genie_inequality(ds, d, u, full)) == want
+                    assert expand(K, genie_inequality(ds, d, u, full)) == want
                     assert want == key_row(d.files, key_masks(K, u, full), KeyMemo())
 
 
@@ -353,11 +439,11 @@ class TestFullFamily:
         _, ds = setup(3, 1, 1)
         deduped = cv.full_family(ds, dedup=True)
         every = {
-            cv.genie_inequality(ds, d, u, full_masks=True)
+            genie_inequality(ds, d, u, full_masks=True)
             for d in enumerate_demands(ds, distinct_only=True)
             for u in permutations(range(1, 4))
         }
-        assert deduped == sorted(every)
+        assert list(deduped) == sorted(every)
 
     @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
     def test_plain_sort_is_row_order_on_raw_rows(self, K, a, b):
@@ -381,17 +467,17 @@ class TestSelectedFamily:
         assert len(rows) == 2 * 3 * (2 ** 2 * 1)  # 2K * a^(K-1) b
         # anchor k=1, leftward ordering: d1 in {1,2}, d2 = 6, d3 in {7,8}
         for d in [(1, 6, 7), (1, 6, 8), (2, 6, 7), (2, 6, 8)]:
-            assert cv.genie_inequality(ds, d, (1, 3, 2)) in rows
+            assert genie_inequality(ds, d, (1, 3, 2)) in rows
         # anchor k=1, rightward ordering: d1 in {4,5}, d2 in {7,8}, d3 = 9
         for d in [(4, 7, 9), (5, 8, 9)]:
-            assert cv.genie_inequality(ds, d, (1, 2, 3)) in rows
+            assert genie_inequality(ds, d, (1, 2, 3)) in rows
 
     def test_low_m_reproduces_second_selection(self):
         _, ds = setup(3, 2, 1)
         rows = cv.selected_family(ds, cv.Regime.LOW_M)
         assert len(rows) == 2 * 3 * 2 ** 3  # 2K * a^K
-        assert cv.genie_inequality(ds, (1, 4, 7), (1, 3, 2)) in rows
-        assert cv.genie_inequality(ds, (4, 7, 1), (1, 2, 3)) in rows
+        assert genie_inequality(ds, (1, 4, 7), (1, 3, 2)) in rows
+        assert genie_inequality(ds, (4, 7, 1), (1, 2, 3)) in rows
 
     def test_large_b_unique_demand_cut(self):
         _, ds = setup(3, 2, 1)
@@ -421,7 +507,7 @@ class TestFamiliesMatchPerRowOracles:
             assert key_full_family(ds) == want
             assert expanded(ds, cv.full_family(ds, dedup=False)) == want
             assert expanded(ds, [
-                cv.genie_inequality(ds, d, u, full_masks=True)
+                genie_inequality(ds, d, u, full_masks=True)
                 for d in enumerate_demands(ds, distinct_only=True)
                 for u in permutations(range(1, K + 1))
             ]) == want
@@ -582,7 +668,7 @@ class TestSymmetrize:
 
     def test_rejects_unclosed_family(self):
         inst, ds = setup(3, 2, 1, M=3)
-        lone = [cv.genie_inequality(ds, (1, 6, 7), (1, 3, 2))]
+        lone = [genie_inequality(ds, (1, 6, 7), (1, 3, 2))]
         with pytest.raises(cv.FamilyError):
             cv.symmetrize(cv.build_lp(inst, ds, lone))
 
@@ -598,7 +684,7 @@ class TestSymmetrize:
                 d = [0] * 3
                 for j, uk in enumerate(left):
                     d[uk - 1] = choice[j]
-                rows.append(cv.genie_inequality(ds, tuple(d), left))
+                rows.append(genie_inequality(ds, tuple(d), left))
         lp = cv.build_lp(inst, ds, rows)
         cyclic_symmetrize(lp)
         with pytest.raises(cv.FamilyError, match="reflection"):
@@ -615,10 +701,10 @@ class TestSymmetrize:
                 d = [0] * 3
                 for j, uk in enumerate(perm):
                     d[uk - 1] = pools[j][0]
-                rows.append(cv.genie_inequality(ds, tuple(d), perm))
+                rows.append(genie_inequality(ds, tuple(d), perm))
         lp = cv.build_lp(inst, ds, rows)
         cyclic_symmetrize(lp)
-        reflect = cv._ring_generators(ds)["reflection"]  # a key map
+        reflect = key_ring_generators(ds)["reflection"]
         key_rows = expanded(ds, rows)
         assert {tuple(sorted(reflect[k] for k in row)) for row in key_rows} == set(key_rows)
         with pytest.raises(cv.FamilyError, match="transposition in part1"):
@@ -721,17 +807,6 @@ class TestLinkRowsMatchKeyOracles:
             with pytest.raises(cv.FamilyError, match=str(exc.value)):
                 cv.symmetrize(lp)
 
-    def test_a_generator_must_map_links_onto_links(self, monkeypatch):
-        # Swapping masks 0b001 and 0b011 keeps the full family's key sets
-        # only where both masks are present; a link {0, 0b001} has no image.
-        inst, ds = setup(3, 1, 1, M=1)
-        lp = cv.build_lp(inst, ds, family_for(ds))
-        swap = {1: 3, 3: 1}
-        keys = {key: (key[0], swap.get(key[1], key[1])) for key in lp.var_keys}
-        monkeypatch.setattr(cv, "_ring_generators", lambda ds: {"mask swap": keys})
-        with pytest.raises(cv.FamilyError, match="mask swap maps a link's keys onto no link"):
-            cv.symmetrize(lp)
-
     def test_average_matches_the_key_count(self):
         _, ds = setup(4, 1, 2)
         for rows in (cv.full_family(ds, dedup=False), cv.selected_family(ds, cv.Regime.LARGE_B)):
@@ -740,10 +815,109 @@ class TestLinkRowsMatchKeyOracles:
             assert cv.average_rows(4, rows) == want
 
 
+def perturbed_blocks(ds, blocks):
+    """(name, blocks) for block lists a little off the family's own."""
+    out = [("a block dropped", blocks[1:]), ("the last block dropped", blocks[:-1])]
+    first = blocks[0]
+    out.append(("a template dropped", [first._replace(tops=first.tops[1:])] + blocks[1:]))
+    shrunk = (first.pools[0][:1],) + first.pools[1:]
+    out.append(("a pool shrunk", [first._replace(pools=shrunk)] + blocks[1:]))
+    out.append(("every pool shrunk", [
+        block._replace(pools=tuple(pool[:1] for pool in block.pools)) for block in blocks
+    ]))
+    for j, k in permutations(range(len(first.users)), 2):  # the first admissible move
+        if ds.demand_sets[k].issuperset(first.pools[j]):
+            pools = list(first.pools)
+            pools[k] = pools[j]
+            out.append(("a pool moved", [first._replace(pools=tuple(pools))] + blocks[1:]))
+            break
+    return out
+
+
+class TestBlockClosure:
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES + [(5, 1, 1), (5, 3, 1)])
+    def test_pairs_reproduce_the_key_maps(self, K, a, b):
+        _, ds = setup(K, a, b)
+        want = key_ring_generators(ds)
+        got = cv._ring_generators(ds)
+        assert list(got) == list(want)
+        for name, (phi, sigma) in got.items():
+            image = {
+                (i, m): (phi[i], mask_of(sigma[k - 1] for k in nodes_of(m)))
+                for i in range(1, ds.inst.N + 1) for m in range(1 << K)
+            }
+            assert image == want[name], name
+
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES + [(5, 3, 1)])
+    def test_generators_permute_nodes_files_and_parts(self, K, a, b):
+        _, ds = setup(K, a, b)
+        files = list(range(1, ds.inst.N + 1))
+        parts = {frozenset(p) for p in chain(ds.part1, ds.part2, ds.part3)}
+        for name, (phi, sigma) in cv._ring_generators(ds).items():
+            assert sorted(sigma) == list(range(1, K + 1)), name
+            assert sorted(phi) == sorted(phi.values()) == files, name
+            assert {frozenset(map(phi.__getitem__, p)) for p in parts} == parts, name
+            for k in range(1, K + 1):  # region k's demand set onto region sigma(k)'s
+                assert set(map(phi.__getitem__, ds.demand_set(k))) == ds.demand_set(sigma[k - 1])
+
+    @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
+    def test_same_verdict_as_the_row_check(self, K, a, b, regime):
+        inst, ds = setup(K, a, b, M=1)
+        try:
+            family = oracle_family(ds, regime)
+        except cv.FamilyError:
+            return
+        lp = cv.build_lp(inst, ds, family)
+        assert lp.blocks == family.blocks
+        assert closure_verdict(lp) == oracle_closure(lp)
+
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
+    def test_same_verdict_on_perturbed_block_families(self, K, a, b):
+        inst, ds = setup(K, a, b, M=1)
+        seen = Counter()
+        for name, family in every_family(ds):
+            for change, blocks in perturbed_blocks(ds, list(family.blocks)):
+                lp = cv.build_lp(inst, ds, cv._family(ds, blocks))
+                want = oracle_closure(lp)
+                assert closure_verdict(lp) == want, (name, change)
+                seen[want is None] += 1
+        assert seen[False]  # some perturbation leaves the family unclosed
+
+    @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES + [(5, 1, 1), (5, 3, 1)])
+    def test_cli_families_close_block_by_block(self, K, a, b, monkeypatch):
+        inst, ds = setup(K, a, b, M=1)
+        families = every_family(ds) if K < 5 else [
+            (r.value, cv.selected_family(ds, r)) for r in (cv.Regime.HIGH_M, cv.Regime.LOW_M)
+        ]
+
+        def no_row_check(*_args):
+            raise AssertionError("a block's image is not a block")
+
+        monkeypatch.setattr(cv, "_rows_closed", no_row_check)
+        for name, family in families:
+            cv.symmetrize(cv.build_lp(inst, ds, family))
+
+    def test_rows_without_blocks_are_checked_row_by_row(self, monkeypatch):
+        inst, ds = setup(3, 2, 1, M=1)
+        family = family_for(ds)
+        checked = []
+        row_check = cv._rows_closed
+
+        def counted(lp, rows, *generator):
+            checked.append(len(rows))
+            return row_check(lp, rows, *generator)
+
+        monkeypatch.setattr(cv, "_rows_closed", counted)
+        cv.symmetrize(cv.build_lp(inst, ds, family))
+        assert checked == []
+        cv.symmetrize(cv.build_lp(inst, ds, tuple(family)))
+        assert checked == [len(family)] * len(cv._ring_generators(ds))
+
+
 class TestCertificates:
     def test_high_m_bound_matches_closed_form(self):
         inst, ds = setup(3, 2, 1, M=4)
-        report = cv.certificate_report(inst, ds, cv.Regime.HIGH_M)
+        report = certificate(inst, ds, cv.Regime.HIGH_M)
         assert report.ok
         assert report.bound_const == Fraction((3 - 1) * 5, 2 * 2)
         assert report.bound_m_coeff == -Fraction(3 - 1, 2 * 2)
@@ -751,14 +925,14 @@ class TestCertificates:
 
     def test_low_m_weight_is_papers_two_thirds(self):
         inst, ds = setup(3, 2, 1, M=1)
-        report = cv.certificate_report(inst, ds, cv.Regime.LOW_M)
+        report = certificate(inst, ds, cv.Regime.LOW_M)
         assert report.ok
         assert report.weights["mix"] == Fraction(2, 3)
         assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
     def test_large_b_weight(self):
         inst, ds = setup(4, 1, 2, M=2)
-        report = cv.certificate_report(inst, ds, cv.Regime.LARGE_B)
+        report = certificate(inst, ds, cv.Regime.LARGE_B)
         assert report.ok
         assert report.weights["mix"] == Fraction(8, 12)
         assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
@@ -766,18 +940,18 @@ class TestCertificates:
     def test_mismatch_raises(self):
         inst, ds = setup(3, 2, 1, M=1)
         with pytest.raises(cv.RegimeMismatchError):
-            cv.certificate_check(inst, ds, cv.Regime.LARGE_B)
+            certificate_check(inst, ds, cv.Regime.LARGE_B)
         inst2, ds2 = setup(4, 1, 2, M=1)
         for regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M):
             with pytest.raises(cv.RegimeMismatchError):
-                cv.certificate_check(inst2, ds2, regime)
+                certificate_check(inst2, ds2, regime)
 
     def test_boundary_counts_as_uncoded_regime(self):
         # b(K-1) == 2a sits in the uncoded-regime case split
         inst, ds = setup(3, 1, 1, M=1)
-        assert cv.certificate_check(inst, ds, cv.Regime.LARGE_B)
+        assert certificate_check(inst, ds, cv.Regime.LARGE_B)
         with pytest.raises(cv.RegimeMismatchError):
-            cv.certificate_check(inst, ds, cv.Regime.HIGH_M)
+            certificate_check(inst, ds, cv.Regime.HIGH_M)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
@@ -788,10 +962,10 @@ class TestCertificates:
         for regime in cv.Regime:
             matching = coded if regime is not cv.Regime.LARGE_B else not coded
             if matching:
-                assert cv.certificate_check(inst, ds, regime)
+                assert certificate_check(inst, ds, regime)
             else:
                 with pytest.raises(cv.RegimeMismatchError):
-                    cv.certificate_check(inst, ds, regime)
+                    certificate_check(inst, ds, regime)
 
 
 class TestSumAllBound:
