@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from ringcache import cli
 from ringcache import converse as cv
+from ringcache import verify as acceptance
 from ringcache.model import ProblemInstance, build_demand_structure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -290,6 +292,61 @@ class TestVerify:
         assert code == 0
         doc = json.loads(path.read_text())
         assert [entry["criterion"] for entry in doc] == list(range(1, 9))
+
+    def test_battery_text_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "summary.json"
+        code, out, err = run(capsys, [*BATTERY_321, "--json", str(path)])
+        assert (code, out, err) == (0, BATTERY_321_PASS, "")
+        summary = [
+            {"criterion": int(number), "name": name, "passed": True, "detail": detail}
+            for number, name, detail in BATTERY_LINE.findall(BATTERY_321_PASS)
+        ]
+        assert path.read_text() == json.dumps(summary, indent=2)
+        assert [entry["name"] for entry in summary] == list(CRITERION_NAMES)
+
+    def test_failure_lines_are_pinned(self, capsys, monkeypatch):
+        # One wrong closed form and one wrong decoder fail criteria 1, 2, 3, 6 and 7.
+        rstar_u, rstar_multiaccess = acceptance.rstar_u, acceptance.rstar_multiaccess
+        monkeypatch.setattr(acceptance, "rstar_u", lambda inst: rstar_u(inst) + 1)
+        monkeypatch.setattr(acceptance, "rstar_multiaccess",
+                            lambda inst: rstar_multiaccess(inst) + 1)
+        monkeypatch.setattr(acceptance, "decode", lambda *_args: b"")
+        code, out, err = run(capsys, BATTERY_321)
+        assert (code, out, err) == (1, BATTERY_321_FAIL, "")
+
+
+BATTERY_321 = ["verify", "--K", "3", "--a", "2", "--b", "1", "--trials", "2"]
+BATTERY_LINE = re.compile(r"\[criterion (\d)\] \w+ - (.+?): (.*)")
+CRITERION_NAMES = (
+    "Scheme optimality",
+    "Running example (3,2,1)",
+    "LP converse tightness",
+    "Certificate verification",
+    "Order-optimality gap",
+    "Multiaccess optimality",
+    "Bit-exact round-trip",
+    "Loose-bound probe",
+)
+BATTERY_321_PASS = """\
+[criterion 1] PASS - Scheme optimality: worst-case load = R*_u at 21 (instance, M) points
+[criterion 2] PASS - Running example (3,2,1): R*_u = 5/2 - M/2 on [3,5]; full-family LP optimum = 1 at M=3
+[criterion 3] PASS - LP converse tightness: LP optimum = R*_u at all 12 corner points
+[criterion 4] PASS - Certificate verification: matching regimes verified, mismatched regimes rejected, full sweep
+[criterion 5] PASS - Order-optimality gap: ratio <= 2 (even K) / 3 (odd K); equals 2 resp. 2K/(K-1) at M=0
+[criterion 6] PASS - Multiaccess optimality: zero load at M=a+b for all demands and L; load grid matches K-KM/(a+b), L-free
+[criterion 7] PASS - Bit-exact round-trip: 2 randomized trials per instance; exhaustive demand sweeps for K<=3
+[criterion 8] PASS - Loose-bound probe: sum_all_bound = 54/95 (reference 54/95 = 54/95), LP optimum = 1
+"""
+BATTERY_321_FAIL = """\
+[criterion 1] FAIL - Scheme optimality: (K,a,b,M)=(3,2,1,0): load 3 != 4
+[criterion 2] FAIL - Running example (3,2,1): R*_u(3) = 2 != 1
+[criterion 3] FAIL - LP converse tightness: (K,a,b,M)=(2,1,1,0): LP 2 != 3
+[criterion 4] PASS - Certificate verification: matching regimes verified, mismatched regimes rejected, full sweep
+[criterion 5] PASS - Order-optimality gap: ratio <= 2 (even K) / 3 (odd K); equals 2 resp. 2K/(K-1) at M=0
+[criterion 6] FAIL - Multiaccess optimality: (3,2,1,M=0): load 3 want 4
+[criterion 7] FAIL - Bit-exact round-trip: (3,2,1,L=1,M=17/5): user 1 decoded wrong bytes for d=(3, 5, 2)
+[criterion 8] PASS - Loose-bound probe: sum_all_bound = 54/95 (reference 54/95 = 54/95), LP optimum = 1
+"""
 
 
 class TestConfig:
