@@ -18,7 +18,6 @@ from ringcache.model import (
     BudgetExceededError,
     DemandError,
     DemandStructure,
-    DemandVector,
     InvalidInstanceError,
     ProblemInstance,
     build_demand_structure,
@@ -30,7 +29,6 @@ __all__ = [
     "BudgetExceededError",
     "DemandError",
     "DemandStructure",
-    "DemandVector",
     "InvalidInstanceError",
     "ProblemInstance",
     "build_demand_structure",

@@ -40,6 +40,19 @@ def coded_gain_regime(inst: ProblemInstance) -> bool:
     return inst.b * (inst.K - 1) < 2 * inst.a
 
 
+def corner_memories(inst: ProblemInstance) -> list:
+    """Cache sizes of the optimal curve's corners: 0, a+b in the coded regime, 2a+b."""
+    middle = [Fraction(inst.a + inst.b)] if coded_gain_regime(inst) else []
+    return [Fraction(0), *middle, Fraction(inst.m_max)]
+
+
+def grid_points(lo, hi, n: int) -> list:
+    """n >= 2 evenly spaced exact points from lo to hi, both ends included."""
+    lo = Fraction(lo)
+    step = (Fraction(hi) - lo) / (n - 1)
+    return [lo + j * step for j in range(n)]
+
+
 def rstar_u(inst: ProblemInstance) -> Fraction:
     """Optimal worst-case load under uncoded placement at the instance's M."""
     K, a, b, M = inst.K, inst.a, inst.b, inst.M
@@ -93,7 +106,7 @@ class GapReport:
     ratio_at_zero: Fraction
 
 
-def gap_check(inst: ProblemInstance, grid: int = 11) -> GapReport:
+def gap_check(inst: ProblemInstance) -> GapReport:
     """Worst ratio rstar_u / cutset_bound over the memory range.
 
     Both curves are piecewise linear with breakpoints in {0, a+b, 2a+b},
@@ -103,11 +116,8 @@ def gap_check(inst: ProblemInstance, grid: int = 11) -> GapReport:
     """
     K = inst.K
     bound = 2 if K % 2 == 0 else 3
-    lo, mid, hi = Fraction(0), Fraction(inst.a + inst.b), Fraction(inst.m_max)
-    points = {lo, mid, hi}
-    for s_lo, s_hi in ((lo, mid), (mid, hi)):
-        step = (s_hi - s_lo) / (grid - 1)
-        points.update(s_lo + j * step for j in range(grid))
+    mid = inst.a + inst.b
+    points = set(grid_points(0, mid, 11) + grid_points(mid, inst.m_max, 11))
     worst = Fraction(0)
     for m in sorted(points):
         sub = inst.with_m(m)

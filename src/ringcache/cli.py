@@ -26,6 +26,7 @@ from ringcache.bounds import (
     TradeoffPoint,
     closed_form_points,
     gap_check,
+    grid_points,
     rstar_u,
 )
 from ringcache.model import (
@@ -91,50 +92,45 @@ def _demand(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated demand: {text!r}") from exc
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser, last: str = "M") -> None:
+    """--config, --K, --a and --b, then --L and --M up to the one named ``last``."""
     p.add_argument("--config", help="JSON document with K/a/b/L/M defaults")
     p.add_argument("--K", type=int, help="number of regions / cache nodes")
     p.add_argument("--a", type=int, help="files shared per neighbour pair")
     p.add_argument("--b", type=int, help="files unique per region")
-    p.add_argument("--L", type=int, help="caches reachable per user (default 1)")
-    if with_m:
+    if last in ("L", "M"):
+        p.add_argument("--L", type=int, help="caches reachable per user (default 1)")
+    if last == "M":
         p.add_argument("--M", type=_fraction, help='cache size, rational like "5/2"')
 
 
-def _load_instance(args, default_m: Fraction | None = Fraction(0)) -> ProblemInstance:
+def _load_instance(args) -> ProblemInstance:
+    """The instance from the flags given, then the --config document, then L=1 and M=0."""
     doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise InvalidInstanceError(f"config {args.config!r} is not a JSON object")
-    merged = {
-        "K": args.K if args.K is not None else doc.get("K"),
-        "a": args.a if args.a is not None else doc.get("a"),
-        "b": args.b if args.b is not None else doc.get("b"),
-        "L": args.L if args.L is not None else doc.get("L", 1),
-    }
-    m_flag = getattr(args, "M", None)
-    merged["M"] = str(m_flag if m_flag is not None else doc.get("M", default_m))
-    missing = [key for key in ("K", "a", "b") if merged[key] is None]
+    merged = {"L": 1, "M": "0", **doc}
+    for key in ("K", "a", "b", "L", "M"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            merged[key] = flag
+    missing = [key for key in ("K", "a", "b") if merged.get(key) is None]
     if missing:
         raise InvalidInstanceError(f"missing instance parameters: {', '.join(missing)}")
     return ProblemInstance.from_json_dict(merged)
 
 
-class _Renderer:
-    """Exact "p/q" text, or with ``decimal`` digits fixed-point rounded half up."""
-
-    def __init__(self, decimal: int | None):
-        self.decimal = decimal
-
-    def __call__(self, value) -> str:
-        if not isinstance(value, Fraction) or self.decimal is None:
-            return str(value)
-        d, den = self.decimal, value.denominator
-        units = (2 * value.numerator * 10**d + den) // (2 * den)  # floor(value * 10^d + 1/2)
-        digits = str(abs(units)).rjust(d + 1, "0")
-        return ("-" if units < 0 else "") + (f"{digits[:-d]}.{digits[-d:]}" if d else digits)
+def _render(value, d: int | None) -> str:
+    """Exact "p/q" text, or with ``d`` decimal digits fixed-point rounded half up."""
+    if not isinstance(value, Fraction) or d is None:
+        return str(value)
+    den = value.denominator
+    units = (2 * value.numerator * 10**d + den) // (2 * den)  # floor(value * 10^d + 1/2)
+    digits = str(abs(units)).rjust(d + 1, "0")
+    return ("-" if units < 0 else "") + (f"{digits[:-d]}.{digits[-d:]}" if d else digits)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -162,7 +158,7 @@ def cmd_tradeoff(args) -> int:
             raise InvalidInstanceError("grid needs at least 2 steps")
         if steps > GRID_BUDGET:
             raise BudgetExceededError(f"{steps} grid points exceed the grid budget {GRID_BUDGET}")
-        grid = [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
+        grid = grid_points(lo, hi, steps)
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
@@ -195,13 +191,12 @@ def cmd_tradeoff(args) -> int:
     by_cell = {(p.M, p.label): p.R for p in points}
     rows = [[m] + [by_cell[(Fraction(m), label)] for label in labels] for m in grid]
 
-    render = _Renderer(args.decimal)
+    cells = [[_render(v, args.decimal) for v in row] for row in rows]
     if args.format == "json":
-        payload = [dict(zip(header, (render(v) for v in row))) for row in rows]
+        payload = [dict(zip(header, row)) for row in cells]
         text = json.dumps({"instance": inst.to_json_dict(), "points": payload}, indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(render(v) for v in row) for row in rows]
+        lines = [",".join(header)] + [",".join(row) for row in cells]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -249,19 +244,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-_FAMILIES = {
-    "full": None,
-    "high_m": cv.Regime.HIGH_M,
-    "low_m": cv.Regime.LOW_M,
-    "large_b": cv.Regime.LARGE_B,
-}
-
-
 def cmd_lp(args) -> int:
     inst = _load_instance(args)
     _require_single_access(inst)
     ds = build_demand_structure(inst)
-    regime = _FAMILIES[args.family]
+    regime = None if args.family == "full" else cv.Regime(args.family)
     # the LP reads the distinct rows, --sum-all's average every row
     every = cv.full_family(ds, dedup=False) if regime is None or args.sum_all else None
     family = every.distinct() if regime is None else cv.selected_family(ds, regime)
@@ -313,7 +300,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.K is not None or args.a is not None or args.b is not None:
+    if args.config or args.K is not None or args.a is not None or args.b is not None:
         inst = _load_instance(args)
         instances = [(inst.K, inst.a, inst.b)]
     else:
@@ -339,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tradeoff", help="emit the memory-load tradeoff curves as data")
-    _add_instance_flags(p, with_m=False)
+    _add_instance_flags(p, last="L")
     p.add_argument("--m-grid", type=_grid, help='explicit grid, e.g. "0,6,10"')
     p.add_argument("--m-min", type=_fraction)
     p.add_argument("--m-max", type=_fraction)
@@ -363,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="exact LP converse and certificate verdicts")
     _add_instance_flags(p)
-    p.add_argument("--family", choices=tuple(_FAMILIES), default="full")
+    p.add_argument("--family", choices=("full", *(r.value for r in cv.Regime)), default="full")
     p.add_argument("--memory-mode", choices=(cv.AGGREGATE, cv.PER_NODE), default=cv.AGGREGATE)
     p.add_argument("--certificates", action="store_true")
     p.add_argument("--sum-all", action="store_true", help="also compute the loose averaged bound")
@@ -372,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lp)
 
     p = sub.add_parser("gap", help="order-optimality gap check (factor 2 for even K, 3 for odd)")
-    _add_instance_flags(p, with_m=False)
+    _add_instance_flags(p, last="L")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_gap)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    _add_instance_flags(p)
+    _add_instance_flags(p, last="b")  # the battery sets L and M itself
     p.add_argument(
         "--trials",
         type=_int_at_least(0, "non-negative"),

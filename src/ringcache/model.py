@@ -102,13 +102,27 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProblemInstance":
+        """Read K, a, b and L as JSON integers or integer strings, and M as a rational."""
         return cls(
-            K=int(doc["K"]),
-            a=int(doc["a"]),
-            b=int(doc["b"]),
-            L=int(doc.get("L", 1)),
+            K=_json_int(doc, "K"),
+            a=_json_int(doc, "a"),
+            b=_json_int(doc, "b"),
+            L=_json_int(doc, "L", 1),
             M=Fraction(str(doc.get("M", "0"))),
         )
+
+
+def _json_int(doc: dict, key: str, default=None) -> int:
+    """doc[key] as an int; a float, a boolean or an unparsable string is refused."""
+    value = doc.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidInstanceError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,18 +146,6 @@ class DemandStructure:
     class2: frozenset
     _home: dict = field(repr=False, compare=False)
 
-    def d1(self, k: int) -> tuple[int, ...]:
-        return self.part1[k - 1]
-
-    def d2(self, k: int) -> tuple[int, ...]:
-        return self.part2[k - 1]
-
-    def d3(self, k: int) -> tuple[int, ...]:
-        return self.part3[k - 1]
-
-    def demand_set(self, k: int) -> frozenset:
-        return self.demand_sets[k - 1]
-
     def home_region(self, i: int) -> int:
         """The unique region k with i in D1[k] or D2[k]."""
         return self._home[i]
@@ -156,36 +158,19 @@ class DemandStructure:
         left = cyclic_mod(home - 1, self.inst.K)
         return tuple(sorted({home, left}))
 
-    def validate_demand(self, d) -> "DemandVector":
-        """Wrap a demand tuple after checking each entry against its region."""
+    def validate_demand(self, d) -> tuple[int, ...]:
+        """The demand vector d as a tuple, after checking each entry against its region."""
         d = tuple(d)
         if len(d) != self.inst.K:
             raise DemandError(f"demand vector must have {self.inst.K} entries")
         for k, di in enumerate(d, start=1):
             if di not in self.demand_sets[k - 1]:
                 raise DemandError(f"file {di} is not demandable in region {k}")
-        return DemandVector(files=d, distinct=len(set(d)) == len(d))
+        return d
 
-    def shift_file(self, i: int, steps: int = 1) -> int:
-        """Image of file i under `steps` one-region rotations of the ring."""
-        return cyclic_mod(i + steps * (self.inst.a + self.inst.b), self.inst.N)
-
-
-@dataclass(frozen=True)
-class DemandVector:
-    """One file index per region; ``distinct`` records pairwise distinctness."""
-
-    files: tuple[int, ...]
-    distinct: bool
-
-    def __iter__(self):
-        return iter(self.files)
-
-    def __getitem__(self, idx: int) -> int:
-        return self.files[idx]
-
-    def __len__(self) -> int:
-        return len(self.files)
+    def shift_file(self, i: int) -> int:
+        """Image of file i when the ring turns by one region."""
+        return cyclic_mod(i + self.inst.a + self.inst.b, self.inst.N)
 
 
 def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
@@ -240,20 +225,21 @@ def validate_structure(ds: DemandStructure) -> None:
         raise InvalidInstanceError(f"demand structure invariant violated: {msg}")
 
     for k in range(1, K + 1):
-        if len(set(ds.d1(k))) != a or len(set(ds.d3(k))) != a:
+        d1, d2, d3 = (set(part[k - 1]) for part in (ds.part1, ds.part2, ds.part3))
+        if len(d1) != a or len(d3) != a:
             reject(f"|D1[{k}]| or |D3[{k}]| != a")
-        if len(set(ds.d2(k))) != b:
+        if len(d2) != b:
             reject(f"|D2[{k}]| != b")
         right = cyclic_mod(k + 1, K)
-        if set(ds.d3(k)) != set(ds.d1(right)):
+        if d3 != set(ds.part1[right - 1]):
             reject(f"D3[{k}] != D1[{right}]")
-        full = set(ds.d1(k)) | set(ds.d2(k)) | set(ds.d3(k))
-        if len(full) != 2 * a + b or full != set(ds.demand_set(k)):
+        full = d1 | d2 | d3
+        if len(full) != 2 * a + b or full != ds.demand_sets[k - 1]:
             reject(f"parts of D[{k}] collide")
     for k1 in range(1, K + 1):
         for k2 in range(1, K + 1):
             if 2 <= cyclic_mod(k1 - k2, K) <= K - 2:
-                if ds.demand_set(k1) & ds.demand_set(k2):
+                if ds.demand_sets[k1 - 1] & ds.demand_sets[k2 - 1]:
                     reject(f"non-neighbouring D[{k1}], D[{k2}] intersect")
     if ds.class1 & ds.class2:
         reject("C1 and C2 intersect")
@@ -264,18 +250,9 @@ def validate_structure(ds: DemandStructure) -> None:
         reject("|C1| != aK or |C2| != bK")
 
 
-def enumerate_demands(ds: DemandStructure, distinct_only: bool = False) -> Iterator[DemandVector]:
-    """Yield every demand vector in lexicographic order.
-
-    The stream runs over the cartesian product of the K demand sets;
-    with ``distinct_only`` vectors with a repeated file index are skipped.
-    """
-    K = ds.inst.K
-    for d in product(*ds.demands):
-        distinct = len(set(d)) == K
-        if distinct_only and not distinct:
-            continue
-        yield DemandVector(files=d, distinct=distinct)
+def enumerate_demands(ds: DemandStructure) -> Iterator[tuple[int, ...]]:
+    """Every demand vector, one file per region, in lexicographic order."""
+    return product(*ds.demands)
 
 
 def count_demands(ds: DemandStructure) -> int:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from ringcache.bounds import coded_gain_regime
 from ringcache.model import (
     BudgetExceededError,
     DemandStructure,
@@ -102,13 +103,6 @@ class SegmentKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class UncodedPlacement:
-    """Map (file, node mask) -> fraction of the file cached exactly there."""
-
-    sizes: dict
-
-
-@dataclass(frozen=True)
 class Segment:
     fraction: Fraction
     kind: SegmentKind
@@ -126,15 +120,6 @@ class SchemeSpec:
         if any(s.fraction <= 0 for s in self.segments):
             raise InvalidInstanceError("segment fractions must be positive")
 
-    def placement(self, inst: ProblemInstance, ds: DemandStructure) -> UncodedPlacement:
-        """Combine the per-segment placements, scaled by segment fraction."""
-        sizes: dict = {}
-        for seg in self.segments:
-            for i in range(1, inst.N + 1):
-                for mask, frac in seg.kind.placement(inst, ds, i):
-                    sizes[i, mask] = sizes.get((i, mask), Fraction(0)) + seg.fraction * frac
-        return UncodedPlacement(sizes=sizes)
-
 
 def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
     """Memory-share the bracketing corner points for the instance's regime.
@@ -144,7 +129,7 @@ def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
     skipped. With L >= 2 the corners are (0, K) and (a+b, 0), and any
     M > a+b collapses to the pure local scheme.
     """
-    K, a, b, M = inst.K, inst.a, inst.b, inst.M
+    a, b, M = inst.a, inst.b, inst.M
     if not 0 <= M <= inst.m_max:
         raise InvalidInstanceError(f"M={M} outside [0, {inst.m_max}]")
 
@@ -160,8 +145,8 @@ def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
         if M >= a + b:
             return SchemeSpec(segments=(Segment(Fraction(1), SegmentKind.MULTIACCESS_LOCAL),))
         return mix(M / (a + b), SegmentKind.MULTIACCESS_LOCAL, SegmentKind.UNCODED_DIRECT)
-    if b * (K - 1) >= 2 * a:
-        return mix(M / (2 * a + b), SegmentKind.LOCAL_FULL, SegmentKind.UNCODED_DIRECT)
+    if not coded_gain_regime(inst):
+        return mix(M / inst.m_max, SegmentKind.LOCAL_FULL, SegmentKind.UNCODED_DIRECT)
     if M <= a + b:
         return mix(M / (a + b), SegmentKind.MAN_T1, SegmentKind.UNCODED_DIRECT)
     lam = (M - (a + b)) / a
@@ -223,10 +208,8 @@ def _messages(inst: ProblemInstance, scheme: SchemeSpec, d):
 
 def deliver(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d) -> BroadcastTranscript:
     """Symbolic delivery: the multicast messages with exact rational sizes."""
-    dv = ds.validate_demand(tuple(d))
-    msgs = tuple(
-        Message(components=comps, size=size) for comps, size in _messages(inst, scheme, dv.files)
-    )
+    d = ds.validate_demand(d)
+    msgs = tuple(Message(components=comps, size=size) for comps, size in _messages(inst, scheme, d))
     return BroadcastTranscript(messages=msgs)
 
 
@@ -331,7 +314,7 @@ def deliver_bits(
     library,
 ) -> BroadcastTranscript:
     """Bit-exact delivery: payloads are XORs of the component subfiles."""
-    dv = ds.validate_demand(tuple(d))
+    d = ds.validate_demand(d)
     size_b = _check_library(inst, library)
     bounds = _segment_bounds(scheme, size_b)
 
@@ -345,7 +328,7 @@ def deliver_bits(
         return library[sub[1] - 1][spans[sub]]
 
     msgs = []
-    for comps, size in _messages(inst, scheme, dv.files):
+    for comps, size in _messages(inst, scheme, d):
         payload = _xor([subfile(c) for c in comps])
         msgs.append(Message(components=comps, size=size, payload=payload))
     return BroadcastTranscript(messages=tuple(msgs))
@@ -397,8 +380,7 @@ def decode(
     `accessible_nodes` returns. Any missing piece raises DecodeError:
     decoding failure is a scheme bug, never expected.
     """
-    dv = ds.validate_demand(tuple(d))
-    want = dv.files[k - 1]
+    want = ds.validate_demand(d)[k - 1]
     held: dict = {}
     for node in accessible_nodes(inst, k):
         held.update(caches.get(node, {}))

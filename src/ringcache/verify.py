@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ringcache import converse as cv
-from ringcache.bounds import coded_gain_regime, gap_check, rstar_multiaccess, rstar_u
+from ringcache.bounds import (
+    coded_gain_regime,
+    corner_memories,
+    gap_check,
+    grid_points,
+    rstar_multiaccess,
+    rstar_u,
+)
 from ringcache.model import ProblemInstance, build_demand_structure, enumerate_demands
 from ringcache.schemes import (
     accessible_nodes,
@@ -32,14 +39,29 @@ SWEEP_A = (0, 1, 2, 3, 4)
 SWEEP_B = (1, 2, 3)
 
 TIGHTNESS_INSTANCES = ((2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1), (4, 1, 2))
+ROUNDTRIP_SEED = 20240915
+
+CRITERIA = {
+    1: "Scheme optimality",
+    2: "Running example (3,2,1)",
+    3: "LP converse tightness",
+    4: "Certificate verification",
+    5: "Order-optimality gap",
+    6: "Multiaccess optimality",
+    7: "Bit-exact round-trip",
+    8: "Loose-bound probe",
+}
 
 
 @dataclass
 class CriterionResult:
     number: int
-    name: str
     passed: bool
     detail: str
+
+    @property
+    def name(self) -> str:
+        return CRITERIA[self.number]
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -50,20 +72,10 @@ def sweep_instances() -> list:
     return [(K, a, b) for K in SWEEP_K for a in SWEEP_A for b in SWEEP_B]
 
 
-def _grid(lo: Fraction, hi: Fraction, n: int = 11) -> list:
-    step = (Fraction(hi) - Fraction(lo)) / (n - 1)
-    return [Fraction(lo) + j * step for j in range(n)]
-
-
-def memory_grid(K: int, a: int, b: int, n: int = 11) -> list:
-    """n rational grid points per regime segment of the optimal curve."""
-    if b * (K - 1) < 2 * a:
-        points = _grid(Fraction(0), Fraction(a + b), n) + _grid(
-            Fraction(a + b), Fraction(2 * a + b), n
-        )
-    else:
-        points = _grid(Fraction(0), Fraction(2 * a + b), n)
-    return sorted(set(points))
+def memory_grid(inst: ProblemInstance) -> list:
+    """11 rational grid points per segment between the optimal curve's corners."""
+    corners = corner_memories(inst)
+    return sorted({m for lo, hi in zip(corners, corners[1:]) for m in grid_points(lo, hi, 11)})
 
 
 def _structures(instances) -> list:
@@ -76,58 +88,33 @@ def _structures(instances) -> list:
 
 def criterion_1_achievability(instances=None) -> CriterionResult:
     """worst_case_load(make_scheme) equals rstar_u across the sweep grid."""
-    instances = instances or sweep_instances()
     checked = 0
-    for base, ds in _structures(instances):
-        for m in memory_grid(base.K, base.a, base.b):
+    for base, ds in _structures(instances or sweep_instances()):
+        for m in memory_grid(base):
             inst = base.with_m(m)
             ach = worst_case_load(inst, ds, make_scheme(inst, ds))
             want = rstar_u(inst)
             if ach != want:
-                return CriterionResult(
-                    1,
-                    "Scheme optimality",
-                    False,
-                    f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): load {ach} != {want}",
-                )
+                detail = f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): load {ach} != {want}"
+                return CriterionResult(1, False, detail)
             checked += 1
-    return CriterionResult(
-        1,
-        "Scheme optimality",
-        True,
-        f"worst-case load = R*_u at {checked} (instance, M) points",
-    )
+    return CriterionResult(1, True, f"worst-case load = R*_u at {checked} (instance, M) points")
 
 
 def criterion_2_example_reproduction() -> CriterionResult:
     """(3,2,1): R*_u = 5/2 - M/2 on [3,5] and the full-family LP hits 1 at M=3."""
     base = ProblemInstance(3, 2, 1)
     ds = build_demand_structure(base)
-    for m in _grid(Fraction(3), Fraction(5)):
+    for m in grid_points(3, 5, 11):
         want = Fraction(5, 2) - m / 2
         got = rstar_u(base.with_m(m))
         if got != want:
-            return CriterionResult(
-                2, "Running example (3,2,1)", False, f"R*_u({m}) = {got} != {want}"
-            )
+            return CriterionResult(2, False, f"R*_u({m}) = {got} != {want}")
     lp = cv.build_lp(base.with_m(Fraction(3)), ds, cv.full_family(ds))
     opt = cv.solve_lp(lp).value
     if opt != 1:
-        return CriterionResult(
-            2, "Running example (3,2,1)", False, f"LP optimum {opt} != 1 at M=3"
-        )
-    return CriterionResult(
-        2,
-        "Running example (3,2,1)",
-        True,
-        "R*_u = 5/2 - M/2 on [3,5]; full-family LP optimum = 1 at M=3",
-    )
-
-
-def corner_memories(K: int, a: int, b: int) -> list:
-    if b * (K - 1) < 2 * a:
-        return [Fraction(0), Fraction(a + b), Fraction(2 * a + b)]
-    return [Fraction(0), Fraction(2 * a + b)]
+        return CriterionResult(2, False, f"LP optimum {opt} != 1 at M=3")
+    return CriterionResult(2, True, "R*_u = 5/2 - M/2 on [3,5]; full-family LP optimum = 1 at M=3")
 
 
 def criterion_3_lp_tightness() -> CriterionResult:
@@ -135,30 +122,20 @@ def criterion_3_lp_tightness() -> CriterionResult:
     checked = 0
     for base, ds in _structures(TIGHTNESS_INSTANCES):
         reduced = cv.symmetrize(cv.build_lp(base, ds, cv.full_family(ds)))
-        for m in corner_memories(base.K, base.a, base.b):
+        for m in corner_memories(base):
             inst = base.with_m(m)
             opt = cv.solve_lp(reduced.with_m(m)).value
             want = rstar_u(inst)
             if opt != want:
-                return CriterionResult(
-                    3,
-                    "LP converse tightness",
-                    False,
-                    f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): LP {opt} != {want}",
-                )
+                detail = f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): LP {opt} != {want}"
+                return CriterionResult(3, False, detail)
             checked += 1
-    return CriterionResult(
-        3,
-        "LP converse tightness",
-        True,
-        f"LP optimum = R*_u at all {checked} corner points",
-    )
+    return CriterionResult(3, True, f"LP optimum = R*_u at all {checked} corner points")
 
 
 def criterion_4_certificates(instances=None) -> CriterionResult:
     """Certificates verify exactly on matching regimes and error otherwise."""
-    instances = instances or sweep_instances()
-    for base, ds in _structures(instances):
+    for base, ds in _structures(instances or sweep_instances()):
         inst = base.with_m(Fraction(1))
         coded = coded_gain_regime(inst)
         for regime, report in cv.certificate_reports(inst, ds).items():
@@ -168,58 +145,41 @@ def criterion_4_certificates(instances=None) -> CriterionResult:
             if (passed, raised) != (matching, not matching):
                 want = "pass" if matching else "mismatch error"
                 detail = f"({base.K},{base.a},{base.b}) {regime.value}: expected {want}"
-                return CriterionResult(4, "Certificate verification", False, detail)
+                return CriterionResult(4, False, detail)
     return CriterionResult(
-        4,
-        "Certificate verification",
-        True,
-        "matching regimes verified, mismatched regimes rejected, full sweep",
+        4, True, "matching regimes verified, mismatched regimes rejected, full sweep"
     )
 
 
 def criterion_5_gap(instances=None) -> CriterionResult:
     """Gap to the cut-set bound within 2 (even K) / 3 (odd K); exact at M=0."""
-    instances = instances or sweep_instances()
-    for K, a, b in instances:
-        inst = ProblemInstance(K, a, b)
-        report = gap_check(inst)
+    for K, a, b in instances or sweep_instances():
+        report = gap_check(ProblemInstance(K, a, b))
         if not report.passed:
-            return CriterionResult(
-                5, "Order-optimality gap", False, f"({K},{a},{b}): ratio {report.ratio}"
-            )
+            return CriterionResult(5, False, f"({K},{a},{b}): ratio {report.ratio}")
         want_zero = Fraction(2) if K % 2 == 0 else Fraction(2 * K, K - 1)
         if report.ratio_at_zero != want_zero:
-            return CriterionResult(
-                5,
-                "Order-optimality gap",
-                False,
-                f"({K},{a},{b}): ratio at M=0 is {report.ratio_at_zero}, want {want_zero}",
-            )
+            detail = f"({K},{a},{b}): ratio at M=0 is {report.ratio_at_zero}, want {want_zero}"
+            return CriterionResult(5, False, detail)
     return CriterionResult(
-        5,
-        "Order-optimality gap",
-        True,
-        "ratio <= 2 (even K) / 3 (odd K); equals 2 resp. 2K/(K-1) at M=0",
+        5, True, "ratio <= 2 (even K) / 3 (odd K); equals 2 resp. 2K/(K-1) at M=0"
     )
 
 
 def criterion_6_multiaccess(instances=None) -> CriterionResult:
     """Multiaccess: zero load at M=a+b for every L >= 2, L-independence,
     and the memory-sharing curve matching K - KM/(a+b) on the grid."""
-    instances = instances or sweep_instances()
-    for K, a, b in instances:
+    for K, a, b in instances or sweep_instances():
         for L in range(2, K + 1):
             inst = ProblemInstance(K, a, b, L, Fraction(a + b))
             ds = build_demand_structure(inst)
             scheme = make_scheme(inst, ds)
             if worst_case_load(inst, ds, scheme) != 0:
-                return CriterionResult(
-                    6, "Multiaccess optimality", False, f"({K},{a},{b},L={L}): load != 0"
-                )
+                return CriterionResult(6, False, f"({K},{a},{b},L={L}): load != 0")
         base2 = ProblemInstance(K, a, b, 2)
         ds = build_demand_structure(base2)
-        probe = next(iter(enumerate_demands(ds))).files
-        for m in _grid(Fraction(0), Fraction(a + b)):
+        probe = next(enumerate_demands(ds))
+        for m in grid_points(0, a + b, 11):
             schemes = [
                 make_scheme(ProblemInstance(K, a, b, L, m), ds) for L in range(2, K + 1)
             ]
@@ -230,26 +190,14 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
             # identical schemes send identical delivery plans, so the load
             # is L-free for every demand and one worst-case load covers all L
             if len({s.segments for s in schemes}) != 1 or len(transcripts) != 1:
-                return CriterionResult(
-                    6,
-                    "Multiaccess optimality",
-                    False,
-                    f"({K},{a},{b},M={m}): scheme or transcript varies with L",
-                )
+                detail = f"({K},{a},{b},M={m}): scheme or transcript varies with L"
+                return CriterionResult(6, False, detail)
             load = worst_case_load(base2.with_m(m), ds, schemes[0])
             want = rstar_multiaccess(ProblemInstance(K, a, b, 2, m))
             if load != want:
-                return CriterionResult(
-                    6,
-                    "Multiaccess optimality",
-                    False,
-                    f"({K},{a},{b},M={m}): load {load} want {want}",
-                )
+                return CriterionResult(6, False, f"({K},{a},{b},M={m}): load {load} want {want}")
     return CriterionResult(
-        6,
-        "Multiaccess optimality",
-        True,
-        "zero load at M=a+b for all demands and L; load grid matches K-KM/(a+b), L-free",
+        6, True, "zero load at M=a+b for all demands and L; load grid matches K-KM/(a+b), L-free"
     )
 
 
@@ -271,40 +219,29 @@ def _roundtrip_once(inst, ds, rng, demand=None) -> str | None:
     return None
 
 
-def criterion_7_roundtrip(instances=None, trials: int = 100, seed: int = 20240915) -> CriterionResult:
+def criterion_7_roundtrip(instances=None, trials: int = 100) -> CriterionResult:
     """Bit-exact decode round-trips: randomized everywhere, exhaustive K<=3."""
-    instances = instances or sweep_instances()
-    rng = random.Random(seed)
-    for K, a, b in instances:
+    rng = random.Random(ROUNDTRIP_SEED)
+    for K, a, b in instances or sweep_instances():
         base = ProblemInstance(K, a, b)
         ds = build_demand_structure(base)
-        grid = memory_grid(K, a, b)
+        grid = memory_grid(base)
         for _ in range(trials):
             m = rng.choice(grid)
             ell = 1 if rng.random() < 0.5 else rng.randrange(2, K + 1)
             inst = ProblemInstance(K, a, b, ell, m)
             err = _roundtrip_once(inst, ds, rng)
             if err:
-                return CriterionResult(
-                    7, "Bit-exact round-trip", False, f"({K},{a},{b},L={ell},M={m}): {err}"
-                )
+                return CriterionResult(7, False, f"({K},{a},{b},L={ell},M={m}): {err}")
         if K <= 3:
             for m in (Fraction(0), Fraction(a + b), Fraction(2 * a + b)):
                 inst = base.with_m(m)
                 for d in enumerate_demands(ds):
-                    err = _roundtrip_once(inst, ds, rng, demand=d.files)
+                    err = _roundtrip_once(inst, ds, rng, demand=d)
                     if err:
-                        return CriterionResult(
-                            7,
-                            "Bit-exact round-trip",
-                            False,
-                            f"exhaustive ({K},{a},{b},M={m}): {err}",
-                        )
+                        return CriterionResult(7, False, f"exhaustive ({K},{a},{b},M={m}): {err}")
     return CriterionResult(
-        7,
-        "Bit-exact round-trip",
-        True,
-        f"{trials} randomized trials per instance; exhaustive demand sweeps for K<=3",
+        7, True, f"{trials} randomized trials per instance; exhaustive demand sweeps for K<=3"
     )
 
 
@@ -312,16 +249,13 @@ def criterion_8_loose_bound() -> CriterionResult:
     """Loose-bound probe: sum_all_bound vs the paper-reported 54/95 and the LP."""
     inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
     ds = build_demand_structure(inst)
-    loose = cv.sum_all_bound(inst, ds)
-    opt = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds))).value
+    every = cv.full_family(ds, dedup=False)  # the average reads every row, the LP the distinct ones
+    loose = cv.sum_all_bound(inst, ds, every)
+    opt = cv.solve_lp(cv.build_lp(inst, ds, every.distinct())).value
     reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
-    return CriterionResult(
-        8,
-        "Loose-bound probe",
-        ok,
-        f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}",
-    )
+    detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"
+    return CriterionResult(8, ok, detail)
 
 
 def run_acceptance(instances=None, trials: int = 100) -> list:

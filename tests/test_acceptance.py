@@ -5,7 +5,35 @@ or in the captured output of a failure). All comparisons are exact
 rational equalities; nothing here is tuned or approximate.
 """
 
+from fractions import Fraction
+
 from ringcache import verify
+from ringcache.bounds import corner_memories
+from ringcache.model import ProblemInstance
+from test_bounds import battery_grid
+
+
+def battery_corners(K, a, b):
+    """The battery's ``corner_memories`` before it moved into bounds."""
+    if b * (K - 1) < 2 * a:
+        return [Fraction(0), Fraction(a + b), Fraction(2 * a + b)]
+    return [Fraction(0), Fraction(2 * a + b)]
+
+
+def battery_memory_grid(K, a, b):
+    """The battery's ``memory_grid`` before grid_points and corner_memories."""
+    if b * (K - 1) < 2 * a:
+        points = battery_grid(0, a + b) + battery_grid(a + b, 2 * a + b)
+    else:
+        points = battery_grid(0, 2 * a + b)
+    return sorted(set(points))
+
+
+def test_corners_and_memory_grid_match_the_battery_versions():
+    for K, a, b in verify.sweep_instances() + [(4, 1, 2), (4, 10, 2), (6, 1, 1)]:
+        inst = ProblemInstance(K, a, b)
+        assert corner_memories(inst) == battery_corners(K, a, b)
+        assert verify.memory_grid(inst) == battery_memory_grid(K, a, b)
 
 
 def _report(result):
@@ -43,3 +71,16 @@ def test_criterion_7_bit_exact_roundtrip():
 
 def test_criterion_8_loose_bound_probe():
     _report(verify.criterion_8_loose_bound())
+
+
+def test_criterion_8_builds_the_full_family_once(monkeypatch):
+    built = []
+    full_family = verify.cv.full_family
+
+    def counted(ds, dedup=True):
+        built.append(dedup)
+        return full_family(ds, dedup)
+
+    monkeypatch.setattr(verify.cv, "full_family", counted)
+    assert verify.criterion_8_loose_bound().passed
+    assert built == [False]  # the LP reads that family's distinct rows

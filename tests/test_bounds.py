@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ringcache.bounds import (
+    GapReport,
     cutset_bound,
     gap_check,
+    grid_points,
     rstar_multiaccess,
     rstar_u,
 )
@@ -94,6 +96,56 @@ class TestMultiaccess:
             assert rstar_multiaccess(inst(K, a, b, 2, M=m)) <= rstar_u(inst(K, a, b, M=m))
 
 
+def tradeoff_grid(lo, hi, steps):
+    """The evenly spaced grid ``tradeoff --m-steps`` built before grid_points."""
+    return [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
+
+
+def battery_grid(lo, hi, n=11):
+    """The acceptance battery's ``_grid`` before grid_points."""
+    step = (Fraction(hi) - Fraction(lo)) / (n - 1)
+    return [Fraction(lo) + j * step for j in range(n)]
+
+
+def gap_segment_grid(s_lo, s_hi, grid=11):
+    """gap_check's per-segment loop before grid_points."""
+    step = (s_hi - s_lo) / (grid - 1)
+    return [s_lo + j * step for j in range(grid)]
+
+
+def oracle_gap_check(inst, grid=11):
+    """gap_check with its own grid loop, as it was before grid_points."""
+    K = inst.K
+    bound = 2 if K % 2 == 0 else 3
+    lo, mid, hi = Fraction(0), Fraction(inst.a + inst.b), Fraction(inst.m_max)
+    points = {lo, mid, hi}
+    for s_lo, s_hi in ((lo, mid), (mid, hi)):
+        points.update(gap_segment_grid(s_lo, s_hi, grid))
+    worst = Fraction(0)
+    for m in sorted(points):
+        sub = inst.with_m(m)
+        cut = cutset_bound(sub)
+        if cut == 0:
+            continue
+        worst = max(worst, rstar_u(sub) / cut)
+    at_zero = rstar_u(inst.with_m(0)) / cutset_bound(inst.with_m(0))
+    return GapReport(ratio=worst, bound=bound, passed=worst <= bound, ratio_at_zero=at_zero)
+
+
+@pytest.mark.parametrize("lo,hi,n", [
+    (0, 5, 11), (3, 5, 11), (0, 11, 2), (Fraction(1, 3), Fraction(7, 2), 6),
+    (2, 2, 3), (0, 0, 11),  # lo == hi
+    (5, 1, 4), (Fraction(9, 2), 0, 11),  # lo > hi
+])
+def test_grid_points_match_the_grids_they_replaced(lo, hi, n):
+    got = grid_points(lo, hi, n)
+    assert got == battery_grid(lo, hi, n)
+    assert got == tradeoff_grid(Fraction(lo), Fraction(hi), n)
+    assert got == gap_segment_grid(Fraction(lo), Fraction(hi), n)
+    assert all(type(m) is Fraction for m in got)
+    assert (len(got), got[0], got[-1]) == (n, lo, hi)
+
+
 class TestGapCheck:
     def test_even_K_exact_two_at_zero(self):
         report = gap_check(inst(4, 4, 2))
@@ -111,3 +163,4 @@ class TestGapCheck:
         report = gap_check(inst(K, a, b))
         assert report.passed
         assert report.ratio <= report.bound
+        assert report == oracle_gap_check(inst(K, a, b))

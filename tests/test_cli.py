@@ -293,6 +293,16 @@ class TestVerify:
         doc = json.loads(path.read_text())
         assert [entry["criterion"] for entry in doc] == list(range(1, 9))
 
+    def test_config_instance_runs_one_instance(self, capsys, tmp_path):
+        cfg = tmp_path / "k2a1b1.json"
+        cfg.write_text(json.dumps({"K": 2, "a": 1, "b": 1}))
+        code, out, err = run(capsys, ["verify", "--config", str(cfg), "--trials", "1"])
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "[criterion 1] PASS - Scheme optimality: worst-case load = R*_u at 21 (instance, M) points\n"
+        )
+        assert run(capsys, ["verify", *INSTANCE, "--trials", "1"]) == (0, out, "")
+
     def test_battery_text_is_pinned(self, capsys, tmp_path):
         path = tmp_path / "summary.json"
         code, out, err = run(capsys, [*BATTERY_321, "--json", str(path)])
@@ -363,6 +373,17 @@ class TestConfig:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize("command", [["gap"], ["simulate", "--M", "3"], ["verify"]])
+    @pytest.mark.parametrize("field,value", [
+        ("K", 3.7), ("b", 1.9), ("a", 2.0), ("L", 1.5), ("K", True), ("L", False), ("a", "2.5"),
+    ])
+    def test_non_integer_field_is_usage_error(self, capsys, tmp_path, command, field, value):
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"K": 3, "a": 2, "b": 1, field: value}))
+        code, out, err = run(capsys, [*command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {field} must be an integer, got {value!r}\n"
+
 
 INSTANCE = ["--K", "2", "--a", "1", "--b", "1"]
 UNWRITABLE = "{tmp}/no-such-dir/file"
@@ -393,6 +414,9 @@ REFUSED_BEFORE_THE_WORK = [
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "-6"],
         ["simulate", *INSTANCE, "--M", "1", "--file-size", "0"],
         ["verify", *INSTANCE, "--trials", "-5"],
+        ["verify", *INSTANCE, "--L", "2", "--trials", "1"],  # the battery sets L and M itself
+        ["verify", *INSTANCE, "--M", "7", "--trials", "1"],
+        ["verify", *INSTANCE, "--L", "2", "--M", "7", "--trials", "1"],
         *REFUSED_BEFORE_THE_WORK,
     ],
 )

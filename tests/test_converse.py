@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ringcache import converse as cv
-from ringcache.bounds import coded_gain_regime, rstar_u
+from ringcache.bounds import coded_gain_regime, corner_memories, rstar_u
 from ringcache.model import (
     BudgetExceededError,
     DemandError,
@@ -21,7 +21,7 @@ from ringcache.model import (
     nodes_of,
 )
 from ringcache.schemes import make_scheme, worst_case_load
-from ringcache.verify import corner_memories
+from test_schemes import scheme_placement
 
 
 def setup(K, a, b, L=1, M=0):
@@ -50,14 +50,20 @@ def expanded(ds, rows):
     return [expand(ds.inst.K, row) for row in rows]
 
 
+def distinct_demands(ds):
+    """The demand vectors with pairwise-distinct files, in lexicographic order."""
+    return [d for d in enumerate_demands(ds) if len(set(d)) == len(d)]
+
+
 def genie_inequality(ds, d, u, full_masks=False):
     """The genie row for demand vector d decoded in permutation order u: the
     row of a block with one choice and one template."""
     K = ds.inst.K
-    d, u = tuple(getattr(d, "files", d)), tuple(u)
+    u = tuple(u)
     if sorted(u) != list(range(1, K + 1)):
         raise DemandError(f"u={u} is not a permutation of [1..{K}]")
-    if not ds.validate_demand(d).distinct:
+    d = ds.validate_demand(d)
+    if len(set(d)) != K:
         raise DemandError("genie rows need pairwise-distinct demands")
     block = cv.Block(tuple(range(1, K + 1)), tuple((f,) for f in d), (cv._order_masks(K, u),),
                      full_masks)
@@ -128,8 +134,8 @@ def key_full_family(ds):
     templates = [key_masks(K, u, True) for u in permutations(range(1, K + 1))]
     memo = KeyMemo()
     return [
-        key_row(d.files, masks, memo)
-        for d in enumerate_demands(ds, distinct_only=True)
+        key_row(d, masks, memo)
+        for d in distinct_demands(ds)
         for masks in templates
     ]
 
@@ -137,10 +143,10 @@ def key_full_family(ds):
 def oracle_genie_row(ds, d, u, full_masks):
     """The per-row ``genie_inequality`` the mask templates replaced (key tuples)."""
     K = ds.inst.K
-    d, u = tuple(getattr(d, "files", d)), tuple(u)
+    u = tuple(u)
     if sorted(u) != list(range(1, K + 1)):
         raise DemandError(f"u={u} is not a permutation of [1..{K}]")
-    ds.validate_demand(d)
+    d = ds.validate_demand(d)
     if len(set(d)) != K:
         raise DemandError("genie rows need pairwise-distinct demands")
     keys = []
@@ -163,7 +169,7 @@ def oracle_full_family(ds):
     K = ds.inst.K
     return [
         oracle_genie_row(ds, d, u, full_masks=True)
-        for d in enumerate_demands(ds, distinct_only=True)
+        for d in distinct_demands(ds)
         for u in permutations(range(1, K + 1))
     ]
 
@@ -417,12 +423,12 @@ class TestGenieInequality:
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1)])
     def test_matches_subset_reference(self, K, a, b):
         _, ds = setup(K, a, b)
-        for d in enumerate_demands(ds, distinct_only=True):
+        for d in distinct_demands(ds):
             for u in permutations(range(1, K + 1)):
                 for full in (False, True):
-                    want = reference_genie_row(K, d.files, u, full)
+                    want = reference_genie_row(K, d, u, full)
                     assert expand(K, genie_inequality(ds, d, u, full)) == want
-                    assert want == key_row(d.files, key_masks(K, u, full), KeyMemo())
+                    assert want == key_row(d, key_masks(K, u, full), KeyMemo())
 
 
 class TestFullFamily:
@@ -440,7 +446,7 @@ class TestFullFamily:
         deduped = cv.full_family(ds, dedup=True)
         every = {
             genie_inequality(ds, d, u, full_masks=True)
-            for d in enumerate_demands(ds, distinct_only=True)
+            for d in distinct_demands(ds)
             for u in permutations(range(1, 4))
         }
         assert list(deduped) == sorted(every)
@@ -508,7 +514,7 @@ class TestFamiliesMatchPerRowOracles:
             assert expanded(ds, cv.full_family(ds, dedup=False)) == want
             assert expanded(ds, [
                 genie_inequality(ds, d, u, full_masks=True)
-                for d in enumerate_demands(ds, distinct_only=True)
+                for d in distinct_demands(ds)
                 for u in permutations(range(1, K + 1))
             ]) == want
             # equal key sets have equal links, so dedup on links is dedup on key sets
@@ -550,9 +556,9 @@ class TestSoundness:
             m = Fraction(j * (2 * a + b), 4)
             inst = base.with_m(m)
             scheme = make_scheme(inst, ds)
-            placement = scheme.placement(inst, ds)
+            placement = scheme_placement(inst, ds, scheme)
             load = worst_case_load(inst, ds, scheme)
-            sums = cv._point_sums(cv.build_lp(inst, ds, ()), placement.sizes)
+            sums = cv._point_sums(cv.build_lp(inst, ds, ()), placement)
             for row in rows:
                 assert cv.row_value(row, sums) <= load
 
@@ -733,7 +739,7 @@ class TestSymmetrize:
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_full_group_matches_cyclic_oracle_and_direct_route(self, K, a, b, mode):
         base, ds = setup(K, a, b)
-        corners = corner_memories(K, a, b)
+        corners = corner_memories(base)
         grid = corners + [(lo + hi) / 2 for lo, hi in zip(corners, corners[1:])]
         for name, rows in every_family(ds):
             lp = cv.build_lp(base, ds, rows, mode)
@@ -858,7 +864,8 @@ class TestBlockClosure:
             assert sorted(phi) == sorted(phi.values()) == files, name
             assert {frozenset(map(phi.__getitem__, p)) for p in parts} == parts, name
             for k in range(1, K + 1):  # region k's demand set onto region sigma(k)'s
-                assert set(map(phi.__getitem__, ds.demand_set(k))) == ds.demand_set(sigma[k - 1])
+                image = set(map(phi.__getitem__, ds.demand_sets[k - 1]))
+                assert image == ds.demand_sets[sigma[k - 1] - 1]
 
     @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
     def test_same_verdict_as_the_row_check(self, K, a, b, regime):

@@ -56,36 +56,36 @@ class TestBuildDemandStructure:
     def test_paper_running_example(self):
         # K=3, a=2, b=1: the nine files split into three overlapping sets.
         _, ds = structure(3, 2, 1)
-        assert set(ds.demand_set(1)) == {1, 2, 3, 4, 5}
-        assert set(ds.demand_set(2)) == {4, 5, 6, 7, 8}
-        assert set(ds.demand_set(3)) == {7, 8, 9, 1, 2}
+        assert set(ds.demand_sets[0]) == {1, 2, 3, 4, 5}
+        assert set(ds.demand_sets[1]) == {4, 5, 6, 7, 8}
+        assert set(ds.demand_sets[2]) == {7, 8, 9, 1, 2}
         assert ds.class1 == {1, 2, 4, 5, 7, 8}
         assert ds.class2 == {3, 6, 9}
-        assert ds.d1(1) == (1, 2) and ds.d2(1) == (3,) and ds.d3(1) == (4, 5)
+        assert ds.part1[0] == (1, 2) and ds.part2[0] == (3,) and ds.part3[0] == (4, 5)
 
     def test_four_regions_unit_overlap(self):
         _, ds = structure(4, 1, 1)
-        assert set(ds.demand_set(1)) == {1, 2, 3}
-        assert set(ds.demand_set(2)) == {3, 4, 5}
-        assert set(ds.demand_set(3)) == {5, 6, 7}
-        assert set(ds.demand_set(4)) == {7, 8, 1}
+        assert set(ds.demand_sets[0]) == {1, 2, 3}
+        assert set(ds.demand_sets[1]) == {3, 4, 5}
+        assert set(ds.demand_sets[2]) == {5, 6, 7}
+        assert set(ds.demand_sets[3]) == {7, 8, 1}
 
     def test_no_overlap_when_a_is_zero(self):
         _, ds = structure(2, 0, 2)
-        assert set(ds.demand_set(1)) == {1, 2}
-        assert set(ds.demand_set(2)) == {3, 4}
-        assert ds.demand_set(1).isdisjoint(ds.demand_set(2))
+        assert set(ds.demand_sets[0]) == {1, 2}
+        assert set(ds.demand_sets[1]) == {3, 4}
+        assert ds.demand_sets[0].isdisjoint(ds.demand_sets[1])
         assert ds.class1 == frozenset()
 
     def test_two_regions_share_both_sides(self):
         # For K=2 the left and right neighbour coincide; the interval
         # formula still yields disjoint parts of the stated sizes.
         _, ds = structure(2, 1, 1)
-        assert set(ds.demand_set(1)) == {1, 2, 3}
-        assert set(ds.demand_set(2)) == {1, 3, 4}
-        assert ds.d3(1) == (3,) == ds.d1(2)
-        assert ds.d3(2) == (1,) == ds.d1(1)
-        assert ds.demand_set(1) & ds.demand_set(2) == {1, 3}
+        assert set(ds.demand_sets[0]) == {1, 2, 3}
+        assert set(ds.demand_sets[1]) == {1, 3, 4}
+        assert ds.part3[0] == (3,) == ds.part1[1]
+        assert ds.part3[1] == (1,) == ds.part1[0]
+        assert ds.demand_sets[0] & ds.demand_sets[1] == {1, 3}
 
     def test_rejects_single_region(self):
         with pytest.raises(InvalidInstanceError):
@@ -101,14 +101,14 @@ class TestBuildDemandStructure:
         n = K * (a + b)
         union = set()
         for k in range(1, K + 1):
-            assert len(ds.demand_set(k)) == 2 * a + b
-            assert len(ds.d1(k)) == len(ds.d3(k)) == a
-            assert len(ds.d2(k)) == b
-            assert set(ds.d3(k)) == set(ds.d1(cyclic_mod(k + 1, K)))
-            union |= ds.demand_set(k)
+            assert len(ds.demand_sets[k - 1]) == 2 * a + b
+            assert len(ds.part1[k - 1]) == len(ds.part3[k - 1]) == a
+            assert len(ds.part2[k - 1]) == b
+            assert set(ds.part3[k - 1]) == set(ds.part1[cyclic_mod(k + 1, K) - 1])
+            union |= ds.demand_sets[k - 1]
             if K >= 3:
                 right = cyclic_mod(k + 1, K)
-                assert len(ds.demand_set(k) & ds.demand_set(right)) == a
+                assert len(ds.demand_sets[k - 1] & ds.demand_sets[right - 1]) == a
         assert union == set(range(1, n + 1))
         assert not ds.class1 & ds.class2
         assert len(ds.class1) == a * K and len(ds.class2) == b * K
@@ -165,6 +165,15 @@ class TestProblemInstance:
         doc = inst.to_json_dict()
         assert doc == {"K": 4, "a": 1, "b": 2, "L": 2, "M": "5/2"}
         assert ProblemInstance.from_json_dict(doc) == inst
+        strings = {"K": "4", "a": " 1", "b": "2", "L": "2", "M": 2.5}
+        assert ProblemInstance.from_json_dict(strings) == inst
+
+    @pytest.mark.parametrize("field", ["K", "a", "b", "L"])
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, "1.5", None, [3]])
+    def test_json_refuses_a_non_integer(self, field, value):
+        doc = {"K": 3, "a": 2, "b": 1, "L": 1, field: value}
+        with pytest.raises(InvalidInstanceError, match=f"^{field} must be an integer, got "):
+            ProblemInstance.from_json_dict(doc)
 
 
 def oracle_count_distinct(demand_sets):
@@ -187,30 +196,30 @@ class TestEnumerateDemands:
         )
         assert oracle == 95
         _, ds = structure(3, 2, 1)
-        assert sum(1 for _ in enumerate_demands(ds, distinct_only=True)) == oracle
+        assert sum(1 for d in enumerate_demands(ds) if len(set(d)) == len(d)) == oracle
 
     def test_distinct_count_two_regions(self):
         # D1={1,2,3}, D2={1,3,4} share files 1 and 3, so 9 - 2 = 7 remain.
         oracle = oracle_count_distinct([{1, 2, 3}, {1, 3, 4}])
         assert oracle == 7
         _, ds = structure(2, 1, 1)
-        assert sum(1 for _ in enumerate_demands(ds, distinct_only=True)) == oracle
+        assert sum(1 for d in enumerate_demands(ds) if len(set(d)) == len(d)) == oracle
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1)])
-    def test_power_law_and_flags(self, K, a, b):
+    def test_power_law_and_order(self, K, a, b):
         _, ds = structure(K, a, b)
         seen = list(enumerate_demands(ds))
         assert len(seen) == (2 * a + b) ** K
-        assert seen == sorted(seen, key=lambda v: v.files)
-        for v in seen:
-            assert v.distinct == (len(set(v.files)) == K)
-            for k, f in enumerate(v.files, start=1):
-                assert f in ds.demand_set(k)
+        assert seen == sorted(seen)
+        for d in seen:
+            assert type(d) is tuple
+            for k, f in enumerate(d, start=1):
+                assert f in ds.demand_sets[k - 1]
 
     def test_validate_demand(self):
         _, ds = structure(3, 2, 1)
-        assert ds.validate_demand((1, 6, 7)).distinct
-        assert not ds.validate_demand((4, 4, 9)).distinct
+        assert ds.validate_demand((1, 6, 7)) == (1, 6, 7)
+        assert ds.validate_demand([4, 4, 9]) == (4, 4, 9)  # repeats are admissible
         with pytest.raises(DemandError):
             ds.validate_demand((9, 6, 7))
         with pytest.raises(DemandError):

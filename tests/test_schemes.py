@@ -42,15 +42,26 @@ def setup(K, a, b, L=1, M=0):
     return inst, build_demand_structure(inst)
 
 
+def scheme_placement(inst, ds, scheme):
+    """(file, node mask) -> fraction of the file cached exactly there: the
+    per-segment placements, each scaled by its segment's fraction."""
+    sizes = {}
+    for seg in scheme.segments:
+        for i in range(1, inst.N + 1):
+            for mask, frac in seg.kind.placement(inst, ds, i):
+                sizes[i, mask] = sizes.get((i, mask), Fraction(0)) + seg.fraction * frac
+    return sizes
+
+
 def kind_placement(kind, inst, ds):
     """The placement of a scheme made of one segment of this kind."""
-    return SchemeSpec(segments=(Segment(Fraction(1), kind),)).placement(inst, ds)
+    return scheme_placement(inst, ds, SchemeSpec(segments=(Segment(Fraction(1), kind),)))
 
 
 def validate_placement(placement, inst):
     """Exact partition, memory and non-negativity checks of a placement."""
     totals = {i: Fraction(0) for i in range(1, inst.N + 1)}
-    for (i, mask), v in placement.sizes.items():
+    for (i, mask), v in placement.items():
         assert v >= 0, f"negative fraction for file {i}, mask {mask}"
         assert 0 <= mask < (1 << inst.K), f"mask {mask} outside [0, 2^K)"
         totals[i] += v
@@ -63,12 +74,12 @@ def validate_placement(placement, inst):
 
 def node_usage(placement, k):
     """The fraction of the library node k caches under the placement."""
-    return sum((v for (_, m), v in placement.sizes.items() if m >> (k - 1) & 1), Fraction(0))
+    return sum((v for (_, m), v in placement.items() if m >> (k - 1) & 1), Fraction(0))
 
 
 def memory_used(inst, ds, scheme):
     """The largest cache any node fills under the scheme's placement."""
-    placement = scheme.placement(inst, ds)
+    placement = scheme_placement(inst, ds, scheme)
     return max(node_usage(placement, k) for k in range(1, inst.K + 1))
 
 
@@ -76,8 +87,8 @@ class TestPlacements:
     def test_local_full_shared_file_lives_at_both_neighbours(self):
         inst, ds = setup(3, 2, 1, M=5)
         placement = kind_placement(SegmentKind.LOCAL_FULL, inst, ds)
-        assert placement.sizes.get((4, 0b011), 0) == 1  # nodes {1, 2}
-        assert placement.sizes.get((3, 0b001), 0) == 1  # unique file, one home
+        assert placement.get((4, 0b011), 0) == 1  # nodes {1, 2}
+        assert placement.get((3, 0b001), 0) == 1  # unique file, one home
         validate_placement(placement, inst)
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2), (5, 3, 2), (3, 0, 2)])
@@ -90,7 +101,7 @@ class TestPlacements:
     def test_man_t1_equal_split(self):
         inst, ds = setup(3, 2, 1, M=3)
         placement = kind_placement(SegmentKind.MAN_T1, inst, ds)
-        assert placement.sizes.get((5, 0b010), 0) == Fraction(1, 3)
+        assert placement.get((5, 0b010), 0) == Fraction(1, 3)
         for k in range(1, 4):
             assert node_usage(placement, k) == 3  # a+b = N/K
         validate_placement(placement, inst)
@@ -104,7 +115,7 @@ class TestPlacements:
     def test_multiaccess_unique_home(self):
         inst, ds = setup(4, 1, 1, 2, M=2)
         placement = kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
-        assert placement.sizes.get((3, 0b0010), 0) == 1  # file 3 cached only at node 2
+        assert placement.get((3, 0b0010), 0) == 1  # file 3 cached only at node 2
         for k in range(1, 5):
             assert node_usage(placement, k) == 2
         validate_placement(placement, inst)
@@ -112,8 +123,8 @@ class TestPlacements:
     def test_multiaccess_partitions_library(self):
         inst, ds = setup(3, 2, 1, 2, M=3)
         placement = kind_placement(SegmentKind.MULTIACCESS_LOCAL, inst, ds)
-        assert len(placement.sizes) == inst.N
-        assert all(v == 1 for v in placement.sizes.values())
+        assert len(placement) == inst.N
+        assert all(v == 1 for v in placement.values())
 
     def test_multiaccess_rejects_single_access(self):
         inst, ds = setup(3, 2, 1, 1, M=3)
@@ -161,7 +172,7 @@ class TestMakeScheme:
             assert memory_used(inst, ds, scheme) <= inst.M
             if L == 1:
                 assert memory_used(inst, ds, scheme) == inst.M
-            validate_placement(scheme.placement(inst, ds), inst)
+            validate_placement(scheme_placement(inst, ds, scheme), inst)
 
     def test_rejects_m_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
@@ -260,14 +271,12 @@ class TestBitExact:
         library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(inst.N)]
         caches = fill_caches(inst, ds, scheme, library)
         for d in enumerate_demands(ds):
-            transcript = deliver_bits(inst, ds, scheme, d.files, library)
-            assert transcript.total_bits == 8 * size_b * deliver(
-                inst, ds, scheme, d.files
-            ).total_size
+            transcript = deliver_bits(inst, ds, scheme, d, library)
+            assert transcript.total_bits == 8 * size_b * deliver(inst, ds, scheme, d).total_size
             for k in range(1, K + 1):
                 reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
-                got = decode(inst, ds, scheme, d.files, k, reachable, transcript)
-                assert got == library[d.files[k - 1] - 1]
+                got = decode(inst, ds, scheme, d, k, reachable, transcript)
+                assert got == library[d[k - 1] - 1]
 
     @pytest.mark.parametrize(
         "K,a,b,L,M",
@@ -285,7 +294,7 @@ class TestBitExact:
         size_b = 2 * min_file_size(inst, scheme)
         library = [bytes([i]) * size_b for i in range(inst.N)]
         caches = fill_caches(inst, ds, scheme, library)
-        placement = scheme.placement(inst, ds)
+        placement = scheme_placement(inst, ds, scheme)
         for k in range(1, K + 1):
             stored = sum(len(data) for data in caches[k].values())
             assert stored == size_b * node_usage(placement, k)
@@ -437,7 +446,7 @@ class TestWorstCase:
         # symbolic delivery of every demand vector must give that same load.
         inst, ds = setup(K, a, b, L, M)
         scheme = make_scheme(inst, ds)
-        loads = {deliver(inst, ds, scheme, d.files).total_size for d in enumerate_demands(ds)}
+        loads = {deliver(inst, ds, scheme, d).total_size for d in enumerate_demands(ds)}
         assert loads == {worst_case_load(inst, ds, scheme)}
 
     @pytest.mark.parametrize("L", [2, 3, 4])
