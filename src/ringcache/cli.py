@@ -104,8 +104,10 @@ def _add_instance_flags(p: argparse.ArgumentParser, last: str = "M") -> None:
         p.add_argument("--M", type=_fraction, help='cache size, rational like "5/2"')
 
 
-def _load_instance(args) -> ProblemInstance:
-    """The instance from the flags given, then the --config document, then L=1 and M=0."""
+def _load_instance(args, refused=()) -> ProblemInstance:
+    """The instance from the flags given, then the --config document, then L=1
+    and M=0. A document field named in ``refused`` is an error once the
+    fields pass their checks."""
     doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -120,7 +122,11 @@ def _load_instance(args) -> ProblemInstance:
     missing = [key for key in ("K", "a", "b") if merged.get(key) is None]
     if missing:
         raise InvalidInstanceError(f"missing instance parameters: {', '.join(missing)}")
-    return ProblemInstance.from_json_dict(merged)
+    inst = ProblemInstance.from_json_dict(merged)
+    for key in refused:
+        if key in doc:
+            raise InvalidInstanceError(f"--config field {key} is not used by {args.command}")
+    return inst
 
 
 def _render(value, d: int | None) -> str:
@@ -301,7 +307,7 @@ def cmd_gap(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.config or args.K is not None or args.a is not None or args.b is not None:
-        inst = _load_instance(args)
+        inst = _load_instance(args, refused=("L", "M"))
         instances = [(inst.K, inst.a, inst.b)]
     else:
         instances = None

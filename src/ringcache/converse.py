@@ -98,8 +98,11 @@ def _link_keys(K: int) -> _Memo:
 
     def keys(link):
         file, top = link >> K + 1, link >> 1 & ~(-1 << K)
-        subs = (m for m in range(top + 1) if m & top == m)
-        return tuple([(file, m) for m in subs if link & 1 or m & (m - 1) == 0])
+        if link & 1:
+            subs = [m for m in range(top + 1) if m & top == m]
+        else:  # the empty mask and top's bits, without scanning every mask below top
+            subs = [0, *(1 << j for j in range(K) if top >> j & 1)]
+        return tuple([(file, m) for m in subs])
 
     return _Memo(keys)
 
@@ -164,13 +167,18 @@ class Family(tuple):
         return Family(dedup_rows(self), self.blocks)
 
 
-def _block_rows(ds: DemandStructure, block: Block) -> list:
-    """The block's rows: choices in ``product`` order, each under every
-    template. Pools inside their users' demand sets make every choice an
-    admissible demand vector, so they are checked once."""
+def _check_pools(ds: DemandStructure, block: Block) -> None:
+    """Pools inside their users' demand sets make every choice an admissible
+    demand vector, so they are checked once per block."""
     for uk, pool in enumerate(block.pools, 1):
         if not ds.demand_sets[uk - 1].issuperset(pool):
             raise DemandError(f"a pool is not demandable in region {uk}")
+
+
+def _block_rows(ds: DemandStructure, block: Block) -> list:
+    """The block's rows: choices in ``product`` order, each under every
+    template."""
+    _check_pools(ds, block)
     pools = [block.pools[uk - 1] for uk in block.users]
     n_all = prod(map(len, pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
@@ -213,7 +221,13 @@ def _chain_permutations(K: int, k: int) -> tuple:
 
 
 def selected_family(ds: DemandStructure, regime: Regime) -> Family:
-    """The hand-picked non-redundant rows backing one regime's certificate.
+    """The hand-picked non-redundant rows backing one regime's certificate,
+    from the blocks of ``_selected_blocks``."""
+    return _family(ds, _selected_blocks(ds, regime))
+
+
+def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
+    """The blocks of one regime's selected family.
 
     HIGH_M: per anchor k, both ring orderings, the first K-1 users demand
     from their shared part along the ordering's direction and the last
@@ -244,7 +258,7 @@ def selected_family(ds: DemandStructure, regime: Regime) -> Family:
                 blocks.append(Block(perm, tuple(pools), (_order_masks(K, perm),), False))
     if any(len(set(chain.from_iterable(bl.pools))) != sum(map(len, bl.pools)) for bl in blocks):
         raise DemandError("genie rows need pairwise-distinct demands")
-    return _family(ds, blocks)
+    return blocks
 
 
 @dataclass
@@ -299,14 +313,14 @@ def build_lp(
     K, N = inst.K, inst.N
     var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
     partition = tuple(
-        ({(i, m): Fraction(1) for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
+        ({(i, m): 1 for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
     )
     rhs = _memory_rhs(inst, memory_mode)
     if memory_mode == AGGREGATE:
-        memory = (({(i, m): Fraction(m.bit_count()) for i, m in var_keys if m}, rhs),)
+        memory = (({(i, m): m.bit_count() for i, m in var_keys if m}, rhs),)
     else:
         bits = [1 << k for k in range(K)]
-        memory = tuple(({(i, m): Fraction(1) for i, m in var_keys if m & j}, rhs) for j in bits)
+        memory = tuple(({(i, m): 1 for i, m in var_keys if m & j}, rhs) for j in bits)
     return LinearProgram(
         inst=inst,
         ds=ds,
@@ -345,7 +359,7 @@ def _solve_subset(lp: LinearProgram, genie_subset):
         coeffs[r_col] = -1
         cons.append(exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=Fraction(0)))
     cons += _structural_constraints(lp, col)
-    sol = exactlp.solve({r_col: Fraction(1)}, cons, n_vars=r_col + 1)
+    sol = exactlp.solve({r_col: 1}, cons, n_vars=r_col + 1)
     assignment = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
     return sol.value, assignment
 
@@ -540,9 +554,9 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     def project(coeffs) -> tuple:
         counts: Counter = Counter()
-        for key, c in coeffs.items():  # build_lp's coefficients are whole numbers
-            counts[index[pos[key]]] += c.numerator
-        return tuple((names[j], Fraction(n)) for j, n in sorted(counts.items()))
+        for key, c in coeffs.items():
+            counts[index[pos[key]]] += c
+        return tuple((names[j], n) for j, n in sorted(counts.items()))
 
     # A link's projection is the sorted orbit positions of its keys, named
     # by an id; rows with equal id multisets project alike, so each such
@@ -582,6 +596,24 @@ def average_rows(K: int, rows) -> dict:
     for link, n in Counter(chain.from_iterable(rows)).items():
         total.update(dict.fromkeys(link_keys[link], n))
     return {key: Fraction(v, len(rows)) for key, v in total.items()}
+
+
+def _block_average(ds: DemandStructure, blocks) -> dict:
+    """``average_rows`` of ``_family(ds, blocks)``, counted without building a
+    row. Each block's pools must be pairwise disjoint: then every choice is
+    admissible, so under each template a file of user u's pool occurs in
+    prod(|other pools|) rows."""
+    K = ds.inst.K
+    link_keys, total, n_rows = _link_keys(K), Counter(), 0
+    for block in blocks:
+        _check_pools(ds, block)
+        sizes = [len(pool) for pool in block.pools]
+        n_rows += prod(sizes) * len(block.tops)
+        for uk, pool in enumerate(block.pools, 1):
+            times = prod(sizes[: uk - 1] + sizes[uk:])
+            for f, tops in product(pool, block.tops):
+                total.update(dict.fromkeys(link_keys[_link(K, f, tops[uk - 1], block.full)], times))
+    return {key: Fraction(v, n_rows) for key, v in total.items() if v}
 
 
 def _aggregate_map(ds: DemandStructure, c1_empty, c2_empty, c1_single) -> dict:
@@ -634,8 +666,9 @@ class CertificateReport:
 
 def certificate_reports(inst: ProblemInstance, ds: DemandStructure) -> dict:
     """Regime -> its CertificateReport, or the error refusing it; each
-    selected family is built and averaged at most once."""
-    averages, out = _Memo(lambda regime: average_rows(inst.K, selected_family(ds, regime))), {}
+    selected family's average is counted from its blocks at most once, and
+    no row is built."""
+    averages, out = _Memo(lambda regime: _block_average(ds, _selected_blocks(ds, regime))), {}
     for regime in Regime:
         try:
             out[regime] = certificate_report(inst, ds, regime, averages)
@@ -657,7 +690,8 @@ def certificate_report(
     coefficient is non-negative, and the resulting bound is the regime's
     straight line. A regime whose parameter condition fails raises
     RegimeMismatchError. ``averages`` maps a regime to the average of
-    its selected family.
+    its selected family, as ``certificate_reports`` counts it from the
+    family's blocks.
     """
     K, a, b = inst.K, inst.a, inst.b
     aK, bK = Fraction(a * K), Fraction(b * K)
@@ -711,17 +745,26 @@ def certificate_report(
     weights_ok = all(0 <= v <= 1 for v in weights.values())
     aggregate_matches = _maps_equal(agg, expected_agg)
     mu1, mu2, mum = mu
+    # The selected rows are weakened, so agg is zero on masks of two bits or
+    # more; there a residual depends only on the file's class and popcount.
+    narrow = (0, *(1 << j for j in range(K)))
+    wide = [m for m in range(1 << K) if m & (m - 1)]
     residuals: dict = {}
     ok_residuals = True
-    for i in range(1, inst.N + 1):
-        mu_class = mu1 if i in ds.class1 else mu2
-        for m in range(1 << K):
-            combo = mu_class - mum * m.bit_count()
-            r = agg.get((i, m), Fraction(0)) - combo
-            if r:
-                residuals[(i, m)] = r
-            if r < 0:
-                ok_residuals = False
+    for files, mu_class in ((ds.class1, mu1), (ds.class2, mu2)):
+        combos = [mu_class - mum * p for p in range(K + 1)]
+        masks = [m for m in wide if combos[m.bit_count()]]
+        values = [-combos[m.bit_count()] for m in masks]
+        if files and any(c > 0 for c in combos[2:]):
+            ok_residuals = False
+        for i in files:
+            for m in narrow:
+                r = agg.get((i, m), 0) - combos[m.bit_count()]
+                if r:
+                    residuals[(i, m)] = r
+                if r < 0:
+                    ok_residuals = False
+            residuals.update(zip(zip(repeat(i), masks), values))
     bound_const = mu1 * aK + mu2 * bK
     bound_m = -mum * K
     ok = (

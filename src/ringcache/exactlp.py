@@ -5,11 +5,12 @@ The tableau holds Python ints over one shared denominator D > 0. A pivot
 at (r, c) with p = a_rc sets every other entry to
 (a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
 identity (E. H. Bareiss, Math. Comp. 1968), and then D = p; the pivot row
-is negated first when p < 0, so D stays positive. The rhs column is scaled
-once by the lcm of its denominators and the cost by the lcm of its, and a
-constraint with a fractional coefficient is multiplied through by the lcm
-of its denominators before its slack is added; the optimum value and
-point are returned as `fractions.Fraction`s.
+is negated first when p < 0, so D stays positive. Coefficients may be
+ints or `fractions.Fraction`s; an int enters the tableau as it is. The rhs
+column is scaled once by the lcm of its denominators and the cost by the
+lcm of its, and a constraint with a fractional coefficient is multiplied
+through by the lcm of its denominators before its slack is added; the
+optimum value and point are returned as `fractions.Fraction`s.
 
 The pivot rule is Dantzig's (most negative reduced cost, lowest column
 index on ties) with an automatic switch to Bland's rule after a run of
@@ -176,7 +177,7 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
         for j, v in con.coeffs.items():
             if not 0 <= j < n_vars:
                 raise ValueError(f"variable index {j} out of range")
-            coeffs[j] = Fraction(v)
+            coeffs[j] = v if isinstance(v, int) else Fraction(v)
         scale = lcm(*(v.denominator for v in coeffs.values()))  # makes the row integral
         rhs = con.rhs * scale
         sense = con.sense
@@ -186,7 +187,7 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
             sense = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[sense]
         dense = [0] * (n_vars + n_slack)
         for j, v in coeffs.items():
-            dense[j] = int(v * scale)
+            dense[j] = v.numerator * (scale // v.denominator)
         if sense != EQUAL:
             col = first_slack + slack_seen
             dense[col] = 1 if sense == LESS_EQ else -1
@@ -241,11 +242,11 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
         tab.basis = [tab.basis[r] for r in keep]
 
     allowed = [True] * first_art + [False] * (n_cols - first_art)
-    cost = [_ZERO] * n_cols
+    cost = [0] * n_cols
     for j, v in objective.items():
         if not 0 <= j < n_vars:
             raise ValueError(f"objective index {j} out of range")
-        cost[j] += Fraction(v)
+        cost[j] += v if isinstance(v, int) else Fraction(v)
     value = tab.solve(cost, allowed)
 
     x = [_ZERO] * n_vars

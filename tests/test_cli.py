@@ -247,6 +247,19 @@ class TestLpCommand:
         text = lp_path.read_text()
         assert text.startswith("min R\n")
 
+    @pytest.mark.parametrize("instance", [
+        ["--K", "3", "--a", "2", "--b", "1", "--M", "3"],
+        ["--K", "4", "--a", "1", "--b", "2", "--M", "2"],
+        ["--K", "5", "--a", "3", "--b", "1", "--M", "4", "--family", "high_m"],
+    ])
+    def test_counted_certificates_print_the_row_built_bytes(self, capsys, monkeypatch, instance):
+        argv = ["lp", *instance, "--certificates"]
+        got = run(capsys, argv)
+        monkeypatch.setattr(cv, "_block_average",
+                            lambda ds, blocks: cv.average_rows(ds.inst.K, cv._family(ds, blocks)))
+        assert run(capsys, argv) == got
+        assert got[0] == 0 and got[2] == ""
+
     def test_full_family_at_k6(self, capsys):
         code, out, err = run(capsys, ["lp", "--K", "6", "--a", "1", "--b", "1", "--M", "2"])
         assert (code, err) == (0, "")
@@ -302,6 +315,15 @@ class TestVerify:
             "[criterion 1] PASS - Scheme optimality: worst-case load = R*_u at 21 (instance, M) points\n"
         )
         assert run(capsys, ["verify", *INSTANCE, "--trials", "1"]) == (0, out, "")
+
+    @pytest.mark.parametrize("field,value", [("L", 2), ("M", "7"), ("L", 1), ("M", "0")])
+    def test_config_with_l_or_m_is_usage_error(self, capsys, tmp_path, field, value):
+        # the battery sets L and M itself, as for --L and --M
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"K": 2, "a": 1, "b": 1, field: value}))
+        code, out, err = run(capsys, ["verify", "--config", str(cfg), "--trials", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --config field {field} is not used by verify\n"
 
     def test_battery_text_is_pinned(self, capsys, tmp_path):
         path = tmp_path / "summary.json"

@@ -83,6 +83,45 @@ def certificate_check(inst, ds, regime):
     return certificate(inst, ds, regime).ok
 
 
+def counted_average(ds, regime):
+    """The average the certificates use: counted from the selected blocks."""
+    return cv._block_average(ds, cv._selected_blocks(ds, regime))
+
+
+def row_built_average(ds, blocks):
+    """The counted average's oracle: every row of the blocks built and averaged."""
+    return cv.average_rows(ds.inst.K, cv._family(ds, blocks))
+
+
+def oracle_residuals(inst, ds, agg, mu):
+    """The per-key residual loop the per-class one replaced."""
+    mu1, mu2, mum = mu
+    out = {}
+    for i in range(1, inst.N + 1):
+        mu_class = mu1 if i in ds.class1 else mu2
+        for m in range(1 << inst.K):
+            r = agg.get((i, m), Fraction(0)) - (mu_class - mum * m.bit_count())
+            if r:
+                out[(i, m)] = r
+    return out
+
+
+def outcome(fn):
+    """fn(), or the type and text of the family error it raised."""
+    try:
+        return fn()
+    except (cv.FamilyError, DemandError) as exc:
+        return type(exc), str(exc)
+
+
+def report_outcomes(inst, ds):
+    """Regime -> its certificate report, or the type and text of its refusal."""
+    return {
+        regime: (type(report), str(report)) if isinstance(report, Exception) else report
+        for regime, report in cv.certificate_reports(inst, ds).items()
+    }
+
+
 def shift_mask(K, mask):
     """A node mask rotated by one region: node k's bit to node k+1's."""
     return (mask << 1 | mask >> (K - 1)) & ((1 << K) - 1)
@@ -540,6 +579,8 @@ class TestFamiliesMatchPerRowOracles:
                 oracle_selected_family(bad, regime)
             with pytest.raises(DemandError):
                 cv.selected_family(bad, regime)
+            with pytest.raises(DemandError):
+                counted_average(bad, regime)
 
 
 class TestSoundness:
@@ -663,6 +704,14 @@ class TestSymmetrize:
         assert sorted(k for orbit in sym.orbit_members.values() for k in orbit) == sorted(
             sym.raw.var_keys
         )
+
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_structural_coefficients_are_ints(self, mode):
+        inst, ds = setup(3, 2, 1, M=3)
+        lp = cv.build_lp(inst, ds, family_for(ds), mode)
+        for program in (lp, cv.symmetrize(lp)):
+            rows = program.partition_rows + program.memory_rows
+            assert {type(c) for coeffs, _ in rows for c in coeffs.values()} == {int}
 
     @pytest.mark.parametrize("K,a,b,M", [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 3)])
     def test_preserves_optimum(self, K, a, b, M):
@@ -973,6 +1022,71 @@ class TestCertificates:
             else:
                 with pytest.raises(cv.RegimeMismatchError):
                     certificate_check(inst, ds, regime)
+
+
+class TestCountedCertificates:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_counted_average_equals_the_row_average(self, K, a, b):
+        _, ds = setup(K, a, b)
+        for regime in cv.Regime:
+            want = outcome(lambda: cv.average_rows(K, cv.selected_family(ds, regime)))
+            assert outcome(lambda: counted_average(ds, regime)) == want
+
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2),
+                                       (5, 3, 1)])
+    def test_reports_build_no_row(self, K, a, b, monkeypatch):
+        inst, ds = setup(K, a, b, M=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(cv, "_block_average", row_built_average)
+            want = report_outcomes(inst, ds)
+
+        def no_rows(*_args):
+            raise AssertionError("a certificate built a row")
+
+        monkeypatch.setattr(cv, "_block_rows", no_rows)
+        assert report_outcomes(inst, ds) == want
+
+    @pytest.mark.parametrize("K,a,b", [(3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2), (5, 3, 1),
+                                       (6, 3, 1)])
+    def test_residuals_match_the_per_key_loop(self, K, a, b):
+        inst, ds = setup(K, a, b)
+        averages = cv._Memo(lambda regime: counted_average(ds, regime))
+        halved = cv._Memo(lambda regime: {k: v / 2 for k, v in averages[regime].items()})
+        checked = Counter()
+        for regime, avg in product(cv.Regime, (averages, halved)):
+            try:
+                report = cv.certificate_report(inst, ds, regime, avg)
+            except (cv.RegimeMismatchError, cv.FamilyError):
+                continue
+            agg = avg[regime]
+            if report.weights.get("mix"):
+                agg = cv._mix_maps(report.weights["mix"], avg[cv.Regime.HIGH_M], agg)
+            want = oracle_residuals(inst, ds, agg, report.multipliers)
+            assert report.residuals == want
+            residuals_ok = min(want.values(), default=0) >= 0
+            assert report.ok == (residuals_ok and report.aggregate_matches)
+            checked[residuals_ok] += 1
+        assert checked[True] and checked[False]
+
+    @pytest.mark.parametrize("K", range(6, 13))
+    def test_paper_regimes_hold_up_to_k12(self, K):
+        # With the achievable side, which reaches its closed form at every
+        # corner (criterion 1), these certificates prove R*_u at these instances.
+        memories = {cv.Regime.LOW_M: slice(0, 2), cv.Regime.HIGH_M: slice(1, 3),
+                    cv.Regime.LARGE_B: slice(0, 2)}
+        for a, b in ((K // 2, 1), (1, 2)):
+            inst, ds = setup(K, a, b)
+            coded = coded_gain_regime(inst)
+            for regime, report in cv.certificate_reports(inst, ds).items():
+                if (regime is not cv.Regime.LARGE_B) != coded:
+                    assert isinstance(report, cv.RegimeMismatchError), regime
+                    continue
+                assert report.ok, regime
+                for M in corner_memories(inst)[memories[regime]]:
+                    line = report.bound_const + report.bound_m_coeff * M
+                    assert line == rstar_u(inst.with_m(M)), (regime, M)
 
 
 class TestSumAllBound:

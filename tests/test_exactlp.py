@@ -295,6 +295,20 @@ class TestAgainstFractionTableau:
             kinds.add(got if isinstance(got, type) else "optimal")
         assert kinds == {"optimal", exactlp.InfeasibleError, exactlp.UnboundedError}
 
+    def test_int_and_fraction_coefficients_solve_alike(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            cost, cons, n = random_program(rng)
+            cost = {j: int(6 * v) for j, v in cost.items()}  # every cost denominator divides 6
+            as_fractions = [
+                C({j: Fraction(v) for j, v in con.coeffs.items()}, con.sense, con.rhs)
+                for con in cons
+            ]
+            assert all(type(v) is int for con in cons for v in con.coeffs.values())
+            ints = outcome(exactlp.solve, cost, cons, n)
+            fraction_cost = {j: Fraction(v) for j, v in cost.items()}
+            assert outcome(exactlp.solve, fraction_cost, as_fractions, n) == ints, (cost, cons)
+
     def test_random_fractional_programs_match_in_value(self):
         rng = random.Random(7)
         for _ in range(200):
