@@ -153,7 +153,7 @@ def _require_single_access(inst: ProblemInstance) -> None:
 
 
 def cmd_tradeoff(args) -> int:
-    inst = _load_instance(args)
+    inst = _load_instance(args, refused=("M",))
     if args.m_grid:
         grid = args.m_grid
     else:
@@ -292,7 +292,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    inst = _load_instance(args)
+    inst = _load_instance(args, refused=("M",))
     report = gap_check(inst)
     payload = {
         "instance": inst.to_json_dict(),

@@ -21,12 +21,12 @@ users not yet consumed (``_order_masks``), or, in the weakened per-regime
 rows, over the empty mask and the singletons of ``top``. A raw row is the
 sorted tuple of its K links, one int per user holding file, ``top`` and
 rule (``_link``), and denotes the disjoint union of their key sets; only
-the raw text export and the direct solve route expand it (``_expand``),
-taking rows in expanded key order. A symmetrised row is the sorted tuple
-of its keys' orbit names, so its coefficients are multiplicities; such
-rows are sorted by their (key, multiplicity) pairs (``_row_order``), the
-constraint order the simplex pivots through. On an expanded raw row,
-whose keys are distinct, that order is plain tuple order.
+the raw text export expands it (``_expand``), printing rows in expanded
+key order. A symmetrised row is the sorted tuple of its keys' orbit
+names, so its coefficients are multiplicities; such rows are sorted by
+their (key, multiplicity) pairs (``_row_order``), the constraint order
+the simplex pivots through. On an expanded raw row, whose keys are
+distinct, that order is plain tuple order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, permutations, product, repeat
-from math import lcm, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from ringcache import exactlp
@@ -206,9 +206,13 @@ def dedup_rows(rows) -> list:
 def full_family(ds: DemandStructure, dedup: bool = True) -> Family:
     """One full-rule genie row per (distinct-demand vector, permutation) pair,
     from one block: the K! order templates over the demand sets. Undeduplicated,
-    rows come vector by vector, orders in ``permutations`` order."""
-    users = tuple(range(1, ds.inst.K + 1))
-    orders = tuple(_order_masks(ds.inst.K, u) for u in permutations(users))
+    rows come vector by vector, orders in ``permutations`` order. With at least
+    one distinct-demand vector there are K! rows or more, refused first."""
+    K = ds.inst.K
+    if factorial(K) > FAMILY_BUDGET:
+        raise BudgetExceededError(f"{K}! decoding orders exceed the row budget {FAMILY_BUDGET}")
+    users = tuple(range(1, K + 1))
+    orders = tuple(_order_masks(K, u) for u in permutations(users))
     family = _family(ds, [Block(users, ds.demands, orders, True)])
     return family.distinct() if dedup else family
 
@@ -351,11 +355,9 @@ def _structural_constraints(lp: LinearProgram, col: dict) -> list:
 def _solve_subset(lp: LinearProgram, genie_subset):
     col = {key: j for j, key in enumerate(lp.var_keys)}
     r_col = len(lp.var_keys)
-    raw = lp.orbit_members is None
-    link_keys = _link_keys(lp.inst.K)
     cons = []
     for row in genie_subset:
-        coeffs = {col[k]: c for k, c in _row_order(_expand(link_keys, row) if raw else row)}
+        coeffs = {col[k]: c for k, c in _row_order(row)}
         coeffs[r_col] = -1
         cons.append(exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=Fraction(0)))
     cons += _structural_constraints(lp, col)
@@ -364,55 +366,36 @@ def _solve_subset(lp: LinearProgram, genie_subset):
     return sol.value, assignment
 
 
-def solve_lp(lp: LinearProgram, use_symmetry: bool | None = None) -> LpOutcome:
-    """Exact optimum of min R, with the witness checked against every row.
-
-    Raw programs whose genie family is closed under the ring's full
-    symmetry group are solved through their orbit collapse: restricting to
-    invariant placements preserves the optimum (group-averaging a feasible
-    point is feasible and keeps R). A program ``symmetrize`` returned,
-    possibly moved to another M by ``with_m``, is solved the same way
-    without collapsing again. Either way the expanded witness is verified
-    exactly against every raw row and the raw structural rows. Pass
-    ``use_symmetry=False`` to force the direct route on a raw program;
-    non-closed families fall back to it. Large families are handled by
-    row generation either way.
-    """
-    if lp.orbit_members is None and use_symmetry is not False:
-        try:
-            lp = symmetrize(lp)
-        except FamilyError:
-            if use_symmetry:
-                raise
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum of min R, solved on the orbits of the ring's full symmetry
+    group: group-averaging a feasible point keeps it feasible and keeps R. A
+    raw program is collapsed by ``symmetrize``, which raises FamilyError on a
+    family it does not close; a program it returned, perhaps moved by
+    ``with_m``, is solved as it is. The expanded witness is checked exactly
+    against every raw row and the raw structural rows."""
+    if lp.orbit_members is None:
+        lp = symmetrize(lp)
     value, assignment = _solve_iterative(lp)
-    if lp.orbit_members is not None:
-        assignment = {
-            member: val
-            for rep, val in assignment.items()
-            if val
-            for member in lp.orbit_members[rep]
-        }
-        lp = lp.raw
-        if not _witness_ok(lp, value, assignment):
-            raise exactlp.LpError("expanded symmetric witness fails a raw row")
+    assignment = {
+        member: val for rep, val in assignment.items() if val for member in lp.orbit_members[rep]
+    }
+    lp = lp.raw
+    if not _witness_ok(lp, value, assignment):
+        raise exactlp.LpError("expanded symmetric witness fails a raw row")
     _verify_structural(lp, assignment)
     return LpOutcome(value=value, assignment=assignment)
 
 
 def _solve_iterative(lp: LinearProgram):
-    """Row generation over the genie family; returns (value, assignment).
-
-    Rows go in ``_row_order``, which on raw rows is expanded key order.
-    """
-    rows = list(lp.genie_rows)
-    if lp.orbit_members is None:
-        rows.sort(key=partial(_expand, _link_keys(lp.inst.K)))
+    """Row generation over a symmetrised program's genie rows, which come in
+    ``_row_order``; returns (value, assignment)."""
+    rows = lp.genie_rows
     if len(rows) <= _ROWGEN_THRESHOLD:
         value, assignment = _solve_subset(lp, rows)
         if rows and not _witness_ok(lp, value, assignment):
             raise exactlp.LpError("witness fails a row it was solved under")
         return value, assignment
-    active = rows[:_ROWGEN_SEED]
+    active = list(rows[:_ROWGEN_SEED])
     active_set = set(active)
     while True:
         value, assignment = _solve_subset(lp, active)
@@ -802,17 +785,16 @@ def _maps_equal(x: dict, y: dict) -> bool:
     return all(x.get(k, Fraction(0)) == y.get(k, Fraction(0)) for k in keys)
 
 
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, rows=None) -> Fraction:
+def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, rows) -> Fraction:
     """The loose bound from averaging the whole family into a single row.
 
-    All full-mask genie rows (``full_family(ds, dedup=False)``, built
-    unless passed as ``rows``) are summed with multiplicity and normalised;
-    the bound is the minimum of that one averaged expression over
-    placements satisfying the per-file partition and the aggregate memory
-    budget. Aggregation can only weaken the LP, so this never exceeds the
-    family's LP optimum.
+    The full-mask genie rows ``rows`` (``full_family(ds, dedup=False)``)
+    are summed with multiplicity and normalised; the bound is the minimum
+    of that one averaged expression over placements satisfying the
+    per-file partition and the aggregate memory budget. Aggregation can
+    only weaken the LP, so this never exceeds the family's LP optimum.
     """
-    avg = average_rows(ds.inst.K, full_family(ds, dedup=False) if rows is None else rows)
+    avg = average_rows(ds.inst.K, rows)
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}

@@ -274,6 +274,16 @@ class TestLpCommand:
         assert [(r[0], r[2], r[-1]) for r in rows] == [("0", "6", "6"), ("2", "2", "2"),
                                                         ("3", "0", "0")]
 
+    def test_orders_past_the_budget_exit_3(self, capsys, monkeypatch):
+        def no_template(*_args):
+            raise AssertionError("an order template was built")
+
+        monkeypatch.setattr(cv, "_order_masks", no_template)  # 12! templates would not fit
+        code, out, err = run(capsys, ["lp", "--K", "12", "--a", "6", "--b", "1", "--M", "1",
+                                      "--certificates"])
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: 12! decoding orders exceed the row budget 1000000\n"
+
     def test_selected_family_flag(self, capsys):
         code, out, _ = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1",
                                     "--M", "5", "--family", "high_m"])
@@ -405,6 +415,16 @@ class TestConfig:
         code, out, err = run(capsys, [*command, "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert err == f"error: {field} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", [["tradeoff", "--m-grid", "0,1"], ["gap"]])
+    @pytest.mark.parametrize("value", ["99", "1"])
+    def test_config_m_is_usage_error_where_unused(self, capsys, tmp_path, command, value):
+        # tradeoff takes its memories from the grid, gap from [0, 2a+b]
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"K": 3, "a": 2, "b": 1, "M": value}))
+        code, out, err = run(capsys, [*command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --config field M is not used by {command[0]}\n"
 
 
 INSTANCE = ["--K", "2", "--a", "1", "--b", "1"]

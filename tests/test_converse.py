@@ -1,5 +1,6 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
+import inspect
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -48,6 +49,16 @@ def expand(K, row):
 
 def expanded(ds, rows):
     return [expand(ds.inst.K, row) for row in rows]
+
+
+def direct_solve(lp):
+    """The direct route, the orbit route's oracle: lp solved as its collapse
+    under the trivial group, one orbit per key and the expanded key rows in
+    sorted order, through the same row generation and the same witness
+    check against every raw row."""
+    trivial = replace(lp, genie_rows=tuple(sorted(expanded(lp.ds, lp.genie_rows))),
+                      orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
+    return cv.solve_lp(trivial)
 
 
 def distinct_demands(ds):
@@ -504,6 +515,16 @@ class TestFullFamily:
         with pytest.raises(BudgetExceededError, match="exceed the row budget 1000000"):
             cv.full_family(ds)
 
+    def test_orders_past_the_budget_are_refused_before_any_template(self, monkeypatch):
+        def no_template(*_args):
+            raise AssertionError("an order template was built")
+
+        _, ds = setup(5, 1, 1)
+        monkeypatch.setattr(cv, "FAMILY_BUDGET", 100)  # 5! = 120 orders
+        monkeypatch.setattr(cv, "_order_masks", no_template)
+        with pytest.raises(BudgetExceededError, match="5! decoding orders exceed the row budget"):
+            cv.full_family(ds)
+
 
 class TestSelectedFamily:
     def test_high_m_reproduces_first_selection(self):
@@ -717,7 +738,7 @@ class TestSymmetrize:
     def test_preserves_optimum(self, K, a, b, M):
         inst, ds = setup(K, a, b, M=M)
         lp = cv.build_lp(inst, ds, family_for(ds))
-        raw = cv.solve_lp(lp, use_symmetry=False)
+        raw = direct_solve(lp)
         orbit = cv.solve_lp(cv.symmetrize(lp))
         assert raw.value == orbit.value
 
@@ -726,6 +747,19 @@ class TestSymmetrize:
         lone = [genie_inequality(ds, (1, 6, 7), (1, 3, 2))]
         with pytest.raises(cv.FamilyError):
             cv.symmetrize(cv.build_lp(inst, ds, lone))
+
+    def test_unclosed_family_is_refused_not_solved(self):
+        inst, ds = setup(3, 2, 1, M=3)
+        lp = cv.build_lp(inst, ds, [genie_inequality(ds, (1, 6, 7), (1, 3, 2))])
+        with pytest.raises(cv.FamilyError):
+            cv.solve_lp(lp)
+        # The row covers files 1, 6 and 7 on the empty mask and some
+        # singletons: at M = 3 all three fit outside it, at M = 0 none does.
+        assert direct_solve(lp).value == 0
+        assert direct_solve(lp.with_m(0)).value == 3
+
+    def test_solve_lp_has_one_route(self):
+        assert list(inspect.signature(cv.solve_lp).parameters) == ["lp"]
 
     def test_rejects_family_closed_under_the_shift_only(self):
         # The leftward chains of HIGH_M: the shift maps them onto each
@@ -770,7 +804,7 @@ class TestSymmetrize:
         for regime in cv.Regime:
             lp = cv.build_lp(inst, ds, cv.selected_family(ds, regime))
             sym = cv.symmetrize(lp)
-            assert cv.solve_lp(sym).value == cv.solve_lp(lp, use_symmetry=False).value
+            assert cv.solve_lp(sym).value == direct_solve(lp).value
 
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_with_m_equals_a_fresh_build(self, mode):
@@ -800,7 +834,7 @@ class TestSymmetrize:
                 want = cv.solve_lp(cyclic.with_m(m)).value
                 assert cv.solve_lp(full.with_m(m)).value == want, (name, m)
                 if direct:
-                    assert cv.solve_lp(lp.with_m(m), use_symmetry=False).value == want
+                    assert direct_solve(lp.with_m(m)).value == want
 
 
 def oracle_family(ds, regime):
@@ -1092,21 +1126,21 @@ class TestCountedCertificates:
 class TestSumAllBound:
     def test_reproduces_papers_loose_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == Fraction(54, 95)
 
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
-        loose = cv.sum_all_bound(inst, ds)
+        loose = cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False))
         opt = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert cv.sum_all_bound(inst, ds) == 0
+        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == 0
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
-        assert cv.sum_all_bound(inst, ds) == 2
+        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == 2
 
 
 class TestLpExport:

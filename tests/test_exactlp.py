@@ -9,6 +9,7 @@ from ringcache import converse as cv
 from ringcache import exactlp
 from ringcache.exactlp import EQUAL, GREATER_EQ, LESS_EQ, Constraint
 from ringcache.model import ProblemInstance, build_demand_structure
+from test_converse import direct_solve
 
 
 def C(coeffs, sense, rhs):
@@ -348,7 +349,8 @@ class TestAgainstFractionTableau:
 
     def test_converse_programs_match_exactly(self, monkeypatch):
         # The programs solve_lp builds at (3,2,1), M = 3: the full family
-        # through its orbit collapse, a selected family on both routes.
+        # through its orbit collapse, a selected family through it and
+        # through the direct route.
         calls = []
         original = exactlp.solve
 
@@ -362,8 +364,8 @@ class TestAgainstFractionTableau:
         inst = ProblemInstance(K=3, a=2, b=1, M=Fraction(3))
         ds = build_demand_structure(inst)
         full = cv.build_lp(inst, ds, cv.full_family(ds), cv.PER_NODE)
-        assert cv.solve_lp(full, use_symmetry=True).value == 1
+        assert cv.solve_lp(full).value == 1
         high = cv.build_lp(inst, ds, cv.selected_family(ds, cv.Regime.HIGH_M))
-        for use_symmetry in (True, False):
-            assert cv.solve_lp(high, use_symmetry=use_symmetry).value == 1
+        for solve in (cv.solve_lp, direct_solve):
+            assert solve(high).value == 1
         assert len(calls) >= 3 and all(calls)
