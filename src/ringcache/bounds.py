@@ -10,8 +10,8 @@ delivery stops helping and only the outer corners remain.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ringcache.model import InvalidInstanceError, ProblemInstance
 
@@ -24,15 +24,13 @@ class PointLabel(enum.Enum):
     LP = "lp"
 
 
-@dataclass(frozen=True)
 class TradeoffPoint:
-    M: Fraction
-    R: Fraction
-    label: PointLabel
+    __slots__ = ("M", "R", "label")
 
-    def __post_init__(self) -> None:
-        if self.R < 0:
+    def __init__(self, M: Fraction, R: Fraction, label: PointLabel) -> None:
+        if R < 0:
             raise ValueError("load must be non-negative")
+        self.M, self.R, self.label = M, R, label
 
 
 def coded_gain_regime(inst: ProblemInstance) -> bool:
@@ -98,8 +96,7 @@ def closed_form_points(inst: ProblemInstance, grid) -> list:
     return points
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     ratio: Fraction
     bound: int
     passed: bool

@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, permutations, product, repeat
@@ -175,19 +174,27 @@ def _check_pools(ds: DemandStructure, block: Block) -> None:
             raise DemandError(f"a pool is not demandable in region {uk}")
 
 
-def _block_rows(ds: DemandStructure, block: Block) -> list:
-    """The block's rows: choices in ``product`` order, each under every
-    template."""
+def _choices(ds: DemandStructure, block: Block) -> list:
+    """The block's pairwise-distinct choices, in ``product`` order."""
     _check_pools(ds, block)
     pools = [block.pools[uk - 1] for uk in block.users]
     n_all = prod(map(len, pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
         raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}")
     disjoint = len(set(chain.from_iterable(pools))) == sum(map(len, pools))  # no choice repeats
-    choices = [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
-    n_rows = len(choices) * len(block.tops)
+    return [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
+
+
+def _check_rows(n_rows: int) -> None:
     if n_rows > FAMILY_BUDGET:
         raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
+
+
+def _block_rows(ds: DemandStructure, block: Block) -> list:
+    """The block's rows: choices in ``product`` order, each under every
+    template."""
+    choices = _choices(ds, block)
+    _check_rows(len(choices) * len(block.tops))
     K = ds.inst.K
     tables = _Memo(lambda p: {f: _link(K, f, p[1], block.full) for f in ds.demand_sets[p[0] - 1]})
     templates = [[tables[uk, tops[uk - 1]] for uk in block.users] for tops in block.tops]
@@ -207,11 +214,13 @@ def full_family(ds: DemandStructure, dedup: bool = True) -> Family:
     """One full-rule genie row per (distinct-demand vector, permutation) pair,
     from one block: the K! order templates over the demand sets. Undeduplicated,
     rows come vector by vector, orders in ``permutations`` order. With at least
-    one distinct-demand vector there are K! rows or more, refused first."""
+    one distinct-demand vector there are K! rows or more, refused first; then
+    the rows are counted, and refused, before any order is listed."""
     K = ds.inst.K
     if factorial(K) > FAMILY_BUDGET:
         raise BudgetExceededError(f"{K}! decoding orders exceed the row budget {FAMILY_BUDGET}")
     users = tuple(range(1, K + 1))
+    _check_rows(len(_choices(ds, Block(users, ds.demands, (), True))) * factorial(K))
     orders = tuple(_order_masks(K, u) for u in permutations(users))
     family = _family(ds, [Block(users, ds.demands, orders, True)])
     return family.distinct() if dedup else family
@@ -265,8 +274,7 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
     return blocks
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """min R subject to genie rows, per-file partition and memory rows.
 
     A symmetrised program names its orbits in ``orbit_members`` and keeps
@@ -280,9 +288,9 @@ class LinearProgram:
     partition_rows: tuple  # (coeffs, rhs) equalities
     memory_rows: tuple  # (coeffs, rhs) upper bounds
     memory_mode: str = AGGREGATE
-    orbit_members: dict | None = field(default=None, repr=False)
-    raw: LinearProgram | None = field(default=None, repr=False)
-    blocks: tuple = field(default=(), repr=False)  # a raw program's Family's
+    orbit_members: dict | None = None
+    raw: LinearProgram | None = None
+    blocks: tuple = ()  # a raw program's Family's
 
     @property
     def n_rows(self) -> int:
@@ -292,8 +300,7 @@ class LinearProgram:
         """The same program at cache size M; only the memory bounds move."""
         inst = self.inst.with_m(M)
         rhs = _memory_rhs(inst, self.memory_mode)
-        return replace(
-            self,
+        return self._replace(
             inst=inst,
             memory_rows=tuple((coeffs, rhs) for coeffs, _ in self.memory_rows),
             raw=None if self.raw is None else self.raw.with_m(M),
@@ -337,8 +344,7 @@ def build_lp(
     )
 
 
-@dataclass
-class LpOutcome:
+class LpOutcome(NamedTuple):
     value: Fraction
     assignment: dict
 
@@ -613,8 +619,7 @@ def _aggregate_map(ds: DemandStructure, c1_empty, c2_empty, c1_single) -> dict:
     return out
 
 
-@dataclass
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Everything the weighted-sum certificate of one regime consists of."""
 
     regime: Regime

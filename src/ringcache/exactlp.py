@@ -22,9 +22,9 @@ the one a `Fraction` tableau takes. Fully deterministic for a fixed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 _ZERO = Fraction(0)
 
@@ -47,22 +47,18 @@ class UnboundedError(LpError):
     pass
 
 
-@dataclass
 class Constraint:
     """Sparse row: sum(coeffs[j] * x_j) <sense> rhs."""
 
-    coeffs: dict
-    sense: str
-    rhs: Fraction
+    __slots__ = ("coeffs", "sense", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
-        self.rhs = Fraction(self.rhs)
+    def __init__(self, coeffs: dict, sense: str, rhs) -> None:
+        if sense not in _SENSES:
+            raise ValueError(f"unknown sense {sense!r}")
+        self.coeffs, self.sense, self.rhs = coeffs, sense, Fraction(rhs)
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     value: Fraction
     x: list
 

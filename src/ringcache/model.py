@@ -9,11 +9,10 @@ K-bit masks with bit j-1 standing for node j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class InvalidInstanceError(ValueError):
@@ -56,7 +55,6 @@ def nodes_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
     """The (K, a, b, L, M) tuple every operation is parameterised on.
 
@@ -64,25 +62,33 @@ class ProblemInstance:
     larger is clamped to 2a+b because the load is already 0 there.
     """
 
-    K: int
-    a: int
-    b: int
-    L: int = 1
-    M: Fraction = Fraction(0)
+    __slots__ = ("K", "a", "b", "L", "M")
 
-    def __post_init__(self) -> None:
-        if self.K < 2:
-            raise InvalidInstanceError(f"K must be >= 2, got {self.K}")
-        if self.a < 0 or self.b < 0:
+    def __init__(self, K: int, a: int, b: int, L: int = 1, M=Fraction(0)) -> None:
+        if K < 2:
+            raise InvalidInstanceError(f"K must be >= 2, got {K}")
+        if a < 0 or b < 0:
             raise InvalidInstanceError("a and b must be non-negative")
-        if self.a + self.b < 1:
+        if a + b < 1:
             raise InvalidInstanceError("need a + b >= 1")
-        if not 1 <= self.L <= self.K:
-            raise InvalidInstanceError(f"L must lie in [1, K]={self.K}, got {self.L}")
-        m = Fraction(self.M)
+        if not 1 <= L <= K:
+            raise InvalidInstanceError(f"L must lie in [1, K]={K}, got {L}")
+        m = Fraction(M)
         if m < 0:
             raise InvalidInstanceError(f"cache size M must be non-negative, got {m}")
-        object.__setattr__(self, "M", min(m, Fraction(self.m_max)))
+        self.K, self.a, self.b, self.L, self.M = K, a, b, L, min(m, Fraction(2 * a + b))
+
+    def _key(self) -> tuple:
+        return self.K, self.a, self.b, self.L, self.M
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ProblemInstance else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ProblemInstance(K=%r, a=%r, b=%r, L=%r, M=%r)" % self._key()
 
     @property
     def N(self) -> int:
@@ -125,8 +131,7 @@ def _json_int(doc: dict, key: str, default=None) -> int:
     raise InvalidInstanceError(f"{key} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DemandStructure:
+class DemandStructure(NamedTuple):
     """Per-region demand sets and their three cyclic parts.
 
     ``part1[k-1]`` holds the `a` files region k shares with its left
@@ -141,18 +146,19 @@ class DemandStructure:
     part2: tuple[tuple[int, ...], ...]
     part3: tuple[tuple[int, ...], ...]
     demands: tuple[tuple[int, ...], ...]
-    demand_sets: tuple[frozenset, ...] = field(repr=False)
+    demand_sets: tuple[frozenset, ...]
     class1: frozenset
     class2: frozenset
-    _home: dict = field(repr=False, compare=False)
 
     def home_region(self, i: int) -> int:
-        """The unique region k with i in D1[k] or D2[k]."""
-        return self._home[i]
+        """The unique region k with i in D1[k] or D2[k]: files (k-1)(a+b)+1..k(a+b)."""
+        if not 1 <= i <= self.inst.N:
+            raise KeyError(i)
+        return (i - 1) // (self.inst.a + self.inst.b) + 1
 
     def demand_regions(self, i: int) -> tuple[int, ...]:
         """Sorted regions whose users may demand file i (1 or 2 of them)."""
-        home = self._home[i]
+        home = self.home_region(i)
         if i in self.class2:
             return (home,)
         left = cyclic_mod(home - 1, self.inst.K)
@@ -185,7 +191,6 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
     """
     K, a, b, N = inst.K, inst.a, inst.b, inst.N
     part1, part2, part3, demands, demand_sets = [], [], [], [], []
-    home: dict[int, int] = {}
     for k in range(1, K + 1):
         d1 = tuple((k - 1) * (a + b) + j for j in range(1, a + 1))
         d2 = tuple(k * a + (k - 1) * b + j for j in range(1, b + 1))
@@ -196,8 +201,6 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
         full = sorted(set(d1) | set(d2) | set(d3))
         demands.append(tuple(full))
         demand_sets.append(frozenset(full))
-        for i in d1 + d2:
-            home[i] = k
 
     class1 = frozenset(i for p in part1 for i in p)
     class2 = frozenset(i for p in part2 for i in p)
@@ -210,7 +213,6 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
         demand_sets=tuple(demand_sets),
         class1=class1,
         class2=class2,
-        _home=home,
     )
     validate_structure(ds)
     return ds

@@ -20,10 +20,10 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from ringcache.bounds import coded_gain_regime
 from ringcache.model import (
@@ -102,23 +102,22 @@ class SegmentKind(enum.Enum):
         return ()
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     fraction: Fraction
     kind: SegmentKind
 
 
-@dataclass(frozen=True)
 class SchemeSpec:
     """A memory-sharing mixture of segment schemes; fractions sum to 1."""
 
-    segments: tuple[Segment, ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        if sum((s.fraction for s in self.segments), Fraction(0)) != 1:
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
+        if sum((s.fraction for s in segments), Fraction(0)) != 1:
             raise InvalidInstanceError("segment fractions must sum to 1")
-        if any(s.fraction <= 0 for s in self.segments):
+        if any(s.fraction <= 0 for s in segments):
             raise InvalidInstanceError("segment fractions must be positive")
+        self.segments = segments
 
 
 def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
@@ -153,8 +152,7 @@ def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
     return mix(lam, SegmentKind.LOCAL_FULL, SegmentKind.MAN_T1)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One multicast message: XOR of the named component subfiles."""
 
     components: tuple
@@ -162,8 +160,7 @@ class Message:
     payload: bytes | None = None
 
 
-@dataclass(frozen=True)
-class BroadcastTranscript:
+class BroadcastTranscript(NamedTuple):
     messages: tuple[Message, ...]
 
     @property
@@ -182,8 +179,12 @@ class BroadcastTranscript:
 
         Layout (big-endian): u32 message count; per message a u16
         component count, then per component u8 segment / u32 file /
-        u32 mask, then u32 payload length and the payload bytes.
+        u32 mask, then u32 payload length and the payload bytes. A mask
+        names nodes 1..K, so a ring of K > 32 nodes is refused.
         """
+        widest = max((mask for m in self.messages for _, _, mask in m.components), default=0)
+        if widest >> 32:
+            raise ValueError(f"mask {widest:#x} does not fit the dump's u32 mask field (K <= 32)")
         out = [struct.pack(">I", len(self.messages))]
         for m in self.messages:
             if m.payload is None:

@@ -9,8 +9,8 @@ tolerances to tune anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ringcache import converse as cv
 from ringcache.bounds import (
@@ -53,8 +53,7 @@ CRITERIA = {
 }
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     passed: bool
     detail: str

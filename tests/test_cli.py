@@ -181,6 +181,12 @@ class TestSimulate:
             dumps.append((tmp_path / name).read_bytes())
         assert dumps[0] == dumps[1]
 
+    def test_mask_past_the_dump_field_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["simulate", "--K", "33", "--a", "1", "--b", "0",
+                                      "--M", "1", "--dump", str(tmp_path / "wide.bin")])
+        assert (code, out) == (2, "")
+        assert err == "error: mask 0x100000000 does not fit the dump's u32 mask field (K <= 32)\n"
+
     def test_library_over_budget_exit_code(self, capsys, monkeypatch):
         def no_draw(self, n):
             raise AssertionError("drew library bytes past the budget")

@@ -1,8 +1,8 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
 import inspect
+import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import lcm
@@ -56,8 +56,8 @@ def direct_solve(lp):
     under the trivial group, one orbit per key and the expanded key rows in
     sorted order, through the same row generation and the same witness
     check against every raw row."""
-    trivial = replace(lp, genie_rows=tuple(sorted(expanded(lp.ds, lp.genie_rows))),
-                      orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
+    trivial = lp._replace(genie_rows=tuple(sorted(expanded(lp.ds, lp.genie_rows))),
+                          orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
     return cv.solve_lp(trivial)
 
 
@@ -295,8 +295,7 @@ def cyclic_symmetrize(lp):
     for coeffs, rhs in lp.memory_rows:
         proj = project(coeffs)
         memory[proj] = min(memory.get(proj, rhs), rhs)
-    return replace(
-        lp,
+    return lp._replace(
         var_keys=tuple(sorted(members)),
         genie_rows=tuple(sorted(genie, key=cv._row_order)),
         partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
@@ -515,14 +514,19 @@ class TestFullFamily:
         with pytest.raises(BudgetExceededError, match="exceed the row budget 1000000"):
             cv.full_family(ds)
 
-    def test_orders_past_the_budget_are_refused_before_any_template(self, monkeypatch):
+    @pytest.mark.parametrize("K, budget, message", [
+        (5, 100, "5! decoding orders exceed the row budget 100"),  # 5! = 120 orders
+        (9, cv.FAMILY_BUDGET, "2096720640 genie rows exceed budget 1000000"),  # 5778 x 9!
+    ])
+    def test_orders_past_the_budget_are_refused_before_any_template(self, monkeypatch, K,
+                                                                     budget, message):
         def no_template(*_args):
             raise AssertionError("an order template was built")
 
-        _, ds = setup(5, 1, 1)
-        monkeypatch.setattr(cv, "FAMILY_BUDGET", 100)  # 5! = 120 orders
+        _, ds = setup(K, 1, 1)
+        monkeypatch.setattr(cv, "FAMILY_BUDGET", budget)
         monkeypatch.setattr(cv, "_order_masks", no_template)
-        with pytest.raises(BudgetExceededError, match="5! decoding orders exceed the row budget"):
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
             cv.full_family(ds)
 
 
@@ -591,10 +595,10 @@ class TestFamiliesMatchPerRowOracles:
     @pytest.mark.parametrize("regime", list(cv.Regime))
     def test_chain_checks_refuse_what_the_row_checks_refused(self, regime):
         _, ds = setup(3, 2, 1)
-        outside = replace(ds, demand_sets=(frozenset(),) + ds.demand_sets[1:])
+        outside = ds._replace(demand_sets=(frozenset(),) + ds.demand_sets[1:])
         same = (ds.part1[0],) * 3  # every user's pool is the same two files
-        overlap = replace(ds, part1=same, part2=same, part3=same,
-                          demand_sets=tuple(s | set(same[0]) for s in ds.demand_sets))
+        overlap = ds._replace(part1=same, part2=same, part3=same,
+                              demand_sets=tuple(s | set(same[0]) for s in ds.demand_sets))
         for bad in (outside, overlap):
             with pytest.raises(DemandError):
                 oracle_selected_family(bad, regime)

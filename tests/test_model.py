@@ -119,13 +119,11 @@ class TestBuildDemandStructure:
         assert first.demands == second.demands
 
     def test_mutation_is_caught_by_named_invariant(self):
-        import dataclasses
-
         from ringcache.model import validate_structure
 
         _, ds = structure(3, 2, 1)
         shifted = tuple(tuple(x + 1 for x in part) for part in ds.part3)
-        broken = dataclasses.replace(ds, part3=shifted)
+        broken = ds._replace(part3=shifted)
         with pytest.raises(InvalidInstanceError, match="D3"):
             validate_structure(broken)
 

@@ -1,0 +1,91 @@
+"""The product's records: constructors, validation, coercion and the import graph."""
+
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import ringcache
+from ringcache import converse as cv
+from ringcache.bounds import PointLabel, TradeoffPoint
+from ringcache.exactlp import Constraint
+from ringcache.model import InvalidInstanceError, ProblemInstance, build_demand_structure
+from ringcache.schemes import SchemeSpec, Segment, SegmentKind
+
+HALF = Fraction(1, 2)
+DIRECT = SegmentKind.UNCODED_DIRECT
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Every CLI call pays for what importing the CLI imports."""
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ringcache.cli\n"
+            "ringcache.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = str(Path(ringcache.__file__).resolve().parents[1])
+    # -S: no site hooks, so only the package's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ProblemInstance(1, 1, 1), InvalidInstanceError, "K must be >= 2, got 1"),
+    (lambda: ProblemInstance(3, -1, 2), InvalidInstanceError, "a and b must be non-negative"),
+    (lambda: ProblemInstance(3, 0, 0), InvalidInstanceError, "need a + b >= 1"),
+    (lambda: ProblemInstance(3, 1, 1, 0), InvalidInstanceError, "L must lie in [1, K]=3, got 0"),
+    (lambda: ProblemInstance(3, 1, 1, L=4), InvalidInstanceError, "L must lie in [1, K]=3, got 4"),
+    (lambda: ProblemInstance(3, 1, 1, M=Fraction(-1, 3)), InvalidInstanceError,
+     "cache size M must be non-negative, got -1/3"),
+    (lambda: Constraint({0: 1}, "<", 1), ValueError, "unknown sense '<'"),
+    (lambda: SchemeSpec((Segment(HALF, DIRECT),)), InvalidInstanceError,
+     "segment fractions must sum to 1"),
+    (lambda: SchemeSpec((Segment(3 * HALF, DIRECT), Segment(-HALF, SegmentKind.MAN_T1))),
+     InvalidInstanceError, "segment fractions must be positive"),
+    (lambda: TradeoffPoint(Fraction(1), Fraction(-1), PointLabel.LP), ValueError,
+     "load must be non-negative"),
+])
+def test_invalid_records_are_refused(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is error
+
+
+def test_records_keep_their_constructors():
+    inst = ProblemInstance(3, 2, 1, 1, 4)
+    assert inst == ProblemInstance(K=3, a=2, b=1, L=1, M=Fraction(4))
+    assert hash(inst) == hash(ProblemInstance(3, 2, 1, M=Fraction(4)))
+    assert (inst.K, inst.a, inst.b, inst.L, inst.M) == (3, 2, 1, 1, 4)
+    assert type(inst.M) is Fraction
+    assert ProblemInstance(3, 2, 1) == ProblemInstance(3, 2, 1, 1, 0) != inst
+    assert repr(inst) == "ProblemInstance(K=3, a=2, b=1, L=1, M=Fraction(4, 1))"
+    row = Constraint(coeffs={0: 1}, sense="<=", rhs=2)
+    assert (row.coeffs, row.sense, row.rhs) == ({0: 1}, "<=", 2) and type(row.rhs) is Fraction
+    point = TradeoffPoint(Fraction(1), Fraction(2), PointLabel.CUTSET)
+    assert (point.M, point.R, point.label) == (1, 2, PointLabel.CUTSET)
+    segments = (Segment(HALF, DIRECT), Segment(fraction=HALF, kind=SegmentKind.MAN_T1))
+    assert SchemeSpec(segments=segments).segments == segments
+
+
+@pytest.mark.parametrize("m", [Fraction(6), Fraction(100)])
+def test_cache_size_is_clamped_to_2a_plus_b(m):
+    inst = ProblemInstance(3, 2, 1, M=m)
+    assert inst.M == 5 and type(inst.M) is Fraction
+    assert inst == ProblemInstance(3, 2, 1, 1, 5) == inst.with_m(m)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_with_m_equals_the_program_built_at_the_new_m(symmetric):
+    ds = build_demand_structure(ProblemInstance(3, 2, 1))
+
+    def program(m):
+        lp = cv.build_lp(ProblemInstance(3, 2, 1, M=m), ds, cv.full_family(ds))
+        return cv.symmetrize(lp) if symmetric else lp
+
+    moved = program(3).with_m(Fraction(9, 2))
+    assert moved == program(Fraction(9, 2)) != program(3)
+    assert moved.inst.M == Fraction(9, 2)
