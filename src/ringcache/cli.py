@@ -57,6 +57,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 GRID_BUDGET = 10**5  # tradeoff points; every point costs a worst-case load, or an LP solve
+DECIMAL_LIMIT = 1000  # --decimal digits, refused when the arguments are parsed
 
 
 def _fraction(text: str) -> Fraction:
@@ -70,8 +71,8 @@ def _grid(text: str) -> list:
     return [_fraction(part) for part in text.split(",")]
 
 
-def _int_at_least(low: int, name: str):
-    """An argparse type: an integer no smaller than low, called a `name` integer."""
+def _int_at_least(low: int, name: str, high: int | None = None):
+    """An argparse type: an integer from low (a `name` integer) to high, if given."""
 
     def parse(text: str) -> int:
         try:
@@ -80,6 +81,8 @@ def _int_at_least(low: int, name: str):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"not a {name} integer: {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"more than {high}: {text!r}")
         return value
 
     return parse
@@ -255,9 +258,8 @@ def cmd_lp(args) -> int:
     _require_single_access(inst)
     ds = build_demand_structure(inst)
     regime = None if args.family == "full" else cv.Regime(args.family)
-    # the LP reads the distinct rows, --sum-all's average every row
-    every = cv.full_family(ds, dedup=False) if regime is None or args.sum_all else None
-    family = every.distinct() if regime is None else cv.selected_family(ds, regime)
+    loose = cv.sum_all_bound(inst, ds) if args.sum_all else None  # refused before the family
+    family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
     lp = cv.build_lp(inst, ds, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)
@@ -278,7 +280,6 @@ def cmd_lp(args) -> int:
             for reg, cert in cv.certificate_reports(inst, ds).items()
         }
     if args.sum_all:
-        loose = cv.sum_all_bound(inst, ds, every)
         report["sum_all_bound"] = str(loose)
         if (inst.K, inst.a, inst.b, inst.M) == (3, 2, 1, Fraction(3)):
             report["reference_value"] = "54/95"
@@ -292,7 +293,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    inst = _load_instance(args, refused=("M",))
+    inst = _load_instance(args, refused=("L", "M"))
     report = gap_check(inst)
     payload = {
         "instance": inst.to_json_dict(),
@@ -340,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lp", action="store_true", help="add the full-family LP column")
     p.add_argument("--memory-mode", choices=(cv.AGGREGATE, cv.PER_NODE), default=cv.AGGREGATE)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--decimal", type=_int_at_least(0, "non-negative"),
-                   help="render decimals at this precision")
+    p.add_argument("--decimal", type=_int_at_least(0, "non-negative", DECIMAL_LIMIT),
+                   help=f"render decimals at this precision (at most {DECIMAL_LIMIT} digits)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_tradeoff)
 
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lp)
 
     p = sub.add_parser("gap", help="order-optimality gap check (factor 2 for even K, 3 for odd)")
-    _add_instance_flags(p, last="L")
+    _add_instance_flags(p, last="b")  # the check is of the L = 1 curves
     p.add_argument("--out")
     p.set_defaults(handler=cmd_gap)
 

@@ -26,7 +26,8 @@ key order. A symmetrised row is the sorted tuple of its keys' orbit
 names, so its coefficients are multiplicities; such rows are sorted by
 their (key, multiplicity) pairs (``_row_order``), the constraint order
 the simplex pivots through. On an expanded raw row, whose keys are
-distinct, that order is plain tuple order.
+distinct, that order is plain tuple order. No family repeats a row, yet
+``build_lp`` alone dedups; averages are counted from blocks, not rows.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ringcache.model import (
 )
 
 FAMILY_BUDGET = 10**6
-_ROWGEN_THRESHOLD = 192
 _ROWGEN_SEED = 96
 _ROWGEN_BATCH = 64
 
@@ -161,10 +161,6 @@ class Family(tuple):
         family.blocks = tuple(blocks)
         return family
 
-    def distinct(self) -> Family:
-        """The distinct rows, sorted by their links, from the same blocks."""
-        return Family(dedup_rows(self), self.blocks)
-
 
 def _check_pools(ds: DemandStructure, block: Block) -> None:
     """Pools inside their users' demand sets make every choice an admissible
@@ -174,6 +170,11 @@ def _check_pools(ds: DemandStructure, block: Block) -> None:
             raise DemandError(f"a pool is not demandable in region {uk}")
 
 
+def _disjoint(pools) -> bool:
+    """Whether no file lies in two of the pools, so no choice repeats a file."""
+    return len(set(chain.from_iterable(pools))) == sum(map(len, pools))
+
+
 def _choices(ds: DemandStructure, block: Block) -> list:
     """The block's pairwise-distinct choices, in ``product`` order."""
     _check_pools(ds, block)
@@ -181,7 +182,7 @@ def _choices(ds: DemandStructure, block: Block) -> list:
     n_all = prod(map(len, pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
         raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}")
-    disjoint = len(set(chain.from_iterable(pools))) == sum(map(len, pools))  # no choice repeats
+    disjoint = _disjoint(pools)
     return [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
 
 
@@ -210,20 +211,25 @@ def dedup_rows(rows) -> list:
     return sorted(set(rows))
 
 
-def full_family(ds: DemandStructure, dedup: bool = True) -> Family:
-    """One full-rule genie row per (distinct-demand vector, permutation) pair,
-    from one block: the K! order templates over the demand sets. Undeduplicated,
-    rows come vector by vector, orders in ``permutations`` order. With at least
-    one distinct-demand vector there are K! rows or more, refused first; then
-    the rows are counted, and refused, before any order is listed."""
+def _full_blocks(ds: DemandStructure) -> list:
+    """The full family's one block: the K! order templates over the demand
+    sets. With at least one distinct-demand vector there are K! rows or
+    more, refused first; then the rows are counted, and refused, before any
+    order is listed."""
     K = ds.inst.K
     if factorial(K) > FAMILY_BUDGET:
         raise BudgetExceededError(f"{K}! decoding orders exceed the row budget {FAMILY_BUDGET}")
     users = tuple(range(1, K + 1))
     _check_rows(len(_choices(ds, Block(users, ds.demands, (), True))) * factorial(K))
-    orders = tuple(_order_masks(K, u) for u in permutations(users))
-    family = _family(ds, [Block(users, ds.demands, orders, True)])
-    return family.distinct() if dedup else family
+    return [Block(users, ds.demands, tuple(_order_masks(K, u) for u in permutations(users)), True)]
+
+
+def full_family(ds: DemandStructure) -> Family:
+    """One full-rule genie row per (distinct-demand vector, permutation) pair,
+    vector by vector, orders in ``permutations`` order. No row repeats: a
+    row's tops form a strict chain, which names the decoding order, and the
+    file at each top names the demand."""
+    return _family(ds, _full_blocks(ds))
 
 
 def _chain_permutations(K: int, k: int) -> tuple:
@@ -269,7 +275,7 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
                 if regime is Regime.HIGH_M:
                     pools[perm[-1] - 1] = ds.part2[perm[-1] - 1]
                 blocks.append(Block(perm, tuple(pools), (_order_masks(K, perm),), False))
-    if any(len(set(chain.from_iterable(bl.pools))) != sum(map(len, bl.pools)) for bl in blocks):
+    if not all(_disjoint(block.pools) for block in blocks):
         raise DemandError("genie rows need pairwise-distinct demands")
     return blocks
 
@@ -318,7 +324,7 @@ def build_lp(
     family,
     memory_mode: str = AGGREGATE,
 ) -> LinearProgram:
-    """Assemble the raw LP over all (file, mask) variables."""
+    """The raw LP over all (file, mask) variables and the family's distinct rows."""
     if memory_mode not in (AGGREGATE, PER_NODE):
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
@@ -336,7 +342,7 @@ def build_lp(
         inst=inst,
         ds=ds,
         var_keys=var_keys,
-        genie_rows=tuple(sorted(family)),
+        genie_rows=tuple(dedup_rows(family)),
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
@@ -393,14 +399,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
 
 def _solve_iterative(lp: LinearProgram):
-    """Row generation over a symmetrised program's genie rows, which come in
-    ``_row_order``; returns (value, assignment)."""
+    """(value, assignment) by row generation over a symmetrised program's genie
+    rows, in ``_row_order``: solve the active rows, scan all, add the most
+    violated; a violated active row is a solver fault."""
     rows = lp.genie_rows
-    if len(rows) <= _ROWGEN_THRESHOLD:
-        value, assignment = _solve_subset(lp, rows)
-        if rows and not _witness_ok(lp, value, assignment):
-            raise exactlp.LpError("witness fails a row it was solved under")
-        return value, assignment
     active = list(rows[:_ROWGEN_SEED])
     active_set = set(active)
     while True:
@@ -411,10 +413,11 @@ def _solve_iterative(lp: LinearProgram):
         violated = sorted(t for t in slacks if t[0] < 0)
         if not violated:
             return value, assignment
+        if any(rows[j] in active_set for _, j in violated):
+            raise exactlp.LpError("witness fails a row it was solved under")
         for _, j in violated[:_ROWGEN_BATCH]:
-            if rows[j] not in active_set:
-                active.append(rows[j])
-                active_set.add(rows[j])
+            active.append(rows[j])
+            active_set.add(rows[j])
 
 
 def _scaled_sums(lp: LinearProgram, value, assignment):
@@ -560,10 +563,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
     genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
     partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
-    memory: dict = {}
-    for coeffs, rhs in lp.memory_rows:
-        proj = project(coeffs)
-        memory[proj] = min(memory.get(proj, rhs), rhs)
+    memory = {project(coeffs): rhs for coeffs, rhs in lp.memory_rows}  # every rhs is _memory_rhs
     return LinearProgram(
         inst=lp.inst,
         ds=lp.ds,
@@ -577,31 +577,28 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     )
 
 
-def average_rows(K: int, rows) -> dict:
-    """Uniform average of the rows' key coefficients; links are counted, then
-    each count is spread over the link's keys."""
-    rows = list(rows)
-    link_keys, total = _link_keys(K), Counter()
-    for link, n in Counter(chain.from_iterable(rows)).items():
-        total.update(dict.fromkeys(link_keys[link], n))
-    return {key: Fraction(v, len(rows)) for key, v in total.items()}
-
-
 def _block_average(ds: DemandStructure, blocks) -> dict:
-    """``average_rows`` of ``_family(ds, blocks)``, counted without building a
-    row. Each block's pools must be pairwise disjoint: then every choice is
-    admissible, so under each template a file of user u's pool occurs in
-    prod(|other pools|) rows."""
+    """The average row of ``_family(ds, blocks)``, built from no row: a block
+    pairs each choice with each template, so user u's link occurs (choices
+    giving u its file) x (templates giving u its top) times. Disjoint pools
+    admit every choice and list none; overlapping ones count ``_choices``."""
     K = ds.inst.K
     link_keys, total, n_rows = _link_keys(K), Counter(), 0
     for block in blocks:
-        _check_pools(ds, block)
-        sizes = [len(pool) for pool in block.pools]
-        n_rows += prod(sizes) * len(block.tops)
-        for uk, pool in enumerate(block.pools, 1):
-            times = prod(sizes[: uk - 1] + sizes[uk:])
-            for f, tops in product(pool, block.tops):
-                total.update(dict.fromkeys(link_keys[_link(K, f, tops[uk - 1], block.full)], times))
+        if _disjoint(block.pools):
+            _check_pools(ds, block)
+            n_choices = prod(map(len, block.pools))
+            chosen = {(uk, f): n_choices // len(pool)
+                      for uk, pool in enumerate(block.pools, 1) for f in pool}
+        else:
+            choices = _choices(ds, block)
+            n_choices = len(choices)
+            chosen = Counter(chain.from_iterable(zip(block.users, c) for c in choices))
+        n_rows += n_choices * len(block.tops)
+        tops = [Counter(t[uk] for t in block.tops) for uk in range(K)]
+        for (uk, f), n_f in chosen.items():
+            for top, n_top in tops[uk - 1].items():
+                total.update(dict.fromkeys(link_keys[_link(K, f, top, block.full)], n_f * n_top))
     return {key: Fraction(v, n_rows) for key, v in total.items() if v}
 
 
@@ -731,7 +728,7 @@ def certificate_report(
             expected_agg = _mix_maps(w, high_m_aggregate(), expected_agg)
 
     weights_ok = all(0 <= v <= 1 for v in weights.values())
-    aggregate_matches = _maps_equal(agg, expected_agg)
+    aggregate_matches = agg == expected_agg  # both maps omit their zeros
     mu1, mu2, mum = mu
     # The selected rows are weakened, so agg is zero on masks of two bits or
     # more; there a residual depends only on the file's class and popcount.
@@ -785,21 +782,16 @@ def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _maps_equal(x: dict, y: dict) -> bool:
-    keys = set(x) | set(y)
-    return all(x.get(k, Fraction(0)) == y.get(k, Fraction(0)) for k in keys)
+def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
+    """The loose bound from averaging the full family into one row.
 
-
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, rows) -> Fraction:
-    """The loose bound from averaging the whole family into a single row.
-
-    The full-mask genie rows ``rows`` (``full_family(ds, dedup=False)``)
-    are summed with multiplicity and normalised; the bound is the minimum
-    of that one averaged expression over placements satisfying the
-    per-file partition and the aggregate memory budget. Aggregation can
-    only weaken the LP, so this never exceeds the family's LP optimum.
+    The average is counted from the family's block (``_block_average``),
+    under its refusals, without building a row; the bound is its minimum
+    over placements satisfying the per-file partition and the aggregate
+    memory budget. Aggregation only weakens the LP, so this never exceeds
+    the family's LP optimum.
     """
-    avg = average_rows(ds.inst.K, rows)
+    avg = _block_average(ds, _full_blocks(ds))
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}

@@ -75,12 +75,17 @@ def test_criterion_8_loose_bound_probe():
 
 def test_criterion_8_builds_the_full_family_once(monkeypatch):
     built = []
-    full_family = verify.cv.full_family
+    full_family, block_rows = verify.cv.full_family, verify.cv._block_rows
 
-    def counted(ds, dedup=True):
-        built.append(dedup)
-        return full_family(ds, dedup)
+    def counted(ds):
+        built.append("family")
+        return full_family(ds)
+
+    def counted_rows(ds, block):
+        built.append("rows")
+        return block_rows(ds, block)
 
     monkeypatch.setattr(verify.cv, "full_family", counted)
+    monkeypatch.setattr(verify.cv, "_block_rows", counted_rows)
     assert verify.criterion_8_loose_bound().passed
-    assert built == [False]  # the LP reads that family's distinct rows
+    assert built == ["family", "rows"]  # the LP's; the loose bound counts the family's block

@@ -12,6 +12,7 @@ from ringcache import cli
 from ringcache import converse as cv
 from ringcache import verify as acceptance
 from ringcache.model import ProblemInstance, build_demand_structure
+from test_converse import row_built_average
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +101,12 @@ class TestTradeoff:
                                     "--m-grid", "0,1/3,5/2", "--decimal", "20"])
         assert code == 0
         assert out.split("\n")[2].split(",")[0] == "0.33333333333333333333"
+
+    def test_decimal_takes_up_to_the_limit(self, capsys):
+        code, out, err = run(capsys, ["tradeoff", "--K", "2", "--a", "1", "--b", "1",
+                                      "--m-grid", "1/3", "--decimal", str(cli.DECIMAL_LIMIT)])
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1].split(",")[0] == "0." + "3" * 1000
 
     def test_decimal_rounds_half_up(self, capsys):
         code, out, _ = run(capsys, ["tradeoff", "--K", "3", "--a", "1", "--b", "1",
@@ -261,8 +268,7 @@ class TestLpCommand:
     def test_counted_certificates_print_the_row_built_bytes(self, capsys, monkeypatch, instance):
         argv = ["lp", *instance, "--certificates"]
         got = run(capsys, argv)
-        monkeypatch.setattr(cv, "_block_average",
-                            lambda ds, blocks: cv.average_rows(ds.inst.K, cv._family(ds, blocks)))
+        monkeypatch.setattr(cv, "_block_average", row_built_average)
         assert run(capsys, argv) == got
         assert got[0] == 0 and got[2] == ""
 
@@ -290,6 +296,15 @@ class TestLpCommand:
         assert (code, out) == (3, "")
         assert err == "budget exceeded: 12! decoding orders exceed the row budget 1000000\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--K", "7", "--family", "high_m"], "4248720 genie rows exceed budget 1000000"),
+        (["--K", "9"], "2096720640 genie rows exceed budget 1000000"),
+    ])
+    def test_sum_all_keeps_the_full_familys_refusal(self, capsys, argv, message):
+        code, out, err = run(capsys, ["lp", *argv, "--a", "1", "--b", "1", "--M", "1",
+                                      "--sum-all"])
+        assert (code, out, err) == (3, "", f"budget exceeded: {message}\n")
+
     def test_selected_family_flag(self, capsys):
         code, out, _ = run(capsys, ["lp", "--K", "3", "--a", "2", "--b", "1",
                                     "--M", "5", "--family", "high_m"])
@@ -303,6 +318,22 @@ class TestGap:
         assert code == 0
         doc = json.loads(out)
         assert doc["ratio"] == "3" and doc["bound"] == 3 and doc["pass"] is True
+
+    def test_l_flag_is_usage_error(self, capsys):
+        # the gap is that of the L = 1 curves, so an L would only relabel it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gap", "--K", "3", "--a", "1", "--b", "1", "--L", "3"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --L 3\n")
+
+    @pytest.mark.parametrize("value", [3, 1])
+    def test_config_l_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"K": 3, "a": 1, "b": 1, "L": value}))
+        code, out, err = run(capsys, ["gap", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == "error: --config field L is not used by gap\n"
 
 
 class TestVerify:
@@ -449,6 +480,9 @@ REFUSED_BEFORE_THE_WORK = [
     ["lp", "--K", "3", "--a", "1", "--b", "1", "--L", "2", "--M", "1"],
     ["tradeoff", "--K", "3", "--a", "1", "--b", "1", "--L", "2", "--lp", "--m-grid", "0,1,2"],
     ["tradeoff", *INSTANCE, "--m-grid", "0,1", "--decimal", "-1"],
+    ["tradeoff", *INSTANCE, "--m-grid", "1/3", "--decimal", str(cli.DECIMAL_LIMIT + 1)],
+    ["tradeoff", *INSTANCE, "--m-grid", "1/3", "--decimal", "100000"],
+    ["gap", *INSTANCE, "--L", "3"],
 ]
 
 

@@ -4,6 +4,7 @@ import inspect
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, permutations, product
 from math import lcm
 from pathlib import Path
@@ -99,9 +100,19 @@ def counted_average(ds, regime):
     return cv._block_average(ds, cv._selected_blocks(ds, regime))
 
 
+def average_rows(K, rows):
+    """Uniform average of the rows' key coefficients; links are counted, then
+    each count is spread over the link's keys."""
+    rows = list(rows)
+    link_keys, total = cv._link_keys(K), Counter()
+    for link, n in Counter(chain.from_iterable(rows)).items():
+        total.update(dict.fromkeys(link_keys[link], n))
+    return {key: Fraction(v, len(rows)) for key, v in total.items()}
+
+
 def row_built_average(ds, blocks):
     """The counted average's oracle: every row of the blocks built and averaged."""
-    return cv.average_rows(ds.inst.K, cv._family(ds, blocks))
+    return average_rows(ds.inst.K, cv._family(ds, blocks))
 
 
 def oracle_residuals(inst, ds, agg, mu):
@@ -179,7 +190,7 @@ def key_row(files, masks, memo):
 
 
 def key_full_family(ds):
-    """The key-tuple ``full_family(ds, dedup=False)`` the link rows replaced."""
+    """The key-tuple ``full_family(ds)`` the link rows replaced."""
     K = ds.inst.K
     templates = [key_masks(K, u, True) for u in permutations(range(1, K + 1))]
     memo = KeyMemo()
@@ -215,7 +226,7 @@ def oracle_genie_row(ds, d, u, full_masks):
 
 
 def oracle_full_family(ds):
-    """The per-row construction ``full_family(ds, dedup=False)`` replaced."""
+    """The per-row construction ``full_family(ds)`` replaced."""
     K = ds.inst.K
     return [
         oracle_genie_row(ds, d, u, full_masks=True)
@@ -483,22 +494,37 @@ class TestGenieInequality:
 class TestFullFamily:
     def test_running_example_row_count(self):
         _, ds = setup(3, 2, 1)
-        rows = cv.full_family(ds, dedup=False)
+        rows = cv.full_family(ds)
         assert len(rows) == 95 * 6 == 570
 
     def test_two_region_row_count(self):
         _, ds = setup(2, 1, 1)
-        assert len(cv.full_family(ds, dedup=False)) == 7 * 2 == 14
+        assert len(cv.full_family(ds)) == 7 * 2 == 14
 
     def test_dedup_is_sound(self):
-        _, ds = setup(3, 1, 1)
-        deduped = cv.full_family(ds, dedup=True)
+        inst, ds = setup(3, 1, 1)
+        deduped = cv.dedup_rows(cv.full_family(ds))
         every = {
             genie_inequality(ds, d, u, full_masks=True)
             for d in distinct_demands(ds)
             for u in permutations(range(1, 4))
         }
         assert list(deduped) == sorted(every)
+        assert cv.build_lp(inst, ds, cv.full_family(ds)).genie_rows == tuple(sorted(every))
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_no_family_repeats_a_row(self, K):
+        # A row's tops form a strict chain naming the order; each top's file names the demand.
+        for a, b in product(range(4), range(3)):
+            if not a + b:
+                continue
+            _, ds = setup(K, a, b)
+            for regime in (None, *cv.Regime):
+                try:
+                    rows = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
+                except (cv.FamilyError, BudgetExceededError):
+                    continue
+                assert len(set(rows)) == len(rows), (K, a, b, regime)
 
     @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
     def test_plain_sort_is_row_order_on_raw_rows(self, K, a, b):
@@ -523,11 +549,12 @@ class TestFullFamily:
         def no_template(*_args):
             raise AssertionError("an order template was built")
 
-        _, ds = setup(K, 1, 1)
+        inst, ds = setup(K, 1, 1)
         monkeypatch.setattr(cv, "FAMILY_BUDGET", budget)
         monkeypatch.setattr(cv, "_order_masks", no_template)
-        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-            cv.full_family(ds)
+        for build in (cv.full_family, partial(cv.sum_all_bound, inst)):  # the loose bound's too
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+                build(ds)
 
 
 class TestSelectedFamily:
@@ -575,14 +602,15 @@ class TestFamiliesMatchPerRowOracles:
         if regime is None:
             want = oracle_full_family(ds)
             assert key_full_family(ds) == want
-            assert expanded(ds, cv.full_family(ds, dedup=False)) == want
+            assert expanded(ds, cv.full_family(ds)) == want
             assert expanded(ds, [
                 genie_inequality(ds, d, u, full_masks=True)
                 for d in distinct_demands(ds)
                 for u in permutations(range(1, K + 1))
             ]) == want
             # equal key sets have equal links, so dedup on links is dedup on key sets
-            assert sorted(expanded(ds, cv.full_family(ds))) == sorted(set(want))
+            rows = cv.build_lp(ds.inst, ds, cv.full_family(ds)).genie_rows
+            assert sorted(expanded(ds, rows)) == sorted(set(want))
             return
         try:
             want = oracle_selected_family(ds, regime)
@@ -700,6 +728,24 @@ class TestSolveLp:
             assert per >= agg
             if m in (Fraction(0), Fraction(3), Fraction(5)):
                 assert per == agg
+
+    def test_row_generation_refuses_a_point_failing_an_active_row(self, monkeypatch):
+        inst, ds = setup(5, 1, 1, M=2)
+        sym = cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+        assert len(sym.genie_rows) == 360 > cv._ROWGEN_SEED  # rows are generated
+        solve_subset, calls = cv._solve_subset, []
+
+        def faulty(lp, rows):  # a solver fault: R below the rows it is tight on
+            calls.append(len(rows))
+            if len(calls) > 50:
+                raise AssertionError("row generation does not stop")
+            value, assignment = solve_subset(lp, rows)
+            return value - 1, assignment
+
+        monkeypatch.setattr(cv, "_solve_subset", faulty)
+        with pytest.raises(cv.exactlp.LpError, match="^witness fails a row it was solved under$"):
+            cv.solve_lp(sym)
+        assert calls == [cv._ROWGEN_SEED]
 
 
 class TestSymmetrize:
@@ -902,10 +948,11 @@ class TestLinkRowsMatchKeyOracles:
 
     def test_average_matches_the_key_count(self):
         _, ds = setup(4, 1, 2)
-        for rows in (cv.full_family(ds, dedup=False), cv.selected_family(ds, cv.Regime.LARGE_B)):
+        for rows in (cv.full_family(ds), cv.selected_family(ds, cv.Regime.LARGE_B)):
             keys = Counter(chain.from_iterable(expanded(ds, rows)))
             want = {key: Fraction(n, len(rows)) for key, n in keys.items()}
-            assert cv.average_rows(4, rows) == want
+            assert average_rows(4, rows) == want
+            assert cv._block_average(ds, rows.blocks) == want
 
 
 def perturbed_blocks(ds, blocks):
@@ -1069,7 +1116,7 @@ class TestCountedCertificates:
     def test_counted_average_equals_the_row_average(self, K, a, b):
         _, ds = setup(K, a, b)
         for regime in cv.Regime:
-            want = outcome(lambda: cv.average_rows(K, cv.selected_family(ds, regime)))
+            want = outcome(lambda: average_rows(K, cv.selected_family(ds, regime)))
             assert outcome(lambda: counted_average(ds, regime)) == want
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2),
@@ -1130,21 +1177,38 @@ class TestCountedCertificates:
 class TestSumAllBound:
     def test_reproduces_papers_loose_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+
+    def test_builds_no_row(self, monkeypatch):
+        def no_rows(*_args):
+            raise AssertionError("the loose bound built a row")
+
+        inst, ds = setup(3, 2, 1, M=3)
+        monkeypatch.setattr(cv, "_block_rows", no_rows)
+        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
 
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
-        loose = cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False))
+        loose = cv.sum_all_bound(inst, ds)
         opt = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == 0
+        assert cv.sum_all_bound(inst, ds) == 0
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
-        assert cv.sum_all_bound(inst, ds, cv.full_family(ds, dedup=False)) == 2
+        assert cv.sum_all_bound(inst, ds) == 2
+
+    # (3,0,2) and (4,0,1) have disjoint pools; the rest overlap.
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (2, 2, 1), (3, 0, 2), (3, 1, 1), (3, 2, 1),
+                                       (4, 0, 1), (4, 1, 1), (4, 1, 2), (4, 2, 1), (5, 1, 1)])
+    def test_counted_average_equals_the_row_average(self, K, a, b):
+        _, ds = setup(K, a, b)
+        blocks = cv._full_blocks(ds)
+        assert cv._disjoint(blocks[0].pools) == (a == 0)
+        assert cv._block_average(ds, blocks) == average_rows(K, cv.full_family(ds))
 
 
 class TestLpExport:
