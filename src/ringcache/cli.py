@@ -171,7 +171,7 @@ def cmd_tradeoff(args) -> int:
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
-    if args.lp:  # one collapse, re-solved at every M
+    if args.lp:  # one collapse, walked along the grid
         _require_single_access(inst)
         reduced = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode))
 
@@ -194,9 +194,10 @@ def cmd_tradeoff(args) -> int:
                 label=PointLabel.ACHIEVABLE,
             )
         )
-        if args.lp:
-            value = cv.solve_lp(reduced.with_m(sub.M)).value
-            points.append(TradeoffPoint(M=sub.M, R=value, label=PointLabel.LP))
+    if args.lp:
+        memories = [Fraction(m) for m in grid]
+        for m, outcome in zip(memories, cv.solve_lp_grid(reduced, memories)):
+            points.append(TradeoffPoint(M=m, R=outcome.value, label=PointLabel.LP))
     by_cell = {(p.M, p.label): p.R for p in points}
     rows = [[m] + [by_cell[(Fraction(m), label)] for label in labels] for m in grid]
 
@@ -257,9 +258,13 @@ def cmd_lp(args) -> int:
     inst = _load_instance(args)
     _require_single_access(inst)
     ds = build_demand_structure(inst)
-    regime = None if args.family == "full" else cv.Regime(args.family)
-    loose = cv.sum_all_bound(inst, ds) if args.sum_all else None  # refused before the family
-    family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
+    if args.family == "full":
+        family = cv.full_family(ds)
+        full_blocks = family.blocks
+    else:  # the loose bound's full block is refused before the selected family
+        full_blocks = cv.full_blocks(ds) if args.sum_all else ()
+        family = cv.selected_family(ds, cv.Regime(args.family))
+    loose = cv.sum_all_bound(inst, ds, full_blocks) if args.sum_all else None
     lp = cv.build_lp(inst, ds, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)

@@ -52,7 +52,7 @@ from ringcache.model import (
 )
 
 FAMILY_BUDGET = 10**6
-_ROWGEN_SEED = 96
+_ROWGEN_SEED = 16
 _ROWGEN_BATCH = 64
 
 AGGREGATE = "aggregate"
@@ -211,7 +211,7 @@ def dedup_rows(rows) -> list:
     return sorted(set(rows))
 
 
-def _full_blocks(ds: DemandStructure) -> list:
+def full_blocks(ds: DemandStructure) -> list:
     """The full family's one block: the K! order templates over the demand
     sets. With at least one distinct-demand vector there are K! rows or
     more, refused first; then the rows are counted, and refused, before any
@@ -229,7 +229,7 @@ def full_family(ds: DemandStructure) -> Family:
     vector by vector, orders in ``permutations`` order. No row repeats: a
     row's tops form a strict chain, which names the decoding order, and the
     file at each top names the demand."""
-    return _family(ds, _full_blocks(ds))
+    return _family(ds, full_blocks(ds))
 
 
 def _chain_permutations(K: int, k: int) -> tuple:
@@ -364,18 +364,11 @@ def _structural_constraints(lp: LinearProgram, col: dict) -> list:
     ]
 
 
-def _solve_subset(lp: LinearProgram, genie_subset):
-    col = {key: j for j, key in enumerate(lp.var_keys)}
-    r_col = len(lp.var_keys)
-    cons = []
-    for row in genie_subset:
-        coeffs = {col[k]: c for k, c in _row_order(row)}
-        coeffs[r_col] = -1
-        cons.append(exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=Fraction(0)))
-    cons += _structural_constraints(lp, col)
-    sol = exactlp.solve({r_col: 1}, cons, n_vars=r_col + 1)
-    assignment = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
-    return sol.value, assignment
+def _genie_constraint(row, col: dict, r_col: int) -> exactlp.Constraint:
+    """The genie row as the simplex constraint sum(c * y[k]) - R <= 0."""
+    coeffs = {col[k]: c for k, c in _row_order(row)}
+    coeffs[r_col] = -1
+    return exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=0)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -384,40 +377,74 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     raw program is collapsed by ``symmetrize``, which raises FamilyError on a
     family it does not close; a program it returned, perhaps moved by
     ``with_m``, is solved as it is. The expanded witness is checked exactly
-    against every raw row and the raw structural rows."""
+    against every raw row and the raw structural rows. The one-point case
+    of ``solve_lp_grid``."""
+    (outcome,) = solve_lp_grid(lp, [lp.inst.M])
+    return outcome
+
+
+def solve_lp_grid(lp: LinearProgram, memories) -> list:
+    """``solve_lp(lp.with_m(M))`` for each M of memories, in order: one
+    collapse, and one tableau that walks the grid, each point starting
+    from the last point's optimal basis and active rows."""
     if lp.orbit_members is None:
         lp = symmetrize(lp)
-    value, assignment = _solve_iterative(lp)
-    assignment = {
-        member: val for rep, val in assignment.items() if val for member in lp.orbit_members[rep]
-    }
-    lp = lp.raw
-    if not _witness_ok(lp, value, assignment):
-        raise exactlp.LpError("expanded symmetric witness fails a raw row")
-    _verify_structural(lp, assignment)
-    return LpOutcome(value=value, assignment=assignment)
+    programs = [lp if M == lp.inst.M else lp.with_m(M) for M in memories]
+    out = []
+    for moved, (value, assignment) in zip(programs, _solve_iterative(programs)):
+        assignment = {
+            member: val for rep, val in assignment.items() if val
+            for member in moved.orbit_members[rep]
+        }
+        if not _witness_ok(moved.raw, value, assignment):
+            raise exactlp.LpError("expanded symmetric witness fails a raw row")
+        _verify_structural(moved.raw, assignment)
+        out.append(LpOutcome(value=value, assignment=assignment))
+    return out
 
 
-def _solve_iterative(lp: LinearProgram):
-    """(value, assignment) by row generation over a symmetrised program's genie
-    rows, in ``_row_order``: solve the active rows, scan all, add the most
-    violated; a violated active row is a solver fault."""
+def _solve_iterative(programs):
+    """(value, assignment) of each symmetrised program in turn, programs that
+    differ only in their memory bounds, by row generation over their genie
+    rows in ``_row_order`` on one tableau: it starts from the first rows,
+    moves its memory bounds from program to program, and re-optimises after
+    each move and after each batch of the most violated rows is added. A
+    violated active row is a solver fault."""
+    lp = programs[0]
     rows = lp.genie_rows
-    active = list(rows[:_ROWGEN_SEED])
-    active_set = set(active)
-    while True:
-        value, assignment = _solve_subset(lp, active)
-        scaled_value, sums = _scaled_sums(lp, value, assignment)
-        # den times the true slack; ties go by position, that is by _row_order
-        slacks = ((scaled_value - row_value(row, sums), j) for j, row in enumerate(rows))
-        violated = sorted(t for t in slacks if t[0] < 0)
-        if not violated:
-            return value, assignment
-        if any(rows[j] in active_set for _, j in violated):
-            raise exactlp.LpError("witness fails a row it was solved under")
-        for _, j in violated[:_ROWGEN_BATCH]:
-            active.append(rows[j])
-            active_set.add(rows[j])
+    col = {key: j for j, key in enumerate(lp.var_keys)}
+    r_col = len(col)
+    active = set(rows[:_ROWGEN_SEED])
+    cons = [_genie_constraint(row, col, r_col) for row in rows[:_ROWGEN_SEED]]
+    cons += _structural_constraints(lp, col)
+    # The structural constraints end with the memory rows.
+    memory = range(len(cons) - len(lp.memory_rows), len(cons))
+    tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
+    for moved in programs:
+        for i, (_, rhs) in zip(memory, moved.memory_rows):
+            tab.move_rhs(i, rhs)
+        tab.reoptimize()
+        while True:
+            value, assignment = _tableau_point(tab, col)
+            scaled_value, sums = _scaled_sums(lp, value, assignment)
+            # den times the true slack; ties go by position, that is by _row_order
+            slacks = ((scaled_value - row_value(row, sums), j) for j, row in enumerate(rows))
+            violated = sorted(t for t in slacks if t[0] < 0)
+            if not violated:
+                break
+            if any(rows[j] in active for _, j in violated):
+                raise exactlp.LpError("witness fails a row it was solved under")
+            for _, j in violated[:_ROWGEN_BATCH]:
+                active.add(rows[j])
+                tab.add_row(_genie_constraint(rows[j], col, r_col))
+            tab.reoptimize()
+        yield value, assignment
+
+
+def _tableau_point(tab, col: dict):
+    """(value, assignment) at the tableau's optimum, zeros omitted."""
+    sol = tab.solution()
+    return sol.value, {key: sol.x[j] for key, j in col.items() if sol.x[j]}
 
 
 def _scaled_sums(lp: LinearProgram, value, assignment):
@@ -428,9 +455,38 @@ def _scaled_sums(lp: LinearProgram, value, assignment):
 
 
 def _witness_ok(lp: LinearProgram, value, assignment) -> bool:
-    """True when (value, assignment) satisfies every genie row of lp."""
+    """True when (value, assignment) satisfies every genie row of lp.
+
+    A raw program with blocks is checked template by template: the sum over
+    users of the largest link value in the user's pool bounds every row of
+    the (block, template), exactly so over disjoint pools, where the
+    maximising choice is a row. A template whose bound exceeds R is
+    checked row by row when its pools overlap. A program without blocks is
+    checked row by row.
+    """
     scaled_value, sums = _scaled_sums(lp, value, assignment)
-    return all(scaled_value >= row_value(row, sums) for row in lp.genie_rows)
+    if not lp.blocks:
+        return all(scaled_value >= row_value(row, sums) for row in lp.genie_rows)
+    K = lp.inst.K
+    for block in lp.blocks:
+        pools = [block.pools[uk - 1] for uk in block.users]
+        if not all(pools):  # no choice, no row
+            continue
+        choices = None
+        for tops in block.tops:
+            links = [
+                {f: sums[_link(K, f, tops[uk - 1], block.full)] for f in pool}
+                for uk, pool in zip(block.users, pools)
+            ]
+            if sum(max(v.values()) for v in links) <= scaled_value:
+                continue
+            if _disjoint(pools):
+                return False
+            if choices is None:
+                choices = _choices(lp.ds, block)
+            if any(sum(map(dict.__getitem__, links, c)) > scaled_value for c in choices):
+                return False
+    return True
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
@@ -782,16 +838,16 @@ def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
+def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, blocks) -> Fraction:
     """The loose bound from averaging the full family into one row.
 
-    The average is counted from the family's block (``_block_average``),
-    under its refusals, without building a row; the bound is its minimum
+    The average is counted from the family's blocks, ``full_blocks(ds)``
+    (``_block_average``), without building a row; the bound is its minimum
     over placements satisfying the per-file partition and the aggregate
     memory budget. Aggregation only weakens the LP, so this never exceeds
     the family's LP optimum.
     """
-    avg = _block_average(ds, _full_blocks(ds))
+    avg = _block_average(ds, blocks)
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}

@@ -18,6 +18,16 @@ degenerate pivots, which makes the method both fast in practice and
 provably cycle-free. Reduced costs and ratios are compared on the scaled
 integers, so on a program with integer coefficients the pivot path is
 the one a `Fraction` tableau takes. Fully deterministic for a fixed input.
+
+`solve` is the cold path. `optimal_tableau` returns the optimal tableau
+itself, which re-optimises after two moves that keep its basis dual
+feasible: a `<=` row added (`add_row`) and a right-hand side moved
+(`move_rhs`). Both can leave a basic variable negative, and `reoptimize`
+restores primal feasibility by Lemke's dual simplex (Naval Res. Logist.
+Q. 1954): the most negative basic row leaves, the column of least ratio
+of reduced cost to the row's negative entry enters, and after a run of
+dual-degenerate pivots the row with the lowest basic index leaves
+instead, the dual of Bland's rule. Every move stays in integers.
 """
 
 from __future__ import annotations
@@ -63,15 +73,46 @@ class LpSolution(NamedTuple):
     x: list
 
 
-class _Tableau:
-    """Dense simplex tableau of ints over one shared denominator."""
+def _bland_after(n_rows: int, n_cols: int) -> int:
+    """The length of a degenerate run after which a pivot rule turns to Bland's."""
+    return 4 * (n_rows + n_cols) + 32
 
-    def __init__(self, rows, basis, n_cols, rhs_scale):
+
+def _integral(con: Constraint, n_vars: int) -> tuple:
+    """The constraint's coefficients as ints and the positive lcm of their
+    denominators the row was multiplied through by."""
+    coeffs = {}
+    for j, v in con.coeffs.items():
+        if not 0 <= j < n_vars:
+            raise ValueError(f"variable index {j} out of range")
+        coeffs[j] = v if isinstance(v, int) else Fraction(v)
+    scale = lcm(*(v.denominator for v in coeffs.values()))
+    return {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}, scale
+
+
+class _Tableau:
+    """Dense simplex tableau of ints over one shared denominator.
+
+    Every basic column is ``denom`` times a unit vector. Once ``solve`` has
+    run, ``obj`` is its reduced-cost row, over ``denom * cden``, with the
+    negated optimum, also scaled by ``rhs_scale``, last.
+    """
+
+    def __init__(self, rows, basis, n_cols, rhs_scale, n_vars, rhs, slack):
         self.rows = rows  # m x (n_cols + 1), rhs last; an entry means entry / denom
         self.basis = basis  # basic variable per row
         self.n_cols = n_cols
         self.denom = 1
         self.rhs_scale = rhs_scale  # the rhs column is also scaled by this
+        self.n_vars = n_vars  # the structural columns come first
+        self.obj = None
+        self.cden = 1
+        self.allowed = None  # allowed[c]: column c may enter the basis
+        # Per constraint: its rhs, and the column of its slack with the
+        # signed factor the row was multiplied by, when that slack was in
+        # the starting basis (a <= row after sign normalisation), else None.
+        self.rhs = rhs
+        self.slack = slack
 
     def pivot(self, r: int, c: int, obj=None) -> None:
         """Pivot at (r, c); ``obj``, a reduced-cost row, takes the same step."""
@@ -99,7 +140,8 @@ class _Tableau:
         self.basis[r] = c
 
     def solve(self, cost, allowed) -> Fraction:
-        """Minimise cost over the current basis; returns the optimum.
+        """Minimise cost over the current basis by the primal simplex; returns
+        the optimum.
 
         `cost` is a dense objective row (length n_cols) of ints or
         Fractions; `allowed[c]` marks columns that may enter the basis.
@@ -115,8 +157,9 @@ class _Tableau:
             f = cost[bv]
             if f:
                 obj = [v - f * a for v, a in zip(obj, rows[r])]
+        self.obj, self.cden, self.allowed = obj, cden, allowed
         degenerate_run = 0
-        bland_after = 4 * (len(rows) + n) + 32
+        bland_after = _bland_after(len(rows), n)
         while True:
             use_bland = degenerate_run >= bland_after
             enter = -1
@@ -132,7 +175,7 @@ class _Tableau:
                         best = obj[c]
                         enter = c
             if enter < 0:
-                return Fraction(-obj[-1], self.denom * cden * self.rhs_scale)
+                return self.value()
             # Ratio test b_r / a_r, compared as b_r * a_s < b_s * a_r.
             leave = -1
             for r, row in enumerate(rows):
@@ -150,9 +193,106 @@ class _Tableau:
             degenerate_run = degenerate_run + 1 if best_b == 0 else 0
             self.pivot(leave, enter, obj)
 
+    def value(self) -> Fraction:
+        return Fraction(-self.obj[-1], self.denom * self.cden * self.rhs_scale)
 
-def solve(objective, constraints, n_vars: int) -> LpSolution:
-    """Minimise `objective` (sparse dict col->coeff) subject to `constraints`.
+    def solution(self) -> LpSolution:
+        """The optimum and the basic point of the structural variables."""
+        scale = self.denom * self.rhs_scale
+        x = [_ZERO] * self.n_vars
+        for r, bv in enumerate(self.basis):
+            if bv < self.n_vars:
+                x[bv] = Fraction(self.rows[r][-1], scale)
+        return LpSolution(value=self.value(), x=x)
+
+    def _rhs_int(self, value: Fraction) -> int:
+        """value * rhs_scale as an int, first multiplying the rhs column, and
+        the optimum, by whatever makes it one."""
+        f = (value * self.rhs_scale).denominator
+        if f > 1:
+            for row in self.rows:
+                row[-1] *= f
+            self.obj[-1] *= f
+            self.rhs_scale *= f
+        return int(value * self.rhs_scale)
+
+    def add_row(self, con: Constraint) -> None:
+        """Add a ``<=`` row with a new basic slack. In the current basis it is
+        D*a - sum_i a[basis[i]]*row_i, exact in ints as every basic column
+        is D*e_i; the reduced costs keep their signs. Call ``reoptimize``
+        after the last row."""
+        if con.sense != LESS_EQ:
+            raise ValueError(f"only {LESS_EQ} rows are added, not {con.sense!r}")
+        coeffs, scale = _integral(con, self.n_vars)
+        d, n = self.denom, self.n_cols
+        rhs = self._rhs_int(con.rhs * scale)
+        for row in self.rows + [self.obj]:  # the new slack's column, zero outside its row
+            row.insert(n, 0)
+        new = [0] * (n + 2)
+        for j, v in coeffs.items():
+            new[j] = d * v
+        new[n], new[-1] = d, d * rhs
+        for r, bv in enumerate(self.basis):
+            f = coeffs.get(bv)
+            if f:
+                new = [v - f * q for v, q in zip(new, self.rows[r])]
+        self.rows.append(new)
+        self.basis.append(n)
+        self.allowed.append(True)
+        self.n_cols = n + 1
+        self.rhs.append(con.rhs)
+        self.slack.append((n, scale))
+
+    def move_rhs(self, i: int, rhs) -> None:
+        """Set constraint i's right-hand side. The move goes through the
+        column of its starting slack, which holds D*B^-1*e_i; the reduced
+        costs do not change. Call ``reoptimize`` after the last move."""
+        if self.slack[i] is None:
+            raise ValueError(f"constraint {i} has no starting slack to move its bound through")
+        col, scale = self.slack[i]
+        rhs = Fraction(rhs)
+        k = self._rhs_int((rhs - self.rhs[i]) * scale)
+        self.rhs[i] = rhs
+        if k:
+            for row in self.rows + [self.obj]:
+                row[-1] += k * row[col]
+
+    def reoptimize(self) -> Fraction:
+        """Restore primal feasibility of a dual-feasible tableau by the dual
+        simplex; returns the optimum. Raises InfeasibleError when a row with
+        a negative basic value has no negative entry that may enter."""
+        rows, basis, obj, allowed = self.rows, self.basis, self.obj, self.allowed
+        degenerate_run = 0
+        bland_after = _bland_after(len(rows), self.n_cols)
+        while True:
+            use_bland = degenerate_run >= bland_after
+            leave = -1
+            for r, row in enumerate(rows):
+                b = row[-1]
+                if b < 0 and (
+                    leave < 0
+                    or (not use_bland and b < low)
+                    or ((use_bland or b == low) and basis[r] < basis[leave])
+                ):
+                    leave, low = r, b
+            if leave < 0:
+                return self.value()
+            # Ratio test obj_c / -a_c over negative a_c, compared as
+            # obj_c * a_s > obj_s * a_c; ties go to the lowest column.
+            enter = -1
+            for c, a in enumerate(rows[leave][:-1]):
+                if a < 0 and allowed[c] and (enter < 0 or obj[c] * best_a > best_o * a):
+                    enter, best_a, best_o = c, a, obj[c]
+            if enter < 0:
+                raise InfeasibleError("a basic variable cannot be made non-negative")
+            degenerate_run = degenerate_run + 1 if best_o == 0 else 0
+            self.pivot(leave, enter, obj)
+
+
+def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
+    """The optimal tableau of min `objective` (sparse dict col->coeff)
+    subject to `constraints`, by the two phases, ready for ``add_row``,
+    ``move_rhs`` and ``reoptimize``.
 
     All variables are non-negative. Raises InfeasibleError or
     UnboundedError accordingly.
@@ -166,15 +306,11 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
 
     rows = []
     basis = [-1] * m
+    slack = [None] * m
     slack_seen = 0
     art_seen = 0
     for r, con in enumerate(constraints):
-        coeffs = {}
-        for j, v in con.coeffs.items():
-            if not 0 <= j < n_vars:
-                raise ValueError(f"variable index {j} out of range")
-            coeffs[j] = v if isinstance(v, int) else Fraction(v)
-        scale = lcm(*(v.denominator for v in coeffs.values()))  # makes the row integral
+        coeffs, scale = _integral(con, n_vars)  # makes the row integral
         rhs = con.rhs * scale
         sense = con.sense
         if rhs < 0:  # normalise to rhs >= 0
@@ -183,13 +319,14 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
             sense = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[sense]
         dense = [0] * (n_vars + n_slack)
         for j, v in coeffs.items():
-            dense[j] = v.numerator * (scale // v.denominator)
+            dense[j] = v if scale > 0 else -v
         if sense != EQUAL:
             col = first_slack + slack_seen
             dense[col] = 1 if sense == LESS_EQ else -1
             slack_seen += 1
             if sense == LESS_EQ:
                 basis[r] = col
+                slack[r] = (col, scale)
         rows.append((dense, rhs))
         if basis[r] < 0:
             art_seen += 1
@@ -208,7 +345,8 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
             art_seen += 1
         tab_rows.append(row)
 
-    tab = _Tableau(tab_rows, basis, n_cols, rhs_scale)
+    tab = _Tableau(tab_rows, basis, n_cols, rhs_scale, n_vars,
+                   [con.rhs for con in constraints], slack)
 
     if art_cols:
         phase1_cost = [0] * n_cols
@@ -243,10 +381,14 @@ def solve(objective, constraints, n_vars: int) -> LpSolution:
         if not 0 <= j < n_vars:
             raise ValueError(f"objective index {j} out of range")
         cost[j] += v if isinstance(v, int) else Fraction(v)
-    value = tab.solve(cost, allowed)
+    tab.solve(cost, allowed)
+    return tab
 
-    x = [_ZERO] * n_vars
-    for r, bv in enumerate(tab.basis):
-        if bv < n_vars:
-            x[bv] = Fraction(tab.rows[r][-1], tab.denom * rhs_scale)
-    return LpSolution(value=value, x=x)
+
+def solve(objective, constraints, n_vars: int) -> LpSolution:
+    """Minimise `objective` (sparse dict col->coeff) subject to `constraints`.
+
+    All variables are non-negative. Raises InfeasibleError or
+    UnboundedError accordingly.
+    """
+    return optimal_tableau(objective, constraints, n_vars).solution()

@@ -121,10 +121,9 @@ def criterion_3_lp_tightness() -> CriterionResult:
     checked = 0
     for base, ds in _structures(TIGHTNESS_INSTANCES):
         reduced = cv.symmetrize(cv.build_lp(base, ds, cv.full_family(ds)))
-        for m in corner_memories(base):
-            inst = base.with_m(m)
-            opt = cv.solve_lp(reduced.with_m(m)).value
-            want = rstar_u(inst)
+        corners = corner_memories(base)
+        for m, outcome in zip(corners, cv.solve_lp_grid(reduced, corners)):
+            opt, want = outcome.value, rstar_u(base.with_m(m))
             if opt != want:
                 detail = f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): LP {opt} != {want}"
                 return CriterionResult(3, False, detail)
@@ -248,8 +247,9 @@ def criterion_8_loose_bound() -> CriterionResult:
     """Loose-bound probe: sum_all_bound vs the paper-reported 54/95 and the LP."""
     inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
     ds = build_demand_structure(inst)
-    loose = cv.sum_all_bound(inst, ds)
-    opt = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds))).value
+    family = cv.full_family(ds)
+    loose = cv.sum_all_bound(inst, ds, family.blocks)
+    opt = cv.solve_lp(cv.build_lp(inst, ds, family)).value
     reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
     detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"

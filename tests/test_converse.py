@@ -4,7 +4,6 @@ import inspect
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, permutations, product
 from math import lcm
 from pathlib import Path
@@ -552,7 +551,7 @@ class TestFullFamily:
         inst, ds = setup(K, 1, 1)
         monkeypatch.setattr(cv, "FAMILY_BUDGET", budget)
         monkeypatch.setattr(cv, "_order_masks", no_template)
-        for build in (cv.full_family, partial(cv.sum_all_bound, inst)):  # the loose bound's too
+        for build in (cv.full_family, cv.full_blocks):  # the loose bound's blocks too
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
                 build(ds)
 
@@ -730,22 +729,53 @@ class TestSolveLp:
                 assert per == agg
 
     def test_row_generation_refuses_a_point_failing_an_active_row(self, monkeypatch):
-        inst, ds = setup(5, 1, 1, M=2)
-        sym = cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+        sym = symmetric_511()
         assert len(sym.genie_rows) == 360 > cv._ROWGEN_SEED  # rows are generated
-        solve_subset, calls = cv._solve_subset, []
+        rounds, error = faulty_rounds(monkeypatch, sym, [Fraction(2)], fault_from=1)
+        assert error == "witness fails a row it was solved under"
+        assert rounds == [cv._ROWGEN_SEED + len(sym.partition_rows) + len(sym.memory_rows)]
 
-        def faulty(lp, rows):  # a solver fault: R below the rows it is tight on
-            calls.append(len(rows))
-            if len(calls) > 50:
-                raise AssertionError("row generation does not stop")
-            value, assignment = solve_subset(lp, rows)
-            return value - 1, assignment
+    # The same fault met warm: in the first round after rows were added,
+    # and in the first round at the next M, reached by moving the bounds.
+    @pytest.mark.parametrize("fault", ["rows added", "bounds moved"])
+    def test_row_generation_refuses_a_warm_point_failing_an_active_row(self, monkeypatch, fault):
+        sym = symmetric_511()
+        memories = [Fraction(2), Fraction(5, 2)]
+        first, _ = faulty_rounds(monkeypatch, sym, memories[:1])
+        clean, error = faulty_rounds(monkeypatch, sym, memories)
+        assert error is None and len(first) > 1 and clean[:len(first)] == first
+        assert len(clean) > len(first) and clean[len(first)] == first[-1]  # no row added
+        fault_from = 2 if fault == "rows added" else len(first) + 1
+        rounds, error = faulty_rounds(monkeypatch, sym, memories, fault_from)
+        assert error == "witness fails a row it was solved under"
+        assert rounds == clean[:fault_from]
 
-        monkeypatch.setattr(cv, "_solve_subset", faulty)
-        with pytest.raises(cv.exactlp.LpError, match="^witness fails a row it was solved under$"):
-            cv.solve_lp(sym)
-        assert calls == [cv._ROWGEN_SEED]
+
+def symmetric_511():
+    inst, ds = setup(5, 1, 1, M=2)
+    return cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+
+
+def faulty_rounds(monkeypatch, sym, memories, fault_from=None):
+    """Walk memories with R lowered by 1 from round fault_from on, a solver
+    fault: R below the rows it is tight on. Returns each round's count of
+    constraints the tableau was solved under, and the LpError's text."""
+    point, rounds = cv._tableau_point, []
+
+    def faulty(tab, col):
+        rounds.append(len(tab.rhs))
+        if len(rounds) > 50:
+            raise AssertionError("row generation does not stop")
+        value, assignment = point(tab, col)
+        return value - (fault_from is not None and len(rounds) >= fault_from), assignment
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cv, "_tableau_point", faulty)
+        try:
+            cv.solve_lp_grid(sym, memories)
+        except cv.exactlp.LpError as exc:
+            return rounds, str(exc)
+    return rounds, None
 
 
 class TestSymmetrize:
@@ -877,9 +907,9 @@ class TestSymmetrize:
         for name, rows in every_family(ds):
             lp = cv.build_lp(base, ds, rows, mode)
             full, cyclic = cv.symmetrize(lp), cyclic_symmetrize(lp)
-            # The direct route needs 5 s to minutes per point on larger raw
-            # programs (33 s at (3,2,2), per node, M = 3, on a 2-core VM).
-            direct = len(rows) <= 400
+            # Up to (4,1,2)'s 4,656 rows; past that the direct route needs
+            # 2 to 40 s per point (dense pivots on about 600 active rows).
+            direct = len(rows) <= 5000
             for m in grid:
                 want = cv.solve_lp(cyclic.with_m(m)).value
                 assert cv.solve_lp(full.with_m(m)).value == want, (name, m)
@@ -889,6 +919,40 @@ class TestSymmetrize:
 
 def oracle_family(ds, regime):
     return family_for(ds) if regime is None else cv.selected_family(ds, regime)
+
+
+def cold_solve_value(sym):
+    """The collapsed program solved cold with every genie row at once, the
+    warm walk's oracle."""
+    col = {key: j for j, key in enumerate(sym.var_keys)}
+    r_col = len(col)
+    cons = [cv._genie_constraint(row, col, r_col) for row in sym.genie_rows]
+    cons += cv._structural_constraints(sym, col)
+    return cv.exactlp.solve({r_col: 1}, cons, n_vars=r_col + 1).value
+
+
+class TestGridWalk:
+    @pytest.mark.parametrize("K,a,b,regime", ORACLE_FAMILIES)
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_warm_walk_equals_cold_solves(self, K, a, b, regime, mode):
+        base, ds = setup(K, a, b)
+        try:
+            sym = cv.symmetrize(cv.build_lp(base, ds, oracle_family(ds, regime), mode))
+        except cv.FamilyError:
+            return
+        corners = corner_memories(base)
+        grid = corners + [(lo + hi) / 2 for lo, hi in zip(corners, corners[1:])]  # up, then down
+        walked = [outcome.value for outcome in cv.solve_lp_grid(sym, grid)]
+        assert walked == [cold_solve_value(sym.with_m(m)) for m in grid]
+        assert walked == [cv.solve_lp(sym.with_m(m)).value for m in grid]
+
+    def test_one_point_is_solve_lp(self, monkeypatch):
+        inst, ds = setup(3, 2, 1, M=3)
+        lp = cv.build_lp(inst, ds, family_for(ds))
+        walked = []
+        grid = cv.solve_lp_grid
+        monkeypatch.setattr(cv, "solve_lp_grid", lambda lp, ms: walked.append(ms) or grid(lp, ms))
+        assert cv.solve_lp(lp).value == 1 and walked == [[3]]
 
 
 class TestLinkRowsMatchKeyOracles:
@@ -931,9 +995,35 @@ class TestLinkRowsMatchKeyOracles:
             sym = cv.symmetrize(lp)
         except cv.FamilyError:
             return
-        value, x = cv._solve_iterative(sym)
+        value, x = next(cv._solve_iterative([sym]))
         for v in (value, value - Fraction(1, 97)):
             assert cv._witness_ok(sym, v, x) == key_witness_ok(sym.genie_rows, v, x)
+
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2)])
+    def test_same_verdicts_where_a_template_bound_exceeds_r(self, monkeypatch, K, a, b):
+        inst, ds = setup(K, a, b, M=1)
+        lp = cv.build_lp(inst, ds, family_for(ds))
+        key_rows = expanded(ds, lp.genie_rows)
+        (block,) = lp.blocks
+        assert not cv._disjoint(block.pools)
+        choices, listed = cv._choices, []
+        monkeypatch.setattr(cv, "_choices", lambda ds, b: listed.append(b) or choices(ds, b))
+        # Mass on one shared file: both users that may demand it read it
+        # under every template, which bounds each template by 2 > R = 1,
+        # yet no row decodes it twice, so every row holds.
+        x = {(ds.part1[0][0], 0): Fraction(1)}
+        assert key_witness_ok(key_rows, Fraction(1), x)
+        assert cv._witness_ok(lp, Fraction(1), x) and listed
+        # Distinct powers of two give every key set its own sum, so one
+        # row is the largest, and R just below it fails that row alone.
+        n = len(lp.var_keys)
+        x = {key: Fraction(2**i, 2**n) for i, key in enumerate(lp.var_keys)}
+        sums = sorted(sum(x[k] for k in row) for row in key_rows)
+        r = sums[-1] - Fraction(1, 2 ** (n + 1))
+        assert sums[-2] < r < sums[-1]
+        assert not key_witness_ok(key_rows, r, x)
+        listed.clear()
+        assert not cv._witness_ok(lp, r, x) and listed
 
     @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (4, 1, 2)])
     def test_same_closure_verdicts_on_partial_families(self, K, a, b):
@@ -1174,10 +1264,14 @@ class TestCountedCertificates:
                     assert line == rstar_u(inst.with_m(M)), (regime, M)
 
 
+def sum_all(inst, ds):
+    return cv.sum_all_bound(inst, ds, cv.full_blocks(ds))
+
+
 class TestSumAllBound:
     def test_reproduces_papers_loose_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+        assert sum_all(inst, ds) == Fraction(54, 95)
 
     def test_builds_no_row(self, monkeypatch):
         def no_rows(*_args):
@@ -1185,28 +1279,28 @@ class TestSumAllBound:
 
         inst, ds = setup(3, 2, 1, M=3)
         monkeypatch.setattr(cv, "_block_rows", no_rows)
-        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+        assert sum_all(inst, ds) == Fraction(54, 95)
 
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
-        loose = cv.sum_all_bound(inst, ds)
+        loose = sum_all(inst, ds)
         opt = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert cv.sum_all_bound(inst, ds) == 0
+        assert sum_all(inst, ds) == 0
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
-        assert cv.sum_all_bound(inst, ds) == 2
+        assert sum_all(inst, ds) == 2
 
     # (3,0,2) and (4,0,1) have disjoint pools; the rest overlap.
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (2, 2, 1), (3, 0, 2), (3, 1, 1), (3, 2, 1),
                                        (4, 0, 1), (4, 1, 1), (4, 1, 2), (4, 2, 1), (5, 1, 1)])
     def test_counted_average_equals_the_row_average(self, K, a, b):
         _, ds = setup(K, a, b)
-        blocks = cv._full_blocks(ds)
+        blocks = cv.full_blocks(ds)
         assert cv._disjoint(blocks[0].pools) == (a == 0)
         assert cv._block_average(ds, blocks) == average_rows(K, cv.full_family(ds))
 

@@ -350,22 +350,192 @@ class TestAgainstFractionTableau:
     def test_converse_programs_match_exactly(self, monkeypatch):
         # The programs solve_lp builds at (3,2,1), M = 3: the full family
         # through its orbit collapse, a selected family through it and
-        # through the direct route.
-        calls = []
-        original = exactlp.solve
+        # through the direct route. Each cold start matches the oracle in
+        # value and point; each warm re-optimisation, on the program the
+        # added rows and moved bounds make, matches it in value.
+        programs, checks, added = {}, [], []
+        start = exactlp.optimal_tableau
+        add_row, move_rhs, reoptimize = (
+            exactlp._Tableau.add_row, exactlp._Tableau.move_rhs, exactlp._Tableau.reoptimize)
 
-        def both(objective, constraints, n_vars):
-            sol = original(objective, constraints, n_vars)
-            want = oracle_solve(objective, constraints, n_vars)
-            calls.append((sol.value, sol.x) == (want.value, want.x))
-            return sol
+        def cold(objective, constraints, n_vars):
+            tab = start(objective, constraints, n_vars)
+            sol, want = tab.solution(), oracle_solve(objective, constraints, n_vars)
+            checks.append((sol.value, sol.x) == (want.value, want.x))
+            programs[tab] = (objective, list(constraints), n_vars)
+            return tab
 
-        monkeypatch.setattr(exactlp, "solve", both)
+        def grow(tab, con):
+            programs[tab][1].append(con)
+            added.append(con)
+            return add_row(tab, con)
+
+        def move(tab, i, rhs):
+            cons = programs[tab][1]
+            cons[i] = C(cons[i].coeffs, cons[i].sense, rhs)
+            return move_rhs(tab, i, rhs)
+
+        def warm(tab):
+            value = reoptimize(tab)
+            checks.append(value == oracle_solve(*programs[tab]).value)
+            return value
+
+        monkeypatch.setattr(cv, "_ROWGEN_SEED", 4)  # so these small programs generate rows
+        monkeypatch.setattr(cv, "_ROWGEN_BATCH", 3)
+        monkeypatch.setattr(exactlp, "optimal_tableau", cold)
+        monkeypatch.setattr(exactlp._Tableau, "add_row", grow)
+        monkeypatch.setattr(exactlp._Tableau, "move_rhs", move)
+        monkeypatch.setattr(exactlp._Tableau, "reoptimize", warm)
         inst = ProblemInstance(K=3, a=2, b=1, M=Fraction(3))
         ds = build_demand_structure(inst)
         full = cv.build_lp(inst, ds, cv.full_family(ds), cv.PER_NODE)
         assert cv.solve_lp(full).value == 1
+        grid = [Fraction(0), Fraction(3, 2), Fraction(3), Fraction(5)]
+        assert [o.value for o in cv.solve_lp_grid(full, grid)] == [3, 2, 1, 0]
         high = cv.build_lp(inst, ds, cv.selected_family(ds, cv.Regime.HIGH_M))
         for solve in (cv.solve_lp, direct_solve):
             assert solve(high).value == 1
-        assert len(calls) >= 3 and all(calls)
+        assert len(programs) >= 4 and added and len(checks) > len(programs) and all(checks)
+
+
+def as_le_rows(constraints):
+    """The constraints as <= rows: a >= row negated, an equality split in two."""
+    out = []
+    for con in constraints:
+        negated = C({j: -v for j, v in con.coeffs.items()}, LESS_EQ, -con.rhs)
+        if con.sense != GREATER_EQ:
+            out.append(C(con.coeffs, LESS_EQ, con.rhs))
+        if con.sense != LESS_EQ:
+            out.append(negated)
+    return out
+
+
+def warm_outcome(tab, cost, constraints, n):
+    """The re-optimised value, after checking that the tableau holds ints only
+    and that its point satisfies every constraint at that value; or the
+    class of the error raised."""
+    try:
+        value = tab.reoptimize()
+    except exactlp.LpError as exc:
+        return type(exc)
+    assert all(type(v) is int for row in tab.rows + [tab.obj] for v in row)
+    assert type(tab.denom) is int and type(tab.rhs_scale) is int
+    x = tab.solution().x
+    assert all(v >= 0 for v in x)
+    assert sum(v * x[j] for j, v in cost.items()) == value
+    for con in constraints:
+        lhs = sum(v * x[j] for j, v in con.coeffs.items())
+        assert {LESS_EQ: lhs <= con.rhs, GREATER_EQ: lhs >= con.rhs, EQUAL: lhs == con.rhs}[
+            con.sense]
+    return value
+
+
+def cold_value(cost, constraints, n):
+    got = outcome(exactlp.solve, cost, constraints, n)
+    return got if isinstance(got, type) else got[0]
+
+
+class TestIncremental:
+    """The warm path against the cold solve, in value and feasibility only:
+    a warm basis may end at another optimal vertex."""
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_rows_added_one_at_a_time_and_in_batches(self, monkeypatch, bland):
+        rng = random.Random(20261019)
+        kinds, runs = set(), 0
+        for _ in range(900):
+            cost, cons, n = random_program(rng)
+            k = rng.randrange(0, len(cons))
+            base, rest = cons[:k], as_le_rows(cons[k:])
+            try:
+                exactlp.solve(cost, base, n)
+            except exactlp.UnboundedError:
+                continue  # no optimal tableau to start from
+            except exactlp.InfeasibleError:
+                continue
+            want = cold_value(cost, base + rest, n)
+            for batch in (1, rng.randrange(2, 5), len(rest)):
+                tab = exactlp.optimal_tableau(cost, base, n)
+                if bland:  # the dual simplex turns to Bland's rule at once
+                    monkeypatch.setattr(exactlp, "_bland_after", lambda rows, cols: 0)
+                for i in range(0, len(rest), batch):
+                    for con in rest[i:i + batch]:
+                        tab.add_row(con)
+                    got = warm_outcome(tab, cost, base + rest[:i + batch], n)
+                    if got is exactlp.InfeasibleError:
+                        break
+                assert got == want, (cost, cons, k, batch)
+                monkeypatch.undo()
+                runs += 1
+            kinds.add(want if isinstance(want, type) else "optimal")
+        assert kinds == {"optimal", exactlp.InfeasibleError} and runs > 600
+
+    def test_moving_a_right_hand_side(self):
+        rng = random.Random(20261020)
+        moved = 0
+        for _ in range(1000):
+            cost, cons, n = random_program(rng)
+            k = rng.randrange(1, len(cons) + 1)
+            base, rest = cons[:k], as_le_rows(cons[k:])
+            try:
+                tab = exactlp.optimal_tableau(cost, base, n)
+            except exactlp.LpError:
+                continue
+            for con in rest:
+                tab.add_row(con)
+            program = base + rest
+            if warm_outcome(tab, cost, program, n) is exactlp.InfeasibleError:
+                continue
+            movable = [i for i, slack in enumerate(tab.slack) if slack is not None]
+            for i in range(len(program)):
+                if i not in movable:
+                    with pytest.raises(ValueError):
+                        tab.move_rhs(i, 0)
+            if not movable:
+                continue
+            i = rng.choice(movable)
+            rhs = Fraction(rng.randrange(-6, 13), rng.choice((1, 2, 3, 5)))
+            program[i] = C(program[i].coeffs, program[i].sense, rhs)
+            tab.move_rhs(i, rhs)
+            # A dual-feasible basis bounds the objective, so the cold
+            # solve of the moved program is optimal or infeasible too.
+            assert warm_outcome(tab, cost, program, n) == cold_value(cost, program, n)
+            moved += 1
+        assert moved > 120
+
+    def test_only_le_rows_are_added(self):
+        tab = exactlp.optimal_tableau({0: 1}, [C({0: 1}, GREATER_EQ, 1)], n_vars=1)
+        for sense in (GREATER_EQ, EQUAL):
+            with pytest.raises(ValueError):
+                tab.add_row(C({0: 1}, sense, 2))
+
+    def test_dual_degenerate_program_reaches_the_bland_switch(self, monkeypatch):
+        # min y2: y0 and y1 cost nothing, so the first two dual pivots leave
+        # the objective where it is. With the switch after one degenerate
+        # pivot, the third pivot takes the row with the lowest basic index,
+        # not the most negative one, and reaches the same optimum.
+        cost = {2: 1}
+        base = [C({0: 1, 1: 1, 2: 1}, LESS_EQ, 10)]
+        rows = [C({0: -1, 1: -2}, LESS_EQ, -4), C({0: 2, 1: 3, 2: -3}, LESS_EQ, -4),
+                C({0: -3, 1: -1, 2: 3}, LESS_EQ, -1)]
+        pivot, log = exactlp._Tableau.pivot, []
+
+        def spy(tab, r, c, obj=None):
+            if obj is not None:
+                log.append((tab.basis[r], obj[c] == 0))
+            return pivot(tab, r, c, obj)
+
+        monkeypatch.setattr(exactlp._Tableau, "pivot", spy)
+        paths = {}
+        for after in (None, 1):
+            tab = exactlp.optimal_tableau(cost, base, n_vars=3)
+            for con in rows:
+                tab.add_row(con)
+            if after is not None:
+                monkeypatch.setattr(exactlp, "_bland_after", lambda m, n: after)
+            log.clear()
+            assert warm_outcome(tab, cost, base + rows, 3) == Fraction(14, 3)
+            paths[after] = list(log)
+        assert cold_value(cost, base + rows, 3) == Fraction(14, 3)
+        assert paths[None] == [(4, True), (5, True), (6, False), (1, False)]
+        assert paths[1] == [(4, True), (5, True), (0, False), (6, False), (1, False)]
