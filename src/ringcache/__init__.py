@@ -1,6 +1,6 @@
 """Coded-caching workbench for location-based content on a ring of edge caches.
 
-The package is organised around five pieces:
+The package is organised around seven modules:
 
 * :mod:`ringcache.model` -- the cyclic demand structure (regions, demand
   sets, demand vectors) and all shared index arithmetic.
@@ -10,8 +10,13 @@ The package is organised around five pieces:
   order-optimality gap checks, all in exact rational arithmetic.
 * :mod:`ringcache.converse` -- genie-aided inequality families, the exact
   rational LP they induce, symmetrisation, and weighted-sum certificates.
+* :mod:`ringcache.exactlp` -- the exact simplex on integer tableaus that
+  solves those LPs, with warm re-optimisation after added rows or moved
+  right-hand sides.
+* :mod:`ringcache.verify` -- the acceptance battery: the eight criteria
+  checked over an instance sweep.
 * :mod:`ringcache.cli` -- command-line front end (tradeoff curves,
-  simulation, LP verification, acceptance battery).
+  simulation, LP verification, gap check, acceptance battery).
 """
 
 from ringcache.model import (

@@ -14,6 +14,7 @@ enumeration, genie rows, library size or tradeoff grid points).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -330,7 +331,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps no state on the parser between calls, so every
+    ``main`` call in a process reuses this one tree. Callers must not add
+    to it; ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="ringcache",
         description="Coded-caching workbench for location-based content on a cache ring.",

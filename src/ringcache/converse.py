@@ -48,6 +48,7 @@ from ringcache.model import (
     DemandError,
     DemandStructure,
     ProblemInstance,
+    count_text,
     cyclic_mod,
 )
 
@@ -181,7 +182,8 @@ def _choices(ds: DemandStructure, block: Block) -> list:
     pools = [block.pools[uk - 1] for uk in block.users]
     n_all = prod(map(len, pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
-        raise BudgetExceededError(f"{n_all} demand vectors exceed the row budget {FAMILY_BUDGET}")
+        raise BudgetExceededError(
+            f"{count_text(n_all)} demand vectors exceed the row budget {FAMILY_BUDGET}")
     disjoint = _disjoint(pools)
     return [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
 

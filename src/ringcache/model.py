@@ -10,7 +10,7 @@ K-bit masks with bit j-1 standing for node j.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -25,6 +25,18 @@ class DemandError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its guard budget."""
+
+
+def count_text(n: int) -> str:
+    """A count for a message: ``n`` in decimal, or "at least 10^e" when
+    ``str`` refuses that many digits (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(n)
+    except ValueError:
+        e = (n.bit_length() - 1) * 30102 // 100000  # 30102/10^5 < log10(2), so 10^e <= n
+        while 10 ** (e + 1) <= n:
+            e += 1
+        return f"at least 10^{e}"
 
 
 def cyclic_mod(x: int, m: int) -> int:
@@ -238,11 +250,14 @@ def validate_structure(ds: DemandStructure) -> None:
         full = d1 | d2 | d3
         if len(full) != 2 * a + b or full != ds.demand_sets[k - 1]:
             reject(f"parts of D[{k}] collide")
-    for k1 in range(1, K + 1):
-        for k2 in range(1, K + 1):
-            if 2 <= cyclic_mod(k1 - k2, K) <= K - 2:
-                if ds.demand_sets[k1 - 1] & ds.demand_sets[k2 - 1]:
-                    reject(f"non-neighbouring D[{k1}], D[{k2}] intersect")
+    holders = {}  # file -> the regions whose demand set holds it, in ascending order
+    for k, files in enumerate(ds.demand_sets, start=1):
+        for i in files:
+            holders.setdefault(i, []).append(k)
+    far = [pair for ks in holders.values() if len(ks) > 1 for pair in combinations(ks, 2)
+           if 2 <= cyclic_mod(pair[0] - pair[1], K) <= K - 2]
+    if far:  # the least pair is the one a scan over every (k1, k2) meets first
+        reject("non-neighbouring D[%d], D[%d] intersect" % min(far))
     if ds.class1 & ds.class2:
         reject("C1 and C2 intersect")
     universe = frozenset().union(*ds.demand_sets)

@@ -32,6 +32,7 @@ from ringcache.model import (
     InvalidInstanceError,
     ProblemInstance,
     count_demands,
+    count_text,
     cyclic_mod,
     mask_of,
     nodes_of,
@@ -414,7 +415,8 @@ def worst_case_load(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSp
     """
     n_vectors = count_demands(ds)
     if n_vectors > WORST_CASE_BUDGET:
-        raise BudgetExceededError(f"{n_vectors} demand vectors exceed {WORST_CASE_BUDGET}")
+        raise BudgetExceededError(
+            f"{count_text(n_vectors)} demand vectors exceed {WORST_CASE_BUDGET}")
     return sum(
         (seg.fraction * size for seg in scheme.segments for _, size in seg.kind.plan(inst.K)),
         Fraction(0),

@@ -139,6 +139,18 @@ class TestTradeoff:
         assert err == f"budget exceeded: {steps} grid points exceed the grid budget 100000\n"
 
 
+@pytest.mark.parametrize("argv, budget", [
+    (["tradeoff", "--K", "10000", "--a", "1", "--b", "1", "--m-steps", "2"], "10000000"),
+    (["lp", "--K", "10000", "--a", "0", "--b", "3", "--family", "large_b"],
+     "the row budget 1000000"),
+])
+def test_budget_refusal_past_the_int_digit_limit(capsys, argv, budget):
+    """3^10000 has 4,772 digits, more than str() renders by default."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"budget exceeded: at least 10^4771 demand vectors exceed {budget}\n"
+
+
 class TestSimulate:
     def test_running_example(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--K", "3", "--a", "2", "--b", "1",
@@ -462,6 +474,86 @@ class TestConfig:
         code, out, err = run(capsys, [*command, "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert err == f"error: --config field M is not used by {command[0]}\n"
+
+
+SMALL = ["--K", "3", "--a", "2", "--b", "1"]
+# Every subcommand bare and with its optional flags, with argparse
+# rejections and --help requests between them.
+PARSE_SEQUENCE = [
+    ["tradeoff", *SMALL],
+    ["tradeoff", *SMALL, "--config", "c.json", "--L", "2", "--m-grid", "0,1/2,5", "--lp",
+     "--memory-mode", "per_node", "--format", "json", "--decimal", "3", "--out", "t.csv"],
+    ["tradeoff", *SMALL, "--m-min", "1", "--m-max", "9/2", "--m-steps", "4"],
+    ["tradeoff", *SMALL, "--m-grid", "0,x"],
+    ["tradeoff", *SMALL],
+    ["simulate", *SMALL, "--M", "3"],
+    ["simulate", *SMALL, "--L", "2", "--M", "5/2", "--demand", "1,6,7", "--seed", "4",
+     "--file-size", "12", "--dump", "d.bin", "--out", "s.json"],
+    ["simulate", *SMALL, "--demand", "1,x"],
+    ["simulate", *SMALL],
+    ["lp", *SMALL, "--M", "3"],
+    ["lp", *SMALL, "--M", "3", "--family", "high_m", "--memory-mode", "per_node",
+     "--certificates", "--sum-all", "--export", "lp.txt", "--out", "lp.json"],
+    ["lp", *SMALL, "--family", "bogus"],
+    ["lp", *SMALL],
+    ["gap", *SMALL, "--out", "g.json"],
+    ["gap", *SMALL, "--M", "1"],
+    ["gap", *SMALL],
+    ["verify", *SMALL, "--trials", "3", "--json", "v.json"],
+    ["verify", "--trials", "-1"],
+    ["verify"],
+    [],
+    ["tradeoff", *SMALL, "--decimal", "2"],
+    ["--help"],
+    *([command, "--help"] for command in ("tradeoff", "simulate", "lp", "gap", "verify")),
+    ["gap", *SMALL],
+]
+
+
+def _parsed(capsys, parser, argv):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:  # a rejection (2) or a --help request (0)
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def test_reused_parser_parses_like_a_fresh_one(capsys):
+    """parse_args keeps no state on the parser: after every step of the
+    sequence the shared parser's namespace, exit code and printed text
+    equal those of a parser built afresh for that step."""
+    shared = cli.build_parser()
+    assert cli.build_parser() is shared
+    exits = []
+    for argv in PARSE_SEQUENCE:
+        got = _parsed(capsys, shared, argv)
+        assert got == _parsed(capsys, cli.build_parser.__wrapped__(), argv), argv
+        exits += [got[0]] if isinstance(got[0], int) else []
+    assert exits.count(2) == exits.count(0) == 6  # every rejection and --help ran
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", *SMALL, "--m-steps", "3", "--lp"],
+    ["simulate", *SMALL, "--M", "3", "--file-size", "12"],
+    ["lp", *SMALL, "--M", "3", "--certificates"],
+    ["gap", *SMALL],
+    ["gap", *SMALL, "--L", "2"],
+    ["lp", *SMALL, "--family", "bogus"],
+    ["lp", "--help"],
+])
+def test_second_main_call_prints_what_the_first_printed(capsys, argv):
+    cli.build_parser.cache_clear()  # so the first call builds the parser
+    first = _outcome(capsys, argv)
+    assert _outcome(capsys, argv) == first
 
 
 INSTANCE = ["--K", "2", "--a", "1", "--b", "1"]

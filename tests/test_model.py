@@ -1,21 +1,25 @@
 """Demand-structure construction, index arithmetic, enumeration."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringcache import model
 from ringcache.model import (
     DemandError,
     InvalidInstanceError,
     ProblemInstance,
     build_demand_structure,
     count_demands,
+    count_text,
     cyclic_mod,
     enumerate_demands,
     mask_of,
     nodes_of,
+    validate_structure,
 )
 
 
@@ -43,6 +47,21 @@ class TestCyclicMod:
         r = cyclic_mod(x, m)
         assert 1 <= r <= m
         assert (r - x) % m == 0
+
+
+class TestCountText:
+    @pytest.mark.parametrize("n, text", [
+        (0, "0"),
+        (14348907, "14348907"),
+        (10**4300 - 1, "9" * 4300),  # str()'s default limit is 4,300 digits
+        (10**4300, "at least 10^4300"),
+        (2 * 10**5000 - 1, "at least 10^5000"),
+        (3**10000, "at least 10^4771"),
+        (2**100000, "at least 10^30102"),
+    ], ids=["zero", "sweep-refusal", "4300-digits", "4301-digits", "5001-digits", "3^10000",
+            "2^100000"])
+    def test_renders_the_exact_power_of_ten_past_the_digit_limit(self, n, text):
+        assert count_text(n) == text
 
 
 class TestMasks:
@@ -119,13 +138,44 @@ class TestBuildDemandStructure:
         assert first.demands == second.demands
 
     def test_mutation_is_caught_by_named_invariant(self):
-        from ringcache.model import validate_structure
-
         _, ds = structure(3, 2, 1)
         shifted = tuple(tuple(x + 1 for x in part) for part in ds.part3)
         broken = ds._replace(part3=shifted)
         with pytest.raises(InvalidInstanceError, match="D3"):
             validate_structure(broken)
+
+    @pytest.mark.parametrize("k, donors", [(1, (3, 5)), (1, (5, 3)), (2, (5, 5)), (4, (1, 6)),
+                                           (7, (2, 7)), (3, (3, 6))])
+    def test_non_neighbours_sharing_a_file_are_caught(self, k, donors):
+        """Region k's two unique files are replaced by those of the donor
+        regions; the rejection names the pair a scan over every (k1, k2)
+        meets first."""
+        _, ds = structure(7, 1, 2)
+        part2 = list(ds.part2)
+        part2[k - 1] = tuple(ds.part2[d - 1][j] for j, d in enumerate(donors))
+        sets = list(ds.demand_sets)
+        sets[k - 1] = frozenset(ds.part1[k - 1] + part2[k - 1] + ds.part3[k - 1])
+        broken = ds._replace(part2=tuple(part2), demand_sets=tuple(sets))
+        first = next((k1, k2) for k1 in range(1, 8) for k2 in range(1, 8)
+                     if 2 <= cyclic_mod(k1 - k2, 7) <= 5 and sets[k1 - 1] & sets[k2 - 1])
+        message = f"non-neighbouring D[{first[0]}], D[{first[1]}] intersect"
+        with pytest.raises(InvalidInstanceError, match=re.escape(message) + "$"):
+            validate_structure(broken)
+
+    def test_large_ring_is_checked_in_linear_work(self, monkeypatch):
+        """A scan over every region pair would make K^2 = 4*10^8 calls."""
+        K, calls = 20000, []
+        real = model.cyclic_mod
+
+        def counted(x, m):
+            calls.append(None)
+            if len(calls) > 20 * K:
+                raise AssertionError("cyclic_mod called more than 20 K times")
+            return real(x, m)
+
+        monkeypatch.setattr(model, "cyclic_mod", counted)
+        ds = build_demand_structure(ProblemInstance(K, 1, 1))
+        assert len(ds.demands) == K and ds.part3[-1] == (1,)
 
     def test_home_and_demand_regions(self):
         _, ds = structure(3, 2, 1)

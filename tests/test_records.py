@@ -33,6 +33,34 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_builds_its_parser_lazily_and_once():
+    """Importing the CLI builds no parser, and main() builds one per process.
+
+    The benchmark's setup_s times the import plus one build_parser(); a
+    parser built at import time would move that cost out of the timed calls.
+    """
+    code = ("import argparse, contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import ringcache.cli\n"
+            "at_import = len(built)\n"
+            "sizes = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        ringcache.cli.main(['gap', '--K', '2', '--a', '1', '--b', '1'])\n"
+            "        sizes.append(len(built))\n"
+            "print(at_import, built.count('ringcache'), sizes[0] == sizes[1])\n")
+    src = str(Path(ringcache.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "0 1 True\n"
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: ProblemInstance(1, 1, 1), InvalidInstanceError, "K must be >= 2, got 1"),
     (lambda: ProblemInstance(3, -1, 2), InvalidInstanceError, "a and b must be non-negative"),
