@@ -10,9 +10,9 @@ The package is organised around seven modules:
   order-optimality gap checks, all in exact rational arithmetic.
 * :mod:`ringcache.converse` -- genie-aided inequality families, the exact
   rational LP they induce, symmetrisation, and weighted-sum certificates.
-* :mod:`ringcache.exactlp` -- the exact simplex on integer tableaus that
-  solves those LPs, with warm re-optimisation after added rows or moved
-  right-hand sides.
+* :mod:`ringcache.exactlp` -- the exact dual simplex on integer tableaus
+  that solves those LPs from the all-slack basis, and re-optimises warm
+  after added rows or moved right-hand sides.
 * :mod:`ringcache.verify` -- the acceptance battery: the eight criteria
   checked over an instance sweep.
 * :mod:`ringcache.cli` -- command-line front end (tradeoff curves,

@@ -8,7 +8,8 @@ for fixed-point rendering. Every output path (--out, --dump, --export,
 work starts, so an unwritable path fails fast; a command that fails later
 leaves a missing output path behind as an empty file. Exit codes: 0 ok,
 1 verification failure, 2 usage error, 3 budget exceeded (demand
-enumeration, genie rows, library size or tradeoff grid points).
+enumeration, genie rows, LP variables, library size or tradeoff grid
+points).
 """
 
 from __future__ import annotations
@@ -158,17 +159,17 @@ def _require_single_access(inst: ProblemInstance) -> None:
 
 def cmd_tradeoff(args) -> int:
     inst = _load_instance(args, refused=("M",))
+    n_points = len(args.m_grid) if args.m_grid else args.m_steps
+    if not args.m_grid and n_points < 2:
+        raise InvalidInstanceError("grid needs at least 2 steps")
+    if n_points > GRID_BUDGET:
+        raise BudgetExceededError(f"{n_points} grid points exceed the grid budget {GRID_BUDGET}")
     if args.m_grid:
         grid = args.m_grid
     else:
         lo = args.m_min if args.m_min is not None else Fraction(0)
         hi = args.m_max if args.m_max is not None else Fraction(inst.m_max)
-        steps = args.m_steps
-        if steps < 2:
-            raise InvalidInstanceError("grid needs at least 2 steps")
-        if steps > GRID_BUDGET:
-            raise BudgetExceededError(f"{steps} grid points exceed the grid budget {GRID_BUDGET}")
-        grid = grid_points(lo, hi, steps)
+        grid = grid_points(lo, hi, n_points)
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
@@ -258,6 +259,7 @@ def cmd_simulate(args) -> int:
 def cmd_lp(args) -> int:
     inst = _load_instance(args)
     _require_single_access(inst)
+    cv.check_variables(inst)  # before the demand structure and any family
     ds = build_demand_structure(inst)
     if args.family == "full":
         family = cv.full_family(ds)

@@ -53,6 +53,7 @@ from ringcache.model import (
 )
 
 FAMILY_BUDGET = 10**6
+VARIABLE_BUDGET = 2**21  # (file, mask) variables, N * 2^K; (16,1,1) has exactly this many
 _ROWGEN_SEED = 16
 _ROWGEN_BATCH = 64
 
@@ -190,14 +191,22 @@ def _choices(ds: DemandStructure, block: Block) -> list:
 
 def _check_rows(n_rows: int) -> None:
     if n_rows > FAMILY_BUDGET:
-        raise BudgetExceededError(f"{n_rows} genie rows exceed budget {FAMILY_BUDGET}")
+        raise BudgetExceededError(f"{count_text(n_rows)} genie rows exceed budget {FAMILY_BUDGET}")
+
+
+def check_variables(inst: ProblemInstance) -> None:
+    """Refuse an LP over more than VARIABLE_BUDGET (file, mask) variables
+    without computing 2^K for a K past the budget's bit length."""
+    if inst.K >= VARIABLE_BUDGET.bit_length() or inst.N << inst.K > VARIABLE_BUDGET:
+        raise BudgetExceededError(
+            f"{inst.N} * 2^{inst.K} LP variables exceed the variable budget {VARIABLE_BUDGET}")
 
 
 def _block_rows(ds: DemandStructure, block: Block) -> list:
     """The block's rows: choices in ``product`` order, each under every
-    template."""
+    template. Its family's rows were counted, and refused past the budget,
+    before any block was built."""
     choices = _choices(ds, block)
-    _check_rows(len(choices) * len(block.tops))
     K = ds.inst.K
     tables = _Memo(lambda p: {f: _link(K, f, p[1], block.full) for f in ds.demand_sets[p[0] - 1]})
     templates = [[tables[uk, tops[uk - 1]] for uk in block.users] for tops in block.tops]
@@ -243,8 +252,28 @@ def _chain_permutations(K: int, k: int) -> tuple:
 
 def selected_family(ds: DemandStructure, regime: Regime) -> Family:
     """The hand-picked non-redundant rows backing one regime's certificate,
-    from the blocks of ``_selected_blocks``."""
+    from the blocks of ``_selected_blocks``, refused past the row budget
+    before any block is built."""
+    _check_rows(_selected_rows(ds.inst, regime))
     return _family(ds, _selected_blocks(ds, regime))
+
+
+def _selected_rows(inst: ProblemInstance, regime: Regime) -> int:
+    """The number of rows of one regime's selected family, from the instance
+    alone: 2K*a^(K-1)*b for HIGH_M, 2K*a^K for LOW_M and b^K for LARGE_B;
+    FamilyError where the family is not constructible."""
+    K, a, b = inst.K, inst.a, inst.b
+    if regime is Regime.LARGE_B:
+        if b < 1:
+            raise FamilyError("LARGE_B family needs b >= 1")
+        return b**K
+    if a < 1:
+        raise FamilyError(f"{regime.value} family needs a >= 1")
+    if regime is Regime.HIGH_M:
+        if b < 1:
+            raise FamilyError("HIGH_M family needs b >= 1")
+        return 2 * K * a ** (K - 1) * b
+    return 2 * K * a**K
 
 
 def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
@@ -260,15 +289,10 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
     Each chain (an ordering, one pool and ``top`` per user), and the cut,
     is one block with one template and pairwise disjoint pools.
     """
-    K, a, b = ds.inst.K, ds.inst.a, ds.inst.b
+    K = ds.inst.K
+    _selected_rows(ds.inst, regime)  # FamilyError where there is no family
     if regime is Regime.LARGE_B:
-        if b < 1:
-            raise FamilyError("LARGE_B family needs b >= 1")
         blocks = [Block(tuple(range(1, K + 1)), ds.part2, ((0,) * K,), False)]
-    elif a < 1:
-        raise FamilyError(f"{regime.value} family needs a >= 1")
-    elif regime is Regime.HIGH_M and b < 1:
-        raise FamilyError("HIGH_M family needs b >= 1")
     else:
         blocks = []
         for k in range(1, K + 1):

@@ -1,6 +1,18 @@
-"""Exact linear programming via an integer-preserving two-phase simplex.
+"""Exact linear programming via an integer-preserving dual simplex.
 
-Solves  min c.x  subject to  A x (<=|==|>=) b,  x >= 0  with no rounding.
+Solves  min c.x  subject to  A x (<=|==|>=) b,  x >= 0,  c >= 0  with no
+rounding. Every constraint enters as a ``<=`` row with its own slack: a
+``>=`` row negated, and an equality as its ``<=`` row, all the equalities
+together adding the one row -sum(a_i).x <= -sum(b_i), which with the
+others forces each of them. With c >= 0 the all-slack basis is dual
+feasible, so Lemke's dual simplex (Naval Res. Logist. Q. 1954) solves
+the program from it, and the objective is bounded below by 0: the most
+negative basic row leaves, the column of least ratio of reduced cost to
+the row's negative entry enters, and after a run of dual-degenerate
+pivots the row with the lowest basic index leaves instead, the dual of
+Bland's rule. A negative basic row with no negative entry proves the
+program infeasible. Fully deterministic for a fixed input.
+
 The tableau holds Python ints over one shared denominator D > 0. A pivot
 at (r, c) with p = a_rc sets every other entry to
 (a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
@@ -9,25 +21,14 @@ is negated first when p < 0, so D stays positive. Coefficients may be
 ints or `fractions.Fraction`s; an int enters the tableau as it is. The rhs
 column is scaled once by the lcm of its denominators and the cost by the
 lcm of its, and a constraint with a fractional coefficient is multiplied
-through by the lcm of its denominators before its slack is added; the
-optimum value and point are returned as `fractions.Fraction`s.
-
-The pivot rule is Dantzig's (most negative reduced cost, lowest column
-index on ties) with an automatic switch to Bland's rule after a run of
-degenerate pivots, which makes the method both fast in practice and
-provably cycle-free. Reduced costs and ratios are compared on the scaled
-integers, so on a program with integer coefficients the pivot path is
-the one a `Fraction` tableau takes. Fully deterministic for a fixed input.
+through by the lcm of its denominators; the optimum value and point are
+returned as `fractions.Fraction`s.
 
 `solve` is the cold path. `optimal_tableau` returns the optimal tableau
 itself, which re-optimises after two moves that keep its basis dual
 feasible: a `<=` row added (`add_row`) and a right-hand side moved
 (`move_rhs`). Both can leave a basic variable negative, and `reoptimize`
-restores primal feasibility by Lemke's dual simplex (Naval Res. Logist.
-Q. 1954): the most negative basic row leaves, the column of least ratio
-of reduced cost to the row's negative entry enters, and after a run of
-dual-degenerate pivots the row with the lowest basic index leaves
-instead, the dual of Bland's rule. Every move stays in integers.
+restores primal feasibility. Every move stays in integers.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class InfeasibleError(LpError):
     pass
 
 
-class UnboundedError(LpError):
-    pass
-
-
 class Constraint:
     """Sparse row: sum(coeffs[j] * x_j) <sense> rhs."""
 
@@ -74,48 +71,49 @@ class LpSolution(NamedTuple):
 
 
 def _bland_after(n_rows: int, n_cols: int) -> int:
-    """The length of a degenerate run after which a pivot rule turns to Bland's."""
+    """The length of a degenerate run after which the pivot rule turns to Bland's."""
     return 4 * (n_rows + n_cols) + 32
 
 
 def _integral(con: Constraint, n_vars: int) -> tuple:
-    """The constraint's coefficients as ints and the positive lcm of their
-    denominators the row was multiplied through by."""
+    """The constraint's ``<=`` row in ints and the factor the constraint was
+    multiplied by: the lcm of its coefficients' denominators, negated for
+    a ``>=`` row."""
     coeffs = {}
     for j, v in con.coeffs.items():
         if not 0 <= j < n_vars:
             raise ValueError(f"variable index {j} out of range")
         coeffs[j] = v if isinstance(v, int) else Fraction(v)
     scale = lcm(*(v.denominator for v in coeffs.values()))
+    if con.sense == GREATER_EQ:
+        scale = -scale
     return {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}, scale
 
 
 class _Tableau:
     """Dense simplex tableau of ints over one shared denominator.
 
-    Every basic column is ``denom`` times a unit vector. Once ``solve`` has
-    run, ``obj`` is its reduced-cost row, over ``denom * cden``, with the
-    negated optimum, also scaled by ``rhs_scale``, last.
+    Every basic column is ``denom`` times a unit vector. ``obj`` is the
+    reduced-cost row, over ``denom * cden``, with the negated objective
+    value, also scaled by ``rhs_scale``, last.
     """
 
-    def __init__(self, rows, basis, n_cols, rhs_scale, n_vars, rhs, slack):
+    def __init__(self, rows, n_vars, rhs_scale, obj, cden, rhs, slack):
         self.rows = rows  # m x (n_cols + 1), rhs last; an entry means entry / denom
-        self.basis = basis  # basic variable per row
-        self.n_cols = n_cols
+        self.n_vars = n_vars  # the structural columns come first, then one slack per row
+        self.n_cols = n_vars + len(rows)
+        self.basis = list(range(n_vars, self.n_cols))  # basic variable per row
         self.denom = 1
         self.rhs_scale = rhs_scale  # the rhs column is also scaled by this
-        self.n_vars = n_vars  # the structural columns come first
-        self.obj = None
-        self.cden = 1
-        self.allowed = None  # allowed[c]: column c may enter the basis
+        self.obj = obj
+        self.cden = cden
         # Per constraint: its rhs, and the column of its slack with the
-        # signed factor the row was multiplied by, when that slack was in
-        # the starting basis (a <= row after sign normalisation), else None.
+        # signed factor the row was multiplied by, or None for an equality.
         self.rhs = rhs
         self.slack = slack
 
-    def pivot(self, r: int, c: int, obj=None) -> None:
-        """Pivot at (r, c); ``obj``, a reduced-cost row, takes the same step."""
+    def pivot(self, r: int, c: int) -> None:
+        """Pivot at (r, c); the reduced-cost row takes the same step."""
         rows = self.rows
         piv_row = rows[r]
         p = piv_row[c]
@@ -124,7 +122,7 @@ class _Tableau:
             rows[r] = piv_row = [-v for v in piv_row]
         d = self.denom
         nonzero = [(j, q) for j, q in enumerate(piv_row) if q]
-        for idx, row in enumerate(rows if obj is None else rows + [obj]):
+        for idx, row in enumerate(rows + [self.obj]):
             if idx == r:
                 continue
             f = row[c]
@@ -138,60 +136,6 @@ class _Tableau:
                 row[:] = [v * p // d for v in row]
         self.denom = p
         self.basis[r] = c
-
-    def solve(self, cost, allowed) -> Fraction:
-        """Minimise cost over the current basis by the primal simplex; returns
-        the optimum.
-
-        `cost` is a dense objective row (length n_cols) of ints or
-        Fractions; `allowed[c]` marks columns that may enter the basis.
-        Raises UnboundedError when a column of non-positive entries has
-        negative reduced cost.
-        """
-        rows, basis, n = self.rows, self.basis, self.n_cols
-        cden = lcm(*(v.denominator for v in cost))
-        cost = [v.numerator * (cden // v.denominator) for v in cost]
-        # Reduced-cost row c_j - z_j over denom * cden, so negatives enter.
-        obj = [self.denom * v for v in cost] + [0]
-        for r, bv in enumerate(basis):
-            f = cost[bv]
-            if f:
-                obj = [v - f * a for v, a in zip(obj, rows[r])]
-        self.obj, self.cden, self.allowed = obj, cden, allowed
-        degenerate_run = 0
-        bland_after = _bland_after(len(rows), n)
-        while True:
-            use_bland = degenerate_run >= bland_after
-            enter = -1
-            if use_bland:
-                for c in range(n):
-                    if allowed[c] and obj[c] < 0:
-                        enter = c
-                        break
-            else:
-                best = 0
-                for c in range(n):
-                    if allowed[c] and obj[c] < best:
-                        best = obj[c]
-                        enter = c
-            if enter < 0:
-                return self.value()
-            # Ratio test b_r / a_r, compared as b_r * a_s < b_s * a_r.
-            leave = -1
-            for r, row in enumerate(rows):
-                a = row[enter]
-                if a > 0:
-                    b = row[-1]
-                    if (
-                        leave < 0
-                        or b * best_a < best_b * a
-                        or (b * best_a == best_b * a and basis[r] < basis[leave])
-                    ):
-                        leave, best_a, best_b = r, a, b
-            if leave < 0:
-                raise UnboundedError("objective unbounded below")
-            degenerate_run = degenerate_run + 1 if best_b == 0 else 0
-            self.pivot(leave, enter, obj)
 
     def value(self) -> Fraction:
         return Fraction(-self.obj[-1], self.denom * self.cden * self.rhs_scale)
@@ -207,7 +151,7 @@ class _Tableau:
 
     def _rhs_int(self, value: Fraction) -> int:
         """value * rhs_scale as an int, first multiplying the rhs column, and
-        the optimum, by whatever makes it one."""
+        the objective value, by whatever makes it one."""
         f = (value * self.rhs_scale).denominator
         if f > 1:
             for row in self.rows:
@@ -238,17 +182,16 @@ class _Tableau:
                 new = [v - f * q for v, q in zip(new, self.rows[r])]
         self.rows.append(new)
         self.basis.append(n)
-        self.allowed.append(True)
         self.n_cols = n + 1
         self.rhs.append(con.rhs)
         self.slack.append((n, scale))
 
     def move_rhs(self, i: int, rhs) -> None:
         """Set constraint i's right-hand side. The move goes through the
-        column of its starting slack, which holds D*B^-1*e_i; the reduced
-        costs do not change. Call ``reoptimize`` after the last move."""
+        column of its slack, which holds D*B^-1*e_i; the reduced costs do
+        not change. Call ``reoptimize`` after the last move."""
         if self.slack[i] is None:
-            raise ValueError(f"constraint {i} has no starting slack to move its bound through")
+            raise ValueError(f"constraint {i} has no slack of its own to move its bound through")
         col, scale = self.slack[i]
         rhs = Fraction(rhs)
         k = self._rhs_int((rhs - self.rhs[i]) * scale)
@@ -260,8 +203,8 @@ class _Tableau:
     def reoptimize(self) -> Fraction:
         """Restore primal feasibility of a dual-feasible tableau by the dual
         simplex; returns the optimum. Raises InfeasibleError when a row with
-        a negative basic value has no negative entry that may enter."""
-        rows, basis, obj, allowed = self.rows, self.basis, self.obj, self.allowed
+        a negative basic value has no negative entry."""
+        rows, basis, obj = self.rows, self.basis, self.obj
         degenerate_run = 0
         bland_after = _bland_after(len(rows), self.n_cols)
         while True:
@@ -281,114 +224,64 @@ class _Tableau:
             # obj_c * a_s > obj_s * a_c; ties go to the lowest column.
             enter = -1
             for c, a in enumerate(rows[leave][:-1]):
-                if a < 0 and allowed[c] and (enter < 0 or obj[c] * best_a > best_o * a):
+                if a < 0 and (enter < 0 or obj[c] * best_a > best_o * a):
                     enter, best_a, best_o = c, a, obj[c]
             if enter < 0:
                 raise InfeasibleError("a basic variable cannot be made non-negative")
             degenerate_run = degenerate_run + 1 if best_o == 0 else 0
-            self.pivot(leave, enter, obj)
+            self.pivot(leave, enter)
 
 
 def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
-    """The optimal tableau of min `objective` (sparse dict col->coeff)
-    subject to `constraints`, by the two phases, ready for ``add_row``,
-    ``move_rhs`` and ``reoptimize``.
+    """The optimal tableau of min `objective` (sparse dict col->coeff, every
+    coefficient non-negative) subject to `constraints`, solved by the dual
+    simplex from the all-slack basis, ready for ``add_row``, ``move_rhs``
+    and ``reoptimize``.
 
-    All variables are non-negative. Raises InfeasibleError or
-    UnboundedError accordingly.
+    All variables are non-negative. Raises InfeasibleError, or ValueError
+    on a negative cost.
     """
-    m = len(constraints)
-    # Column layout: structural | slack/surplus | artificial.
-    art_cols: list[int] = []
-    n_slack = sum(1 for c in constraints if c.sense != EQUAL)
-    first_slack = n_vars
-    first_art = n_vars + n_slack
-
-    rows = []
-    basis = [-1] * m
-    slack = [None] * m
-    slack_seen = 0
-    art_seen = 0
-    for r, con in enumerate(constraints):
-        coeffs, scale = _integral(con, n_vars)  # makes the row integral
-        rhs = con.rhs * scale
-        sense = con.sense
-        if rhs < 0:  # normalise to rhs >= 0
-            scale = -scale
-            rhs = -rhs
-            sense = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[sense]
-        dense = [0] * (n_vars + n_slack)
-        for j, v in coeffs.items():
-            dense[j] = v if scale > 0 else -v
-        if sense != EQUAL:
-            col = first_slack + slack_seen
-            dense[col] = 1 if sense == LESS_EQ else -1
-            slack_seen += 1
-            if sense == LESS_EQ:
-                basis[r] = col
-                slack[r] = (col, scale)
-        rows.append((dense, rhs))
-        if basis[r] < 0:
-            art_seen += 1
-
-    n_cols = n_vars + n_slack + art_seen
-    rhs_scale = lcm(*(rhs.denominator for _, rhs in rows))
-    tab_rows = []
-    art_seen = 0
-    for r, (dense, rhs) in enumerate(rows):
-        row = dense + [0] * (n_cols - len(dense)) + [int(rhs * rhs_scale)]
-        if basis[r] < 0:
-            col = first_art + art_seen
-            art_cols.append(col)
-            row[col] = 1
-            basis[r] = col
-            art_seen += 1
-        tab_rows.append(row)
-
-    tab = _Tableau(tab_rows, basis, n_cols, rhs_scale, n_vars,
-                   [con.rhs for con in constraints], slack)
-
-    if art_cols:
-        phase1_cost = [0] * n_cols
-        for c in art_cols:
-            phase1_cost[c] = 1
-        allowed = [True] * n_cols
-        value = tab.solve(phase1_cost, allowed)
-        if value != 0:
-            raise InfeasibleError(f"phase 1 optimum {value} > 0")
-        art_set = set(art_cols)
-        # Pivot leftover artificial basics out, dropping redundant rows.
-        keep = []
-        for r in range(len(tab.rows)):
-            if tab.basis[r] not in art_set:
-                keep.append(r)
-                continue
-            row = tab.rows[r]
-            enter = next(
-                (c for c in range(first_art) if row[c] != 0),
-                -1,
-            )
-            if enter >= 0:
-                tab.pivot(r, enter)
-                keep.append(r)
-            # else: redundant all-zero row, drop it
-        tab.rows = [tab.rows[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-
-    allowed = [True] * first_art + [False] * (n_cols - first_art)
-    cost = [0] * n_cols
+    cost = [0] * n_vars
     for j, v in objective.items():
         if not 0 <= j < n_vars:
             raise ValueError(f"objective index {j} out of range")
+        if v < 0:
+            raise ValueError(f"negative cost {v} on variable {j}")
         cost[j] += v if isinstance(v, int) else Fraction(v)
-    tab.solve(cost, allowed)
+    le_rows, slack = [], []
+    total, total_rhs = {}, None  # the equalities' sum, negated
+    for con in constraints:
+        coeffs, scale = _integral(con, n_vars)
+        rhs = con.rhs * scale
+        slack.append(None if con.sense == EQUAL else (n_vars + len(le_rows), scale))
+        le_rows.append((coeffs, rhs))
+        if con.sense == EQUAL:
+            for j, v in coeffs.items():
+                total[j] = total.get(j, 0) - v
+            total_rhs = (total_rhs or 0) - rhs
+    if total_rhs is not None:
+        le_rows.append((total, total_rhs))
+    n_cols = n_vars + len(le_rows)
+    rhs_scale = lcm(*(rhs.denominator for _, rhs in le_rows))
+    rows = []
+    for r, (coeffs, rhs) in enumerate(le_rows):
+        row = [0] * (n_cols + 1)
+        for j, v in coeffs.items():
+            row[j] = v
+        row[n_vars + r], row[-1] = 1, int(rhs * rhs_scale)
+        rows.append(row)
+    cden = lcm(*(v.denominator for v in cost))
+    obj = [v.numerator * (cden // v.denominator) for v in cost] + [0] * (n_cols + 1 - n_vars)
+    tab = _Tableau(rows, n_vars, rhs_scale, obj, cden, [con.rhs for con in constraints], slack)
+    tab.reoptimize()
     return tab
 
 
 def solve(objective, constraints, n_vars: int) -> LpSolution:
-    """Minimise `objective` (sparse dict col->coeff) subject to `constraints`.
+    """Minimise `objective` (sparse dict col->coeff, every coefficient
+    non-negative) subject to `constraints`.
 
-    All variables are non-negative. Raises InfeasibleError or
-    UnboundedError accordingly.
+    All variables are non-negative. Raises InfeasibleError, or ValueError
+    on a negative cost.
     """
     return optimal_tableau(objective, constraints, n_vars).solution()

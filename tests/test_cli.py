@@ -138,11 +138,21 @@ class TestTradeoff:
         assert (code, out) == (3, "")
         assert err == f"budget exceeded: {steps} grid points exceed the grid budget 100000\n"
 
+    def test_explicit_grid_over_budget_is_refused_before_any_point(self, capsys, monkeypatch):
+        def no_point(*_args, **_kwargs):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli, "closed_form_points", no_point)
+        monkeypatch.setattr(cli, "worst_case_load", no_point)
+        points = cli.GRID_BUDGET + 1
+        code, out, err = run(capsys, ["tradeoff", "--K", "2", "--a", "1", "--b", "1",
+                                      "--m-grid", ",".join(["0"] * points)])
+        assert (code, out) == (3, "")
+        assert err == f"budget exceeded: {points} grid points exceed the grid budget 100000\n"
+
 
 @pytest.mark.parametrize("argv, budget", [
     (["tradeoff", "--K", "10000", "--a", "1", "--b", "1", "--m-steps", "2"], "10000000"),
-    (["lp", "--K", "10000", "--a", "0", "--b", "3", "--family", "large_b"],
-     "the row budget 1000000"),
 ])
 def test_budget_refusal_past_the_int_digit_limit(capsys, argv, budget):
     """3^10000 has 4,772 digits, more than str() renders by default."""
@@ -307,6 +317,37 @@ class TestLpCommand:
                                       "--certificates"])
         assert (code, out) == (3, "")
         assert err == "budget exceeded: 12! decoding orders exceed the row budget 1000000\n"
+
+    def test_selected_family_past_the_budget_exit_3(self, capsys, monkeypatch):
+        def no_block(*_args):
+            raise AssertionError("a block was built")
+
+        argv = ["lp", "--a", "4", "--b", "1", "--M", "1", "--family", "high_m"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cv, "_order_masks", no_block)  # 2K a^(K-1) b = 1,179,648 rows
+            code, out, err = run(capsys, [*argv, "--K", "9"])
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: 1179648 genie rows exceed budget 1000000\n"
+        code, out, err = run(capsys, [*argv, "--K", "8"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == 262144
+
+    @pytest.mark.parametrize("K, a, b, n_vars", [(20, 1, 1, "40 * 2^20"),
+                                                 (10000, 0, 3, "30000 * 2^10000")])
+    def test_variables_past_the_budget_exit_3(self, capsys, monkeypatch, K, a, b, n_vars):
+        def no_work(*_args):
+            raise AssertionError("a demand structure or a family was built")
+
+        monkeypatch.setattr(cli, "build_demand_structure", no_work)
+        monkeypatch.setattr(cv, "_order_masks", no_work)
+        family = "large_b" if a == 0 else "low_m"
+        argv = ["lp", "--K", str(K), "--a", str(a), "--b", str(b), "--M", "1", "--family", family]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == f"budget exceeded: {n_vars} LP variables exceed the variable budget 2097152\n"
+        code, out, err = run(capsys, [*argv, "--L", "2"])  # the usage error still comes first
+        assert (code, out) == (2, "")
+        assert err == "error: the LP converse models L = 1 only; got L=2\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--K", "7", "--family", "high_m"], "4248720 genie rows exceed budget 1000000"),

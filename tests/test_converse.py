@@ -588,6 +588,53 @@ class TestSelectedFamily:
         with pytest.raises(cv.FamilyError):
             cv.selected_family(ds, cv.Regime.HIGH_M)
 
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_rows_are_counted_from_the_instance(self, K):
+        for a, b in product(range(4), range(3)):
+            if not a + b:
+                continue
+            inst, ds = setup(K, a, b)
+            for regime in cv.Regime:
+                try:
+                    rows = cv.selected_family(ds, regime)
+                except cv.FamilyError as exc:
+                    with pytest.raises(cv.FamilyError, match=f"^{re.escape(str(exc))}$"):
+                        cv._selected_rows(inst, regime)
+                    continue
+                assert len(rows) == cv._selected_rows(inst, regime), (K, a, b, regime)
+
+    @pytest.mark.parametrize("K, a, b, regime, message", [
+        (9, 4, 1, cv.Regime.HIGH_M, "1179648 genie rows exceed budget 1000000"),  # 2K a^(K-1) b
+        (9, 4, 0, cv.Regime.LOW_M, "4718592 genie rows exceed budget 1000000"),  # 2K a^K
+        (13, 0, 3, cv.Regime.LARGE_B, "1594323 genie rows exceed budget 1000000"),  # b^K
+        (10000, 0, 3, cv.Regime.LARGE_B, "at least 10^4771 genie rows exceed budget 1000000"),
+    ])
+    def test_rows_past_the_budget_are_refused_before_any_block(self, monkeypatch, K, a, b,
+                                                               regime, message):
+        def no_block(*_args):
+            raise AssertionError("a block was built")
+
+        _, ds = setup(K, a, b)
+        monkeypatch.setattr(cv, "_selected_blocks", no_block)
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            cv.selected_family(ds, regime)
+
+    def test_family_error_comes_before_the_row_budget(self):
+        _, ds = setup(9, 4, 0)  # its low_m family is over the budget
+        with pytest.raises(cv.FamilyError, match="^HIGH_M family needs b >= 1$"):
+            cv.selected_family(ds, cv.Regime.HIGH_M)
+
+    def test_certificates_have_no_row_budget(self):
+        inst, ds = setup(9, 5, 1, M=1)  # 2K a^(K-1) b = 7,031,250 high_m rows
+        reports = cv.certificate_reports(inst, ds)
+        assert all(reports[r].ok for r in (cv.Regime.HIGH_M, cv.Regime.LOW_M))
+
+    def test_variable_budget(self):
+        cv.check_variables(ProblemInstance(16, 1, 1))  # N * 2^K = 2^21, the budget
+        with pytest.raises(BudgetExceededError,
+                           match=r"^34 \* 2\^17 LP variables exceed the variable budget 2097152$"):
+            cv.check_variables(ProblemInstance(17, 1, 1))
+
 
 ORACLE_FAMILIES = [
     (K, a, b, regime) for K, a, b in SMALL_INSTANCES for regime in (None, *cv.Regime)

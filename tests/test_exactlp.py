@@ -1,4 +1,5 @@
-"""The exact simplex against known optima, a Fraction tableau and a float oracle."""
+"""The exact dual simplex against known optima, a Fraction primal simplex and
+a float oracle."""
 
 import random
 from fractions import Fraction
@@ -17,10 +18,9 @@ def C(coeffs, sense, rhs):
 
 
 class FractionTableau:
-    """The dense simplex tableau over Fractions that the integer one replaced.
-
-    Kept as the oracle: same column layout, same Dantzig rule with the
-    switch to Bland's rule, same ratio-test tie-break.
+    """A dense primal simplex tableau over Fractions, kept as an oracle
+    independent of the integer dual simplex: Dantzig's rule with a switch
+    to Bland's rule, ties to the lowest basic index in the ratio test.
     """
 
     def __init__(self, rows, basis, n_cols):
@@ -68,7 +68,7 @@ class FractionTableau:
                     ):
                         leave, best_ratio = r, ratio
             if leave < 0:
-                raise exactlp.UnboundedError("objective unbounded below")
+                raise AssertionError("objective unbounded below")
             degenerate_run = degenerate_run + 1 if best_ratio == 0 else 0
             self.pivot(leave, enter)
             f = obj[enter]
@@ -77,7 +77,8 @@ class FractionTableau:
 
 
 def oracle_solve(objective, constraints, n_vars):
-    """exactlp.solve's two phases, run on a FractionTableau."""
+    """The two-phase primal simplex, with artificial columns, on a
+    FractionTableau."""
     flip = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}
     n_slack = sum(1 for c in constraints if c.sense != EQUAL)
     first_art = n_vars + n_slack
@@ -140,10 +141,36 @@ def outcome(solver, objective, constraints, n_vars):
     return sol.value, sol.x
 
 
+def check_point(x, value, cost, constraints):
+    """Assert that x is a feasible point at which the cost is value."""
+    assert all(v >= 0 for v in x)
+    assert sum(v * x[j] for j, v in cost.items()) == value
+    for con in constraints:
+        lhs = sum(v * x[j] for j, v in con.coeffs.items())
+        assert {LESS_EQ: lhs <= con.rhs, GREATER_EQ: lhs >= con.rhs, EQUAL: lhs == con.rhs}[
+            con.sense]
+
+
+def cold_value(cost, constraints, n):
+    """exactlp.solve's value after checking its point, or the class of the
+    error raised. The point itself is not compared with the oracle's: a
+    degenerate program may end at another optimal vertex."""
+    got = outcome(exactlp.solve, cost, constraints, n)
+    if isinstance(got, type):
+        return got
+    check_point(got[1], got[0], cost, constraints)
+    return got[0]
+
+
+def oracle_value(cost, constraints, n):
+    got = outcome(oracle_solve, cost, constraints, n)
+    return got if isinstance(got, type) else got[0]
+
+
 def random_program(rng, fractional_coeffs=False):
-    """A small program with every sense, rational rhs and costs, and some
-    negative right-hand sides, repeated constraints through one vertex and
-    redundant (scaled) equalities."""
+    """A small program with every sense, rational rhs, non-negative rational
+    costs, and some negative right-hand sides, repeated constraints through
+    one vertex and redundant (scaled) equalities."""
     n = rng.randrange(1, 6)
     dens = (1, 1, 1, 2, 3, 6)
     cons = []
@@ -159,7 +186,7 @@ def random_program(rng, fractional_coeffs=False):
         if rng.random() < 0.15:  # a second face through the same vertex
             cons.append(C({j: 2 * v for j, v in coeffs.items()}, LESS_EQ, 2 * rhs))
     rng.shuffle(cons)
-    cost = {j: Fraction(rng.randrange(-3, 7), rng.choice(dens)) for j in range(n)}
+    cost = {j: Fraction(rng.randrange(0, 7), rng.choice(dens)) for j in range(n)}
     return cost, cons, n
 
 
@@ -193,19 +220,20 @@ class TestKnownPrograms:
         assert sol.value == Fraction(5, 21)
 
     def test_degenerate_vertex(self):
-        # Several constraints meet at the optimum; must still terminate.
+        # Five constraints meet at the optimum (1, 1); must still terminate.
         sol = exactlp.solve(
-            {0: Fraction(-1), 1: Fraction(-1)},
+            {0: Fraction(1), 1: Fraction(1)},
             [
-                C({0: 1, 1: 1}, LESS_EQ, 1),
-                C({0: 1}, LESS_EQ, 1),
-                C({1: 1}, LESS_EQ, 1),
-                C({0: 1, 1: 2}, LESS_EQ, 2),
-                C({0: 2, 1: 1}, LESS_EQ, 2),
+                C({0: 1, 1: 1}, GREATER_EQ, 2),
+                C({0: 1}, GREATER_EQ, 1),
+                C({1: 1}, GREATER_EQ, 1),
+                C({0: 1, 1: 2}, GREATER_EQ, 3),
+                C({0: 2, 1: 1}, GREATER_EQ, 3),
             ],
             n_vars=2,
         )
-        assert sol.value == -1
+        assert sol.value == 2
+        assert sol.x == [1, 1]
 
     def test_infeasible(self):
         with pytest.raises(exactlp.InfeasibleError):
@@ -215,9 +243,11 @@ class TestKnownPrograms:
                 n_vars=1,
             )
 
-    def test_unbounded(self):
-        with pytest.raises(exactlp.UnboundedError):
-            exactlp.solve({0: Fraction(-1)}, [C({0: -1}, LESS_EQ, 0)], n_vars=1)
+    def test_negative_cost_is_refused(self):
+        # min -x s.t. -x <= 0 is unbounded; a negative cost is refused first.
+        for cost in (-1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="negative cost"):
+                exactlp.solve({0: 1, 1: cost}, [C({1: -1}, LESS_EQ, 0)], n_vars=2)
 
     def test_redundant_equalities(self):
         sol = exactlp.solve(
@@ -262,7 +292,7 @@ class TestAgainstScipy:
                 else:
                     a_eq.append(dense)
                     b_eq.append(float(rhs))
-            cost = {j: Fraction(rng.randrange(-3, 7)) for j in range(n)}
+            cost = {j: Fraction(rng.randrange(0, 7)) for j in range(n)}
             ref = scipy_opt.linprog(
                 [float(cost.get(j, 0)) for j in range(n)],
                 A_ub=a_ub or None,
@@ -272,17 +302,13 @@ class TestAgainstScipy:
                 bounds=(0, None),
                 method="highs",
             )
-            try:
-                sol = exactlp.solve(cost, cons, n_vars=n)
-                assert ref.status == 0, "exact solver found optimum, scipy did not"
-                assert abs(float(sol.value) - ref.fun) < 1e-7
-                solved += 1
-            except exactlp.InfeasibleError:
+            value = cold_value(cost, cons, n)
+            if value is exactlp.InfeasibleError:
                 assert ref.status == 2
-                solved += 1
-            except exactlp.UnboundedError:
-                assert ref.status == 3
-                solved += 1
+            else:
+                assert ref.status == 0, "exact solver found optimum, scipy did not"
+                assert abs(float(value) - ref.fun) < 1e-7
+            solved += 1
 
 
 class TestAgainstFractionTableau:
@@ -291,10 +317,10 @@ class TestAgainstFractionTableau:
         kinds = set()
         for _ in range(600):
             cost, cons, n = random_program(rng)
-            got = outcome(exactlp.solve, cost, cons, n)
-            assert got == outcome(oracle_solve, cost, cons, n), (cost, cons)
-            kinds.add(got if isinstance(got, type) else "optimal")
-        assert kinds == {"optimal", exactlp.InfeasibleError, exactlp.UnboundedError}
+            got = cold_value(cost, cons, n)
+            assert got == oracle_value(cost, cons, n), (cost, cons)
+            kinds.add(got if isinstance(got, type) else "positive" if got else "zero")
+        assert kinds == {"positive", "zero", exactlp.InfeasibleError}
 
     def test_int_and_fraction_coefficients_solve_alike(self):
         rng = random.Random(20261019)
@@ -314,30 +340,7 @@ class TestAgainstFractionTableau:
         rng = random.Random(7)
         for _ in range(200):
             cost, cons, n = random_program(rng, fractional_coeffs=True)
-            got = outcome(exactlp.solve, cost, cons, n)
-            want = outcome(oracle_solve, cost, cons, n)
-            if isinstance(want, type):
-                assert got is want
-            else:
-                assert got[0] == want[0]
-
-    def test_phase1_cleanup_pivots_on_a_negative_entry(self, monkeypatch):
-        # -2x0 - 3x1 == 0 leaves its artificial basic at zero after phase 1,
-        # and the first non-artificial entry of that row is -2.
-        pivots = []
-        original = exactlp._Tableau.pivot
-
-        def spy(self, r, c, obj=None):
-            pivots.append(self.rows[r][c])
-            return original(self, r, c, obj)
-
-        monkeypatch.setattr(exactlp._Tableau, "pivot", spy)
-        cost = {0: Fraction(-1), 2: Fraction(-1)}
-        cons = [C({0: -2, 1: -3}, EQUAL, 0), C({0: 1, 2: 3}, LESS_EQ, Fraction(7, 2))]
-        sol = exactlp.solve(cost, cons, n_vars=3)
-        assert any(p < 0 for p in pivots)
-        assert (sol.value, sol.x) == outcome(oracle_solve, cost, cons, 3)
-        assert sol.value == Fraction(-7, 6) and sol.x == [0, 0, Fraction(7, 6)]
+            assert cold_value(cost, cons, n) == oracle_value(cost, cons, n), (cost, cons)
 
     def test_fractional_coefficient_constraint(self):
         # x0/2 + x1/3 >= 5/4 is multiplied through by 6 before its slack.
@@ -350,9 +353,9 @@ class TestAgainstFractionTableau:
     def test_converse_programs_match_exactly(self, monkeypatch):
         # The programs solve_lp builds at (3,2,1), M = 3: the full family
         # through its orbit collapse, a selected family through it and
-        # through the direct route. Each cold start matches the oracle in
-        # value and point; each warm re-optimisation, on the program the
-        # added rows and moved bounds make, matches it in value.
+        # through the direct route. Each cold start, and each warm
+        # re-optimisation on the program the added rows and moved bounds
+        # make, matches the oracle in value.
         programs, checks, added = {}, [], []
         start = exactlp.optimal_tableau
         add_row, move_rhs, reoptimize = (
@@ -360,8 +363,9 @@ class TestAgainstFractionTableau:
 
         def cold(objective, constraints, n_vars):
             tab = start(objective, constraints, n_vars)
-            sol, want = tab.solution(), oracle_solve(objective, constraints, n_vars)
-            checks.append((sol.value, sol.x) == (want.value, want.x))
+            sol = tab.solution()
+            check_point(sol.x, sol.value, objective, constraints)
+            checks.append(sol.value == oracle_solve(objective, constraints, n_vars).value)
             programs[tab] = (objective, list(constraints), n_vars)
             return tab
 
@@ -377,7 +381,8 @@ class TestAgainstFractionTableau:
 
         def warm(tab):
             value = reoptimize(tab)
-            checks.append(value == oracle_solve(*programs[tab]).value)
+            if tab in programs:  # else the cold start, which ``cold`` checks
+                checks.append(value == oracle_solve(*programs[tab]).value)
             return value
 
         monkeypatch.setattr(cv, "_ROWGEN_SEED", 4)  # so these small programs generate rows
@@ -420,19 +425,8 @@ def warm_outcome(tab, cost, constraints, n):
         return type(exc)
     assert all(type(v) is int for row in tab.rows + [tab.obj] for v in row)
     assert type(tab.denom) is int and type(tab.rhs_scale) is int
-    x = tab.solution().x
-    assert all(v >= 0 for v in x)
-    assert sum(v * x[j] for j, v in cost.items()) == value
-    for con in constraints:
-        lhs = sum(v * x[j] for j, v in con.coeffs.items())
-        assert {LESS_EQ: lhs <= con.rhs, GREATER_EQ: lhs >= con.rhs, EQUAL: lhs == con.rhs}[
-            con.sense]
+    check_point(tab.solution().x, value, cost, constraints)
     return value
-
-
-def cold_value(cost, constraints, n):
-    got = outcome(exactlp.solve, cost, constraints, n)
-    return got if isinstance(got, type) else got[0]
 
 
 class TestIncremental:
@@ -449,10 +443,8 @@ class TestIncremental:
             base, rest = cons[:k], as_le_rows(cons[k:])
             try:
                 exactlp.solve(cost, base, n)
-            except exactlp.UnboundedError:
-                continue  # no optimal tableau to start from
             except exactlp.InfeasibleError:
-                continue
+                continue  # no optimal tableau to start from
             want = cold_value(cost, base + rest, n)
             for batch in (1, rng.randrange(2, 5), len(rest)):
                 tab = exactlp.optimal_tableau(cost, base, n)
@@ -520,10 +512,9 @@ class TestIncremental:
                 C({0: -3, 1: -1, 2: 3}, LESS_EQ, -1)]
         pivot, log = exactlp._Tableau.pivot, []
 
-        def spy(tab, r, c, obj=None):
-            if obj is not None:
-                log.append((tab.basis[r], obj[c] == 0))
-            return pivot(tab, r, c, obj)
+        def spy(tab, r, c):
+            log.append((tab.basis[r], tab.obj[c] == 0))
+            return pivot(tab, r, c)
 
         monkeypatch.setattr(exactlp._Tableau, "pivot", spy)
         paths = {}
