@@ -223,7 +223,8 @@ def cmd_simulate(args) -> int:
     size_b = args.file_size or min_file_size(inst, scheme)
     check_library_budget(inst.N, size_b)  # exit 3 before the split check's exit 2
     check_file_size(inst, ds, scheme, size_b)  # before any library byte is drawn
-    library = random_library(rng, inst.N, size_b)
+    demand = ds.validate_demand(demand)
+    library = random_library(rng, sorted(set(demand)), size_b)  # the files a run reads
 
     transcript = deliver_bits(inst, ds, scheme, demand, library)
     symbolic = deliver(inst, ds, scheme, demand)
@@ -232,7 +233,7 @@ def cmd_simulate(args) -> int:
     for k in range(1, inst.K + 1):
         reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
         got = decode(inst, ds, scheme, demand, k, reachable, transcript)
-        decodes[k] = got == library[demand[k - 1] - 1]
+        decodes[k] = got == library[demand[k - 1]]
 
     load = Fraction(transcript.total_bits, 8 * size_b)
     report = {

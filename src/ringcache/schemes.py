@@ -260,9 +260,13 @@ def _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
 
 
 def _check_library(inst: ProblemInstance, library) -> int:
-    if len(library) != inst.N:
-        raise ValueError(f"library must hold {inst.N} files")
-    sizes = {len(f) for f in library}
+    """The common file length of a {file: bytes} library of files in 1..N."""
+    if not library:
+        raise ValueError("library holds no files")
+    lo, hi = min(library), max(library)
+    if lo < 1 or hi > inst.N:
+        raise ValueError(f"library file {lo if lo < 1 else hi} outside 1..{inst.N}")
+    sizes = {len(f) for f in library.values()}
     if len(sizes) != 1:
         raise ValueError("library files must have identical length")
     return sizes.pop()
@@ -288,14 +292,15 @@ def check_library_budget(n_files: int, size_b: int) -> None:
         )
 
 
-def random_library(rng, n_files: int, size_b: int) -> list:
-    """n_files random files of size_b bytes each, drawn from rng.
+def random_library(rng, files, size_b: int) -> dict:
+    """{file: bytes}: one rng.randbytes(size_b) per named file, in the given order.
 
-    Refuses, before drawing anything, a library larger than LIBRARY_BUDGET
-    bytes.
+    A run reads only the files it names, so `simulate` names the demanded
+    files and acceptance criterion 7 names all N. Refuses, before drawing
+    anything, a library larger than LIBRARY_BUDGET bytes.
     """
-    check_library_budget(n_files, size_b)
-    return [rng.randbytes(size_b) for _ in range(n_files)]
+    check_library_budget(len(files), size_b)
+    return {i: rng.randbytes(size_b) for i in files}
 
 
 def _xor(parts) -> bytes:
@@ -315,9 +320,16 @@ def deliver_bits(
     d,
     library,
 ) -> BroadcastTranscript:
-    """Bit-exact delivery: payloads are XORs of the component subfiles."""
+    """Bit-exact delivery: payloads are XORs of the component subfiles.
+
+    ``library`` maps file to bytes and must hold every demanded file;
+    every message component is a subfile of one.
+    """
     d = ds.validate_demand(d)
     size_b = _check_library(inst, library)
+    missing = set(d) - library.keys()
+    if missing:
+        raise ValueError(f"library lacks demanded file {min(missing)}")
     bounds = _segment_bounds(scheme, size_b)
 
     spans: dict = {}
@@ -327,7 +339,7 @@ def deliver_bits(
             seg_idx, i, _ = sub
             for _, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, (i,)):
                 spans[seg_idx, i, mask] = slice(start, end)
-        return library[sub[1] - 1][spans[sub]]
+        return library[sub[1]][spans[sub]]
 
     msgs = []
     for comps, size in _messages(inst, scheme, d):
@@ -344,19 +356,21 @@ def fill_caches(
 ) -> dict:
     """Cache contents per node: node -> {(segment, file, mask): bytes}.
 
-    Every node in a subfile's mask stores that subfile.
+    Every node in a subfile's mask stores that subfile, for each file the
+    {file: bytes} library holds. Decoding a demand reads only the subfiles
+    of demanded files, so a library of the demanded files fills enough.
     """
     size_b = _check_library(inst, library)
     bounds = _segment_bounds(scheme, size_b)
     caches: dict[int, dict] = {k: {} for k in range(1, inst.K + 1)}
     stores_of: dict = {}  # node mask -> the caches of its nodes
-    files = range(1, inst.N + 1)
+    files = sorted(library)
     for seg_idx in range(len(scheme.segments)):
         for i, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
             if mask not in stores_of:
                 stores_of[mask] = [caches[k] for k in nodes_of(mask)]
             for store in stores_of[mask]:
-                store[seg_idx, i, mask] = library[i - 1][start:end]
+                store[seg_idx, i, mask] = library[i][start:end]
     return caches
 
 

@@ -202,7 +202,7 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
 def _roundtrip_once(inst, ds, rng, demand=None) -> str | None:
     scheme = make_scheme(inst, ds)
     size_b = min_file_size(inst, scheme)
-    library = random_library(rng, inst.N, size_b)
+    library = random_library(rng, range(1, inst.N + 1), size_b)  # every file: full placement
     d = demand or tuple(rng.choice(s) for s in ds.demands)
     transcript = deliver_bits(inst, ds, scheme, d, library)
     symbolic = deliver(inst, ds, scheme, d)
@@ -212,7 +212,7 @@ def _roundtrip_once(inst, ds, rng, demand=None) -> str | None:
     for k in range(1, inst.K + 1):
         reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
         got = decode(inst, ds, scheme, d, k, reachable, transcript)
-        if got != library[d[k - 1] - 1]:
+        if got != library[d[k - 1]]:
             return f"user {k} decoded wrong bytes for d={d}"
     return None
 

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,21 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def dump_headers(data: bytes) -> list:
+    """(component ids, payload length) per message of a transcript dump."""
+    (count,) = struct.unpack_from(">I", data)
+    pos, messages = 4, []
+    for _ in range(count):
+        (n_comps,) = struct.unpack_from(">H", data, pos)
+        comps = tuple(struct.unpack_from(">BII", data, pos + 2 + 9 * j) for j in range(n_comps))
+        pos += 2 + 9 * n_comps
+        (length,) = struct.unpack_from(">I", data, pos)
+        pos += 4 + length
+        messages.append((comps, length))
+    assert pos == len(data)
+    return messages
 
 
 class TestTradeoff:
@@ -198,7 +214,12 @@ class TestSimulate:
         assert code == 0
         data = dump.read_bytes()
         assert int.from_bytes(data[:4], "big") == json.loads(out)["messages"]
+        # one pair-XOR message: the subfile of W1 at node 2 xor that of W3 at node 1
+        assert dump_headers(data) == [(((0, 1, 0b10), (0, 3, 0b01)), 1)]
         assert data == (GOLDEN / "simulate_211_m2_d13_seed9.bin").read_bytes()
+        rng = random.Random(9)  # the demanded files only, in ascending order
+        w1, w3 = rng.randbytes(2), rng.randbytes(2)
+        assert data[-1] == w1[1] ^ w3[0]
 
     def test_seeded_dump_is_deterministic(self, capsys, tmp_path):
         dumps = []
@@ -215,6 +236,46 @@ class TestSimulate:
                                       "--M", "1", "--dump", str(tmp_path / "wide.bin")])
         assert (code, out) == (2, "")
         assert err == "error: mask 0x100000000 does not fit the dump's u32 mask field (K <= 32)\n"
+
+    @pytest.mark.parametrize("demand,message", [
+        ("99,6,7", "error: file 99 is not demandable in region 1\n"),
+        ("1,6", "error: demand vector must have 3 entries\n"),
+    ])
+    def test_invalid_demand_refused_before_drawing(self, capsys, monkeypatch, demand, message):
+        def no_draw(self, n):
+            raise AssertionError("drew library bytes for an invalid demand")
+
+        monkeypatch.setattr(random.Random, "randbytes", no_draw)
+        code, out, err = run(capsys, ["simulate", "--K", "3", "--a", "2", "--b", "1",
+                                      "--M", "3", "--demand", demand])
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("argv,files", [
+        (["--demand", "5,4,1"], [1, 4, 5]),
+        (["--demand", "4,4,7"], [4, 7]),  # regions 1 and 2 share file 4
+        (["--seed", "5"], None),
+    ])
+    def test_draws_only_the_demanded_files_in_ascending_order(self, capsys, monkeypatch,
+                                                               argv, files):
+        named, drawn = [], []
+        random_library, randbytes = cli.random_library, random.Random.randbytes
+
+        def naming(rng, files, size_b):
+            named.append(list(files))
+            return random_library(rng, files, size_b)
+
+        def counting(self, n):
+            drawn.append(n)
+            return randbytes(self, n)
+
+        monkeypatch.setattr(cli, "random_library", naming)
+        monkeypatch.setattr(random.Random, "randbytes", counting)
+        code, out, _ = run(capsys, ["simulate", "--K", "3", "--a", "2", "--b", "1",
+                                    "--M", "3", "--file-size", "6", *argv])
+        assert code == 0
+        want = files or sorted(set(json.loads(out)["demand"]))
+        assert named == [want]
+        assert drawn == [6] * len(want)
 
     def test_library_over_budget_exit_code(self, capsys, monkeypatch):
         def no_draw(self, n):

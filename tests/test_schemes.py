@@ -215,7 +215,7 @@ class TestBitExact:
         inst, ds = setup(3, 2, 1, M=3)
         scheme = make_scheme(inst, ds)
         assert min_file_size(inst, scheme) == 3
-        library = [bytes(5) for _ in range(inst.N)]
+        library = dict.fromkeys(range(1, inst.N + 1), bytes(5))
         with pytest.raises(SubpacketizationError):
             deliver_bits(inst, ds, scheme, (1, 6, 7), library)
 
@@ -229,7 +229,7 @@ class TestBitExact:
         scheme = make_scheme(inst, ds)
         demand = next(iter(enumerate_demands(ds)))
         for size_b in range(1, 2 * min_file_size(inst, scheme) + 2):
-            library = [bytes(size_b)] * inst.N
+            library = dict.fromkeys(range(1, inst.N + 1), bytes(size_b))
             try:
                 deliver_bits(inst, ds, scheme, demand, library)
                 fill_caches(inst, ds, scheme, library)
@@ -247,11 +247,11 @@ class TestBitExact:
         inst, ds = setup(3, 2, 1, M=3)
         scheme = make_scheme(inst, ds)
         rng = random.Random(1)
-        library = [bytes(rng.randrange(256) for _ in range(3)) for _ in range(9)]
+        library = {i: bytes(rng.randrange(256) for _ in range(3)) for i in range(1, 10)}
         transcript = deliver_bits(inst, ds, scheme, (1, 6, 7), library)
         caches = fill_caches(inst, ds, scheme, library)
         got = decode(inst, ds, scheme, (1, 6, 7), 2, {2: caches[2]}, transcript)
-        assert got == library[5]  # W_6
+        assert got == library[6]
 
     @pytest.mark.parametrize(
         "K,a,b,L,M",
@@ -268,7 +268,8 @@ class TestBitExact:
         scheme = make_scheme(inst, ds)
         rng = random.Random(42)
         size_b = min_file_size(inst, scheme)
-        library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(inst.N)]
+        library = {i: bytes(rng.randrange(256) for _ in range(size_b))
+                   for i in range(1, inst.N + 1)}
         caches = fill_caches(inst, ds, scheme, library)
         for d in enumerate_demands(ds):
             transcript = deliver_bits(inst, ds, scheme, d, library)
@@ -276,7 +277,7 @@ class TestBitExact:
             for k in range(1, K + 1):
                 reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
                 got = decode(inst, ds, scheme, d, k, reachable, transcript)
-                assert got == library[d[k - 1] - 1]
+                assert got == library[d[k - 1]]
 
     @pytest.mark.parametrize(
         "K,a,b,L,M",
@@ -292,7 +293,7 @@ class TestBitExact:
         inst, ds = setup(K, a, b, L, M)
         scheme = make_scheme(inst, ds)
         size_b = 2 * min_file_size(inst, scheme)
-        library = [bytes([i]) * size_b for i in range(inst.N)]
+        library = {i: bytes([i - 1]) * size_b for i in range(1, inst.N + 1)}
         caches = fill_caches(inst, ds, scheme, library)
         placement = scheme_placement(inst, ds, scheme)
         for k in range(1, K + 1):
@@ -310,13 +311,14 @@ class TestBitExact:
             inst, ds = setup(K, a, b, L, m)
             scheme = make_scheme(inst, ds)
             size_b = min_file_size(inst, scheme)
-            library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(inst.N)]
+            library = {i: bytes(rng.randrange(256) for _ in range(size_b))
+                       for i in range(1, inst.N + 1)}
             caches = fill_caches(inst, ds, scheme, library)
             d = tuple(rng.choice(s) for s in ds.demands)
             transcript = deliver_bits(inst, ds, scheme, d, library)
             for k in range(1, K + 1):
                 reachable = {n: caches[n] for n in accessible_nodes(inst, k)}
-                assert decode(inst, ds, scheme, d, k, reachable, transcript) == library[d[k - 1] - 1]
+                assert decode(inst, ds, scheme, d, k, reachable, transcript) == library[d[k - 1]]
 
 
 def xor_per_byte(parts) -> bytes:
@@ -347,11 +349,17 @@ class TestXor:
 
 class TestRandomLibrary:
     def test_shape_and_seed_determinism(self):
-        library = random_library(random.Random(3), 7, 11)
-        assert len(library) == 7
-        assert all(type(f) is bytes and len(f) == 11 for f in library)
-        assert random_library(random.Random(3), 7, 11) == library
-        assert random_library(random.Random(4), 7, 11) != library
+        library = random_library(random.Random(3), [4, 1, 7], 11)
+        assert list(library) == [4, 1, 7]
+        assert all(type(f) is bytes and len(f) == 11 for f in library.values())
+        assert random_library(random.Random(3), [4, 1, 7], 11) == library
+        assert random_library(random.Random(4), [4, 1, 7], 11) != library
+
+    def test_draws_one_randbytes_per_file_in_the_given_order(self):
+        rng = random.Random(3)
+        draws = [rng.randbytes(11) for _ in range(3)]
+        assert list(random_library(random.Random(3), [4, 1, 7], 11).values()) == draws
+        assert list(random_library(random.Random(3), range(1, 4), 11).values()) == draws
 
     def test_refuses_over_budget_before_drawing(self):
         class NoDraws(random.Random):
@@ -359,7 +367,7 @@ class TestRandomLibrary:
                 raise AssertionError("drew library bytes past the budget")
 
         with pytest.raises(BudgetExceededError, match="exceeds"):
-            random_library(NoDraws(0), 25, LIBRARY_BUDGET // 25 + 1)
+            random_library(NoDraws(0), range(1, 26), LIBRARY_BUDGET // 25 + 1)
 
     def test_budget_is_inclusive(self):
         drawn = []
@@ -369,8 +377,86 @@ class TestRandomLibrary:
                 drawn.append(n)
                 return b""
 
-        random_library(Counting(0), 2, LIBRARY_BUDGET // 2)
+        random_library(Counting(0), [3, 9], LIBRARY_BUDGET // 2)
         assert drawn == [LIBRARY_BUDGET // 2] * 2
+
+
+class TestLibraryChecks:
+    """A library is {file: bytes}: some files of 1..N, all of one length."""
+
+    @pytest.mark.parametrize("library,message", [
+        ({}, "library holds no files"),
+        ({0: b"abc"}, "library file 0 outside 1..9"),
+        ({1: b"abc", 10: b"abc"}, "library file 10 outside 1..9"),
+        ({1: b"abc", 6: b"abcdef"}, "library files must have identical length"),
+    ])
+    @pytest.mark.parametrize("route", ["deliver_bits", "fill_caches"])
+    def test_malformed_library_is_refused(self, library, message, route):
+        inst, ds = setup(3, 2, 1, M=3)
+        scheme = make_scheme(inst, ds)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if route == "deliver_bits":
+                deliver_bits(inst, ds, scheme, (1, 6, 7), library)
+            else:
+                fill_caches(inst, ds, scheme, library)
+
+    def test_missing_demanded_file_is_a_value_error(self):
+        inst, ds = setup(3, 2, 1, M=3)
+        scheme = make_scheme(inst, ds)
+        library = {1: b"abc", 7: b"abc", 8: b"abc"}
+        with pytest.raises(ValueError, match="^library lacks demanded file 6$"):
+            deliver_bits(inst, ds, scheme, (1, 6, 7), library)
+
+    def test_caches_hold_only_the_library_files(self):
+        inst, ds = setup(3, 2, 1, M=4)
+        scheme = make_scheme(inst, ds)
+        caches = fill_caches(inst, ds, scheme, {2: b"abcdef", 6: b"ghijkl"})
+        assert {i for node in caches.values() for _, i, _ in node} == {2, 6}
+
+
+def run_round(inst, ds, scheme, d, library, caches):
+    """The bit-exact transcript for d and every user's decoded file."""
+    transcript = deliver_bits(inst, ds, scheme, d, library)
+    decoded = [
+        decode(inst, ds, scheme, d, k, {n: caches[n] for n in accessible_nodes(inst, k)}, transcript)
+        for k in range(1, inst.K + 1)
+    ]
+    return transcript, decoded
+
+
+class TestDemandedLibraryMatchesFullLibrary:
+    """The full library stays the reference: a library of only the demanded
+    files gives the same transcript, payloads included, and the same decodes."""
+
+    def check(self, inst, ds, demands, seed):
+        scheme = make_scheme(inst, ds)
+        full = random_library(random.Random(seed), range(1, inst.N + 1), min_file_size(inst, scheme))
+        full_caches = fill_caches(inst, ds, scheme, full)
+        for d in demands:
+            part = {i: full[i] for i in set(d)}
+            want = run_round(inst, ds, scheme, d, full, full_caches)
+            got = run_round(inst, ds, scheme, d, part, fill_caches(inst, ds, scheme, part))
+            assert got == want, d
+            assert got[1] == [full[i] for i in d], d
+
+    @pytest.mark.parametrize("K,a,b,L,M", [
+        (2, 1, 1, 1, Fraction(1, 2)),
+        (3, 2, 1, 1, Fraction(7, 2)),
+        (3, 2, 1, 1, 3),
+        (3, 1, 1, 2, 1),
+        (2, 0, 2, 1, 1),
+    ])
+    def test_every_demand(self, K, a, b, L, M):
+        inst, ds = setup(K, a, b, L, M)
+        self.check(inst, ds, enumerate_demands(ds), seed=42)
+
+    @pytest.mark.parametrize("L,M", [(1, 3), (1, 5), (2, 5)])
+    def test_benchmark_instance(self, L, M):
+        inst, ds = setup(5, 4, 1, L, M)
+        rng = random.Random(7)
+        demands = [tuple(rng.choice(s) for s in ds.demands) for _ in range(40)]
+        assert any(len(set(d)) < inst.K for d in demands)  # some users share a file
+        self.check(inst, ds, demands, seed=8)
 
 
 class TestTranscriptDump:
@@ -380,7 +466,7 @@ class TestTranscriptDump:
         # xor first byte of W3.
         inst, ds = setup(2, 1, 1, M=2)
         scheme = make_scheme(inst, ds)
-        library = [b"\x10\x11", b"\x20\x21", b"\x30\x31", b"\x40\x41"]
+        library = {1: b"\x10\x11", 2: b"\x20\x21", 3: b"\x30\x31", 4: b"\x40\x41"}
         transcript = deliver_bits(inst, ds, scheme, (1, 3), library)
         assert len(transcript.messages) == 1
         payload = bytes([0x11 ^ 0x30])
@@ -399,7 +485,7 @@ class TestTranscriptDump:
         scheme = make_scheme(inst, ds)
         rng = random.Random(5)
         size_b = min_file_size(inst, scheme)
-        library = [bytes(rng.randrange(256) for _ in range(size_b)) for _ in range(9)]
+        library = {i: bytes(rng.randrange(256) for _ in range(size_b)) for i in range(1, 10)}
         one = deliver_bits(inst, ds, scheme, (2, 6, 8), library).to_bytes()
         two = deliver_bits(inst, ds, scheme, (2, 6, 8), library).to_bytes()
         assert one == two
