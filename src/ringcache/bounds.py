@@ -9,28 +9,10 @@ delivery stops helping and only the outer corners remain.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import NamedTuple
 
 from ringcache.model import InvalidInstanceError, ProblemInstance
-
-
-class PointLabel(enum.Enum):
-    ACHIEVABLE = "achievable"
-    OPT_UNCODED = "opt_uncoded"
-    CUTSET = "cutset"
-    MULTIACCESS_OPT = "multiaccess_opt"
-    LP = "lp"
-
-
-class TradeoffPoint:
-    __slots__ = ("M", "R", "label")
-
-    def __init__(self, M: Fraction, R: Fraction, label: PointLabel) -> None:
-        if R < 0:
-            raise ValueError("load must be non-negative")
-        self.M, self.R, self.label = M, R, label
 
 
 def coded_gain_regime(inst: ProblemInstance) -> bool:
@@ -83,17 +65,9 @@ def rstar_multiaccess(inst: ProblemInstance) -> Fraction:
 
 
 def closed_form_points(inst: ProblemInstance, grid) -> list:
-    """TradeoffPoint rows of every closed-form curve on the given M grid."""
-    points = []
-    for m in grid:
-        sub = inst.with_m(m)
-        points.append(TradeoffPoint(M=sub.M, R=rstar_u(sub), label=PointLabel.OPT_UNCODED))
-        points.append(TradeoffPoint(M=sub.M, R=cutset_bound(sub), label=PointLabel.CUTSET))
-        if inst.L >= 2:
-            points.append(
-                TradeoffPoint(M=sub.M, R=rstar_multiaccess(sub), label=PointLabel.MULTIACCESS_OPT)
-            )
-    return points
+    """Per grid point, the closed-form loads [R*_u, cut-set], plus R_multi at L >= 2."""
+    curves = [rstar_u, cutset_bound] + ([rstar_multiaccess] if inst.L >= 2 else [])
+    return [[curve(sub) for curve in curves] for sub in map(inst.with_m, grid)]
 
 
 class GapReport(NamedTuple):

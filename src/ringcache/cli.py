@@ -23,14 +23,7 @@ from fractions import Fraction
 
 from ringcache import converse as cv
 from ringcache import verify as acceptance
-from ringcache.bounds import (
-    PointLabel,
-    TradeoffPoint,
-    closed_form_points,
-    gap_check,
-    grid_points,
-    rstar_u,
-)
+from ringcache.bounds import closed_form_points, gap_check, grid_points, rstar_u
 from ringcache.model import (
     BudgetExceededError,
     DemandError,
@@ -177,31 +170,19 @@ def cmd_tradeoff(args) -> int:
         _require_single_access(inst)
         reduced = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode))
 
-    labels = [PointLabel.ACHIEVABLE, PointLabel.OPT_UNCODED, PointLabel.CUTSET]
     header = ["M", "R_ach", "R_star_u", "R_cutset"]
     if inst.L >= 2:
         header.append("R_multi")
-        labels.append(PointLabel.MULTIACCESS_OPT)
     if args.lp:
         header.append("R_lp")
-        labels.append(PointLabel.LP)
 
-    points = closed_form_points(inst, grid)
-    for m in grid:
+    rows = []
+    for m, closed in zip(grid, closed_form_points(inst, grid)):
         sub = inst.with_m(m)
-        points.append(
-            TradeoffPoint(
-                M=sub.M,
-                R=worst_case_load(sub, ds, make_scheme(sub, ds)),
-                label=PointLabel.ACHIEVABLE,
-            )
-        )
+        rows.append([m, worst_case_load(sub, ds, make_scheme(sub, ds)), *closed])
     if args.lp:
-        memories = [Fraction(m) for m in grid]
-        for m, outcome in zip(memories, cv.solve_lp_grid(reduced, memories)):
-            points.append(TradeoffPoint(M=m, R=outcome.value, label=PointLabel.LP))
-    by_cell = {(p.M, p.label): p.R for p in points}
-    rows = [[m] + [by_cell[(Fraction(m), label)] for label in labels] for m in grid]
+        for row, outcome in zip(rows, cv.solve_lp_grid(reduced, grid)):
+            row.append(outcome.value)
 
     cells = [[_render(v, args.decimal) for v in row] for row in rows]
     if args.format == "json":
@@ -318,6 +299,8 @@ def cmd_gap(args) -> int:
 def cmd_verify(args) -> int:
     if args.config or args.K is not None or args.a is not None or args.b is not None:
         inst = _load_instance(args, refused=("L", "M"))
+        if inst.b == 0:  # criterion 4's high_m certificate divides by b
+            raise InvalidInstanceError("verify needs b >= 1; got b=0")
         instances = [(inst.K, inst.a, inst.b)]
     else:
         instances = None

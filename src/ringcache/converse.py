@@ -42,7 +42,7 @@ from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from ringcache import exactlp
-from ringcache.bounds import coded_gain_regime
+from ringcache.bounds import coded_gain_regime, corner_memories, rstar_u
 from ringcache.model import (
     BudgetExceededError,
     DemandError,
@@ -706,8 +706,6 @@ class CertificateReport(NamedTuple):
     multipliers: tuple  # (mu_file_shared, mu_file_unique, mu_memory)
     bound_const: Fraction
     bound_m_coeff: Fraction
-    expected_const: Fraction
-    expected_m_coeff: Fraction
     aggregate_matches: bool
     residuals: dict
     ok: bool
@@ -754,11 +752,12 @@ def certificate_report(
     with the two file-size equalities and the memory budget at the
     regime's multipliers. The certificate stands when the mixing weights
     are admissible, the aggregate matches its closed form, every residual
-    coefficient is non-negative, and the resulting bound is the regime's
-    straight line. A regime whose parameter condition fails raises
-    RegimeMismatchError. ``averages`` maps a regime to the average of
-    its selected family, as ``certificate_reports`` counts it from the
-    family's blocks.
+    coefficient is non-negative, and the resulting bound meets ``rstar_u``
+    at both ends of the regime's segment of ``corner_memories``: the upper
+    segment for high_m, the lower (or only) one otherwise. A regime whose
+    parameter condition fails raises RegimeMismatchError. ``averages``
+    maps a regime to the average of its selected family, as
+    ``certificate_reports`` counts it from the family's blocks.
     """
     K, a, b = inst.K, inst.a, inst.b
     aK, bK = Fraction(a * K), Fraction(b * K)
@@ -784,8 +783,6 @@ def certificate_report(
         # the beta0 coefficient may be lowered to the multiplier level
         weights["beta_slack"] = Fraction(1, b * K) - Fraction(K - 1, 2 * a * K)
         mu = (Fraction(K - 1, a * K), Fraction(K - 1, 2 * a * K), Fraction(K - 1, 2 * a * K))
-        expected_const = Fraction((K - 1) * (2 * a + b), 2 * a)
-        expected_m = -Fraction(K - 1, 2 * a)
     else:  # the regime's own family, mixed with HIGH_M's at weight w
         if regime is Regime.LOW_M:
             w = Fraction((K + 1) * b, 2 * (a + b))
@@ -797,14 +794,11 @@ def certificate_report(
                 Fraction(K + 1, 2 * (a + b) * K),
                 Fraction(K + 1, 2 * (a + b) * K),
             )
-            expected_m = -Fraction(K + 1, 2 * (a + b))
         else:
             w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
             expected_agg = _aggregate_map(ds, Fraction(0), Fraction(1, b), Fraction(0))
             mu = (Fraction(2, 2 * a + b), Fraction(1, 2 * a + b), Fraction(1, 2 * a + b))
-            expected_m = -Fraction(K, 2 * a + b)
         weights["mix"] = w
-        expected_const = Fraction(K)
         if w:
             agg = _mix_maps(w, averages[Regime.HIGH_M], agg)
             expected_agg = _mix_maps(w, high_m_aggregate(), expected_agg)
@@ -834,21 +828,16 @@ def certificate_report(
             residuals.update(zip(zip(repeat(i), masks), values))
     bound_const = mu1 * aK + mu2 * bK
     bound_m = -mum * K
-    ok = (
-        weights_ok
-        and aggregate_matches
-        and ok_residuals
-        and bound_const == expected_const
-        and bound_m == expected_m
-    )
+    corners = corner_memories(inst)
+    ends = corners[1:] if regime is Regime.HIGH_M else corners[:2]
+    on_curve = all(bound_const + bound_m * m == rstar_u(inst.with_m(m)) for m in ends)
+    ok = weights_ok and aggregate_matches and ok_residuals and on_curve
     return CertificateReport(
         regime=regime,
         weights=weights,
         multipliers=mu,
         bound_const=bound_const,
         bound_m_coeff=bound_m,
-        expected_const=expected_const,
-        expected_m_coeff=expected_m,
         aggregate_matches=aggregate_matches,
         residuals=residuals,
         ok=ok,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
 from typing import Iterator, NamedTuple
 
 
@@ -273,5 +272,5 @@ def enumerate_demands(ds: DemandStructure) -> Iterator[tuple[int, ...]]:
 
 
 def count_demands(ds: DemandStructure) -> int:
-    """Count demand vectors without enumerating them."""
-    return prod(len(s) for s in ds.demands)
+    """Count demand vectors without enumerating them: each region picks from 2a+b files."""
+    return ds.inst.m_max ** ds.inst.K

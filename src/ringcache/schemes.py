@@ -25,7 +25,7 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
-from ringcache.bounds import coded_gain_regime
+from ringcache.bounds import corner_memories
 from ringcache.model import (
     BudgetExceededError,
     DemandStructure,
@@ -122,35 +122,28 @@ class SchemeSpec:
 
 
 def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
-    """Memory-share the bracketing corner points for the instance's regime.
+    """Memory-share the two corners of the optimal curve that bracket M.
 
-    With one cache per user and b(K-1) < 2a the corners are (0, K),
-    (a+b, (K-1)/2) and (2a+b, 0); with b(K-1) >= 2a the middle corner is
-    skipped. With L >= 2 the corners are (0, K) and (a+b, 0), and any
-    M > a+b collapses to the pure local scheme.
+    With one cache per user the corners sit at ``bounds.corner_memories``:
+    direct delivery at 0, pair-XOR (MAN t=1) at a+b when b(K-1) < 2a, and
+    local caching at 2a+b. With L >= 2 they are direct delivery at 0 and
+    multiaccess local caching at a+b, and any M > a+b uses the latter alone.
     """
-    a, b, M = inst.a, inst.b, inst.M
+    M = inst.M
     if not 0 <= M <= inst.m_max:
         raise InvalidInstanceError(f"M={M} outside [0, {inst.m_max}]")
-
-    def mix(f: Fraction, kind: SegmentKind, other: SegmentKind) -> SchemeSpec:
-        segs = []
-        if f < 1:
-            segs.append(Segment(1 - f, other))
-        if f > 0:
-            segs.append(Segment(f, kind))
-        return SchemeSpec(segments=tuple(segs))
-
     if inst.L >= 2:
-        if M >= a + b:
-            return SchemeSpec(segments=(Segment(Fraction(1), SegmentKind.MULTIACCESS_LOCAL),))
-        return mix(M / (a + b), SegmentKind.MULTIACCESS_LOCAL, SegmentKind.UNCODED_DIRECT)
-    if not coded_gain_regime(inst):
-        return mix(M / inst.m_max, SegmentKind.LOCAL_FULL, SegmentKind.UNCODED_DIRECT)
-    if M <= a + b:
-        return mix(M / (a + b), SegmentKind.MAN_T1, SegmentKind.UNCODED_DIRECT)
-    lam = (M - (a + b)) / a
-    return mix(lam, SegmentKind.LOCAL_FULL, SegmentKind.MAN_T1)
+        corners = [Fraction(0), Fraction(inst.a + inst.b)]
+        kinds = (SegmentKind.UNCODED_DIRECT, SegmentKind.MULTIACCESS_LOCAL)
+        M = min(M, corners[1])
+    else:
+        corners = corner_memories(inst)
+        middle = (SegmentKind.MAN_T1,) if len(corners) == 3 else ()
+        kinds = (SegmentKind.UNCODED_DIRECT, *middle, SegmentKind.LOCAL_FULL)
+    hi = next(j for j in range(1, len(corners)) if M <= corners[j])
+    f = (M - corners[hi - 1]) / (corners[hi] - corners[hi - 1])
+    shares = (Segment(1 - f, kinds[hi - 1]), Segment(f, kinds[hi]))
+    return SchemeSpec(segments=tuple(s for s in shares if s.fraction > 0))
 
 
 class Message(NamedTuple):

@@ -167,6 +167,19 @@ class TestTradeoff:
         assert err == f"budget exceeded: {points} grid points exceed the grid budget 100000\n"
 
 
+@pytest.mark.parametrize("K,a,b", acceptance.sweep_instances())
+def test_every_tradeoff_cell_is_non_negative(capsys, K, a, b):
+    # with the LP column where it is cheap (K <= 4), and with multiaccess columns
+    instance = ["--K", str(K), "--a", str(a), "--b", str(b)]
+    runs = [[], ["--L", "2"], ["--L", str(K)]] + ([["--lp"]] if K <= 4 else [])
+    for extra in runs:
+        code, out, err = run(capsys, ["tradeoff", *instance, *extra])
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 11
+        assert all(Fraction(cell) >= 0 for row in rows for cell in row)
+
+
 @pytest.mark.parametrize("argv, budget", [
     (["tradeoff", "--K", "10000", "--a", "1", "--b", "1", "--m-steps", "2"], "10000000"),
 ])
@@ -476,6 +489,24 @@ class TestVerify:
             "[criterion 1] PASS - Scheme optimality: worst-case load = R*_u at 21 (instance, M) points\n"
         )
         assert run(capsys, ["verify", *INSTANCE, "--trials", "1"]) == (0, out, "")
+
+    @pytest.mark.parametrize("K,a", [(2, 1), (3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_b_zero_is_refused_before_any_criterion(self, capsys, monkeypatch, tmp_path,
+                                                    K, a, source):
+        # the high_m certificate of criterion 4 needs b >= 1
+        def no_battery(*_args, **_kwargs):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(acceptance, "run_acceptance", no_battery)
+        if source == "flags":
+            argv = ["verify", "--K", str(K), "--a", str(a), "--b", "0"]
+        else:
+            cfg = tmp_path / "instance.json"
+            cfg.write_text(json.dumps({"K": K, "a": a, "b": 0}))
+            argv = ["verify", "--config", str(cfg)]
+        assert run(capsys, [*argv, "--trials", "1"]) == (
+            2, "", "error: verify needs b >= 1; got b=0\n")
 
     @pytest.mark.parametrize("field,value", [("L", 2), ("M", "7"), ("L", 1), ("M", "0")])
     def test_config_with_l_or_m_is_usage_error(self, capsys, tmp_path, field, value):

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -131,6 +132,7 @@ class TestBuildDemandStructure:
         assert union == set(range(1, n + 1))
         assert not ds.class1 & ds.class2
         assert len(ds.class1) == a * K and len(ds.class2) == b * K
+        assert count_demands(ds) == prod(len(s) for s in ds.demands)
 
     def test_deterministic(self):
         _, first = structure(5, 2, 3)

@@ -10,7 +10,6 @@ import pytest
 
 import ringcache
 from ringcache import converse as cv
-from ringcache.bounds import PointLabel, TradeoffPoint
 from ringcache.exactlp import Constraint
 from ringcache.model import InvalidInstanceError, ProblemInstance, build_demand_structure
 from ringcache.schemes import SchemeSpec, Segment, SegmentKind
@@ -74,8 +73,6 @@ def test_cli_builds_its_parser_lazily_and_once():
      "segment fractions must sum to 1"),
     (lambda: SchemeSpec((Segment(3 * HALF, DIRECT), Segment(-HALF, SegmentKind.MAN_T1))),
      InvalidInstanceError, "segment fractions must be positive"),
-    (lambda: TradeoffPoint(Fraction(1), Fraction(-1), PointLabel.LP), ValueError,
-     "load must be non-negative"),
 ])
 def test_invalid_records_are_refused(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
@@ -93,8 +90,6 @@ def test_records_keep_their_constructors():
     assert repr(inst) == "ProblemInstance(K=3, a=2, b=1, L=1, M=Fraction(4, 1))"
     row = Constraint(coeffs={0: 1}, sense="<=", rhs=2)
     assert (row.coeffs, row.sense, row.rhs) == ({0: 1}, "<=", 2) and type(row.rhs) is Fraction
-    point = TradeoffPoint(Fraction(1), Fraction(2), PointLabel.CUTSET)
-    assert (point.M, point.R, point.label) == (1, 2, PointLabel.CUTSET)
     segments = (Segment(HALF, DIRECT), Segment(fraction=HALF, kind=SegmentKind.MAN_T1))
     assert SchemeSpec(segments=segments).segments == segments
 

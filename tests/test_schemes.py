@@ -35,6 +35,7 @@ from ringcache.schemes import (
     worst_case_load,
 )
 from ringcache.schemes import _xor
+from ringcache.verify import memory_grid, sweep_instances
 
 
 def setup(K, a, b, L=1, M=0):
@@ -177,6 +178,45 @@ class TestMakeScheme:
     def test_rejects_m_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
             ProblemInstance(3, 2, 1, 1, Fraction(-1))
+
+
+def four_branch_scheme(inst):
+    """Oracle: the segments of the scheme that spelled out each regime's corners."""
+    a, b, M = inst.a, inst.b, inst.M
+
+    def mix(f, kind, other):
+        segs = []
+        if f < 1:
+            segs.append(Segment(1 - f, other))
+        if f > 0:
+            segs.append(Segment(f, kind))
+        return tuple(segs)
+
+    if inst.L >= 2:
+        if M >= a + b:
+            return (Segment(Fraction(1), SegmentKind.MULTIACCESS_LOCAL),)
+        return mix(M / (a + b), SegmentKind.MULTIACCESS_LOCAL, SegmentKind.UNCODED_DIRECT)
+    if b * (inst.K - 1) >= 2 * a:
+        return mix(M / inst.m_max, SegmentKind.LOCAL_FULL, SegmentKind.UNCODED_DIRECT)
+    if M <= a + b:
+        return mix(M / (a + b), SegmentKind.MAN_T1, SegmentKind.UNCODED_DIRECT)
+    return mix((M - (a + b)) / a, SegmentKind.LOCAL_FULL, SegmentKind.MAN_T1)
+
+
+@pytest.mark.parametrize("K,a,b", sweep_instances())
+def test_corner_scheme_matches_the_four_branch_oracle(K, a, b):
+    """Every memory_grid point for L = 1, 2 and K, and M above a+b for L >= 2."""
+    above = [a + b + Fraction(j, 4) * a for j in range(1, 5)]
+    for L in sorted({1, 2, K}):
+        inst, ds = setup(K, a, b, L)
+        grid = memory_grid(inst) + (above if L >= 2 else [])
+        for m in grid:
+            sub = inst.with_m(m)
+            scheme = make_scheme(sub, ds)
+            assert scheme.segments == four_branch_scheme(sub), (L, m)
+            assert all(type(s.fraction) is Fraction for s in scheme.segments)
+            assert min_file_size(sub, scheme) == min_file_size(
+                sub, SchemeSpec(four_branch_scheme(sub)))
 
 
 class TestDeliver:

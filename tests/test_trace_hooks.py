@@ -59,3 +59,26 @@ def test_counters_read_the_arguments_the_benchmark_documents():
     assert read["schemes.worst_case_load"] == {"ds"}
     assert read["converse.dedup_rows"] == {"rows"}
     assert read["exactlp.solve"] == {"constraints", "n_vars"}
+
+
+TRACED_JOBS = [
+    ["lp", "--K", "3", "--a", "2", "--b", "1", "--M", "3", "--certificates", "--sum-all"],
+    ["lp", "--K", "3", "--a", "2", "--b", "1", "--M", "3", "--family", "high_m"],
+    ["tradeoff", "--K", "3", "--a", "2", "--b", "1", "--m-steps", "3", "--lp"],
+    ["gap", "--K", "3", "--a", "2", "--b", "1"],
+    ["simulate", "--K", "3", "--a", "2", "--b", "1", "--M", "3", "--demand", "1,6,7"],
+]
+
+
+def test_every_traced_name_records_a_span(monkeypatch, capsys):
+    """The jobs reach every wrapped name through the namespace the tracer rebinds."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    for namespace, attr, name, counter in spans._wrapped(ringcache):
+        monkeypatch.setattr(namespace, attr, tracer.wrap(name, getattr(namespace, attr), counter))
+    for argv in TRACED_JOBS:
+        assert ringcache.cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert {span[0] for span in tracer.spans} == {name for _ns, _a, name, _c in
+                                                  spans._wrapped(ringcache)}
+    assert tracer.counter_errors == []
