@@ -36,8 +36,6 @@ def grid_points(lo, hi, n: int) -> list:
 def rstar_u(inst: ProblemInstance) -> Fraction:
     """Optimal worst-case load under uncoded placement at the instance's M."""
     K, a, b, M = inst.K, inst.a, inst.b, inst.M
-    if not 0 <= M <= inst.m_max:
-        raise InvalidInstanceError(f"M={M} outside [0, {inst.m_max}]")
     if coded_gain_regime(inst):
         if M <= a + b:
             return Fraction(K) - Fraction(K + 1, 2 * (a + b)) * M

@@ -102,10 +102,10 @@ def _add_instance_flags(p: argparse.ArgumentParser, last: str = "M") -> None:
         p.add_argument("--M", type=_fraction, help='cache size, rational like "5/2"')
 
 
-def _load_instance(args, refused=()) -> ProblemInstance:
+def _load_instance(args) -> ProblemInstance:
     """The instance from the flags given, then the --config document, then L=1
-    and M=0. A document field named in ``refused`` is an error once the
-    fields pass their checks."""
+    and M=0. A document's L or M is an error, once the fields pass their
+    checks, when the subcommand defines no flag for it."""
     doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -121,8 +121,8 @@ def _load_instance(args, refused=()) -> ProblemInstance:
     if missing:
         raise InvalidInstanceError(f"missing instance parameters: {', '.join(missing)}")
     inst = ProblemInstance.from_json_dict(merged)
-    for key in refused:
-        if key in doc:
+    for key in ("L", "M"):
+        if key in doc and not hasattr(args, key):
             raise InvalidInstanceError(f"--config field {key} is not used by {args.command}")
     return inst
 
@@ -151,7 +151,7 @@ def _require_single_access(inst: ProblemInstance) -> None:
 
 
 def cmd_tradeoff(args) -> int:
-    inst = _load_instance(args, refused=("M",))
+    inst = _load_instance(args)
     n_points = len(args.m_grid) if args.m_grid else args.m_steps
     if not args.m_grid and n_points < 2:
         raise InvalidInstanceError("grid needs at least 2 steps")
@@ -166,9 +166,9 @@ def cmd_tradeoff(args) -> int:
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
     ds = build_demand_structure(inst)
-    if args.lp:  # one collapse, walked along the grid
+    if args.lp:
         _require_single_access(inst)
-        reduced = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode))
+        lp = cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode)
 
     header = ["M", "R_ach", "R_star_u", "R_cutset"]
     if inst.L >= 2:
@@ -181,7 +181,7 @@ def cmd_tradeoff(args) -> int:
         sub = inst.with_m(m)
         rows.append([m, worst_case_load(sub, ds, make_scheme(sub, ds)), *closed])
     if args.lp:
-        for row, outcome in zip(rows, cv.solve_lp_grid(reduced, grid)):
+        for row, outcome in zip(rows, cv.solve_lp_grid(lp, grid)):
             row.append(outcome.value)
 
     cells = [[_render(v, args.decimal) for v in row] for row in rows]
@@ -243,13 +243,12 @@ def cmd_lp(args) -> int:
     _require_single_access(inst)
     cv.check_variables(inst)  # before the demand structure and any family
     ds = build_demand_structure(inst)
+    # the loose bound's full block is refused before any family is built
+    loose = cv.sum_all_bound(inst, ds) if args.sum_all else None
     if args.family == "full":
         family = cv.full_family(ds)
-        full_blocks = family.blocks
-    else:  # the loose bound's full block is refused before the selected family
-        full_blocks = cv.full_blocks(ds) if args.sum_all else ()
+    else:
         family = cv.selected_family(ds, cv.Regime(args.family))
-    loose = cv.sum_all_bound(inst, ds, full_blocks) if args.sum_all else None
     lp = cv.build_lp(inst, ds, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)
@@ -283,7 +282,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    inst = _load_instance(args, refused=("L", "M"))
+    inst = _load_instance(args)
     report = gap_check(inst)
     payload = {
         "instance": inst.to_json_dict(),
@@ -298,7 +297,7 @@ def cmd_gap(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.config or args.K is not None or args.a is not None or args.b is not None:
-        inst = _load_instance(args, refused=("L", "M"))
+        inst = _load_instance(args)
         if inst.b == 0:  # criterion 4's high_m certificate divides by b
             raise InvalidInstanceError("verify needs b >= 1; got b=0")
         instances = [(inst.K, inst.a, inst.b)]

@@ -853,16 +853,16 @@ def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure, blocks) -> Fraction:
+def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
     """The loose bound from averaging the full family into one row.
 
-    The average is counted from the family's blocks, ``full_blocks(ds)``
-    (``_block_average``), without building a row; the bound is its minimum
-    over placements satisfying the per-file partition and the aggregate
-    memory budget. Aggregation only weakens the LP, so this never exceeds
-    the family's LP optimum.
+    The average is counted from the full block, ``full_blocks(ds)``, which
+    meets the full family's refusals (``_block_average``), without building
+    a row; the bound is its minimum over placements satisfying the per-file
+    partition and the aggregate memory budget. Aggregation only weakens the
+    LP, so this never exceeds the family's LP optimum.
     """
-    avg = _block_average(ds, blocks)
+    avg = _block_average(ds, full_blocks(ds))
     lp = build_lp(inst, ds, (), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}

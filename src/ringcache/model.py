@@ -10,7 +10,7 @@ K-bit masks with bit j-1 standing for node j.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, NamedTuple
 
 
@@ -125,8 +125,17 @@ class ProblemInstance:
             a=_json_int(doc, "a"),
             b=_json_int(doc, "b"),
             L=_json_int(doc, "L", 1),
-            M=Fraction(str(doc.get("M", "0"))),
+            M=_json_m(doc),
         )
+
+
+def _json_m(doc: dict) -> Fraction:
+    """doc["M"] (default 0) as a rational; a zero denominator is refused."""
+    text = str(doc.get("M", "0"))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInstanceError(f"M has a zero denominator: {text!r}") from None
 
 
 def _json_int(doc: dict, key: str, default=None) -> int:
@@ -195,10 +204,9 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
 
     D1[k] = [(k-1)(a+b)+1 : ka+(k-1)b], D2[k] = [ka+(k-1)b+1 : k(a+b)],
     and D3[k] is the length-a cyclic interval starting right after D2[k],
-    which coincides with D1 of the right-hand neighbour. All structural
-    invariants are asserted; a violating combination is rejected rather
-    than silently merged (relevant only to hypothetical degenerate inputs,
-    every K >= 2 integer instance passes).
+    which coincides with D1 of the right-hand neighbour. The formula meets
+    every structural invariant for any valid instance; the tests check them
+    (``test_invariants_sweep``), so nothing is re-checked here.
     """
     K, a, b, N = inst.K, inst.a, inst.b, inst.N
     part1, part2, part3, demands, demand_sets = [], [], [], [], []
@@ -225,45 +233,7 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
         class1=class1,
         class2=class2,
     )
-    validate_structure(ds)
     return ds
-
-
-def validate_structure(ds: DemandStructure) -> None:
-    """Re-check every structural invariant; raises naming the violated one."""
-    inst = ds.inst
-    K, a, b, N = inst.K, inst.a, inst.b, inst.N
-
-    def reject(msg: str) -> None:
-        raise InvalidInstanceError(f"demand structure invariant violated: {msg}")
-
-    for k in range(1, K + 1):
-        d1, d2, d3 = (set(part[k - 1]) for part in (ds.part1, ds.part2, ds.part3))
-        if len(d1) != a or len(d3) != a:
-            reject(f"|D1[{k}]| or |D3[{k}]| != a")
-        if len(d2) != b:
-            reject(f"|D2[{k}]| != b")
-        right = cyclic_mod(k + 1, K)
-        if d3 != set(ds.part1[right - 1]):
-            reject(f"D3[{k}] != D1[{right}]")
-        full = d1 | d2 | d3
-        if len(full) != 2 * a + b or full != ds.demand_sets[k - 1]:
-            reject(f"parts of D[{k}] collide")
-    holders = {}  # file -> the regions whose demand set holds it, in ascending order
-    for k, files in enumerate(ds.demand_sets, start=1):
-        for i in files:
-            holders.setdefault(i, []).append(k)
-    far = [pair for ks in holders.values() if len(ks) > 1 for pair in combinations(ks, 2)
-           if 2 <= cyclic_mod(pair[0] - pair[1], K) <= K - 2]
-    if far:  # the least pair is the one a scan over every (k1, k2) meets first
-        reject("non-neighbouring D[%d], D[%d] intersect" % min(far))
-    if ds.class1 & ds.class2:
-        reject("C1 and C2 intersect")
-    universe = frozenset().union(*ds.demand_sets)
-    if universe != frozenset(range(1, N + 1)):
-        reject("union of demand sets is not [N]")
-    if len(ds.class1) != a * K or len(ds.class2) != b * K:
-        reject("|C1| != aK or |C2| != bK")
 
 
 def enumerate_demands(ds: DemandStructure) -> Iterator[tuple[int, ...]]:

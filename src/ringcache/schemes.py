@@ -130,8 +130,6 @@ def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
     multiaccess local caching at a+b, and any M > a+b uses the latter alone.
     """
     M = inst.M
-    if not 0 <= M <= inst.m_max:
-        raise InvalidInstanceError(f"M={M} outside [0, {inst.m_max}]")
     if inst.L >= 2:
         corners = [Fraction(0), Fraction(inst.a + inst.b)]
         kinds = (SegmentKind.UNCODED_DIRECT, SegmentKind.MULTIACCESS_LOCAL)

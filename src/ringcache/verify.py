@@ -120,9 +120,9 @@ def criterion_3_lp_tightness() -> CriterionResult:
     """solve_lp(full_family) = rstar_u at every corner of the five instances."""
     checked = 0
     for base, ds in _structures(TIGHTNESS_INSTANCES):
-        reduced = cv.symmetrize(cv.build_lp(base, ds, cv.full_family(ds)))
+        lp = cv.build_lp(base, ds, cv.full_family(ds))
         corners = corner_memories(base)
-        for m, outcome in zip(corners, cv.solve_lp_grid(reduced, corners)):
+        for m, outcome in zip(corners, cv.solve_lp_grid(lp, corners)):
             opt, want = outcome.value, rstar_u(base.with_m(m))
             if opt != want:
                 detail = f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): LP {opt} != {want}"
@@ -247,9 +247,8 @@ def criterion_8_loose_bound() -> CriterionResult:
     """Loose-bound probe: sum_all_bound vs the paper-reported 54/95 and the LP."""
     inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
     ds = build_demand_structure(inst)
-    family = cv.full_family(ds)
-    loose = cv.sum_all_bound(inst, ds, family.blocks)
-    opt = cv.solve_lp(cv.build_lp(inst, ds, family)).value
+    loose = cv.sum_all_bound(inst, ds)
+    opt = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds))).value
     reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
     detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"

@@ -725,10 +725,13 @@ REFUSED_BEFORE_THE_WORK = [
         ["verify", *INSTANCE, "--M", "7", "--trials", "1"],
         ["verify", *INSTANCE, "--L", "2", "--M", "7", "--trials", "1"],
         *REFUSED_BEFORE_THE_WORK,
+        *([command, "--config", "{tmp}/zero_m.json"]
+          for command in ("lp", "simulate", "tradeoff", "gap", "verify")),
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "zero_m.json").write_text('{"K": 3, "a": 2, "b": 1, "M": "1/0"}')
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     try:
         code = cli.main(argv)

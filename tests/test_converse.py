@@ -1311,14 +1311,10 @@ class TestCountedCertificates:
                     assert line == rstar_u(inst.with_m(M)), (regime, M)
 
 
-def sum_all(inst, ds):
-    return cv.sum_all_bound(inst, ds, cv.full_blocks(ds))
-
-
 class TestSumAllBound:
     def test_reproduces_papers_loose_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert sum_all(inst, ds) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
 
     def test_builds_no_row(self, monkeypatch):
         def no_rows(*_args):
@@ -1326,21 +1322,21 @@ class TestSumAllBound:
 
         inst, ds = setup(3, 2, 1, M=3)
         monkeypatch.setattr(cv, "_block_rows", no_rows)
-        assert sum_all(inst, ds) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
 
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
-        loose = sum_all(inst, ds)
+        loose = cv.sum_all_bound(inst, ds)
         opt = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert sum_all(inst, ds) == 0
+        assert cv.sum_all_bound(inst, ds) == 0
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
-        assert sum_all(inst, ds) == 2
+        assert cv.sum_all_bound(inst, ds) == 2
 
     # (3,0,2) and (4,0,1) have disjoint pools; the rest overlap.
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (2, 2, 1), (3, 0, 2), (3, 1, 1), (3, 2, 1),
