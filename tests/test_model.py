@@ -1,5 +1,6 @@
 """Demand-structure construction, index arithmetic, enumeration."""
 
+import re
 from fractions import Fraction
 from math import prod
 
@@ -35,7 +36,7 @@ def assert_invariants(ds):
         d1, d2, d3 = (set(part[k - 1]) for part in (ds.part1, ds.part2, ds.part3))
         assert len(d1) == len(d3) == a and len(d2) == b
         right = cyclic_mod(k + 1, K)
-        assert d3 == set(ds.part1[right - 1])
+        assert d3 == set(ds.part1[right - 1]), f"D3[{k}] is not D1[{right}]"
         # the demand set is the disjoint union of its three parts
         assert len(d1 | d2 | d3) == len(d1) + len(d2) + len(d3) == 2 * a + b
         assert d1 | d2 | d3 == ds.demand_sets[k - 1] == set(ds.demands[k - 1])
@@ -47,7 +48,8 @@ def assert_invariants(ds):
     # regions that are not ring neighbours share no file
     for ks in holders.values():
         assert len(ks) <= 2
-        assert len(ks) == 1 or cyclic_mod(ks[1] - ks[0], K) in (1, K - 1)
+        assert len(ks) == 1 or cyclic_mod(ks[1] - ks[0], K) in (1, K - 1), \
+            f"non-neighbouring D[{ks[0]}], D[{ks[1]}] intersect"
     assert set(holders) == set(range(1, ds.inst.N + 1))
     assert not ds.class1 & ds.class2
     assert len(ds.class1) == a * K and len(ds.class2) == b * K
@@ -149,6 +151,35 @@ class TestBuildDemandStructure:
         _, first = structure(5, 2, 3)
         _, second = structure(5, 2, 3)
         assert first.demands == second.demands
+
+    def test_mutation_is_caught_by_named_invariant(self):
+        """The invariants' check is not vacuous: a shifted D3 fails it."""
+        _, ds = structure(3, 2, 1)
+        shifted = tuple(tuple(x + 1 for x in part) for part in ds.part3)
+        broken = ds._replace(part3=shifted)
+        with pytest.raises(AssertionError, match="D3"):
+            assert_invariants(broken)
+
+    @pytest.mark.parametrize("k, donors", [(1, (3, 5)), (1, (5, 3)), (2, (5, 5)), (4, (1, 6)),
+                                           (7, (2, 7)), (3, (3, 6))])
+    def test_non_neighbours_sharing_a_file_are_caught(self, k, donors):
+        """Region k's two unique files are replaced by those of the donor
+        regions; the invariants' check names a non-neighbouring pair that
+        holds one of them."""
+        _, ds = structure(7, 1, 2)
+        part2 = list(ds.part2)
+        part2[k - 1] = tuple(ds.part2[d - 1][j] for j, d in enumerate(donors))
+        sets = list(ds.demand_sets)
+        sets[k - 1] = frozenset(ds.part1[k - 1] + part2[k - 1] + ds.part3[k - 1])
+        demands = list(ds.demands)
+        demands[k - 1] = tuple(sorted(sets[k - 1]))
+        broken = ds._replace(part2=tuple(part2), demand_sets=tuple(sets), demands=tuple(demands))
+        with pytest.raises(AssertionError) as caught:
+            assert_invariants(broken)
+        found = re.search(r"non-neighbouring D\[(\d+)\], D\[(\d+)\] intersect", str(caught.value))
+        assert found, str(caught.value)
+        pair = {int(found[1]), int(found[2])}
+        assert k in pair and pair - {k} <= set(donors) and 2 <= cyclic_mod(max(pair) - min(pair), 7) <= 5
 
     def test_large_ring_is_checked_in_linear_work(self, monkeypatch):
         """The build and the invariants' check both take linear work; a scan
