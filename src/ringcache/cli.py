@@ -35,6 +35,7 @@ from ringcache.schemes import (
     DecodeError,
     SubpacketizationError,
     accessible_nodes,
+    check_demands,
     check_file_size,
     check_library_budget,
     decode,
@@ -165,6 +166,8 @@ def cmd_tradeoff(args) -> int:
         grid = grid_points(lo, hi, n_points)
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
+    if not args.lp:  # with --lp, the L check and the family's refusals come first
+        check_demands(inst)
     ds = build_demand_structure(inst)
     if args.lp:
         _require_single_access(inst)

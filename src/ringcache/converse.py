@@ -26,17 +26,23 @@ key order. A symmetrised row is the sorted tuple of its keys' orbit
 names, so its coefficients are multiplicities; such rows are sorted by
 their (key, multiplicity) pairs (``_row_order``), the constraint order
 the simplex pivots through. On an expanded raw row, whose keys are
-distinct, that order is plain tuple order. No family repeats a row, yet
-``build_lp`` alone dedups; averages are counted from blocks, not rows.
+distinct, that order is plain tuple order. A ``Family`` holds its blocks
+and its counted length and lists rows only when iterated: the orbit rows
+come from pattern-reduced copies of the blocks (``_reduced``), witnesses
+are checked block by block and averages are counted from blocks, so raw
+rows are listed only by the raw text export and by the closure check of
+a block whose image is not a block. Plain row sequences, which no
+command builds, are deduplicated by ``build_lp`` and collapsed row by row.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, groupby, permutations, product, repeat
 from math import factorial, lcm, prod
 from typing import NamedTuple
@@ -154,14 +160,40 @@ class Block(NamedTuple):
     full: bool
 
 
-class Family(tuple):
-    """Genie rows and the blocks ``_block_rows`` derived them from. A slice,
-    a sum or any other sequence of rows is plain and has no blocks."""
+class Family:
+    """Genie rows as the blocks ``_block_rows`` derives them from, with their
+    number, counted before any block was built; the rows are listed only
+    when the family is iterated."""
 
-    def __new__(cls, rows, blocks):
-        family = super().__new__(cls, rows)
-        family.blocks = tuple(blocks)
-        return family
+    def __init__(self, ds: DemandStructure, blocks, n_rows: int):
+        self.ds, self.blocks, self.n_rows = ds, tuple(blocks), n_rows
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self):
+        return chain.from_iterable(_block_rows(self.ds, block) for block in self.blocks)
+
+
+class _DistinctRows(Sequence):
+    """A family's distinct rows, sorted by their links: a raw program's
+    genie rows, listed only when first read, which no solve does."""
+
+    def __init__(self, family: Family):
+        self.family = family
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(dedup_rows(self.family))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __eq__(self, other) -> bool:
+        return self.rows == (other.rows if isinstance(other, _DistinctRows) else other)
 
 
 def _check_pools(ds: DemandStructure, block: Block) -> None:
@@ -213,10 +245,6 @@ def _block_rows(ds: DemandStructure, block: Block) -> list:
     return [tuple(sorted(map(dict.__getitem__, t, c))) for c in choices for t in templates]
 
 
-def _family(ds: DemandStructure, blocks) -> Family:
-    return Family(chain.from_iterable(_block_rows(ds, block) for block in blocks), blocks)
-
-
 def dedup_rows(rows) -> list:
     """The distinct rows, sorted by their links."""
     return sorted(set(rows))
@@ -224,15 +252,22 @@ def dedup_rows(rows) -> list:
 
 def full_blocks(ds: DemandStructure) -> list:
     """The full family's one block: the K! order templates over the demand
-    sets. With at least one distinct-demand vector there are K! rows or
-    more, refused first; then the rows are counted, and refused, before any
-    order is listed."""
+    sets, refused as ``_full`` refuses it."""
+    return _full(ds)[0]
+
+
+def _full(ds: DemandStructure) -> tuple:
+    """(the full family's blocks, its row count). With at least one
+    distinct-demand vector there are K! rows or more, refused first; then
+    the rows are counted, and refused, before any order is listed."""
     K = ds.inst.K
     if factorial(K) > FAMILY_BUDGET:
         raise BudgetExceededError(f"{K}! decoding orders exceed the row budget {FAMILY_BUDGET}")
     users = tuple(range(1, K + 1))
-    _check_rows(len(_choices(ds, Block(users, ds.demands, (), True))) * factorial(K))
-    return [Block(users, ds.demands, tuple(_order_masks(K, u) for u in permutations(users)), True)]
+    n_rows = len(_choices(ds, Block(users, ds.demands, (), True))) * factorial(K)
+    _check_rows(n_rows)
+    tops = tuple(_order_masks(K, u) for u in permutations(users))
+    return [Block(users, ds.demands, tops, True)], n_rows
 
 
 def full_family(ds: DemandStructure) -> Family:
@@ -240,7 +275,7 @@ def full_family(ds: DemandStructure) -> Family:
     vector by vector, orders in ``permutations`` order. No row repeats: a
     row's tops form a strict chain, which names the decoding order, and the
     file at each top names the demand."""
-    return _family(ds, full_blocks(ds))
+    return Family(ds, *_full(ds))
 
 
 def _chain_permutations(K: int, k: int) -> tuple:
@@ -254,8 +289,12 @@ def selected_family(ds: DemandStructure, regime: Regime) -> Family:
     """The hand-picked non-redundant rows backing one regime's certificate,
     from the blocks of ``_selected_blocks``, refused past the row budget
     before any block is built."""
-    _check_rows(_selected_rows(ds.inst, regime))
-    return _family(ds, _selected_blocks(ds, regime))
+    n_rows = _selected_rows(ds.inst, regime)
+    _check_rows(n_rows)
+    blocks = _selected_blocks(ds, regime)
+    for block in blocks:
+        _check_pools(ds, block)
+    return Family(ds, blocks, n_rows)
 
 
 def _selected_rows(inst: ProblemInstance, regime: Regime) -> int:
@@ -350,10 +389,13 @@ def build_lp(
     family,
     memory_mode: str = AGGREGATE,
 ) -> LinearProgram:
-    """The raw LP over all (file, mask) variables and the family's distinct rows."""
+    """The raw LP over all (file, mask) variables and the family's distinct
+    rows, sorted. A ``Family`` keeps its blocks and is listed only when its
+    rows are read (``_DistinctRows``); plain rows are deduplicated here."""
     if memory_mode not in (AGGREGATE, PER_NODE):
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
+    blocks = family.blocks if isinstance(family, Family) else ()
     var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
     partition = tuple(
         ({(i, m): 1 for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
@@ -368,11 +410,11 @@ def build_lp(
         inst=inst,
         ds=ds,
         var_keys=var_keys,
-        genie_rows=tuple(dedup_rows(family)),
+        genie_rows=_DistinctRows(family) if blocks else tuple(dedup_rows(family)),
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
-        blocks=getattr(family, "blocks", ()),
+        blocks=blocks,
     )
 
 
@@ -516,14 +558,19 @@ def _witness_ok(lp: LinearProgram, value, assignment) -> bool:
 
 
 def _verify_structural(lp: LinearProgram, assignment) -> None:
-    """Partition and memory rows at a point whose omitted keys are zero."""
+    """Partition and memory rows at a point whose omitted keys are zero, in
+    integers: the point is scaled by den, the lcm of its denominators, and
+    a row's total times rhs's denominator is held against rhs's numerator
+    times den."""
+    den = lcm(*(v.denominator for v in assignment.values()))
+    scaled = {k: v.numerator * (den // v.denominator) for k, v in assignment.items()}
     for rows, holds, kind in (
         (lp.partition_rows, operator.eq, "partition"),
         (lp.memory_rows, operator.le, "memory"),
     ):
         for coeffs, rhs in rows:
-            total = sum(c * assignment[k] for k, c in coeffs.items() if k in assignment)
-            if not holds(total, rhs):
+            total = sum(map(operator.mul, coeffs.values(), map(scaled.get, coeffs, repeat(0))))
+            if not holds(total * rhs.denominator, rhs.numerator * den):
                 raise exactlp.LpError(f"witness violates a {kind} row")
 
 
@@ -576,6 +623,31 @@ def _rows_closed(lp: LinearProgram, rows, phi, masks) -> bool:
     return all(tuple(sorted(map(image.__getitem__, row))) in row_set for row in rows)
 
 
+def _reduced(block: Block, cls: dict) -> Block:
+    """The block with each pool cut to its first n files of each class, n
+    the number of pools meeting the class, when every pool meeting a class
+    holds the same files of it; else the block itself.
+
+    A file's class (``cls``) is its keys' orbit ids, mask by mask, so a
+    link's projection reads its file only through the class. A row takes
+    at most n distinct files of a class, one per pool meeting it, so each
+    class pattern of the block's rows is a pattern of the cut block's.
+    """
+    held = defaultdict(list)  # class -> its files in each pool meeting it
+    for pool in block.pools:
+        by_class = defaultdict(list)
+        for f in pool:
+            by_class[cls[f]].append(f)
+        for c, files in by_class.items():
+            held[c].append(files)
+    keep = set()
+    for pools in held.values():
+        if any(set(files) != set(pools[0]) for files in pools[1:]):
+            return block
+        keep.update(pools[0][:len(pools)])
+    return block._replace(pools=tuple(tuple(f for f in pool if f in keep) for pool in block.pools))
+
+
 def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's full symmetry group.
 
@@ -589,7 +661,9 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     then keeps the optimum, and the variables collapse to one per orbit,
     named ("orbit", *least member). A row projects to its keys' orbit
     names, sorted; the distinct projections, sorted by ``_row_order``, are
-    the genie rows of the result.
+    the genie rows of the result. A program with blocks projects the rows
+    of each block reduced by its files' classes (``_reduced``), which
+    project onto the same rows as the block's, and lists no raw row.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
@@ -597,15 +671,14 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     keys = lp.var_keys  # ascending, as build_lp lists them
     pos = {key: j for j, key in enumerate(keys)}
     link_keys = _link_keys(K)
-    rows = lp.genie_rows
-    links = set(chain.from_iterable(rows))
     identity = range(lp.inst.N + 1), range(1, K + 1), range(1 << K)  # phi, sigma, masks
     block_keys = {_block_key(b, *identity) for b in lp.blocks}
     generators = []
     for name, (phi, sigma) in _ring_generators(lp.ds).items():
         masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
         unmatched = [b for b in lp.blocks if _block_key(b, phi, sigma, masks) not in block_keys]
-        unchecked = [r for b in unmatched for r in _block_rows(lp.ds, b)] if lp.blocks else rows
+        unchecked = ([r for b in unmatched for r in _block_rows(lp.ds, b)] if lp.blocks
+                     else lp.genie_rows)
         if unchecked and not _rows_closed(lp, unchecked, phi, masks):
             raise FamilyError(f"genie family is not closed under the {name}")
         generators.append([pos[phi[i], masks[m]] for i, m in keys])
@@ -632,14 +705,17 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
             counts[index[pos[key]]] += c
         return tuple((names[j], n) for j, n in sorted(counts.items()))
 
+    rows = lp.genie_rows
+    if lp.blocks:
+        width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
+        cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
+        rows = chain.from_iterable(_block_rows(lp.ds, _reduced(b, cls)) for b in lp.blocks)
     # A link's projection is the sorted orbit positions of its keys, named
     # by an id; rows with equal id multisets project alike, so each such
     # multiset is concatenated and sorted once.
     ids: dict = {}
-    link_id = {
-        link: ids.setdefault(tuple(sorted(index[pos[k]] for k in link_keys[link])), len(ids))
-        for link in links
-    }
+    link_id = _Memo(lambda link: ids.setdefault(
+        tuple(sorted(index[pos[k]] for k in link_keys[link])), len(ids)))
     shapes = {tuple(sorted(map(link_id.__getitem__, row))) for row in rows}
     by_id = list(ids)
     projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
@@ -660,7 +736,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
 
 def _block_average(ds: DemandStructure, blocks) -> dict:
-    """The average row of ``_family(ds, blocks)``, built from no row: a block
+    """The average row of the blocks' family, built from no row: a block
     pairs each choice with each template, so user u's link occurs (choices
     giving u its file) x (templates giving u its top) times. Disjoint pools
     admit every choice and list none; overlapping ones count ``_choices``."""

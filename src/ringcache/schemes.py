@@ -31,7 +31,6 @@ from ringcache.model import (
     DemandStructure,
     InvalidInstanceError,
     ProblemInstance,
-    count_demands,
     count_text,
     cyclic_mod,
     mask_of,
@@ -409,6 +408,15 @@ def decode(
     return b"".join(parts)
 
 
+def check_demands(inst: ProblemInstance) -> None:
+    """Refuse more than WORST_CASE_BUDGET demand vectors, (2a+b)^K, from the
+    instance alone, so before any demand structure is built."""
+    n_vectors = inst.m_max ** inst.K
+    if n_vectors > WORST_CASE_BUDGET:
+        raise BudgetExceededError(
+            f"{count_text(n_vectors)} demand vectors exceed {WORST_CASE_BUDGET}")
+
+
 def worst_case_load(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec) -> Fraction:
     """Worst-case delivery size over all demand vectors, in units of B.
 
@@ -418,10 +426,7 @@ def worst_case_load(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSp
     worst case is the total size of the plans, with no enumeration. The
     budget still refuses demand structures too large to enumerate.
     """
-    n_vectors = count_demands(ds)
-    if n_vectors > WORST_CASE_BUDGET:
-        raise BudgetExceededError(
-            f"{count_text(n_vectors)} demand vectors exceed {WORST_CASE_BUDGET}")
+    check_demands(inst)
     return sum(
         (seg.fraction * size for seg in scheme.segments for _, size in seg.kind.plan(inst.K)),
         Fraction(0),

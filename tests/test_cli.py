@@ -190,6 +190,26 @@ def test_budget_refusal_past_the_int_digit_limit(capsys, argv, budget):
     assert err == f"budget exceeded: at least 10^4771 demand vectors exceed {budget}\n"
 
 
+def test_demand_budget_is_refused_before_the_demand_structure(capsys, monkeypatch):
+    def no_structure(*_args):
+        raise AssertionError("the demand structure was built")
+
+    monkeypatch.setattr(cli, "build_demand_structure", no_structure)
+    code, out, err = run(capsys, ["tradeoff", "--K", "100000", "--a", "1", "--b", "1",
+                                  "--m-steps", "2"])
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: at least 10^47712 demand vectors exceed 10000000\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "14348907 demand vectors exceed 10000000"),  # 27^5, the demand budget
+    (["--lp"], "14348907 demand vectors exceed the row budget 1000000"),  # the family's
+])
+def test_the_family_refuses_first_under_lp(capsys, extra, message):
+    code, out, err = run(capsys, ["tradeoff", "--K", "5", "--a", "9", "--b", "9", *extra])
+    assert (code, out, err) == (3, "", f"budget exceeded: {message}\n")
+
+
 class TestSimulate:
     def test_running_example(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--K", "3", "--a", "2", "--b", "1",
@@ -437,6 +457,25 @@ class TestLpCommand:
                                     "--M", "5", "--family", "high_m"])
         assert code == 0
         assert json.loads(out)["lp_optimum"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lp", "--K", "5", "--a", "3", "--b", "1", "--family", "high_m", "--certificates"],
+    ["lp", "--K", "5", "--a", "3", "--b", "1", "--family", "low_m", "--memory-mode", "per_node"],
+    ["tradeoff", "--K", "4", "--a", "1", "--b", "2", "--lp"],
+])
+def test_solves_list_no_raw_row(capsys, monkeypatch, argv):
+    """The orbit rows come from pattern-reduced blocks, and witnesses are
+    checked block by block, so no family is listed and no row deduplicated."""
+    want = run(capsys, argv)
+
+    def no_listing(*_args):
+        raise AssertionError("raw rows were listed")
+
+    monkeypatch.setattr(cv.Family, "__iter__", no_listing)
+    monkeypatch.setattr(cv, "dedup_rows", no_listing)
+    assert run(capsys, argv) == want
+    assert want[0] == 0
 
 
 class TestGap:

@@ -1,6 +1,7 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
 import inspect
+import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -109,9 +110,14 @@ def average_rows(K, rows):
     return {key: Fraction(v, len(rows)) for key, v in total.items()}
 
 
+def block_family(ds, blocks):
+    """The family of any blocks, its rows counted by listing them."""
+    return cv.Family(ds, blocks, sum(len(cv._block_rows(ds, block)) for block in blocks))
+
+
 def row_built_average(ds, blocks):
     """The counted average's oracle: every row of the blocks built and averaged."""
-    return average_rows(ds.inst.K, cv._family(ds, blocks))
+    return average_rows(ds.inst.K, block_family(ds, blocks))
 
 
 def oracle_residuals(inst, ds, agg, mu):
@@ -756,9 +762,9 @@ class TestSolveLp:
         else:
             plan = [(cv.Regime.LARGE_B, [Fraction(0), Fraction(2 * a + b)])]
         for regime, corners in plan:
-            rows = cv.selected_family(ds, regime)
+            rows = tuple(cv.selected_family(ds, regime))
             if regime is not cv.Regime.HIGH_M and a > 0 and b > 0:
-                rows += cv.selected_family(ds, cv.Regime.HIGH_M)
+                rows += tuple(cv.selected_family(ds, cv.Regime.HIGH_M))
             for m in corners:
                 inst = base.with_m(m)
                 got = cv.solve_lp(cv.build_lp(inst, ds, rows)).value
@@ -1075,7 +1081,7 @@ class TestLinkRowsMatchKeyOracles:
     @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (4, 1, 2)])
     def test_same_closure_verdicts_on_partial_families(self, K, a, b):
         inst, ds = setup(K, a, b, M=1)
-        rows = family_for(ds)
+        rows = tuple(family_for(ds))
         for part in (rows[: len(rows) // 2], rows[1:], rows[::3]):
             lp = cv.build_lp(inst, ds, part)
             with pytest.raises(cv.FamilyError) as exc:
@@ -1090,6 +1096,117 @@ class TestLinkRowsMatchKeyOracles:
             want = {key: Fraction(n, len(rows)) for key, n in keys.items()}
             assert average_rows(4, rows) == want
             assert cv._block_average(ds, rows.blocks) == want
+
+
+def fraction_structural_ok(lp, assignment):
+    """The Fraction sums the integer-scaled structural check replaced."""
+    for rows, holds in ((lp.partition_rows, operator.eq), (lp.memory_rows, operator.le)):
+        for coeffs, rhs in rows:
+            if not holds(sum(c * assignment[k] for k, c in coeffs.items() if k in assignment), rhs):
+                return False
+    return True
+
+
+def structural_ok(lp, assignment):
+    try:
+        cv._verify_structural(lp, assignment)
+    except cv.exactlp.LpError:
+        return False
+    return True
+
+
+class TestStructuralCheck:
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2)])
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_same_verdicts_as_fraction_sums(self, K, a, b, mode):
+        base, ds = setup(K, a, b)
+        lp = cv.build_lp(base, ds, family_for(ds), mode)
+        full = (1 << K) - 1
+        seen = Counter()
+        for m in (Fraction(0), Fraction(a + b, 2), Fraction(3 * a + 2 * b, 2), Fraction(2 * a + b)):
+            moved = lp.with_m(m)
+            x = cv.solve_lp(moved).assignment
+            points = [("optimum", x)]
+            for i, j in sorted(x)[:: max(1, len(x) // 5)]:
+                points.append(("oversized", {**x, (i, j): x[i, j] + Fraction(1, 7)}))
+                # a third of the piece moved onto every node, or off every node:
+                # the file keeps its size, and uses more memory, or less
+                for kind, mask in (("more memory", full), ("less memory", 0)):
+                    point = {**x, (i, j): x[i, j] * 2 / 3}
+                    point[i, mask] = point.get((i, mask), 0) + x[i, j] / 3
+                    points.append((kind, point))
+            for kind, point in points:
+                want = fraction_structural_ok(moved, point)
+                assert structural_ok(moved, point) == want, (m, kind)
+                seen[kind, want] += 1
+        assert seen["optimum", True] and seen["oversized", False] and seen["more memory", False]
+
+
+REDUCTION_INSTANCES = [
+    (K, a, b) for K in (2, 3, 4, 5) for a in range(4) for b in range(4) if a + b
+]
+
+
+def constructible_families(ds):
+    """(name, family) for the full family and every selection the budgets admit."""
+    out = []
+    for regime in (None, *cv.Regime):
+        try:
+            family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
+        except (cv.FamilyError, BudgetExceededError):
+            continue
+        out.append(("full" if regime is None else regime.value, family))
+    return out
+
+
+def file_classes(sym):
+    """File -> the orbit of each of its keys, mask by mask: the class that
+    ``symmetrize`` reduces pools by, up to the names of the orbits."""
+    orbit = {key: name for name, members in sym.orbit_members.items() for key in members}
+    K = sym.inst.K
+    return {i: tuple(orbit[i, m] for m in range(1 << K)) for i in range(1, sym.inst.N + 1)}
+
+
+class TestReducedCollapse:
+    """The orbit program from pattern-reduced blocks against the collapse of
+    every listed row, the route it replaced."""
+
+    @pytest.mark.parametrize("K,a,b", REDUCTION_INSTANCES)
+    def test_same_orbit_program_as_the_listed_rows(self, monkeypatch, K, a, b):
+        # Whole blocks project every row of the family; closure is proved
+        # block by block on both sides, and against the rows in
+        # TestBlockClosure and TestLinkRowsMatchKeyOracles.
+        inst, ds = setup(K, a, b, M=a + b)
+        for name, family in constructible_families(ds):
+            assert len(family) == sum(1 for _ in family), name
+            for mode in (cv.AGGREGATE, cv.PER_NODE):
+                lp = cv.build_lp(inst, ds, family, mode)
+                got = cv.symmetrize(lp)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cv, "_reduced", lambda block, cls: block)
+                    want = cv.symmetrize(lp)
+                assert orbit_fields(got) == orbit_fields(want), (name, mode)
+
+    def test_pools_reduce_to_as_many_files_as_pools_meet_a_class(self):
+        inst, ds = setup(3, 3, 1, M=1)
+        cls = file_classes(cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds))))
+        (block,) = cv.full_blocks(ds)
+        assert [len(pool) for pool in block.pools] == [7, 7, 7]
+        reduced = cv._reduced(block, cls)
+        # a shared part meets two pools and keeps two files, a unique part one
+        assert [len(pool) for pool in reduced.pools] == [5, 5, 5]
+        assert reduced._replace(pools=block.pools) == block
+
+    def test_pools_with_different_files_of_a_class_keep_the_block_whole(self):
+        inst, ds = setup(3, 3, 1, M=1)
+        cls = file_classes(cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds))))
+        shared = ds.part1[0]  # one class: the relabelling inside part1[1] moves no mask
+        assert len({cls[f] for f in shared}) == 1
+        block = cv.Block((1, 2, 3), (shared, shared[:2], ds.part2[2]),
+                         (cv._order_masks(3, (1, 2, 3)),), False)
+        assert cv._reduced(block, cls) is block
+        same = block._replace(pools=(shared, shared, ds.part2[2]))
+        assert cv._reduced(same, cls).pools == (shared[:2], shared[:2], ds.part2[2][:1])
 
 
 def perturbed_blocks(ds, blocks):
@@ -1155,7 +1272,7 @@ class TestBlockClosure:
         seen = Counter()
         for name, family in every_family(ds):
             for change, blocks in perturbed_blocks(ds, list(family.blocks)):
-                lp = cv.build_lp(inst, ds, cv._family(ds, blocks))
+                lp = cv.build_lp(inst, ds, block_family(ds, blocks))
                 want = oracle_closure(lp)
                 assert closure_verdict(lp) == want, (name, change)
                 seen[want is None] += 1
