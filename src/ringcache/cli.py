@@ -166,11 +166,13 @@ def cmd_tradeoff(args) -> int:
         grid = grid_points(lo, hi, n_points)
     if any(m < 0 or m > inst.m_max for m in grid):
         raise InvalidInstanceError(f"grid endpoints must lie in [0, {inst.m_max}]")
-    if not args.lp:  # with --lp, the L check and the family's refusals come first
+    if args.lp:  # the L check and the variable budget, then the family's refusals
+        _require_single_access(inst)
+        cv.check_variables(inst)
+    else:
         check_demands(inst)
     ds = build_demand_structure(inst)
     if args.lp:
-        _require_single_access(inst)
         lp = cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode)
 
     header = ["M", "R_ach", "R_star_u", "R_cutset"]

@@ -27,12 +27,11 @@ names, so its coefficients are multiplicities; such rows are sorted by
 their (key, multiplicity) pairs (``_row_order``), the constraint order
 the simplex pivots through. On an expanded raw row, whose keys are
 distinct, that order is plain tuple order. A ``Family`` holds its blocks
-and its counted length and lists rows only when iterated: the orbit rows
-come from pattern-reduced copies of the blocks (``_reduced``), witnesses
-are checked block by block and averages are counted from blocks, so raw
-rows are listed only by the raw text export and by the closure check of
-a block whose image is not a block. Plain row sequences, which no
-command builds, are deduplicated by ``build_lp`` and collapsed row by row.
+and its counted length and lists rows only when iterated, and blocks are
+the only form a family takes: closure is proved block by block, the
+orbit rows come from pattern-reduced copies of the blocks (``_reduced``),
+witnesses are checked block by block and averages are counted from
+blocks, so raw rows are listed only by the raw text export.
 """
 
 from __future__ import annotations
@@ -197,11 +196,14 @@ class _DistinctRows(Sequence):
 
 
 def _check_pools(ds: DemandStructure, block: Block) -> None:
-    """Pools inside their users' demand sets make every choice an admissible
-    demand vector, so they are checked once per block."""
+    """Pools inside their users' demand sets, and pairwise disjoint, make
+    every choice an admissible demand vector of distinct files; a selected
+    block is checked once, where it is made."""
     for uk, pool in enumerate(block.pools, 1):
         if not ds.demand_sets[uk - 1].issuperset(pool):
             raise DemandError(f"a pool is not demandable in region {uk}")
+    if not _disjoint(block.pools):
+        raise DemandError("genie rows need pairwise-distinct demands")
 
 
 def _disjoint(pools) -> bool:
@@ -211,7 +213,6 @@ def _disjoint(pools) -> bool:
 
 def _choices(ds: DemandStructure, block: Block) -> list:
     """The block's pairwise-distinct choices, in ``product`` order."""
-    _check_pools(ds, block)
     pools = [block.pools[uk - 1] for uk in block.users]
     n_all = prod(map(len, pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
@@ -246,7 +247,7 @@ def _block_rows(ds: DemandStructure, block: Block) -> list:
 
 
 def dedup_rows(rows) -> list:
-    """The distinct rows, sorted by their links."""
+    """The distinct rows, sorted: link rows, or ``symmetrize``'s link-id shapes."""
     return sorted(set(rows))
 
 
@@ -291,10 +292,7 @@ def selected_family(ds: DemandStructure, regime: Regime) -> Family:
     before any block is built."""
     n_rows = _selected_rows(ds.inst, regime)
     _check_rows(n_rows)
-    blocks = _selected_blocks(ds, regime)
-    for block in blocks:
-        _check_pools(ds, block)
-    return Family(ds, blocks, n_rows)
+    return Family(ds, _selected_blocks(ds, regime), n_rows)
 
 
 def _selected_rows(inst: ProblemInstance, regime: Regime) -> int:
@@ -340,8 +338,8 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
                 if regime is Regime.HIGH_M:
                     pools[perm[-1] - 1] = ds.part2[perm[-1] - 1]
                 blocks.append(Block(perm, tuple(pools), (_order_masks(K, perm),), False))
-    if not all(_disjoint(block.pools) for block in blocks):
-        raise DemandError("genie rows need pairwise-distinct demands")
+    for block in blocks:
+        _check_pools(ds, block)
     return blocks
 
 
@@ -386,16 +384,15 @@ def _memory_rhs(inst: ProblemInstance, memory_mode: str) -> Fraction:
 def build_lp(
     inst: ProblemInstance,
     ds: DemandStructure,
-    family,
+    family: Family,
     memory_mode: str = AGGREGATE,
 ) -> LinearProgram:
     """The raw LP over all (file, mask) variables and the family's distinct
-    rows, sorted. A ``Family`` keeps its blocks and is listed only when its
-    rows are read (``_DistinctRows``); plain rows are deduplicated here."""
+    rows, sorted. It keeps the family's blocks and lists the rows only when
+    they are read (``_DistinctRows``)."""
     if memory_mode not in (AGGREGATE, PER_NODE):
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
-    blocks = family.blocks if isinstance(family, Family) else ()
     var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
     partition = tuple(
         ({(i, m): 1 for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
@@ -410,11 +407,11 @@ def build_lp(
         inst=inst,
         ds=ds,
         var_keys=var_keys,
-        genie_rows=_DistinctRows(family) if blocks else tuple(dedup_rows(family)),
+        genie_rows=_DistinctRows(family),
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
-        blocks=blocks,
+        blocks=family.blocks,
     )
 
 
@@ -523,18 +520,14 @@ def _scaled_sums(lp: LinearProgram, value, assignment):
 
 
 def _witness_ok(lp: LinearProgram, value, assignment) -> bool:
-    """True when (value, assignment) satisfies every genie row of lp.
-
-    A raw program with blocks is checked template by template: the sum over
-    users of the largest link value in the user's pool bounds every row of
-    the (block, template), exactly so over disjoint pools, where the
-    maximising choice is a row. A template whose bound exceeds R is
-    checked row by row when its pools overlap. A program without blocks is
-    checked row by row.
+    """True when (value, assignment) satisfies every genie row of the raw
+    program lp, checked template by template: the sum over users of the
+    largest link value in the user's pool bounds every row of the (block,
+    template), exactly so over disjoint pools, where the maximising choice
+    is a row. A template whose bound exceeds R is checked row by row when
+    its pools overlap.
     """
     scaled_value, sums = _scaled_sums(lp, value, assignment)
-    if not lp.blocks:
-        return all(scaled_value >= row_value(row, sums) for row in lp.genie_rows)
     K = lp.inst.K
     for block in lp.blocks:
         pools = [block.pools[uk - 1] for uk in block.users]
@@ -614,15 +607,6 @@ def _block_key(block: Block, phi, sigma, masks) -> tuple:
     )
 
 
-def _rows_closed(lp: LinearProgram, rows, phi, masks) -> bool:
-    """Whether (phi, masks) maps each of the rows, link by link, onto a row
-    of lp; masks that move bits map a link's keys onto a link's."""
-    K = lp.inst.K
-    image = _Memo(lambda ln: _link(K, phi[ln >> K + 1], masks[ln >> 1 & ~(-1 << K)], ln & 1))
-    row_set = set(lp.genie_rows)
-    return all(tuple(sorted(map(image.__getitem__, row))) in row_set for row in rows)
-
-
 def _reduced(block: Block, cls: dict) -> Block:
     """The block with each pool cut to its first n files of each class, n
     the number of pools meeting the class, when every pool meeting a class
@@ -651,19 +635,18 @@ def _reduced(block: Block, cls: dict) -> Block:
 def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's full symmetry group.
 
-    The family must be closed under every generator of
-    ``_ring_generators``, else FamilyError naming the first that fails. A
-    block whose image (``_block_key``) is a block of the family maps onto
-    its rows; the rows of any other block, or of a program without blocks,
-    are mapped one by one (``_rows_closed``). As a row's key set is the
-    disjoint union of its links' and equal key sets have equal links, this
-    is closure of the expanded family. Restricting to invariant placements
+    Every generator of ``_ring_generators`` must map each block of the
+    family onto a block of it (``_block_key``), else FamilyError naming the
+    first that does not. A block's image is then a block whose rows are the
+    images of the block's, so the family is closed, and as a row's key set
+    is the disjoint union of its links' and equal key sets have equal
+    links, so is the expanded family. Restricting to invariant placements
     then keeps the optimum, and the variables collapse to one per orbit,
     named ("orbit", *least member). A row projects to its keys' orbit
     names, sorted; the distinct projections, sorted by ``_row_order``, are
-    the genie rows of the result. A program with blocks projects the rows
-    of each block reduced by its files' classes (``_reduced``), which
-    project onto the same rows as the block's, and lists no raw row.
+    the genie rows of the result. The rows projected are those of each
+    block reduced by its files' classes (``_reduced``), which project onto
+    the same rows as the block's, so no raw row is listed.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
@@ -676,10 +659,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     generators = []
     for name, (phi, sigma) in _ring_generators(lp.ds).items():
         masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
-        unmatched = [b for b in lp.blocks if _block_key(b, phi, sigma, masks) not in block_keys]
-        unchecked = ([r for b in unmatched for r in _block_rows(lp.ds, b)] if lp.blocks
-                     else lp.genie_rows)
-        if unchecked and not _rows_closed(lp, unchecked, phi, masks):
+        if any(_block_key(b, phi, sigma, masks) not in block_keys for b in lp.blocks):
             raise FamilyError(f"genie family is not closed under the {name}")
         generators.append([pos[phi[i], masks[m]] for i, m in keys])
 
@@ -705,18 +685,16 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
             counts[index[pos[key]]] += c
         return tuple((names[j], n) for j, n in sorted(counts.items()))
 
-    rows = lp.genie_rows
-    if lp.blocks:
-        width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
-        cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
-        rows = chain.from_iterable(_block_rows(lp.ds, _reduced(b, cls)) for b in lp.blocks)
+    width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
+    cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
+    rows = chain.from_iterable(_block_rows(lp.ds, _reduced(b, cls)) for b in lp.blocks)
     # A link's projection is the sorted orbit positions of its keys, named
     # by an id; rows with equal id multisets project alike, so each such
     # multiset is concatenated and sorted once.
     ids: dict = {}
     link_id = _Memo(lambda link: ids.setdefault(
         tuple(sorted(index[pos[k]] for k in link_keys[link])), len(ids)))
-    shapes = {tuple(sorted(map(link_id.__getitem__, row))) for row in rows}
+    shapes = dedup_rows(tuple(sorted(map(link_id.__getitem__, row))) for row in rows)
     by_id = list(ids)
     projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
     genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
@@ -744,7 +722,6 @@ def _block_average(ds: DemandStructure, blocks) -> dict:
     link_keys, total, n_rows = _link_keys(K), Counter(), 0
     for block in blocks:
         if _disjoint(block.pools):
-            _check_pools(ds, block)
             n_choices = prod(map(len, block.pools))
             chosen = {(uk, f): n_choices // len(pool)
                       for uk, pool in enumerate(block.pools, 1) for f in pool}
@@ -939,7 +916,7 @@ def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
     LP, so this never exceeds the family's LP optimum.
     """
     avg = _block_average(ds, full_blocks(ds))
-    lp = build_lp(inst, ds, (), AGGREGATE)
+    lp = build_lp(inst, ds, Family(ds, (), 0), AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
     sol = exactlp.solve(objective, _structural_constraints(lp, col), n_vars=len(col))

@@ -239,8 +239,3 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
 def enumerate_demands(ds: DemandStructure) -> Iterator[tuple[int, ...]]:
     """Every demand vector, one file per region, in lexicographic order."""
     return product(*ds.demands)
-
-
-def count_demands(ds: DemandStructure) -> int:
-    """Count demand vectors without enumerating them: each region picks from 2a+b files."""
-    return ds.inst.m_max ** ds.inst.K

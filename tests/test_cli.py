@@ -201,6 +201,21 @@ def test_demand_budget_is_refused_before_the_demand_structure(capsys, monkeypatc
     assert err == "budget exceeded: at least 10^47712 demand vectors exceed 10000000\n"
 
 
+def test_lp_budgets_are_refused_before_the_demand_structure(capsys, monkeypatch):
+    def no_structure(*_args):
+        raise AssertionError("the demand structure was built")
+
+    monkeypatch.setattr(cli, "build_demand_structure", no_structure)
+    argv = ["tradeoff", "--K", "100000", "--a", "1", "--b", "1", "--m-steps", "2", "--lp"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: 200000 * 2^100000 LP variables exceed the variable "
+                   "budget 2097152\n")
+    code, out, err = run(capsys, [*argv, "--L", "2"])  # the usage error still comes first
+    assert (code, out) == (2, "")
+    assert err == "error: the LP converse models L = 1 only; got L=2\n"
+
+
 @pytest.mark.parametrize("extra, message", [
     ([], "14348907 demand vectors exceed 10000000"),  # 27^5, the demand budget
     (["--lp"], "14348907 demand vectors exceed the row budget 1000000"),  # the family's
@@ -473,7 +488,7 @@ def test_solves_list_no_raw_row(capsys, monkeypatch, argv):
         raise AssertionError("raw rows were listed")
 
     monkeypatch.setattr(cv.Family, "__iter__", no_listing)
-    monkeypatch.setattr(cv, "dedup_rows", no_listing)
+    monkeypatch.setattr(cv._DistinctRows, "rows", property(no_listing))
     assert run(capsys, argv) == want
     assert want[0] == 0
 

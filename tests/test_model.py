@@ -2,7 +2,6 @@
 
 import re
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given
@@ -14,7 +13,6 @@ from ringcache.model import (
     InvalidInstanceError,
     ProblemInstance,
     build_demand_structure,
-    count_demands,
     count_text,
     cyclic_mod,
     enumerate_demands,
@@ -145,7 +143,7 @@ class TestBuildDemandStructure:
             return
         _, ds = structure(K, a, b)
         assert_invariants(ds)
-        assert count_demands(ds) == prod(len(s) for s in ds.demands)
+        assert all(len(s) == ds.inst.m_max for s in ds.demands)
 
     def test_deterministic(self):
         _, first = structure(5, 2, 3)
@@ -255,7 +253,7 @@ def oracle_count_distinct(demand_sets):
 class TestEnumerateDemands:
     def test_total_count_is_product(self):
         _, ds = structure(3, 2, 1)
-        assert count_demands(ds) == 125
+        assert sum(1 for _ in enumerate_demands(ds)) == 125
 
     def test_distinct_count_running_example(self):
         # Oracle over the paper-stated sets, independent of the builder:
