@@ -173,7 +173,7 @@ def cmd_tradeoff(args) -> int:
         check_demands(inst)
     ds = build_demand_structure(inst)
     if args.lp:
-        lp = cv.build_lp(inst, ds, cv.full_family(ds), args.memory_mode)
+        lp = cv.build_lp(inst, cv.full_family(ds), args.memory_mode)
 
     header = ["M", "R_ach", "R_star_u", "R_cutset"]
     if inst.L >= 2:
@@ -184,7 +184,7 @@ def cmd_tradeoff(args) -> int:
     rows = []
     for m, closed in zip(grid, closed_form_points(inst, grid)):
         sub = inst.with_m(m)
-        rows.append([m, worst_case_load(sub, ds, make_scheme(sub, ds)), *closed])
+        rows.append([m, worst_case_load(sub, ds, make_scheme(sub)), *closed])
     if args.lp:
         for row, outcome in zip(rows, cv.solve_lp_grid(lp, grid)):
             row.append(outcome.value)
@@ -202,12 +202,12 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_simulate(args) -> int:
     inst = _load_instance(args)
+    scheme = make_scheme(inst)
+    size_b = args.file_size or min_file_size(inst, scheme)
+    check_library_budget(inst.N, size_b)  # exit 3 before the demand structure and the split check
     ds = build_demand_structure(inst)
-    scheme = make_scheme(inst, ds)
     rng = random.Random(args.seed)
     demand = args.demand or tuple(rng.choice(s) for s in ds.demands)
-    size_b = args.file_size or min_file_size(inst, scheme)
-    check_library_budget(inst.N, size_b)  # exit 3 before the split check's exit 2
     check_file_size(inst, ds, scheme, size_b)  # before any library byte is drawn
     demand = ds.validate_demand(demand)
     library = random_library(rng, sorted(set(demand)), size_b)  # the files a run reads
@@ -254,7 +254,7 @@ def cmd_lp(args) -> int:
         family = cv.full_family(ds)
     else:
         family = cv.selected_family(ds, cv.Regime(args.family))
-    lp = cv.build_lp(inst, ds, family, args.memory_mode)
+    lp = cv.build_lp(inst, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)
     report = {

@@ -27,11 +27,12 @@ names, so its coefficients are multiplicities; such rows are sorted by
 their (key, multiplicity) pairs (``_row_order``), the constraint order
 the simplex pivots through. On an expanded raw row, whose keys are
 distinct, that order is plain tuple order. A ``Family`` holds its blocks
-and its counted length and lists rows only when iterated, and blocks are
-the only form a family takes: closure is proved block by block, the
-orbit rows come from pattern-reduced copies of the blocks (``_reduced``),
-witnesses are checked block by block and averages are counted from
-blocks, so raw rows are listed only by the raw text export.
+and its counted length and lists rows only when iterated; a raw program's
+genie rows are its family, held once. Blocks are the only form a family
+takes: closure is proved block by block, the orbit rows come from
+pattern-reduced copies of the blocks (``_reduced``), witnesses are
+checked block by block and averages are counted from blocks, so raw rows
+are listed only by the raw text export.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter, defaultdict
-from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, groupby, permutations, product, repeat
 from math import factorial, lcm, prod
 from typing import NamedTuple
@@ -118,18 +118,11 @@ def _expand(link_keys: _Memo, row) -> tuple:
     return tuple(chain.from_iterable(map(link_keys.__getitem__, row)))
 
 
-def _point_sums(lp: LinearProgram, x: dict) -> _Memo:
-    """Row element -> value at x: a raw row's link sums x over its keys, an
-    orbit name of a symmetrised row reads x."""
-    if lp.orbit_members is not None:
-        return _Memo(lambda name: x.get(name, 0))
-    link_keys = _link_keys(lp.inst.K)
-    return _Memo(lambda link: sum(map(x.get, link_keys[link], repeat(0))))
-
-
-def row_value(row, sums: _Memo):
-    """The right-hand side of a genie row at the point ``sums`` reads."""
-    return sum(map(sums.__getitem__, row))
+def row_value(row, x: dict):
+    """The sum of x over the row's keys or orbit names, omitted ones zero:
+    a symmetrised genie row's right-hand side, or a link's share of a raw
+    row's."""
+    return sum(map(x.get, row, repeat(0)))
 
 
 def _row_order(row) -> tuple:
@@ -151,9 +144,8 @@ def _order_masks(K: int, u) -> tuple:
 class Block(NamedTuple):
     """Genie rows: each pairwise-distinct choice of one file per user from
     its pool, under each template, by the mask rule ``full``. A pool, and a
-    template's ``top``, per user (index user-1); ``users`` orders choices."""
+    template's ``top``, per user (index user-1)."""
 
-    users: tuple
     pools: tuple
     tops: tuple
     full: bool
@@ -174,27 +166,6 @@ class Family:
         return chain.from_iterable(_block_rows(self.ds, block) for block in self.blocks)
 
 
-class _DistinctRows(Sequence):
-    """A family's distinct rows, sorted by their links: a raw program's
-    genie rows, listed only when first read, which no solve does."""
-
-    def __init__(self, family: Family):
-        self.family = family
-
-    @cached_property
-    def rows(self) -> tuple:
-        return tuple(dedup_rows(self.family))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def __eq__(self, other) -> bool:
-        return self.rows == (other.rows if isinstance(other, _DistinctRows) else other)
-
-
 def _check_pools(ds: DemandStructure, block: Block) -> None:
     """Pools inside their users' demand sets, and pairwise disjoint, make
     every choice an admissible demand vector of distinct files; a selected
@@ -211,15 +182,14 @@ def _disjoint(pools) -> bool:
     return len(set(chain.from_iterable(pools))) == sum(map(len, pools))
 
 
-def _choices(ds: DemandStructure, block: Block) -> list:
-    """The block's pairwise-distinct choices, in ``product`` order."""
-    pools = [block.pools[uk - 1] for uk in block.users]
-    n_all = prod(map(len, pools))
+def _choices(block: Block) -> list:
+    """The block's pairwise-distinct choices, files by user, in ``product`` order."""
+    n_all = prod(map(len, block.pools))
     if n_all > FAMILY_BUDGET:  # listing the distinct choices walks the whole product
         raise BudgetExceededError(
             f"{count_text(n_all)} demand vectors exceed the row budget {FAMILY_BUDGET}")
-    disjoint = _disjoint(pools)
-    return [c for c in product(*pools) if disjoint or len(set(c)) == len(c)]
+    disjoint = _disjoint(block.pools)
+    return [c for c in product(*block.pools) if disjoint or len(set(c)) == len(c)]
 
 
 def _check_rows(n_rows: int) -> None:
@@ -239,10 +209,10 @@ def _block_rows(ds: DemandStructure, block: Block) -> list:
     """The block's rows: choices in ``product`` order, each under every
     template. Its family's rows were counted, and refused past the budget,
     before any block was built."""
-    choices = _choices(ds, block)
+    choices = _choices(block)
     K = ds.inst.K
     tables = _Memo(lambda p: {f: _link(K, f, p[1], block.full) for f in ds.demand_sets[p[0] - 1]})
-    templates = [[tables[uk, tops[uk - 1]] for uk in block.users] for tops in block.tops]
+    templates = [[tables[uk, top] for uk, top in enumerate(tops, 1)] for tops in block.tops]
     return [tuple(sorted(map(dict.__getitem__, t, c))) for c in choices for t in templates]
 
 
@@ -251,32 +221,21 @@ def dedup_rows(rows) -> list:
     return sorted(set(rows))
 
 
-def full_blocks(ds: DemandStructure) -> list:
-    """The full family's one block: the K! order templates over the demand
-    sets, refused as ``_full`` refuses it."""
-    return _full(ds)[0]
-
-
-def _full(ds: DemandStructure) -> tuple:
-    """(the full family's blocks, its row count). With at least one
-    distinct-demand vector there are K! rows or more, refused first; then
-    the rows are counted, and refused, before any order is listed."""
+def full_family(ds: DemandStructure) -> Family:
+    """One full-rule genie row per (distinct-demand vector, permutation) pair,
+    vector by vector, orders in ``permutations`` order: one block of the K!
+    order templates over the demand sets. No row repeats: a row's tops form
+    a strict chain, which names the decoding order, and the file at each
+    top names the demand. With at least one distinct-demand vector there
+    are K! rows or more, refused first; then the rows are counted, and
+    refused, before any order is listed."""
     K = ds.inst.K
     if factorial(K) > FAMILY_BUDGET:
         raise BudgetExceededError(f"{K}! decoding orders exceed the row budget {FAMILY_BUDGET}")
-    users = tuple(range(1, K + 1))
-    n_rows = len(_choices(ds, Block(users, ds.demands, (), True))) * factorial(K)
+    n_rows = len(_choices(Block(ds.demands, (), True))) * factorial(K)
     _check_rows(n_rows)
-    tops = tuple(_order_masks(K, u) for u in permutations(users))
-    return [Block(users, ds.demands, tops, True)], n_rows
-
-
-def full_family(ds: DemandStructure) -> Family:
-    """One full-rule genie row per (distinct-demand vector, permutation) pair,
-    vector by vector, orders in ``permutations`` order. No row repeats: a
-    row's tops form a strict chain, which names the decoding order, and the
-    file at each top names the demand."""
-    return Family(ds, *_full(ds))
+    tops = tuple(_order_masks(K, u) for u in permutations(range(1, K + 1)))
+    return Family(ds, [Block(ds.demands, tops, True)], n_rows)
 
 
 def _chain_permutations(K: int, k: int) -> tuple:
@@ -329,7 +288,7 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
     K = ds.inst.K
     _selected_rows(ds.inst, regime)  # FamilyError where there is no family
     if regime is Regime.LARGE_B:
-        blocks = [Block(tuple(range(1, K + 1)), ds.part2, ((0,) * K,), False)]
+        blocks = [Block(ds.part2, ((0,) * K,), False)]
     else:
         blocks = []
         for k in range(1, K + 1):
@@ -337,7 +296,7 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
                 pools = list(parts)  # user uk's pool is parts[uk - 1]
                 if regime is Regime.HIGH_M:
                     pools[perm[-1] - 1] = ds.part2[perm[-1] - 1]
-                blocks.append(Block(perm, tuple(pools), (_order_masks(K, perm),), False))
+                blocks.append(Block(tuple(pools), (_order_masks(K, perm),), False))
     for block in blocks:
         _check_pools(ds, block)
     return blocks
@@ -346,20 +305,20 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
 class LinearProgram(NamedTuple):
     """min R subject to genie rows, per-file partition and memory rows.
 
-    A symmetrised program names its orbits in ``orbit_members`` and keeps
-    the program it collapses in ``raw``.
+    A raw program's genie rows are its ``Family``, which lists them only
+    when iterated. A symmetrised program's are its distinct orbit rows,
+    sorted by ``_row_order``; it names its orbits in ``orbit_members`` and
+    keeps the raw program it collapses in ``raw``.
     """
 
     inst: ProblemInstance
-    ds: DemandStructure
     var_keys: tuple
-    genie_rows: tuple
+    genie_rows: Family | tuple
     partition_rows: tuple  # (coeffs, rhs) equalities
     memory_rows: tuple  # (coeffs, rhs) upper bounds
     memory_mode: str = AGGREGATE
     orbit_members: dict | None = None
     raw: LinearProgram | None = None
-    blocks: tuple = ()  # a raw program's Family's
 
     @property
     def n_rows(self) -> int:
@@ -381,15 +340,9 @@ def _memory_rhs(inst: ProblemInstance, memory_mode: str) -> Fraction:
     return Fraction(inst.K) * inst.M if memory_mode == AGGREGATE else Fraction(inst.M)
 
 
-def build_lp(
-    inst: ProblemInstance,
-    ds: DemandStructure,
-    family: Family,
-    memory_mode: str = AGGREGATE,
-) -> LinearProgram:
-    """The raw LP over all (file, mask) variables and the family's distinct
-    rows, sorted. It keeps the family's blocks and lists the rows only when
-    they are read (``_DistinctRows``)."""
+def build_lp(inst: ProblemInstance, family: Family, memory_mode: str = AGGREGATE) -> LinearProgram:
+    """The raw LP over all (file, mask) variables and the family's rows,
+    which it holds as the family and does not list."""
     if memory_mode not in (AGGREGATE, PER_NODE):
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
@@ -405,13 +358,11 @@ def build_lp(
         memory = tuple(({(i, m): 1 for i, m in var_keys if m & j}, rhs) for j in bits)
     return LinearProgram(
         inst=inst,
-        ds=ds,
         var_keys=var_keys,
-        genie_rows=_DistinctRows(family),
+        genie_rows=family,
         partition_rows=partition,
         memory_rows=memory,
         memory_mode=memory_mode,
-        blocks=family.blocks,
     )
 
 
@@ -461,7 +412,7 @@ def solve_lp_grid(lp: LinearProgram, memories) -> list:
             member: val for rep, val in assignment.items() if val
             for member in moved.orbit_members[rep]
         }
-        if not _witness_ok(moved.raw, value, assignment):
+        if not _witness_ok(moved.raw.genie_rows, value, assignment):
             raise exactlp.LpError("expanded symmetric witness fails a raw row")
         _verify_structural(moved.raw, assignment)
         out.append(LpOutcome(value=value, assignment=assignment))
@@ -491,9 +442,9 @@ def _solve_iterative(programs):
         tab.reoptimize()
         while True:
             value, assignment = _tableau_point(tab, col)
-            scaled_value, sums = _scaled_sums(lp, value, assignment)
+            scaled_value, x = _scaled(value, assignment)
             # den times the true slack; ties go by position, that is by _row_order
-            slacks = ((scaled_value - row_value(row, sums), j) for j, row in enumerate(rows))
+            slacks = ((scaled_value - row_value(row, x), j) for j, row in enumerate(rows))
             violated = sorted(t for t in slacks if t[0] < 0)
             if not violated:
                 break
@@ -512,39 +463,39 @@ def _tableau_point(tab, col: dict):
     return sol.value, {key: sol.x[j] for key, j in col.items() if sol.x[j]}
 
 
-def _scaled_sums(lp: LinearProgram, value, assignment):
-    """(value * den, the ``_point_sums`` of assignment * den), den the lcm of all denominators."""
+def _scaled(value, assignment):
+    """(value * den, assignment * den) in integers, den the lcm of all denominators."""
     den = lcm(value.denominator, *(v.denominator for v in assignment.values()))
-    scaled = {k: int(v * den) for k, v in assignment.items()}
-    return int(value * den), _point_sums(lp, scaled)
+    return int(value * den), {k: int(v * den) for k, v in assignment.items()}
 
 
-def _witness_ok(lp: LinearProgram, value, assignment) -> bool:
-    """True when (value, assignment) satisfies every genie row of the raw
-    program lp, checked template by template: the sum over users of the
-    largest link value in the user's pool bounds every row of the (block,
-    template), exactly so over disjoint pools, where the maximising choice
-    is a row. A template whose bound exceeds R is checked row by row when
-    its pools overlap.
+def _witness_ok(family: Family, value, assignment) -> bool:
+    """True when (value, assignment) satisfies every row of the family,
+    checked template by template: the sum over users of the largest link
+    value in the user's pool bounds every row of the (block, template),
+    exactly so over disjoint pools, where the maximising choice is a row.
+    A template whose bound exceeds R is checked row by row when its pools
+    overlap.
     """
-    scaled_value, sums = _scaled_sums(lp, value, assignment)
-    K = lp.inst.K
-    for block in lp.blocks:
-        pools = [block.pools[uk - 1] for uk in block.users]
-        if not all(pools):  # no choice, no row
+    scaled_value, x = _scaled(value, assignment)
+    K = family.ds.inst.K
+    link_keys = _link_keys(K)
+    sums = _Memo(lambda link: row_value(link_keys[link], x))
+    for block in family.blocks:
+        if not all(block.pools):  # no choice, no row
             continue
         choices = None
         for tops in block.tops:
             links = [
-                {f: sums[_link(K, f, tops[uk - 1], block.full)] for f in pool}
-                for uk, pool in zip(block.users, pools)
+                {f: sums[_link(K, f, top, block.full)] for f in pool}
+                for pool, top in zip(block.pools, tops)
             ]
             if sum(max(v.values()) for v in links) <= scaled_value:
                 continue
-            if _disjoint(pools):
+            if _disjoint(block.pools):
                 return False
             if choices is None:
-                choices = _choices(lp.ds, block)
+                choices = _choices(block)
             if any(sum(map(dict.__getitem__, links, c)) > scaled_value for c in choices):
                 return False
     return True
@@ -637,10 +588,11 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     Every generator of ``_ring_generators`` must map each block of the
     family onto a block of it (``_block_key``), else FamilyError naming the
-    first that does not. A block's image is then a block whose rows are the
-    images of the block's, so the family is closed, and as a row's key set
-    is the disjoint union of its links' and equal key sets have equal
-    links, so is the expanded family. Restricting to invariant placements
+    first that does not, whose image of the rows may still be the rows. A
+    block's image is then a block whose rows are the images of the block's,
+    so the family is closed, and as a row's key set is the disjoint union
+    of its links' and equal key sets have equal links, so is the expanded
+    family. Restricting to invariant placements
     then keeps the optimum, and the variables collapse to one per orbit,
     named ("orbit", *least member). A row projects to its keys' orbit
     names, sorted; the distinct projections, sorted by ``_row_order``, are
@@ -650,17 +602,17 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
-    K = lp.inst.K
+    K, family = lp.inst.K, lp.genie_rows
     keys = lp.var_keys  # ascending, as build_lp lists them
     pos = {key: j for j, key in enumerate(keys)}
     link_keys = _link_keys(K)
     identity = range(lp.inst.N + 1), range(1, K + 1), range(1 << K)  # phi, sigma, masks
-    block_keys = {_block_key(b, *identity) for b in lp.blocks}
+    block_keys = {_block_key(b, *identity) for b in family.blocks}
     generators = []
-    for name, (phi, sigma) in _ring_generators(lp.ds).items():
+    for name, (phi, sigma) in _ring_generators(family.ds).items():
         masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
-        if any(_block_key(b, phi, sigma, masks) not in block_keys for b in lp.blocks):
-            raise FamilyError(f"genie family is not closed under the {name}")
+        if any(_block_key(b, phi, sigma, masks) not in block_keys for b in family.blocks):
+            raise FamilyError(f"the {name} maps a block of the genie family onto no block of it")
         generators.append([pos[phi[i], masks[m]] for i, m in keys])
 
     index = [-1] * len(keys)  # key position -> position of its orbit's name
@@ -687,7 +639,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
     cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
-    rows = chain.from_iterable(_block_rows(lp.ds, _reduced(b, cls)) for b in lp.blocks)
+    rows = chain.from_iterable(_block_rows(family.ds, _reduced(b, cls)) for b in family.blocks)
     # A link's projection is the sorted orbit positions of its keys, named
     # by an id; rows with equal id multisets project alike, so each such
     # multiset is concatenated and sorted once.
@@ -702,7 +654,6 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     memory = {project(coeffs): rhs for coeffs, rhs in lp.memory_rows}  # every rhs is _memory_rhs
     return LinearProgram(
         inst=lp.inst,
-        ds=lp.ds,
         var_keys=tuple(names),
         genie_rows=tuple(genie),
         partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
@@ -726,9 +677,9 @@ def _block_average(ds: DemandStructure, blocks) -> dict:
             chosen = {(uk, f): n_choices // len(pool)
                       for uk, pool in enumerate(block.pools, 1) for f in pool}
         else:
-            choices = _choices(ds, block)
+            choices = _choices(block)
             n_choices = len(choices)
-            chosen = Counter(chain.from_iterable(zip(block.users, c) for c in choices))
+            chosen = Counter(chain.from_iterable(enumerate(c, 1) for c in choices))
         n_rows += n_choices * len(block.tops)
         tops = [Counter(t[uk] for t in block.tops) for uk in range(K)]
         for (uk, f), n_f in chosen.items():
@@ -909,17 +860,24 @@ def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
 def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
     """The loose bound from averaging the full family into one row.
 
-    The average is counted from the full block, ``full_blocks(ds)``, which
+    The average is counted from the blocks of ``full_family(ds)``, which
     meets the full family's refusals (``_block_average``), without building
     a row; the bound is its minimum over placements satisfying the per-file
     partition and the aggregate memory budget. Aggregation only weakens the
-    LP, so this never exceeds the family's LP optimum.
+    LP, so this never exceeds the family's LP optimum. The optimum is
+    checked outside the simplex: its point against the structural rows, and
+    its value against the average at that point, exactly.
     """
-    avg = _block_average(ds, full_blocks(ds))
-    lp = build_lp(inst, ds, Family(ds, (), 0), AGGREGATE)
+    family = full_family(ds)
+    avg = _block_average(ds, family.blocks)
+    lp = build_lp(inst, family, AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
     sol = exactlp.solve(objective, _structural_constraints(lp, col), n_vars=len(col))
+    x = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
+    _verify_structural(lp, x)
+    if sum(c * x.get(k, 0) for k, c in avg.items()) != sol.value:
+        raise exactlp.LpError("the loose bound's value is not the average at its point")
     return max(Fraction(0), sol.value)
 
 
@@ -933,8 +891,8 @@ def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text exact-rational dump: one row per line, `sense rhs coeffs`."""
     lines = ["min R"]
     rows = lp.genie_rows
-    if lp.orbit_members is None:  # raw rows print expanded, in expanded order
-        rows = sorted(map(partial(_expand, _link_keys(lp.inst.K)), rows))
+    if lp.orbit_members is None:  # the family's distinct rows print expanded, in expanded order
+        rows = sorted(map(partial(_expand, _link_keys(lp.inst.K)), dedup_rows(rows)))
     for row in rows:
         terms = (f"{_key_name(k)}:{-c}" for k, c in _row_order(row))
         lines.append(" ".join((f"{exactlp.GREATER_EQ} 0", "R:1", *terms)))

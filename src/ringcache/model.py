@@ -32,7 +32,7 @@ def count_text(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        e = (n.bit_length() - 1) * 30102 // 100000  # 30102/10^5 < log10(2), so 10^e <= n
+        e = (n.bit_length() - 1) * 30102999566 // 10**11  # 30102999566/10^11 < log10(2): 10^e <= n
         while 10 ** (e + 1) <= n:
             e += 1
         return f"at least 10^{e}"

@@ -120,7 +120,7 @@ class SchemeSpec:
         self.segments = segments
 
 
-def make_scheme(inst: ProblemInstance, ds: DemandStructure) -> SchemeSpec:
+def make_scheme(inst: ProblemInstance) -> SchemeSpec:
     """Memory-share the two corners of the optimal curve that bracket M.
 
     With one cache per user the corners sit at ``bounds.corner_memories``:

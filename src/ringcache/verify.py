@@ -91,7 +91,7 @@ def criterion_1_achievability(instances=None) -> CriterionResult:
     for base, ds in _structures(instances or sweep_instances()):
         for m in memory_grid(base):
             inst = base.with_m(m)
-            ach = worst_case_load(inst, ds, make_scheme(inst, ds))
+            ach = worst_case_load(inst, ds, make_scheme(inst))
             want = rstar_u(inst)
             if ach != want:
                 detail = f"(K,a,b,M)=({base.K},{base.a},{base.b},{m}): load {ach} != {want}"
@@ -109,7 +109,7 @@ def criterion_2_example_reproduction() -> CriterionResult:
         got = rstar_u(base.with_m(m))
         if got != want:
             return CriterionResult(2, False, f"R*_u({m}) = {got} != {want}")
-    lp = cv.build_lp(base.with_m(Fraction(3)), ds, cv.full_family(ds))
+    lp = cv.build_lp(base.with_m(Fraction(3)), cv.full_family(ds))
     opt = cv.solve_lp(lp).value
     if opt != 1:
         return CriterionResult(2, False, f"LP optimum {opt} != 1 at M=3")
@@ -120,7 +120,7 @@ def criterion_3_lp_tightness() -> CriterionResult:
     """solve_lp(full_family) = rstar_u at every corner of the five instances."""
     checked = 0
     for base, ds in _structures(TIGHTNESS_INSTANCES):
-        lp = cv.build_lp(base, ds, cv.full_family(ds))
+        lp = cv.build_lp(base, cv.full_family(ds))
         corners = corner_memories(base)
         for m, outcome in zip(corners, cv.solve_lp_grid(lp, corners)):
             opt, want = outcome.value, rstar_u(base.with_m(m))
@@ -171,7 +171,7 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
         for L in range(2, K + 1):
             inst = ProblemInstance(K, a, b, L, Fraction(a + b))
             ds = build_demand_structure(inst)
-            scheme = make_scheme(inst, ds)
+            scheme = make_scheme(inst)
             if worst_case_load(inst, ds, scheme) != 0:
                 return CriterionResult(6, False, f"({K},{a},{b},L={L}): load != 0")
         base2 = ProblemInstance(K, a, b, 2)
@@ -179,7 +179,7 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
         probe = next(enumerate_demands(ds))
         for m in grid_points(0, a + b, 11):
             schemes = [
-                make_scheme(ProblemInstance(K, a, b, L, m), ds) for L in range(2, K + 1)
+                make_scheme(ProblemInstance(K, a, b, L, m)) for L in range(2, K + 1)
             ]
             transcripts = {
                 tuple((msg.components, msg.size) for msg in deliver(base2.with_m(m), ds, s, probe).messages)
@@ -200,7 +200,7 @@ def criterion_6_multiaccess(instances=None) -> CriterionResult:
 
 
 def _roundtrip_once(inst, ds, rng, demand=None) -> str | None:
-    scheme = make_scheme(inst, ds)
+    scheme = make_scheme(inst)
     size_b = min_file_size(inst, scheme)
     library = random_library(rng, range(1, inst.N + 1), size_b)  # every file: full placement
     d = demand or tuple(rng.choice(s) for s in ds.demands)
@@ -248,7 +248,7 @@ def criterion_8_loose_bound() -> CriterionResult:
     inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
     ds = build_demand_structure(inst)
     loose = cv.sum_all_bound(inst, ds)
-    opt = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds))).value
+    opt = cv.solve_lp(cv.build_lp(inst, cv.full_family(ds))).value
     reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
     detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"

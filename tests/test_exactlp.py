@@ -393,11 +393,11 @@ class TestAgainstFractionTableau:
         monkeypatch.setattr(exactlp._Tableau, "reoptimize", warm)
         inst = ProblemInstance(K=3, a=2, b=1, M=Fraction(3))
         ds = build_demand_structure(inst)
-        full = cv.build_lp(inst, ds, cv.full_family(ds), cv.PER_NODE)
+        full = cv.build_lp(inst, cv.full_family(ds), cv.PER_NODE)
         assert cv.solve_lp(full).value == 1
         grid = [Fraction(0), Fraction(3, 2), Fraction(3), Fraction(5)]
         assert [o.value for o in cv.solve_lp_grid(full, grid)] == [3, 2, 1, 0]
-        high = cv.build_lp(inst, ds, cv.selected_family(ds, cv.Regime.HIGH_M))
+        high = cv.build_lp(inst, cv.selected_family(ds, cv.Regime.HIGH_M))
         for solve in (cv.solve_lp, direct_solve):
             assert solve(high).value == 1
         assert len(programs) >= 4 and added and len(checks) > len(programs) and all(checks)

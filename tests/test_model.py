@@ -83,8 +83,9 @@ class TestCountText:
         (2 * 10**5000 - 1, "at least 10^5000"),
         (3**10000, "at least 10^4771"),
         (2**100000, "at least 10^30102"),
+        (3**1_000_000, "at least 10^477121"),  # the estimate is one short of the exponent
     ], ids=["zero", "sweep-refusal", "4300-digits", "4301-digits", "5001-digits", "3^10000",
-            "2^100000"])
+            "2^100000", "3^1000000"])
     def test_renders_the_exact_power_of_ten_past_the_digit_limit(self, n, text):
         assert count_text(n) == text
 

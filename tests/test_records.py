@@ -103,10 +103,10 @@ def test_cache_size_is_clamped_to_2a_plus_b(m):
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_with_m_equals_the_program_built_at_the_new_m(symmetric):
-    ds = build_demand_structure(ProblemInstance(3, 2, 1))
+    family = cv.full_family(build_demand_structure(ProblemInstance(3, 2, 1)))
 
-    def program(m):
-        lp = cv.build_lp(ProblemInstance(3, 2, 1, M=m), ds, cv.full_family(ds))
+    def program(m):  # a raw program holds its family, so both hold this one
+        lp = cv.build_lp(ProblemInstance(3, 2, 1, M=m), family)
         return cv.symmetrize(lp) if symmetric else lp
 
     moved = program(3).with_m(Fraction(9, 2))

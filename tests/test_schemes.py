@@ -136,14 +136,14 @@ class TestPlacements:
 class TestMakeScheme:
     def test_pure_man_at_corner(self):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert [(s.fraction, s.kind) for s in scheme.segments] == [
             (Fraction(1), SegmentKind.MAN_T1)
         ]
 
     def test_upper_segment_mixture(self):
         inst, ds = setup(3, 2, 1, M=4)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert {s.kind: s.fraction for s in scheme.segments} == {
             SegmentKind.LOCAL_FULL: Fraction(1, 2),
             SegmentKind.MAN_T1: Fraction(1, 2),
@@ -151,7 +151,7 @@ class TestMakeScheme:
 
     def test_uncoded_regime_mixture_and_load(self):
         inst, ds = setup(4, 1, 2, M=1)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert {s.kind: s.fraction for s in scheme.segments} == {
             SegmentKind.UNCODED_DIRECT: Fraction(3, 4),
             SegmentKind.LOCAL_FULL: Fraction(1, 4),
@@ -160,7 +160,7 @@ class TestMakeScheme:
 
     def test_multiaccess_clamp_above_corner(self):
         inst, ds = setup(3, 2, 1, 2, M=4)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert [s.kind for s in scheme.segments] == [SegmentKind.MULTIACCESS_LOCAL]
         assert memory_used(inst, ds, scheme) == 3  # only a+b actually used
 
@@ -169,7 +169,7 @@ class TestMakeScheme:
         for j in range(11):
             m = Fraction(j * (2 * a + b), 10)
             inst, ds = setup(K, a, b, L, m)
-            scheme = make_scheme(inst, ds)
+            scheme = make_scheme(inst)
             assert memory_used(inst, ds, scheme) <= inst.M
             if L == 1:
                 assert memory_used(inst, ds, scheme) == inst.M
@@ -212,7 +212,7 @@ def test_corner_scheme_matches_the_four_branch_oracle(K, a, b):
         grid = memory_grid(inst) + (above if L >= 2 else [])
         for m in grid:
             sub = inst.with_m(m)
-            scheme = make_scheme(sub, ds)
+            scheme = make_scheme(sub)
             assert scheme.segments == four_branch_scheme(sub), (L, m)
             assert all(type(s.fraction) is Fraction for s in scheme.segments)
             assert min_file_size(sub, scheme) == min_file_size(
@@ -222,7 +222,7 @@ def test_corner_scheme_matches_the_four_branch_oracle(K, a, b):
 class TestDeliver:
     def test_man_t1_three_pair_messages(self):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         t = deliver(inst, ds, scheme, (1, 6, 7))
         assert [m.components for m in t.messages] == [
             ((0, 1, 0b010), (0, 6, 0b001)),
@@ -234,26 +234,26 @@ class TestDeliver:
 
     def test_zero_memory_sends_whole_files(self):
         inst, ds = setup(3, 2, 1, M=0)
-        t = deliver(inst, ds, make_scheme(inst, ds), (1, 6, 7))
+        t = deliver(inst, ds, make_scheme(inst), (1, 6, 7))
         assert len(t.messages) == 3
         assert t.total_size == 3
 
     def test_multiaccess_corner_is_silent(self):
         inst, ds = setup(4, 1, 1, 2, M=2)
-        t = deliver(inst, ds, make_scheme(inst, ds), (3, 5, 7, 1))
+        t = deliver(inst, ds, make_scheme(inst), (3, 5, 7, 1))
         assert t.messages == ()
         assert t.total_size == 0
 
     def test_rejects_demand_outside_region(self):
         inst, ds = setup(3, 2, 1, M=3)
         with pytest.raises(DemandError):
-            deliver(inst, ds, make_scheme(inst, ds), (9, 6, 7))
+            deliver(inst, ds, make_scheme(inst), (9, 6, 7))
 
 
 class TestBitExact:
     def test_subpacketization_divisibility(self):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert min_file_size(inst, scheme) == 3
         library = dict.fromkeys(range(1, inst.N + 1), bytes(5))
         with pytest.raises(SubpacketizationError):
@@ -266,7 +266,7 @@ class TestBitExact:
     def test_file_size_check_matches_delivery(self, K, a, b, L, M):
         # check_file_size raises exactly what deliver_bits, then fill_caches, raise.
         inst, ds = setup(K, a, b, L, M)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         demand = next(iter(enumerate_demands(ds)))
         for size_b in range(1, 2 * min_file_size(inst, scheme) + 2):
             library = dict.fromkeys(range(1, inst.N + 1), bytes(size_b))
@@ -285,7 +285,7 @@ class TestBitExact:
 
     def test_example_decode_uses_both_pair_messages(self):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         rng = random.Random(1)
         library = {i: bytes(rng.randrange(256) for _ in range(3)) for i in range(1, 10)}
         transcript = deliver_bits(inst, ds, scheme, (1, 6, 7), library)
@@ -305,7 +305,7 @@ class TestBitExact:
     )
     def test_roundtrip_exhaustive(self, K, a, b, L, M):
         inst, ds = setup(K, a, b, L, M)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         rng = random.Random(42)
         size_b = min_file_size(inst, scheme)
         library = {i: bytes(rng.randrange(256) for _ in range(size_b))
@@ -331,7 +331,7 @@ class TestBitExact:
     )
     def test_cache_bytes_match_node_usage(self, K, a, b, L, M):
         inst, ds = setup(K, a, b, L, M)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         size_b = 2 * min_file_size(inst, scheme)
         library = {i: bytes([i - 1]) * size_b for i in range(1, inst.N + 1)}
         caches = fill_caches(inst, ds, scheme, library)
@@ -349,7 +349,7 @@ class TestBitExact:
             L = rng.choice([1, 1, rng.randrange(2, K + 1)])
             m = Fraction(rng.randrange(0, 10 * (2 * a + b) + 1), 10)
             inst, ds = setup(K, a, b, L, m)
-            scheme = make_scheme(inst, ds)
+            scheme = make_scheme(inst)
             size_b = min_file_size(inst, scheme)
             library = {i: bytes(rng.randrange(256) for _ in range(size_b))
                        for i in range(1, inst.N + 1)}
@@ -433,7 +433,7 @@ class TestLibraryChecks:
     @pytest.mark.parametrize("route", ["deliver_bits", "fill_caches"])
     def test_malformed_library_is_refused(self, library, message, route):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         with pytest.raises(ValueError, match=f"^{message}$"):
             if route == "deliver_bits":
                 deliver_bits(inst, ds, scheme, (1, 6, 7), library)
@@ -442,14 +442,14 @@ class TestLibraryChecks:
 
     def test_missing_demanded_file_is_a_value_error(self):
         inst, ds = setup(3, 2, 1, M=3)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         library = {1: b"abc", 7: b"abc", 8: b"abc"}
         with pytest.raises(ValueError, match="^library lacks demanded file 6$"):
             deliver_bits(inst, ds, scheme, (1, 6, 7), library)
 
     def test_caches_hold_only_the_library_files(self):
         inst, ds = setup(3, 2, 1, M=4)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         caches = fill_caches(inst, ds, scheme, {2: b"abcdef", 6: b"ghijkl"})
         assert {i for node in caches.values() for _, i, _ in node} == {2, 6}
 
@@ -469,7 +469,7 @@ class TestDemandedLibraryMatchesFullLibrary:
     files gives the same transcript, payloads included, and the same decodes."""
 
     def check(self, inst, ds, demands, seed):
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         full = random_library(random.Random(seed), range(1, inst.N + 1), min_file_size(inst, scheme))
         full_caches = fill_caches(inst, ds, scheme, full)
         for d in demands:
@@ -505,7 +505,7 @@ class TestTranscriptDump:
         # single message is W_{d1,{2}} xor W_{d2,{1}} = second byte of W1
         # xor first byte of W3.
         inst, ds = setup(2, 1, 1, M=2)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         library = {1: b"\x10\x11", 2: b"\x20\x21", 3: b"\x30\x31", 4: b"\x40\x41"}
         transcript = deliver_bits(inst, ds, scheme, (1, 3), library)
         assert len(transcript.messages) == 1
@@ -522,7 +522,7 @@ class TestTranscriptDump:
 
     def test_dump_deterministic(self):
         inst, ds = setup(3, 2, 1, M=4)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         rng = random.Random(5)
         size_b = min_file_size(inst, scheme)
         library = {i: bytes(rng.randrange(256) for _ in range(size_b)) for i in range(1, 10)}
@@ -534,27 +534,27 @@ class TestTranscriptDump:
 class TestWorstCase:
     def test_man_corner(self):
         inst, ds = setup(4, 4, 2, M=6)
-        assert worst_case_load(inst, ds, make_scheme(inst, ds)) == Fraction(3, 2)
+        assert worst_case_load(inst, ds, make_scheme(inst)) == Fraction(3, 2)
 
     def test_multiaccess_corner(self):
         inst, ds = setup(4, 1, 1, 2, M=2)
-        assert worst_case_load(inst, ds, make_scheme(inst, ds)) == 0
+        assert worst_case_load(inst, ds, make_scheme(inst)) == 0
 
     def test_running_example(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert worst_case_load(inst, ds, make_scheme(inst, ds)) == 1
+        assert worst_case_load(inst, ds, make_scheme(inst)) == 1
 
     def test_budget_guard(self):
         inst, ds = setup(9, 4, 3, M=0)
         with pytest.raises(BudgetExceededError):
-            worst_case_load(inst, ds, make_scheme(inst, ds))
+            worst_case_load(inst, ds, make_scheme(inst))
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2), (4, 2, 1)])
     def test_achieves_rstar_u_on_grid(self, K, a, b):
         for j in range(11):
             m = Fraction(j * (2 * a + b), 10)
             inst, ds = setup(K, a, b, M=m)
-            assert worst_case_load(inst, ds, make_scheme(inst, ds)) == rstar_u(inst)
+            assert worst_case_load(inst, ds, make_scheme(inst)) == rstar_u(inst)
 
     @pytest.mark.parametrize(
         "K,a,b,L,M",
@@ -571,12 +571,12 @@ class TestWorstCase:
         # worst_case_load reads the delivery plan without enumerating; the
         # symbolic delivery of every demand vector must give that same load.
         inst, ds = setup(K, a, b, L, M)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         loads = {deliver(inst, ds, scheme, d).total_size for d in enumerate_demands(ds)}
         assert loads == {worst_case_load(inst, ds, scheme)}
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_multiaccess_load_free_of_l(self, L):
         inst, ds = setup(4, 1, 1, L, M=1)
-        scheme = make_scheme(inst, ds)
+        scheme = make_scheme(inst)
         assert worst_case_load(inst, ds, scheme) == 2
