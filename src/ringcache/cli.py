@@ -248,12 +248,10 @@ def cmd_lp(args) -> int:
     _require_single_access(inst)
     cv.check_variables(inst)  # before the demand structure and any family
     ds = build_demand_structure(inst)
-    # the loose bound's full block is refused before any family is built
-    loose = cv.sum_all_bound(inst, ds) if args.sum_all else None
-    if args.family == "full":
-        family = cv.full_family(ds)
-    else:
-        family = cv.selected_family(ds, cv.Regime(args.family))
+    # with --sum-all, the full family is refused before any selected family is built
+    full = cv.full_family(ds) if args.sum_all or args.family == "full" else None
+    loose = cv.sum_all_bound(inst, full) if args.sum_all else None
+    family = full if args.family == "full" else cv.selected_family(ds, cv.Regime(args.family))
     lp = cv.build_lp(inst, family, args.memory_mode)
     outcome = cv.solve_lp(lp)
     closed = rstar_u(inst)

@@ -324,17 +324,6 @@ class LinearProgram(NamedTuple):
     def n_rows(self) -> int:
         return len(self.genie_rows) + len(self.partition_rows) + len(self.memory_rows)
 
-    def with_m(self, M) -> LinearProgram:
-        """The same program at cache size M; only the memory bounds move."""
-        inst = self.inst.with_m(M)
-        rhs = _memory_rhs(inst, self.memory_mode)
-        return self._replace(
-            inst=inst,
-            memory_rows=tuple((coeffs, rhs) for coeffs, _ in self.memory_rows),
-            raw=None if self.raw is None else self.raw.with_m(M),
-        )
-
-
 def _memory_rhs(inst: ProblemInstance, memory_mode: str) -> Fraction:
     """K*M for the one aggregate memory row, M for each per-node row."""
     return Fraction(inst.K) * inst.M if memory_mode == AGGREGATE else Fraction(inst.M)
@@ -391,42 +380,41 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of min R, solved on the orbits of the ring's full symmetry
     group: group-averaging a feasible point keeps it feasible and keeps R. A
     raw program is collapsed by ``symmetrize``, which raises FamilyError on a
-    family it does not close; a program it returned, perhaps moved by
-    ``with_m``, is solved as it is. The expanded witness is checked exactly
-    against every raw row and the raw structural rows. The one-point case
-    of ``solve_lp_grid``."""
+    family it does not close; a program it returned is solved as it is. The
+    expanded witness is checked exactly against every raw row and the raw
+    structural rows. The one-point case of ``solve_lp_grid``."""
     (outcome,) = solve_lp_grid(lp, [lp.inst.M])
     return outcome
 
 
 def solve_lp_grid(lp: LinearProgram, memories) -> list:
-    """``solve_lp(lp.with_m(M))`` for each M of memories, in order: one
-    collapse, and one tableau that walks the grid, each point starting
-    from the last point's optimal basis and active rows."""
+    """``solve_lp`` of the program at each cache size M of memories, in
+    order: one collapse, and one tableau that walks the grid by moving its
+    memory bounds, each point starting from the last point's optimal basis
+    and active rows. Each expanded witness is checked at its own M."""
     if lp.orbit_members is None:
         lp = symmetrize(lp)
-    programs = [lp if M == lp.inst.M else lp.with_m(M) for M in memories]
     out = []
-    for moved, (value, assignment) in zip(programs, _solve_iterative(programs)):
+    for M, (value, assignment) in zip(memories, _solve_iterative(lp, memories)):
         assignment = {
             member: val for rep, val in assignment.items() if val
-            for member in moved.orbit_members[rep]
+            for member in lp.orbit_members[rep]
         }
-        if not _witness_ok(moved.raw.genie_rows, value, assignment):
+        if not _witness_ok(lp.raw.genie_rows, value, assignment):
             raise exactlp.LpError("expanded symmetric witness fails a raw row")
-        _verify_structural(moved.raw, assignment)
+        _verify_structural(lp.raw, assignment, M)
         out.append(LpOutcome(value=value, assignment=assignment))
     return out
 
 
-def _solve_iterative(programs):
-    """(value, assignment) of each symmetrised program in turn, programs that
-    differ only in their memory bounds, by row generation over their genie
-    rows in ``_row_order`` on one tableau: it starts from the first rows,
-    moves its memory bounds from program to program, and re-optimises after
-    each move and after each batch of the most violated rows is added. A
-    violated active row is a solver fault."""
-    lp = programs[0]
+def _solve_iterative(lp: LinearProgram, memories):
+    """(value, assignment) of the symmetrised program at each cache size M of
+    memories in turn, by row generation over its genie rows in
+    ``_row_order`` on one tableau: it starts from the first rows at the
+    program's own M, moves its memory bounds to
+    ``_memory_rhs(lp.inst.with_m(M), lp.memory_mode)`` from point to
+    point, and re-optimises after each move and after each batch of the
+    most violated rows is added. A violated active row is a solver fault."""
     rows = lp.genie_rows
     col = {key: j for j, key in enumerate(lp.var_keys)}
     r_col = len(col)
@@ -436,8 +424,9 @@ def _solve_iterative(programs):
     # The structural constraints end with the memory rows.
     memory = range(len(cons) - len(lp.memory_rows), len(cons))
     tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
-    for moved in programs:
-        for i, (_, rhs) in zip(memory, moved.memory_rows):
+    for M in memories:
+        rhs = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
+        for i in memory:
             tab.move_rhs(i, rhs)
         tab.reoptimize()
         while True:
@@ -501,16 +490,17 @@ def _witness_ok(family: Family, value, assignment) -> bool:
     return True
 
 
-def _verify_structural(lp: LinearProgram, assignment) -> None:
-    """Partition and memory rows at a point whose omitted keys are zero, in
-    integers: the point is scaled by den, the lcm of its denominators, and
-    a row's total times rhs's denominator is held against rhs's numerator
-    times den."""
+def _verify_structural(lp: LinearProgram, assignment, M) -> None:
+    """Partition rows, and memory rows at cache size M, at a point whose
+    omitted keys are zero, in integers: the point is scaled by den, the lcm
+    of its denominators, and a row's total times rhs's denominator is held
+    against rhs's numerator times den."""
     den = lcm(*(v.denominator for v in assignment.values()))
     scaled = {k: v.numerator * (den // v.denominator) for k, v in assignment.items()}
+    memory = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
     for rows, holds, kind in (
         (lp.partition_rows, operator.eq, "partition"),
-        (lp.memory_rows, operator.le, "memory"),
+        (((coeffs, memory) for coeffs, _ in lp.memory_rows), operator.le, "memory"),
     ):
         for coeffs, rhs in rows:
             total = sum(map(operator.mul, coeffs.values(), map(scaled.get, coeffs, repeat(0))))
@@ -857,25 +847,24 @@ def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def sum_all_bound(inst: ProblemInstance, ds: DemandStructure) -> Fraction:
+def sum_all_bound(inst: ProblemInstance, family: Family) -> Fraction:
     """The loose bound from averaging the full family into one row.
 
-    The average is counted from the blocks of ``full_family(ds)``, which
-    meets the full family's refusals (``_block_average``), without building
-    a row; the bound is its minimum over placements satisfying the per-file
-    partition and the aggregate memory budget. Aggregation only weakens the
-    LP, so this never exceeds the family's LP optimum. The optimum is
-    checked outside the simplex: its point against the structural rows, and
-    its value against the average at that point, exactly.
+    The average is counted from the blocks of ``family``, the full family
+    the caller built, without building a row (``_block_average``); the
+    bound is its minimum over placements satisfying the per-file partition
+    and the aggregate memory budget. Aggregation only weakens the LP, so
+    this never exceeds the family's LP optimum. The optimum is checked
+    outside the simplex: its point against the structural rows, and its
+    value against the average at that point, exactly.
     """
-    family = full_family(ds)
-    avg = _block_average(ds, family.blocks)
+    avg = _block_average(family.ds, family.blocks)
     lp = build_lp(inst, family, AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
     sol = exactlp.solve(objective, _structural_constraints(lp, col), n_vars=len(col))
     x = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
-    _verify_structural(lp, x)
+    _verify_structural(lp, x, inst.M)
     if sum(c * x.get(k, 0) for k, c in avg.items()) != sol.value:
         raise exactlp.LpError("the loose bound's value is not the average at its point")
     return max(Fraction(0), sol.value)

@@ -18,17 +18,20 @@ at (r, c) with p = a_rc sets every other entry to
 (a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
 identity (E. H. Bareiss, Math. Comp. 1968), and then D = p; the pivot row
 is negated first when p < 0, so D stays positive. Coefficients may be
-ints or `fractions.Fraction`s; an int enters the tableau as it is. The rhs
-column is scaled once by the lcm of its denominators and the cost by the
-lcm of its, and a constraint with a fractional coefficient is multiplied
-through by the lcm of its denominators; the optimum value and point are
+ints or `fractions.Fraction`s; an int enters the tableau as it is. The cost
+is scaled by the lcm of its denominators, a constraint with a fractional
+coefficient is multiplied through by the lcm of its, and the rhs column
+by the lcm of its, grown as rows arrive; the optimum value and point are
 returned as `fractions.Fraction`s.
 
-`solve` is the cold path. `optimal_tableau` returns the optimal tableau
-itself, which re-optimises after two moves that keep its basis dual
-feasible: a `<=` row added (`add_row`) and a right-hand side moved
-(`move_rhs`). Both can leave a basic variable negative, and `reoptimize`
-restores primal feasibility. Every move stays in integers.
+A tableau starts with no row, and every row enters it the one way, with a
+new basic slack. `optimal_tableau` appends each constraint and then the
+equalities' row to the empty tableau and solves it from the all-slack
+basis; `solve` returns its optimum. The optimal tableau re-optimises after
+two moves that keep its basis dual feasible: a `<=` row added (`add_row`)
+and a right-hand side moved (`move_rhs`). Both can leave a basic variable
+negative, and `reoptimize` restores primal feasibility. Every move stays
+in integers.
 """
 
 from __future__ import annotations
@@ -95,22 +98,22 @@ class _Tableau:
 
     Every basic column is ``denom`` times a unit vector. ``obj`` is the
     reduced-cost row, over ``denom * cden``, with the negated objective
-    value, also scaled by ``rhs_scale``, last.
+    value, also scaled by ``rhs_scale``, last. It starts with no row, its
+    ``obj`` the cost row and a zero value, and rows enter by ``_append``.
     """
 
-    def __init__(self, rows, n_vars, rhs_scale, obj, cden, rhs, slack):
-        self.rows = rows  # m x (n_cols + 1), rhs last; an entry means entry / denom
-        self.n_vars = n_vars  # the structural columns come first, then one slack per row
-        self.n_cols = n_vars + len(rows)
-        self.basis = list(range(n_vars, self.n_cols))  # basic variable per row
+    def __init__(self, n_vars: int, obj: list, cden: int) -> None:
+        self.rows = []  # m x (n_cols + 1), rhs last; an entry means entry / denom
+        self.n_vars = self.n_cols = n_vars  # the structural columns, then one slack per row
+        self.basis = []  # basic variable per row
         self.denom = 1
-        self.rhs_scale = rhs_scale  # the rhs column is also scaled by this
+        self.rhs_scale = 1  # the rhs column is also scaled by this
         self.obj = obj
         self.cden = cden
         # Per constraint: its rhs, and the column of its slack with the
         # signed factor the row was multiplied by, or None for an equality.
-        self.rhs = rhs
-        self.slack = slack
+        self.rhs = []
+        self.slack = []
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot at (r, c); the reduced-cost row takes the same step."""
@@ -160,13 +163,12 @@ class _Tableau:
             self.rhs_scale *= f
         return int(value * self.rhs_scale)
 
-    def add_row(self, con: Constraint) -> None:
-        """Add a ``<=`` row with a new basic slack. In the current basis it is
+    def _append(self, con: Constraint, record: bool = True) -> tuple:
+        """Append the constraint's ``<=`` row (``_integral``) with a new basic
+        slack, recording its rhs and slack unless ``record`` is false, and
+        return the row's ints and factor. In the current basis the row is
         D*a - sum_i a[basis[i]]*row_i, exact in ints as every basic column
-        is D*e_i; the reduced costs keep their signs. Call ``reoptimize``
-        after the last row."""
-        if con.sense != LESS_EQ:
-            raise ValueError(f"only {LESS_EQ} rows are added, not {con.sense!r}")
+        is D*e_i; the reduced costs keep their signs."""
         coeffs, scale = _integral(con, self.n_vars)
         d, n = self.denom, self.n_cols
         rhs = self._rhs_int(con.rhs * scale)
@@ -183,8 +185,17 @@ class _Tableau:
         self.rows.append(new)
         self.basis.append(n)
         self.n_cols = n + 1
-        self.rhs.append(con.rhs)
-        self.slack.append((n, scale))
+        if record:
+            self.rhs.append(con.rhs)
+            self.slack.append(None if con.sense == EQUAL else (n, scale))
+        return coeffs, scale
+
+    def add_row(self, con: Constraint) -> None:
+        """Add a ``<=`` row with a new basic slack, as the cold start adds
+        every row. Call ``reoptimize`` after the last row."""
+        if con.sense != LESS_EQ:
+            raise ValueError(f"only {LESS_EQ} rows are added, not {con.sense!r}")
+        self._append(con)
 
     def move_rhs(self, i: int, rhs) -> None:
         """Set constraint i's right-hand side. The move goes through the
@@ -248,31 +259,17 @@ def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
         if v < 0:
             raise ValueError(f"negative cost {v} on variable {j}")
         cost[j] += v if isinstance(v, int) else Fraction(v)
-    le_rows, slack = [], []
+    cden = lcm(*(v.denominator for v in cost))
+    tab = _Tableau(n_vars, [v.numerator * (cden // v.denominator) for v in cost] + [0], cden)
     total, total_rhs = {}, None  # the equalities' sum, negated
     for con in constraints:
-        coeffs, scale = _integral(con, n_vars)
-        rhs = con.rhs * scale
-        slack.append(None if con.sense == EQUAL else (n_vars + len(le_rows), scale))
-        le_rows.append((coeffs, rhs))
+        coeffs, scale = tab._append(con)
         if con.sense == EQUAL:
             for j, v in coeffs.items():
                 total[j] = total.get(j, 0) - v
-            total_rhs = (total_rhs or 0) - rhs
-    if total_rhs is not None:
-        le_rows.append((total, total_rhs))
-    n_cols = n_vars + len(le_rows)
-    rhs_scale = lcm(*(rhs.denominator for _, rhs in le_rows))
-    rows = []
-    for r, (coeffs, rhs) in enumerate(le_rows):
-        row = [0] * (n_cols + 1)
-        for j, v in coeffs.items():
-            row[j] = v
-        row[n_vars + r], row[-1] = 1, int(rhs * rhs_scale)
-        rows.append(row)
-    cden = lcm(*(v.denominator for v in cost))
-    obj = [v.numerator * (cden // v.denominator) for v in cost] + [0] * (n_cols + 1 - n_vars)
-    tab = _Tableau(rows, n_vars, rhs_scale, obj, cden, [con.rhs for con in constraints], slack)
+            total_rhs = (total_rhs or 0) - con.rhs * scale
+    if total_rhs is not None:  # a row of the tableau, no constraint of the caller's
+        tab._append(Constraint(total, LESS_EQ, total_rhs), record=False)
     tab.reoptimize()
     return tab
 

@@ -247,8 +247,9 @@ def criterion_8_loose_bound() -> CriterionResult:
     """Loose-bound probe: sum_all_bound vs the paper-reported 54/95 and the LP."""
     inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
     ds = build_demand_structure(inst)
-    loose = cv.sum_all_bound(inst, ds)
-    opt = cv.solve_lp(cv.build_lp(inst, cv.full_family(ds))).value
+    family = cv.full_family(ds)
+    loose = cv.sum_all_bound(inst, family)
+    opt = cv.solve_lp(cv.build_lp(inst, family)).value
     reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
     detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"

@@ -5,7 +5,6 @@ import operator
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, permutations, product
 from math import lcm
 from pathlib import Path
@@ -66,6 +65,19 @@ def direct_solve(lp):
     trivial = lp._replace(genie_rows=tuple(sorted(expanded(lp.genie_rows.ds, raw_rows(lp)))),
                           orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
     return cv.solve_lp(trivial)
+
+
+def with_m(lp, M):
+    """The same program at cache size M; only the memory bounds move. The
+    oracles solve such copies; the solver makes none, moving its tableau's
+    memory bounds instead."""
+    inst = lp.inst.with_m(M)
+    rhs = cv._memory_rhs(inst, lp.memory_mode)
+    return lp._replace(
+        inst=inst,
+        memory_rows=tuple((coeffs, rhs) for coeffs, _ in lp.memory_rows),
+        raw=None if lp.raw is None else with_m(lp.raw, M),
+    )
 
 
 def distinct_demands(ds):
@@ -587,12 +599,11 @@ class TestFullFamily:
         def no_template(*_args):
             raise AssertionError("an order template was built")
 
-        inst, ds = setup(K, 1, 1)
+        _, ds = setup(K, 1, 1)
         monkeypatch.setattr(cv, "FAMILY_BUDGET", budget)
         monkeypatch.setattr(cv, "_order_masks", no_template)
-        for build in (cv.full_family, partial(cv.sum_all_bound, inst)):  # the loose bound too
-            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-                build(ds)
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            cv.full_family(ds)  # the loose bound's family too: its callers build it
 
 
 class TestSelectedFamily:
@@ -924,7 +935,7 @@ class TestSymmetrize:
         # The row covers files 1, 6 and 7 on the empty mask and some
         # singletons: at M = 3 all three fit outside it, at M = 0 none does.
         assert direct_solve(lp).value == 0
-        assert direct_solve(lp.with_m(0)).value == 3
+        assert direct_solve(with_m(lp, 0)).value == 3
 
     def test_solve_lp_has_one_route(self):
         assert list(inspect.signature(cv.solve_lp).parameters) == ["lp"]
@@ -976,13 +987,14 @@ class TestSymmetrize:
 
     @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
     def test_with_m_equals_a_fresh_build(self, mode):
+        # The tests' ``with_m``, through which the oracles solve at other M.
         base, ds = setup(3, 2, 1)
         lp = cv.build_lp(base, family_for(ds), mode)
         sym = cv.symmetrize(lp)
         for m in (Fraction(0), Fraction(3, 2), Fraction(5), Fraction(7)):
             fresh = cv.build_lp(base.with_m(m), family_for(ds), mode)
-            assert lp.with_m(m) == fresh
-            moved = sym.with_m(m)
+            assert with_m(lp, m) == fresh
+            moved = with_m(sym, m)
             assert moved == cv.symmetrize(fresh)
             assert moved.raw == fresh
 
@@ -999,10 +1011,10 @@ class TestSymmetrize:
             # 2 to 40 s per point (dense pivots on about 600 active rows).
             direct = len(rows) <= 5000
             for m in grid:
-                want = cv.solve_lp(cyclic.with_m(m)).value
-                assert cv.solve_lp(full.with_m(m)).value == want, (name, m)
+                want = cv.solve_lp(with_m(cyclic, m)).value
+                assert cv.solve_lp(with_m(full, m)).value == want, (name, m)
                 if direct:
-                    assert direct_solve(lp.with_m(m)).value == want
+                    assert direct_solve(with_m(lp, m)).value == want
 
 
 def oracle_family(ds, regime):
@@ -1031,8 +1043,23 @@ class TestGridWalk:
         corners = corner_memories(base)
         grid = corners + [(lo + hi) / 2 for lo, hi in zip(corners, corners[1:])]  # up, then down
         walked = [outcome.value for outcome in cv.solve_lp_grid(sym, grid)]
-        assert walked == [cold_solve_value(sym.with_m(m)) for m in grid]
-        assert walked == [cv.solve_lp(sym.with_m(m)).value for m in grid]
+        assert walked == [cold_solve_value(with_m(sym, m)) for m in grid]
+        assert walked == [cv.solve_lp(with_m(sym, m)).value for m in grid]
+
+    @pytest.mark.parametrize("K,a,b", [(3, 1, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_unsorted_repeating_grid_equals_a_build_per_memory(self, K, a, b, mode):
+        # The walk starts at the program's own M and moves its bounds; a
+        # program built at each M is solved cold. On the full family both
+        # end at the same expanded witness here (a degenerate selected
+        # family may end at another vertex, and the values still agree).
+        base, ds = setup(K, a, b, M=a + b)
+        top = 2 * a + b
+        grid = [Fraction(top - 1), Fraction(0), Fraction(top - 1), Fraction(a + b, 2), Fraction(0),
+                Fraction(top)]
+        walked = cv.solve_lp_grid(cv.build_lp(base, family_for(ds), mode), grid)
+        assert walked == [cv.solve_lp(cv.build_lp(base.with_m(m), family_for(ds), mode))
+                          for m in grid]
 
     def test_one_point_is_solve_lp(self, monkeypatch):
         inst, ds = setup(3, 2, 1, M=3)
@@ -1083,7 +1110,7 @@ class TestLinkRowsMatchKeyOracles:
         except cv.FamilyError:
             return
         # The orbit rows are scanned as _solve_iterative scans them.
-        value, x = next(cv._solve_iterative([sym]))
+        value, x = next(cv._solve_iterative(sym, [sym.inst.M]))
         for v in (value, value - Fraction(1, 97)):
             scaled, xs = cv._scaled(v, x)
             scan = all(scaled >= cv.row_value(row, xs) for row in sym.genie_rows)
@@ -1148,9 +1175,9 @@ def fraction_structural_ok(lp, assignment):
     return True
 
 
-def structural_ok(lp, assignment):
+def structural_ok(lp, assignment, M):
     try:
-        cv._verify_structural(lp, assignment)
+        cv._verify_structural(lp, assignment, M)
     except cv.exactlp.LpError:
         return False
     return True
@@ -1165,7 +1192,7 @@ class TestStructuralCheck:
         full = (1 << K) - 1
         seen = Counter()
         for m in (Fraction(0), Fraction(a + b, 2), Fraction(3 * a + 2 * b, 2), Fraction(2 * a + b)):
-            moved = lp.with_m(m)
+            moved = with_m(lp, m)
             x = cv.solve_lp(moved).assignment
             points = [("optimum", x)]
             for i, j in sorted(x)[:: max(1, len(x) // 5)]:
@@ -1178,9 +1205,20 @@ class TestStructuralCheck:
                     points.append((kind, point))
             for kind, point in points:
                 want = fraction_structural_ok(moved, point)
-                assert structural_ok(moved, point) == want, (m, kind)
+                assert structural_ok(lp, point, m) == want, (m, kind)
                 seen[kind, want] += 1
         assert seen["optimum", True] and seen["oversized", False] and seen["more memory", False]
+
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_memory_rows_are_checked_at_the_m_given(self, mode):
+        # R*_u = 5/2 - M/2 on [3, 5], so the optimum at M = 4 fits no
+        # memory of 3, whichever cache size the program was built at.
+        base, ds = setup(3, 2, 1)
+        x = cv.solve_lp(cv.build_lp(base.with_m(4), family_for(ds), mode)).assignment
+        for built_at in (3, 4):
+            lp = cv.build_lp(base.with_m(built_at), family_for(ds), mode)
+            assert structural_ok(lp, x, Fraction(4)) and structural_ok(lp, x, Fraction(5))
+            assert not structural_ok(lp, x, Fraction(3)), (built_at, mode)
 
 
 REDUCTION_INSTANCES = [
@@ -1475,7 +1513,7 @@ class TestCountedCertificates:
 class TestSumAllBound:
     def test_reproduces_papers_loose_value(self):
         inst, ds = setup(3, 2, 1, M=3)
-        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, cv.full_family(ds)) == Fraction(54, 95)
 
     def test_builds_no_row(self, monkeypatch):
         def no_rows(*_args):
@@ -1483,17 +1521,17 @@ class TestSumAllBound:
 
         inst, ds = setup(3, 2, 1, M=3)
         monkeypatch.setattr(cv, "_block_rows", no_rows)
-        assert cv.sum_all_bound(inst, ds) == Fraction(54, 95)
+        assert cv.sum_all_bound(inst, cv.full_family(ds)) == Fraction(54, 95)
 
     def test_weaker_than_lp(self):
         inst, ds = setup(3, 2, 1, M=3)
-        loose = cv.sum_all_bound(inst, ds)
+        loose = cv.sum_all_bound(inst, cv.full_family(ds))
         opt = cv.solve_lp(cv.build_lp(inst, family_for(ds))).value
         assert loose <= opt == 1
 
     def test_zero_at_full_memory(self):
         inst, ds = setup(3, 2, 1, M=5)
-        assert cv.sum_all_bound(inst, ds) == 0
+        assert cv.sum_all_bound(inst, cv.full_family(ds)) == 0
 
     @pytest.mark.parametrize("fault", ["value", "point off the partition", "point over memory"])
     def test_optimum_is_checked_outside_the_simplex(self, monkeypatch, fault):
@@ -1514,11 +1552,11 @@ class TestSumAllBound:
 
         monkeypatch.setattr(cv.exactlp, "solve", perturbed)
         with pytest.raises(cv.exactlp.LpError):
-            cv.sum_all_bound(inst, ds)
+            cv.sum_all_bound(inst, cv.full_family(ds))
 
     def test_zero_memory_stays_k(self):
         inst, ds = setup(2, 1, 1, M=0)
-        assert cv.sum_all_bound(inst, ds) == 2
+        assert cv.sum_all_bound(inst, cv.full_family(ds)) == 2
 
     # (3,0,2) and (4,0,1) have disjoint pools; the rest overlap.
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (2, 2, 1), (3, 0, 2), (3, 1, 1), (3, 2, 1),

@@ -1,8 +1,10 @@
 """The exact dual simplex against known optima, a Fraction primal simplex and
 a float oracle."""
 
+import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -530,3 +532,83 @@ class TestIncremental:
         assert cold_value(cost, base + rows, 3) == Fraction(14, 3)
         assert paths[None] == [(4, True), (5, True), (6, False), (1, False)]
         assert paths[1] == [(4, True), (5, True), (0, False), (6, False), (1, False)]
+
+
+def hand_built_tableau(objective, constraints, n_vars):
+    """The cold start's initial tableau built whole, as ``optimal_tableau``
+    once built it: each constraint's ``<=`` row, then the equalities' row,
+    laid out at once over the lcm of every rhs denominator. The oracle of
+    the row-by-row append."""
+    cost = [0] * n_vars
+    for j, v in objective.items():
+        cost[j] += v if isinstance(v, int) else Fraction(v)
+    le_rows, slack = [], []
+    total, total_rhs = {}, None  # the equalities' sum, negated
+    for con in constraints:
+        coeffs, scale = exactlp._integral(con, n_vars)
+        rhs = con.rhs * scale
+        slack.append(None if con.sense == EQUAL else (n_vars + len(le_rows), scale))
+        le_rows.append((coeffs, rhs))
+        if con.sense == EQUAL:
+            for j, v in coeffs.items():
+                total[j] = total.get(j, 0) - v
+            total_rhs = (total_rhs or 0) - rhs
+    if total_rhs is not None:
+        le_rows.append((total, total_rhs))
+    n_cols = n_vars + len(le_rows)
+    rhs_scale = lcm(*(rhs.denominator for _, rhs in le_rows))
+    rows = []
+    for r, (coeffs, rhs) in enumerate(le_rows):
+        row = [0] * (n_cols + 1)
+        for j, v in coeffs.items():
+            row[j] = v
+        row[n_vars + r], row[-1] = 1, int(rhs * rhs_scale)
+        rows.append(row)
+    cden = lcm(*(v.denominator for v in cost))
+    obj = [v.numerator * (cden // v.denominator) for v in cost] + [0] * (n_cols + 1 - n_vars)
+    tab = exactlp._Tableau(n_vars, obj, cden)
+    tab.rows, tab.n_cols, tab.basis = rows, n_cols, list(range(n_vars, n_cols))
+    tab.rhs_scale, tab.rhs, tab.slack = rhs_scale, [con.rhs for con in constraints], slack
+    return tab
+
+
+TABLEAU_FIELDS = ("rows", "basis", "n_cols", "denom", "rhs_scale", "obj", "cden", "slack", "rhs")
+
+
+def tableau_state(tab):
+    """A copy of the tableau's entries and records."""
+    return copy.deepcopy({name: getattr(tab, name) for name in TABLEAU_FIELDS})
+
+
+class TestColdStart:
+    def test_appended_rows_equal_the_hand_built_tableau(self, monkeypatch):
+        # Entry for entry: the tableau the appends build before the solve,
+        # and the tableau the solve leaves, optimal or proved infeasible.
+        rng = random.Random(20261020)
+        started, reoptimize = [], exactlp._Tableau.reoptimize
+
+        def spy(tab):
+            started.append((tab, tableau_state(tab)))
+            return reoptimize(tab)
+
+        monkeypatch.setattr(exactlp._Tableau, "reoptimize", spy)
+        kinds = set()
+        for i in range(3000):
+            cost, cons, n = random_program(rng, fractional_coeffs=i % 2 == 1)
+            started.clear()
+            try:
+                exactlp.optimal_tableau(cost, cons, n)
+                kind = "optimal"
+            except exactlp.InfeasibleError:
+                kind = "infeasible"
+            ((got, initial),) = started
+            want = hand_built_tableau(cost, cons, n)
+            assert initial == tableau_state(want), (cost, cons)
+            try:
+                reoptimize(want)
+            except exactlp.InfeasibleError:
+                assert kind == "infeasible"
+            assert tableau_state(got) == tableau_state(want), (cost, cons)
+            kinds.add((kind, i % 2, want.rhs_scale > 1, EQUAL in {con.sense for con in cons}))
+        assert {(k, f, True, True) for k in ("optimal", "infeasible") for f in (0, 1)} <= kinds
+

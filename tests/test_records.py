@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import ringcache
-from ringcache import converse as cv
 from ringcache.exactlp import Constraint
-from ringcache.model import InvalidInstanceError, ProblemInstance, build_demand_structure
+from ringcache.model import InvalidInstanceError, ProblemInstance
 from ringcache.schemes import SchemeSpec, Segment, SegmentKind
 
 HALF = Fraction(1, 2)
@@ -100,15 +99,3 @@ def test_cache_size_is_clamped_to_2a_plus_b(m):
     assert inst.M == 5 and type(inst.M) is Fraction
     assert inst == ProblemInstance(3, 2, 1, 1, 5) == inst.with_m(m)
 
-
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_with_m_equals_the_program_built_at_the_new_m(symmetric):
-    family = cv.full_family(build_demand_structure(ProblemInstance(3, 2, 1)))
-
-    def program(m):  # a raw program holds its family, so both hold this one
-        lp = cv.build_lp(ProblemInstance(3, 2, 1, M=m), family)
-        return cv.symmetrize(lp) if symmetric else lp
-
-    moved = program(3).with_m(Fraction(9, 2))
-    assert moved == program(Fraction(9, 2)) != program(3)
-    assert moved.inst.M == Fraction(9, 2)
