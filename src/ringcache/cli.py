@@ -36,7 +36,6 @@ from ringcache.schemes import (
     SubpacketizationError,
     accessible_nodes,
     check_demands,
-    check_file_size,
     check_library_budget,
     decode,
     deliver,
@@ -45,6 +44,7 @@ from ringcache.schemes import (
     make_scheme,
     min_file_size,
     random_library,
+    subfile_layout,
     worst_case_load,
 )
 
@@ -207,10 +207,10 @@ def cmd_simulate(args) -> int:
     check_library_budget(inst.N, size_b)  # exit 3 before the demand structure and the split check
     ds = build_demand_structure(inst)
     rng = random.Random(args.seed)
-    demand = args.demand or tuple(rng.choice(s) for s in ds.demands)
-    check_file_size(inst, ds, scheme, size_b)  # before any library byte is drawn
-    demand = ds.validate_demand(demand)
-    library = random_library(rng, sorted(set(demand)), size_b)  # the files a run reads
+    demand = ds.validate_demand(args.demand or tuple(rng.choice(s) for s in ds.demands))
+    files = sorted(set(demand))  # the files a run reads
+    subfile_layout(inst, ds, scheme, size_b, files)  # the split check, before any byte is drawn
+    library = random_library(rng, files, size_b)
 
     transcript = deliver_bits(inst, ds, scheme, demand, library)
     symbolic = deliver(inst, ds, scheme, demand)

@@ -360,11 +360,13 @@ class LpOutcome(NamedTuple):
     assignment: dict
 
 
-def _structural_constraints(lp: LinearProgram, col: dict) -> list:
-    """The partition equalities and memory bounds as simplex constraints."""
+def _structural_constraints(lp: LinearProgram, col: dict, M) -> list:
+    """The partition equalities and the memory bounds at cache size M as simplex constraints."""
+    memory = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
     return [
         exactlp.Constraint(coeffs={col[k]: c for k, c in coeffs.items()}, sense=sense, rhs=rhs)
-        for rows, sense in ((lp.partition_rows, exactlp.EQUAL), (lp.memory_rows, exactlp.LESS_EQ))
+        for rows, sense in ((lp.partition_rows, exactlp.EQUAL),
+                            (((coeffs, memory) for coeffs, _ in lp.memory_rows), exactlp.LESS_EQ))
         for coeffs, rhs in rows
     ]
 
@@ -411,7 +413,7 @@ def _solve_iterative(lp: LinearProgram, memories):
     """(value, assignment) of the symmetrised program at each cache size M of
     memories in turn, by row generation over its genie rows in
     ``_row_order`` on one tableau: it starts from the first rows at the
-    program's own M, moves its memory bounds to
+    first M of memories, moves its memory bounds to
     ``_memory_rhs(lp.inst.with_m(M), lp.memory_mode)`` from point to
     point, and re-optimises after each move and after each batch of the
     most violated rows is added. A violated active row is a solver fault."""
@@ -420,7 +422,7 @@ def _solve_iterative(lp: LinearProgram, memories):
     r_col = len(col)
     active = set(rows[:_ROWGEN_SEED])
     cons = [_genie_constraint(row, col, r_col) for row in rows[:_ROWGEN_SEED]]
-    cons += _structural_constraints(lp, col)
+    cons += _structural_constraints(lp, col, memories[0])
     # The structural constraints end with the memory rows.
     memory = range(len(cons) - len(lp.memory_rows), len(cons))
     tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
@@ -862,7 +864,7 @@ def sum_all_bound(inst: ProblemInstance, family: Family) -> Fraction:
     lp = build_lp(inst, family, AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
     objective = {col[k]: c for k, c in avg.items()}
-    sol = exactlp.solve(objective, _structural_constraints(lp, col), n_vars=len(col))
+    sol = exactlp.solve(objective, _structural_constraints(lp, col, inst.M), n_vars=len(col))
     x = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
     _verify_structural(lp, x, inst.M)
     if sum(c * x.get(k, 0) for k, c in avg.items()) != sol.value:

@@ -7,12 +7,14 @@ demand-free list of multicast messages); cache fill, delivery, decoding
 and the worst-case load are derived from those two alone. Delivery and
 decoding run segment-by-segment and independently of each other. For the
 bit-exact path the file size B (in bytes) must make every subfile a whole
-number of bytes; `min_file_size` returns the smallest such B.
+number of bytes; every multiple of `min_file_size` does.
 
 Subfiles are addressed by (segment index, file index, node mask), where the
-mask names the nodes that cache the subfile (0 for none). Inside a segment
-a file's subfiles sit back to back in ascending mask order; in a pair-XOR
-segment that puts node k's subfile at the k-th of K equal chunks.
+mask names the nodes that cache the subfile (0 for none). `subfile_layout`
+alone places their bytes: inside a segment a file's subfiles sit back to
+back in ascending mask order, so in a pair-XOR segment node k's subfile is
+the k-th of K equal chunks. Cache fill, bit-exact delivery and the CLI's
+file-size check all read it.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ class BroadcastTranscript(NamedTuple):
 
         Layout (big-endian): u32 message count; per message a u16
         component count, then per component u8 segment / u32 file /
-        u32 mask, then u32 payload length and the payload bytes. A mask
-        names nodes 1..K, so a ring of K > 32 nodes is refused.
+        u32 mask, then u32 payload length and the payload bytes. Direct
+        delivery names mask 0, so only a pair-XOR component of a node past
+        32 is refused; a larger ring without pair-XOR segments dumps.
         """
         widest = max((mask for m in self.messages for _, _, mask in m.components), default=0)
         if widest >> 32:
@@ -206,47 +209,38 @@ def deliver(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d) -
 
 
 def min_file_size(inst: ProblemInstance, scheme: SchemeSpec) -> int:
-    """Smallest file size in bytes with whole-byte subfiles everywhere."""
+    """K times the lcm of the segment fractions' denominators: every multiple of
+    it gives whole-byte subfiles everywhere, though a smaller size may too."""
     dens = [seg.fraction.denominator for seg in scheme.segments]
     return inst.K * lcm(*dens) if dens else inst.K
 
 
-def _indivisible(size_b: int, kind: SegmentKind) -> SubpacketizationError:
-    return SubpacketizationError(f"file size {size_b} not divisible for segment {kind.value}")
+def subfile_layout(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, size_b: int,
+                   files) -> dict:
+    """{(segment, file, mask): slice} of the named files' subfiles in size_b-byte
+    files: segments back to back in scheme order, inside each a file's subfiles
+    in ascending mask order. The first segment, then subfile, that is not a
+    whole number of bytes raises SubpacketizationError."""
 
-
-def _segment_bounds(scheme: SchemeSpec, size_b: int) -> list:
-    """Byte offset and length of each segment; each a whole number of bytes."""
-    bounds = []
-    offset = 0
-    for seg in scheme.segments:
-        length, rest = divmod(size_b * seg.fraction.numerator, seg.fraction.denominator)
+    def whole(total: int, frac: Fraction, kind: SegmentKind) -> int:
+        n, rest = divmod(total * frac.numerator, frac.denominator)
         if rest:
-            raise _indivisible(size_b, seg.kind)
-        bounds.append((offset, length))
+            raise SubpacketizationError(f"file size {size_b} not divisible for segment {kind.value}")
+        return n
+
+    lengths = [whole(size_b, seg.fraction, seg.kind) for seg in scheme.segments]
+    layout, offset = {}, 0
+    for seg_idx, (seg, length) in enumerate(zip(scheme.segments, lengths)):
+        unit = n = None
+        for i in files:
+            start = offset
+            for mask, frac in seg.kind.placement(inst, ds, i):
+                if frac is not unit:  # placements share fraction objects; divide once each
+                    unit, n = frac, whole(length, frac, seg.kind)
+                layout[seg_idx, i, mask] = slice(start, start + n)
+                start += n
         offset += length
-    return bounds
-
-
-def _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
-    """Yield (file, mask, start, end) for each subfile of the files in one segment.
-
-    Inside a segment a file's subfiles sit back to back in ascending mask
-    order; each must be a whole number of bytes.
-    """
-    kind = scheme.segments[seg_idx].kind
-    offset, length = bounds[seg_idx]
-    unit = n = None
-    for i in files:
-        start = offset
-        for mask, frac in kind.placement(inst, ds, i):
-            if frac is not unit:  # placements share fraction objects; divide once each
-                unit = frac
-                n, rest = divmod(length * frac.numerator, frac.denominator)
-                if rest:
-                    raise _indivisible(size_b, kind)
-            yield i, mask, start, start + n
-            start += n
+    return layout
 
 
 def _check_library(inst: ProblemInstance, library) -> int:
@@ -260,18 +254,6 @@ def _check_library(inst: ProblemInstance, library) -> int:
     if len(sizes) != 1:
         raise ValueError("library files must have identical length")
     return sizes.pop()
-
-
-def check_file_size(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, size_b: int) -> None:
-    """Raise the SubpacketizationError delivery would raise for size_b-byte files.
-
-    Every subfile must be a whole number of bytes; this needs no library.
-    """
-    bounds = _segment_bounds(scheme, size_b)
-    files = range(1, inst.N + 1)
-    for seg_idx in range(len(scheme.segments)):
-        for _ in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
-            pass
 
 
 def check_library_budget(n_files: int, size_b: int) -> None:
@@ -320,20 +302,10 @@ def deliver_bits(
     missing = set(d) - library.keys()
     if missing:
         raise ValueError(f"library lacks demanded file {min(missing)}")
-    bounds = _segment_bounds(scheme, size_b)
-
-    spans: dict = {}
-
-    def subfile(sub) -> bytes:
-        if sub not in spans:
-            seg_idx, i, _ = sub
-            for _, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, (i,)):
-                spans[seg_idx, i, mask] = slice(start, end)
-        return library[sub[1]][spans[sub]]
-
+    layout = subfile_layout(inst, ds, scheme, size_b, sorted(set(d)))
     msgs = []
     for comps, size in _messages(inst, scheme, d):
-        payload = _xor([subfile(c) for c in comps])
+        payload = _xor([library[i][layout[seg, i, mask]] for seg, i, mask in comps])
         msgs.append(Message(components=comps, size=size, payload=payload))
     return BroadcastTranscript(messages=tuple(msgs))
 
@@ -351,16 +323,14 @@ def fill_caches(
     of demanded files, so a library of the demanded files fills enough.
     """
     size_b = _check_library(inst, library)
-    bounds = _segment_bounds(scheme, size_b)
     caches: dict[int, dict] = {k: {} for k in range(1, inst.K + 1)}
     stores_of: dict = {}  # node mask -> the caches of its nodes
-    files = sorted(library)
-    for seg_idx in range(len(scheme.segments)):
-        for i, mask, start, end in _subfile_spans(inst, ds, scheme, bounds, size_b, seg_idx, files):
-            if mask not in stores_of:
-                stores_of[mask] = [caches[k] for k in nodes_of(mask)]
-            for store in stores_of[mask]:
-                store[seg_idx, i, mask] = library[i][start:end]
+    for sub, span in subfile_layout(inst, ds, scheme, size_b, sorted(library)).items():
+        _, i, mask = sub
+        if mask not in stores_of:
+            stores_of[mask] = [caches[k] for k in nodes_of(mask)]
+        for store in stores_of[mask]:
+            store[sub] = library[i][span]
     return caches
 
 

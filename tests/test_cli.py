@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import shlex
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -295,6 +296,18 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "error: mask 0x100000000 does not fit the dump's u32 mask field (K <= 32)\n"
 
+    @pytest.mark.parametrize("M", ["0", "2"])
+    def test_33_nodes_dump_without_a_pair_xor_segment(self, capsys, tmp_path, M):
+        # Direct delivery names mask 0 and local caching sends nothing, so
+        # only a pair-XOR component (M = 1 above) overflows the mask field.
+        dump = tmp_path / "wide.bin"
+        code, out, err = run(capsys, ["simulate", "--K", "33", "--a", "1", "--b", "0",
+                                      "--M", M, "--dump", str(dump)])
+        assert (code, err) == (0, "")
+        masks = {mask for comps, _ in dump_headers(dump.read_bytes()) for _, _, mask in comps}
+        assert masks == ({0} if M == "0" else set())
+        assert json.loads(out)["messages"] == (33 if M == "0" else 0)
+
     @pytest.mark.parametrize("demand,message", [
         ("99,6,7", "error: file 99 is not demandable in region 1\n"),
         ("1,6", "error: demand vector must have 3 entries\n"),
@@ -356,6 +369,21 @@ class TestSimulate:
                                       "--M", "3", "--file-size", "200001"])
         assert (code, out) == (2, "")
         assert err == "error: file size 200001 not divisible for segment uncoded_direct\n"
+
+    def test_size_check_lays_out_the_valid_demands_files(self, capsys, monkeypatch):
+        laid_out, layout = [], cli.subfile_layout
+
+        def recording(inst, ds, scheme, size_b, files):
+            laid_out.append(list(files))
+            return layout(inst, ds, scheme, size_b, files)
+
+        monkeypatch.setattr(cli, "subfile_layout", recording)
+        argv = ["simulate", "--K", "3", "--a", "2", "--b", "1", "--M", "3"]
+        code, _, err = run(capsys, argv + ["--demand", "99,6,7", "--file-size", "7"])
+        assert (code, err, laid_out) == (2, "error: file 99 is not demandable in region 1\n", [])
+        code, _, err = run(capsys, argv + ["--demand", "4,4,7", "--file-size", "7"])
+        assert (code, err) == (2, "error: file size 7 not divisible for segment man_t1\n")
+        assert laid_out == [[4, 7]]
 
 
 class TestLpCommand:
@@ -836,3 +864,24 @@ def test_refusal_comes_before_any_family_or_grid_point(capsys, monkeypatch, argv
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def readme_cli_lines() -> list:
+    """The `ringcache` command lines of the README's CLI block, the bare
+    `verify` sweep left out."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("ringcache ") and line != "ringcache verify"]
+
+
+def test_the_readme_lists_nine_cli_lines_past_the_sweep():
+    assert len(readme_cli_lines()) == 9
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_exits_0(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "instance.json").write_text('{"K": 2, "a": 1, "b": 1}', encoding="utf-8")
+    code, _, err = run(capsys, shlex.split(line)[1:])
+    assert (code, err) == (0, "")

@@ -1027,7 +1027,7 @@ def cold_solve_value(sym):
     col = {key: j for j, key in enumerate(sym.var_keys)}
     r_col = len(col)
     cons = [cv._genie_constraint(row, col, r_col) for row in sym.genie_rows]
-    cons += cv._structural_constraints(sym, col)
+    cons += cv._structural_constraints(sym, col, sym.inst.M)
     return cv.exactlp.solve({r_col: 1}, cons, n_vars=r_col + 1).value
 
 
@@ -1060,6 +1060,24 @@ class TestGridWalk:
         walked = cv.solve_lp_grid(cv.build_lp(base, family_for(ds), mode), grid)
         assert walked == [cv.solve_lp(cv.build_lp(base.with_m(m), family_for(ds), mode))
                           for m in grid]
+
+    def test_walk_cold_starts_at_the_first_memory(self, monkeypatch):
+        # tradeoff --K 4 --a 1 --b 2 --lp --m-grid 4,0,2,4,1/2: the walk
+        # pivots as many times whether its program was built at the grid's
+        # first M or elsewhere, and reaches the same values.
+        grid = [Fraction(4), Fraction(0), Fraction(2), Fraction(4), Fraction(1, 2)]
+        pivots = []
+        pivot = cv.exactlp._Tableau.pivot
+        monkeypatch.setattr(cv.exactlp._Tableau, "pivot",
+                            lambda tab, r, c: pivots.append((r, c)) or pivot(tab, r, c))
+        walks = {}
+        for built_at in (grid[0], Fraction(0)):
+            inst, ds = setup(4, 1, 2, M=built_at)
+            pivots.clear()
+            values = [o.value for o in cv.solve_lp_grid(cv.build_lp(inst, cv.full_family(ds)), grid)]
+            walks[built_at] = (len(pivots), values)
+        assert walks[grid[0]] == walks[Fraction(0)]
+        assert walks[grid[0]][0] == 12
 
     def test_one_point_is_solve_lp(self, monkeypatch):
         inst, ds = setup(3, 2, 1, M=3)

@@ -24,7 +24,6 @@ from ringcache.schemes import (
     SegmentKind,
     SubpacketizationError,
     accessible_nodes,
-    check_file_size,
     decode,
     deliver,
     deliver_bits,
@@ -32,6 +31,7 @@ from ringcache.schemes import (
     make_scheme,
     min_file_size,
     random_library,
+    subfile_layout,
     worst_case_load,
 )
 from ringcache.schemes import _xor
@@ -264,7 +264,8 @@ class TestBitExact:
         (5, 4, 1, 1, 3), (4, 2, 1, 2, Fraction(5, 2)), (3, 1, 1, 2, Fraction(1, 3)),
     ])
     def test_file_size_check_matches_delivery(self, K, a, b, L, M):
-        # check_file_size raises exactly what deliver_bits, then fill_caches, raise.
+        # The layout of all N files, and of the demanded files alone, raises
+        # exactly what deliver_bits, then fill_caches, raise.
         inst, ds = setup(K, a, b, L, M)
         scheme = make_scheme(inst)
         demand = next(iter(enumerate_demands(ds)))
@@ -276,12 +277,56 @@ class TestBitExact:
                 want = None
             except SubpacketizationError as exc:
                 want = str(exc)
+            for files in (range(1, inst.N + 1), sorted(set(demand))):
+                try:
+                    subfile_layout(inst, ds, scheme, size_b, files)
+                    got = None
+                except SubpacketizationError as exc:
+                    got = str(exc)
+                assert got == want, (size_b, files)
+
+    @pytest.mark.parametrize("K,a,b,M,given,smallest", [
+        (3, 1, 2, 1, 12, 4),  # 3/4 direct, 1/4 local
+        (4, 1, 1, Fraction(1, 2), 24, 6),  # 5/6 direct, 1/6 local
+    ])
+    def test_min_file_size_is_not_always_the_smallest(self, K, a, b, M, given, smallest):
+        inst, ds = setup(K, a, b, M=M)
+        scheme = make_scheme(inst)
+        files = range(1, inst.N + 1)
+        assert min_file_size(inst, scheme) == given
+
+        def accepted(size_b):
             try:
-                check_file_size(inst, ds, scheme, size_b)
-                got = None
-            except SubpacketizationError as exc:
-                got = str(exc)
-            assert got == want, size_b
+                subfile_layout(inst, ds, scheme, size_b, files)
+            except SubpacketizationError:
+                return False
+            return True
+
+        assert [s for s in range(1, given + 1) if accepted(s)] == list(range(smallest, given + 1, smallest))
+
+    @pytest.mark.parametrize("K,a,b", sweep_instances())
+    def test_layout_places_each_subfile_at_its_exact_share(self, K, a, b):
+        """Every multiple of min_file_size is accepted, and each subfile starts
+        at B times the fractions before it and spans B times its own, so each
+        file's subfiles tile it; checked in Fractions, per L and memory_grid point."""
+        for L in sorted({1, 2, K}):
+            inst, ds = setup(K, a, b, L)
+            for m in memory_grid(inst):
+                sub = inst.with_m(m)
+                scheme = make_scheme(sub)
+                for size_b in (min_file_size(sub, scheme), 3 * min_file_size(sub, scheme)):
+                    layout = subfile_layout(sub, ds, scheme, size_b, range(1, sub.N + 1))
+                    want, seg_start = {}, Fraction(0)
+                    for seg_idx, seg in enumerate(scheme.segments):
+                        for i in range(1, sub.N + 1):
+                            start = seg_start
+                            for mask, frac in seg.kind.placement(sub, ds, i):
+                                end = start + seg.fraction * frac
+                                want[seg_idx, i, mask] = slice(size_b * start, size_b * end)
+                                start = end
+                        seg_start += seg.fraction
+                    assert seg_start == 1
+                    assert layout == want, (L, m, size_b)
 
     def test_example_decode_uses_both_pair_messages(self):
         inst, ds = setup(3, 2, 1, M=3)
