@@ -36,6 +36,7 @@ from ringcache.schemes import (
     SubpacketizationError,
     accessible_nodes,
     check_demands,
+    check_dump_masks,
     check_library_budget,
     decode,
     deliver,
@@ -209,6 +210,8 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     demand = ds.validate_demand(args.demand or tuple(rng.choice(s) for s in ds.demands))
     files = sorted(set(demand))  # the files a run reads
+    if args.dump:
+        check_dump_masks(inst.K, scheme)  # before the split check and any byte drawn
     subfile_layout(inst, ds, scheme, size_b, files)  # the split check, before any byte is drawn
     library = random_library(rng, files, size_b)
 

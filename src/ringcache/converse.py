@@ -656,46 +656,43 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     )
 
 
-def _block_average(ds: DemandStructure, blocks) -> dict:
-    """The average row of the blocks' family, built from no row: a block
-    pairs each choice with each template, so user u's link occurs (choices
-    giving u its file) x (templates giving u its top) times. Disjoint pools
-    admit every choice and list none; overlapping ones count ``_choices``."""
+def _block_counts(ds: DemandStructure, blocks) -> tuple:
+    """(counts, n_rows): the number of the blocks' rows covering each (file,
+    mask) key, zeros omitted, and of rows, from no row: a block pairs each
+    choice with each template, so user u's link occurs (choices giving u its
+    file) x (templates giving u its top) times. Disjoint pools admit every
+    choice and list none; overlapping ones count ``_choices``."""
     K = ds.inst.K
-    link_keys, total, n_rows = _link_keys(K), Counter(), 0
+    link_keys, total, n_rows = _link_keys(K), defaultdict(int), 0
     for block in blocks:
+        if not all(block.pools):  # no choice, no row
+            continue
         if _disjoint(block.pools):
             n_choices = prod(map(len, block.pools))
-            chosen = {(uk, f): n_choices // len(pool)
-                      for uk, pool in enumerate(block.pools, 1) for f in pool}
+            chosen = [dict.fromkeys(pool, n_choices // len(pool)) for pool in block.pools]
         else:
             choices = _choices(block)
             n_choices = len(choices)
-            chosen = Counter(chain.from_iterable(enumerate(c, 1) for c in choices))
+            chosen = [Counter(c[uk] for c in choices) for uk in range(K)]
         n_rows += n_choices * len(block.tops)
-        tops = [Counter(t[uk] for t in block.tops) for uk in range(K)]
-        for (uk, f), n_f in chosen.items():
-            for top, n_top in tops[uk - 1].items():
-                total.update(dict.fromkeys(link_keys[_link(K, f, top, block.full)], n_f * n_top))
-    return {key: Fraction(v, n_rows) for key, v in total.items() if v}
-
-
-def _aggregate_map(ds: DemandStructure, c1_empty, c2_empty, c1_single) -> dict:
-    out = {}
-    for i in ds.class1:
-        if c1_empty:
-            out[(i, 0)] = c1_empty
-        if c1_single:
-            for j in range(ds.inst.K):
-                out[(i, 1 << j)] = c1_single
-    if c2_empty:
-        for i in ds.class2:
-            out[(i, 0)] = c2_empty
-    return out
+        for uk, files in enumerate(chosen):
+            for top, n_top in Counter(t[uk] for t in block.tops).items():
+                masks = [m for _, m in link_keys[_link(K, 0, top, block.full)]]
+                for f, n_f in files.items():
+                    n = n_f * n_top
+                    for m in masks:
+                        total[f, m] += n
+    return total, n_rows
 
 
 class CertificateReport(NamedTuple):
-    """Everything the weighted-sum certificate of one regime consists of."""
+    """Everything the weighted-sum certificate of one regime consists of.
+
+    Residuals are scaled by ``denominator``: ``narrow`` maps each file, in
+    ascending order, to those on its empty mask and singletons, ascending;
+    ``wide`` maps it to its class's by popcount, all that a mask of two
+    bits or more sees. Only the JSON expands them key by key.
+    """
 
     regime: Regime
     weights: dict
@@ -703,12 +700,24 @@ class CertificateReport(NamedTuple):
     bound_const: Fraction
     bound_m_coeff: Fraction
     aggregate_matches: bool
-    residuals: dict
+    denominator: int
+    narrow: dict
+    wide: dict
+    min_residual: Fraction  # the least nonzero residual, 0 when there is none
     ok: bool
 
+    def _scaled_residuals(self):
+        """((file, mask), denominator * residual) of each nonzero residual, in key order."""
+        for i, near in self.narrow.items():
+            by_popcount = self.wide[i]
+            for m in range(1 << len(near) - 1):
+                r = by_popcount[m.bit_count()] if m & (m - 1) else near[m.bit_length()]
+                if r:
+                    yield (i, m), r
+
     def to_json_dict(self) -> dict:
-        worst = min(self.residuals.values()) if self.residuals else Fraction(0)
         mu1, mu2, mum = self.multipliers
+        text = _Memo(lambda r: str(Fraction(r, self.denominator)))  # each distinct value once
         return {
             "regime": self.regime.value,
             "weights": {k: str(v) for k, v in self.weights.items()},
@@ -719,27 +728,27 @@ class CertificateReport(NamedTuple):
             },
             "bound": f"{self.bound_const} + ({self.bound_m_coeff})*M",
             "aggregate_matches": self.aggregate_matches,
-            "min_residual": str(worst),
-            "residuals": {_key_name(k): str(v) for k, v in sorted(self.residuals.items())},
+            "min_residual": str(self.min_residual),
+            "residuals": {f"y[{i},{m}]": text[r] for (i, m), r in self._scaled_residuals()},
             "ok": self.ok,
         }
 
 
 def certificate_reports(inst: ProblemInstance, ds: DemandStructure) -> dict:
     """Regime -> its CertificateReport, or the error refusing it; each
-    selected family's average is counted from its blocks at most once, and
+    selected family's rows are counted from its blocks at most once, and
     no row is built."""
-    averages, out = _Memo(lambda regime: _block_average(ds, _selected_blocks(ds, regime))), {}
+    counts, out = _Memo(lambda regime: _block_counts(ds, _selected_blocks(ds, regime))), {}
     for regime in Regime:
         try:
-            out[regime] = certificate_report(inst, ds, regime, averages)
+            out[regime] = certificate_report(inst, ds, regime, counts)
         except (RegimeMismatchError, FamilyError) as exc:
             out[regime] = exc
     return out
 
 
 def certificate_report(
-    inst: ProblemInstance, ds: DemandStructure, regime: Regime, averages: _Memo
+    inst: ProblemInstance, ds: DemandStructure, regime: Regime, counts: _Memo
 ) -> CertificateReport:
     """Rebuild one regime's weighted-sum certificate and verify it.
 
@@ -751,12 +760,15 @@ def certificate_report(
     coefficient is non-negative, and the resulting bound meets ``rstar_u``
     at both ends of the regime's segment of ``corner_memories``: the upper
     segment for high_m, the lower (or only) one otherwise. A regime whose
-    parameter condition fails raises RegimeMismatchError. ``averages``
-    maps a regime to the average of its selected family, as
-    ``certificate_reports`` counts it from the family's blocks.
+    parameter condition fails raises RegimeMismatchError. ``counts`` maps
+    a regime to its selected family's (key counts, rows), as
+    ``certificate_reports`` counts them from the family's blocks.
+
+    All is compared in integers over one denominator D, the lcm of each
+    family's weight per row, the multipliers' and the closed form's (on a
+    shared file's empty mask and singletons, a unique file's empty mask).
     """
     K, a, b = inst.K, inst.a, inst.b
-    aK, bK = Fraction(a * K), Fraction(b * K)
     weights: dict = {}
     if regime is Regime.LARGE_B and coded_gain_regime(inst):
         w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
@@ -767,109 +779,86 @@ def certificate_report(
         raise RegimeMismatchError(
             f"{regime.value} needs b(K-1) < 2a; got b(K-1)={b * (K - 1)}, 2a={2 * a}"
         )
-    agg = averages[regime]
+    terms = [(Fraction(1), counts[regime])]  # (weight, (counts, rows)) per averaged family
 
-    def high_m_aggregate() -> dict:
-        return _aggregate_map(
-            ds, Fraction(K - 1, a * K), Fraction(1, b * K), Fraction(K - 1, 2 * a * K)
-        )
+    def high_m_form() -> tuple:
+        return Fraction(K - 1, a * K), Fraction(K - 1, 2 * a * K), Fraction(1, b * K)
 
     if regime is Regime.HIGH_M:
-        expected_agg = high_m_aggregate()
+        form = high_m_form()
         # the beta0 coefficient may be lowered to the multiplier level
         weights["beta_slack"] = Fraction(1, b * K) - Fraction(K - 1, 2 * a * K)
         mu = (Fraction(K - 1, a * K), Fraction(K - 1, 2 * a * K), Fraction(K - 1, 2 * a * K))
     else:  # the regime's own family, mixed with HIGH_M's at weight w
         if regime is Regime.LOW_M:
             w = Fraction((K + 1) * b, 2 * (a + b))
-            expected_agg = _aggregate_map(
-                ds, Fraction(1, a), Fraction(0), Fraction(K - 1, 2 * a * K)
-            )
-            mu = (
-                Fraction(2 * a * K + b * (K - 1), 2 * (a + b) * a * K),
-                Fraction(K + 1, 2 * (a + b) * K),
-                Fraction(K + 1, 2 * (a + b) * K),
-            )
+            form = (Fraction(1, a), Fraction(K - 1, 2 * a * K), Fraction(0))
+            mu = (Fraction(2 * a * K + b * (K - 1), 2 * (a + b) * a * K),
+                  Fraction(K + 1, 2 * (a + b) * K), Fraction(K + 1, 2 * (a + b) * K))
         else:
             w = Fraction(2 * a * K, (K - 1) * (2 * a + b))
-            expected_agg = _aggregate_map(ds, Fraction(0), Fraction(1, b), Fraction(0))
+            form = (Fraction(0), Fraction(0), Fraction(1, b))
             mu = (Fraction(2, 2 * a + b), Fraction(1, 2 * a + b), Fraction(1, 2 * a + b))
         weights["mix"] = w
         if w:
-            agg = _mix_maps(w, averages[Regime.HIGH_M], agg)
-            expected_agg = _mix_maps(w, high_m_aggregate(), expected_agg)
+            terms = [(1 - w, terms[0][1]), (w, counts[Regime.HIGH_M])]
+            form = tuple(w * h + (1 - w) * f for h, f in zip(high_m_form(), form))
 
-    weights_ok = all(0 <= v <= 1 for v in weights.values())
-    aggregate_matches = agg == expected_agg  # both maps omit their zeros
+    D = lcm(*(f.denominator for f in (*mu, *form)),
+            *((weight / n_rows).denominator for weight, (_, n_rows) in terms))
+    agg: defaultdict = defaultdict(int)
+    for weight, (family, n_rows) in terms:
+        scale = int(weight * D / n_rows)
+        for key, n in family.items():
+            agg[key] += scale * n
     mu1, mu2, mum = mu
     # The selected rows are weakened, so agg is zero on masks of two bits or
     # more; there a residual depends only on the file's class and popcount.
-    narrow = (0, *(1 << j for j in range(K)))
-    wide = [m for m in range(1 << K) if m & (m - 1)]
-    residuals: dict = {}
-    ok_residuals = True
-    for files, mu_class in ((ds.class1, mu1), (ds.class2, mu2)):
-        combos = [mu_class - mum * p for p in range(K + 1)]
-        masks = [m for m in wide if combos[m.bit_count()]]
-        values = [-combos[m.bit_count()] for m in masks]
-        if files and any(c > 0 for c in combos[2:]):
-            ok_residuals = False
-        for i in files:
-            for m in narrow:
-                r = agg.get((i, m), 0) - combos[m.bit_count()]
-                if r:
-                    residuals[(i, m)] = r
-                if r < 0:
-                    ok_residuals = False
-            residuals.update(zip(zip(repeat(i), masks), values))
-    bound_const = mu1 * aK + mu2 * bK
-    bound_m = -mum * K
+    masks = (0, *(1 << j for j in range(K)))
+    classes = []  # per class: D * (mu - mum * p) by popcount p, D * agg's closed form, wide
+    for mu_class, empty, single in ((mu1, *form[:2]), (mu2, form[2], 0)):
+        combos = [int(D * (mu_class - mum * p)) for p in range(K + 1)]
+        want = [int(D * empty), *repeat(int(D * single), K)]
+        classes.append((combos, want, tuple(-c for c in combos)))
+    narrow, wide, aggregate_matches = {}, {}, True
+    for i in range(1, inst.N + 1):
+        combos, want, wide[i] = classes[i in ds.class2]
+        got = [agg.get((i, m), 0) for m in masks]
+        aggregate_matches = aggregate_matches and got == want
+        narrow[i] = tuple(g - combos[m.bit_count()] for g, m in zip(got, masks))
+    values = set(chain.from_iterable(narrow.values())).union(*(w[2:] for w in wide.values()))
+    bound_const, bound_m = mu1 * a * K + mu2 * b * K, -mum * K
     corners = corner_memories(inst)
     ends = corners[1:] if regime is Regime.HIGH_M else corners[:2]
     on_curve = all(bound_const + bound_m * m == rstar_u(inst.with_m(m)) for m in ends)
-    ok = weights_ok and aggregate_matches and ok_residuals and on_curve
-    return CertificateReport(
-        regime=regime,
-        weights=weights,
-        multipliers=mu,
-        bound_const=bound_const,
-        bound_m_coeff=bound_m,
-        aggregate_matches=aggregate_matches,
-        residuals=residuals,
-        ok=ok,
-    )
-
-
-def _mix_maps(w: Fraction, first: dict, second: dict) -> dict:
-    out: dict = {}
-    for key, v in first.items():
-        out[key] = w * v
-    for key, v in second.items():
-        out[key] = out.get(key, Fraction(0)) + (1 - w) * v
-    return {k: v for k, v in out.items() if v}
+    ok = all(0 <= v <= 1 for v in weights.values()) and aggregate_matches and min(values) >= 0
+    worst = Fraction(min((v for v in values if v), default=0), D)
+    return CertificateReport(regime, weights, mu, bound_const, bound_m, aggregate_matches, D,
+                             narrow, wide, worst, ok and on_curve)
 
 
 def sum_all_bound(inst: ProblemInstance, family: Family) -> Fraction:
     """The loose bound from averaging the full family into one row.
 
-    The average is counted from the blocks of ``family``, the full family
-    the caller built, without building a row (``_block_average``); the
-    bound is its minimum over placements satisfying the per-file partition
-    and the aggregate memory budget. Aggregation only weakens the LP, so
-    this never exceeds the family's LP optimum. The optimum is checked
-    outside the simplex: its point against the structural rows, and its
-    value against the average at that point, exactly.
+    The rows are counted from the blocks of ``family``, the full family
+    the caller built, without building a row (``_block_counts``); the
+    bound is the minimum of their summed row over placements satisfying
+    the per-file partition and the aggregate memory budget, divided once
+    by the number of rows. Aggregation only weakens the LP, so this never
+    exceeds the family's LP optimum. The optimum is checked outside the
+    simplex: its point against the structural rows, and its value against
+    the summed row at that point, exactly.
     """
-    avg = _block_average(family.ds, family.blocks)
+    total, n_rows = _block_counts(family.ds, family.blocks)
     lp = build_lp(inst, family, AGGREGATE)
     col = {key: j for j, key in enumerate(lp.var_keys)}
-    objective = {col[k]: c for k, c in avg.items()}
+    objective = {col[k]: c for k, c in total.items()}
     sol = exactlp.solve(objective, _structural_constraints(lp, col, inst.M), n_vars=len(col))
     x = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
     _verify_structural(lp, x, inst.M)
-    if sum(c * x.get(k, 0) for k, c in avg.items()) != sol.value:
+    if sum(c * x.get(k, 0) for k, c in total.items()) != sol.value:
         raise exactlp.LpError("the loose bound's value is not the average at its point")
-    return max(Fraction(0), sol.value)
+    return max(Fraction(0), sol.value / n_rows)
 
 
 def _key_name(key) -> str:

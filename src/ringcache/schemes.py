@@ -172,13 +172,9 @@ class BroadcastTranscript(NamedTuple):
 
         Layout (big-endian): u32 message count; per message a u16
         component count, then per component u8 segment / u32 file /
-        u32 mask, then u32 payload length and the payload bytes. Direct
-        delivery names mask 0, so only a pair-XOR component of a node past
-        32 is refused; a larger ring without pair-XOR segments dumps.
+        u32 mask, then u32 payload length and the payload bytes. A mask
+        past 32 bits does not fit; ``check_dump_masks`` refuses its scheme.
         """
-        widest = max((mask for m in self.messages for _, _, mask in m.components), default=0)
-        if widest >> 32:
-            raise ValueError(f"mask {widest:#x} does not fit the dump's u32 mask field (K <= 32)")
         out = [struct.pack(">I", len(self.messages))]
         for m in self.messages:
             if m.payload is None:
@@ -189,6 +185,17 @@ class BroadcastTranscript(NamedTuple):
             out.append(struct.pack(">I", len(m.payload)))
             out.append(m.payload)
         return b"".join(out)
+
+
+def check_dump_masks(K: int, scheme: SchemeSpec) -> None:
+    """Refuse, from the scheme alone, a run whose transcript dump would name a
+    mask past the u32 field: a delivery sends every message of each plan.
+    Direct delivery names mask 0, so only a pair-XOR component of a node
+    past 32 is refused; a larger ring without pair-XOR segments dumps."""
+    plans = (seg.kind.plan(K) for seg in scheme.segments)
+    widest = max((mask for plan in plans for comps, _ in plan for _, mask in comps), default=0)
+    if widest >> 32:
+        raise ValueError(f"mask {widest:#x} does not fit the dump's u32 mask field (K <= 32)")
 
 
 def _messages(inst: ProblemInstance, scheme: SchemeSpec, d):

@@ -14,7 +14,7 @@ from ringcache import cli
 from ringcache import converse as cv
 from ringcache import verify as acceptance
 from ringcache.model import ProblemInstance, build_demand_structure
-from test_converse import row_built_average
+from test_converse import row_built_counts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -296,6 +296,18 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "error: mask 0x100000000 does not fit the dump's u32 mask field (K <= 32)\n"
 
+    def test_mask_past_the_dump_field_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
+        # The scheme alone (a pair-XOR segment on 33 nodes) decides the refusal.
+        def no_draw(*_args):
+            raise AssertionError("drew library bytes for a transcript that cannot be dumped")
+
+        monkeypatch.setattr(cli, "random_library", no_draw)
+        monkeypatch.setattr(cli, "subfile_layout", no_draw)
+        code, out, err = run(capsys, ["simulate", "--K", "33", "--a", "1", "--b", "0", "--M", "1",
+                                      "--file-size", "330000", "--dump", str(tmp_path / "w.bin")])
+        assert (code, out) == (2, "")
+        assert err == "error: mask 0x100000000 does not fit the dump's u32 mask field (K <= 32)\n"
+
     @pytest.mark.parametrize("M", ["0", "2"])
     def test_33_nodes_dump_without_a_pair_xor_segment(self, capsys, tmp_path, M):
         # Direct delivery names mask 0 and local caching sends nothing, so
@@ -417,6 +429,16 @@ class TestLpCommand:
         assert (code, err) == (0, "")
         assert out == (pinned / "lp_321_full_m3.txt").read_text()
 
+    @pytest.mark.parametrize("name,options", [
+        ("lp_531_high_m4", ["--M", "4", "--family", "high_m", "--certificates"]),
+        ("lp_531_low_m2", ["--M", "2", "--family", "low_m", "--memory-mode", "per_node"]),
+    ])
+    def test_k5_reports_match_pinned_output(self, capsys, name, options):
+        pinned = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+        code, out, err = run(capsys, ["lp", "--K", "5", "--a", "3", "--b", "1", *options])
+        assert (code, err) == (0, "")
+        assert out == (pinned / f"{name}.txt").read_text()
+
     def test_certificates_and_export(self, capsys, tmp_path):
         lp_path = tmp_path / "program.lp"
         code, out, _ = run(capsys, ["lp", "--K", "2", "--a", "1", "--b", "1",
@@ -437,7 +459,7 @@ class TestLpCommand:
     def test_counted_certificates_print_the_row_built_bytes(self, capsys, monkeypatch, instance):
         argv = ["lp", *instance, "--certificates"]
         got = run(capsys, argv)
-        monkeypatch.setattr(cv, "_block_average", row_built_average)
+        monkeypatch.setattr(cv, "_block_counts", row_built_counts)
         assert run(capsys, argv) == got
         assert got[0] == 0 and got[2] == ""
 

@@ -23,6 +23,7 @@ from ringcache.model import (
     nodes_of,
 )
 from ringcache.schemes import make_scheme, worst_case_load
+from ringcache.verify import sweep_instances
 from test_schemes import scheme_placement
 
 
@@ -112,19 +113,32 @@ def certificate_check(inst, ds, regime):
     return certificate(inst, ds, regime).ok
 
 
+def block_average(ds, blocks):
+    """The blocks' average row: the integer counts the certificates and the
+    loose bound use, divided by the number of rows."""
+    total, n_rows = cv._block_counts(ds, blocks)
+    return {key: Fraction(v, n_rows) for key, v in total.items()}
+
+
 def counted_average(ds, regime):
     """The average the certificates use: counted from the selected blocks."""
-    return cv._block_average(ds, cv._selected_blocks(ds, regime))
+    return block_average(ds, cv._selected_blocks(ds, regime))
 
 
-def average_rows(K, rows):
-    """Uniform average of the rows' key coefficients; links are counted, then
+def count_rows(K, rows):
+    """(key counts, number of rows) of the rows: links are counted, then
     each count is spread over the link's keys."""
     rows = list(rows)
     link_keys, total = cv._link_keys(K), Counter()
     for link, n in Counter(chain.from_iterable(rows)).items():
         total.update(dict.fromkeys(link_keys[link], n))
-    return {key: Fraction(v, len(rows)) for key, v in total.items()}
+    return total, len(rows)
+
+
+def average_rows(K, rows):
+    """Uniform average of the rows' key coefficients."""
+    total, n_rows = count_rows(K, rows)
+    return {key: Fraction(v, n_rows) for key, v in total.items()}
 
 
 def block_family(ds, blocks):
@@ -150,9 +164,29 @@ def row_blocks(ds, rows):
     return blocks
 
 
-def row_built_average(ds, blocks):
-    """The counted average's oracle: every row of the blocks built and averaged."""
-    return average_rows(ds.inst.K, block_family(ds, blocks))
+def row_built_counts(ds, blocks):
+    """The counting's oracle: every row of the blocks built and counted."""
+    return count_rows(ds.inst.K, block_family(ds, blocks))
+
+
+def mixed_average(counts, regime, weights):
+    """The per-key Fraction aggregate a certificate checks: the regime's
+    average, mixed with HIGH_M's at the weight ``mix`` when it is nonzero."""
+
+    def average(r):
+        total, n_rows = counts[r]
+        return {key: Fraction(v, n_rows) for key, v in total.items()}
+
+    agg, w = average(regime), weights.get("mix")
+    if not w:
+        return agg
+    high = average(cv.Regime.HIGH_M)
+    return {k: w * high.get(k, 0) + (1 - w) * agg.get(k, 0) for k in high.keys() | agg.keys()}
+
+
+def expanded_residuals(report):
+    """The report's compact residuals, key by key, as Fractions."""
+    return {key: Fraction(r, report.denominator) for key, r in report._scaled_residuals()}
 
 
 def oracle_residuals(inst, ds, agg, mu):
@@ -1181,7 +1215,7 @@ class TestLinkRowsMatchKeyOracles:
             keys = Counter(chain.from_iterable(expanded(ds, rows)))
             want = {key: Fraction(n, len(rows)) for key, n in keys.items()}
             assert average_rows(4, rows) == want
-            assert cv._block_average(ds, rows.blocks) == want
+            assert block_average(ds, rows.blocks) == want
 
 
 def fraction_structural_ok(lp, assignment):
@@ -1478,7 +1512,7 @@ class TestCountedCertificates:
     def test_reports_build_no_row(self, K, a, b, monkeypatch):
         inst, ds = setup(K, a, b, M=1)
         with monkeypatch.context() as patch:
-            patch.setattr(cv, "_block_average", row_built_average)
+            patch.setattr(cv, "_block_counts", row_built_counts)
             want = report_outcomes(inst, ds)
 
         def no_rows(*_args):
@@ -1487,30 +1521,73 @@ class TestCountedCertificates:
         monkeypatch.setattr(cv, "_block_rows", no_rows)
         assert report_outcomes(inst, ds) == want
 
-    @pytest.mark.parametrize("K,a,b", [(3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2), (5, 3, 1),
-                                       (6, 3, 1)])
-    def test_residuals_match_the_per_key_loop(self, K, a, b):
+    @staticmethod
+    def per_key_verdicts(K, a, b) -> Counter:
+        """Each report, from the counts and from halved averages, against
+        the per-key loop: its expanded residuals, its least nonzero one and
+        its verdict. Counts the reports by whether every residual is
+        non-negative."""
         inst, ds = setup(K, a, b)
-        averages = cv._Memo(lambda regime: counted_average(ds, regime))
-        halved = cv._Memo(lambda regime: {k: v / 2 for k, v in averages[regime].items()})
+        counts = cv._Memo(lambda regime: cv._block_counts(ds, cv._selected_blocks(ds, regime)))
+        halved = cv._Memo(lambda regime: (counts[regime][0], 2 * counts[regime][1]))
         checked = Counter()
-        for regime, avg in product(cv.Regime, (averages, halved)):
+        for regime, family_counts in product(cv.Regime, (counts, halved)):
             try:
-                report = cv.certificate_report(inst, ds, regime, avg)
+                report = cv.certificate_report(inst, ds, regime, family_counts)
             except (cv.RegimeMismatchError, cv.FamilyError):
                 continue
-            agg = avg[regime]
-            if report.weights.get("mix"):
-                agg = cv._mix_maps(report.weights["mix"], avg[cv.Regime.HIGH_M], agg)
+            agg = mixed_average(family_counts, regime, report.weights)
             want = oracle_residuals(inst, ds, agg, report.multipliers)
-            assert report.residuals == want
+            assert expanded_residuals(report) == want
+            assert report.min_residual == min(want.values(), default=0)
             residuals_ok = min(want.values(), default=0) >= 0
             assert report.ok == (residuals_ok and report.aggregate_matches)
             checked[residuals_ok] += 1
+        return checked
+
+    @pytest.mark.parametrize("K,a,b", [(3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2), (5, 3, 1),
+                                       (6, 3, 1)])
+    def test_residuals_match_the_per_key_loop(self, K, a, b):
+        checked = self.per_key_verdicts(K, a, b)
         assert checked[True] and checked[False]
+
+    @pytest.mark.parametrize("K,a,b", sweep_instances())
+    def test_compact_residuals_match_the_per_key_loop_across_the_sweep(self, K, a, b):
+        _, ds = setup(K, a, b)
+        self.per_key_verdicts(K, a, b)
+        for regime in cv.Regime:
+            want = outcome(lambda: average_rows(K, cv.selected_family(ds, regime)))
+            assert outcome(lambda: counted_average(ds, regime)) == want
+
+    @pytest.mark.parametrize("K,a,b", [(3, 2, 1), (5, 3, 1)])
+    def test_a_moved_singleton_count_breaks_the_aggregate(self, K, a, b):
+        # The empty mask, each file's total and the row count stay; only two
+        # singletons of one shared file leave the closed form.
+        inst, ds = setup(K, a, b)
+        counts = cv._Memo(lambda regime: cv._block_counts(ds, cv._selected_blocks(ds, regime)))
+
+        def moved(regime):
+            total, n_rows = counts[regime]
+            total, i = dict(total), min(ds.class1)
+            total[i, 1], total[i, 2] = total[i, 1] - 1, total[i, 2] + 1
+            return total, n_rows
+
+        for regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M):
+            assert cv.certificate_report(inst, ds, regime, counts).aggregate_matches
+            report = cv.certificate_report(inst, ds, regime, cv._Memo(moved))
+            assert not report.aggregate_matches and not report.ok
 
     @pytest.mark.parametrize("K", range(6, 13))
     def test_paper_regimes_hold_up_to_k12(self, K):
+        self.check_paper_regimes(K)
+
+    @pytest.mark.parametrize("K", [16, 20, 30])
+    def test_paper_regimes_hold_up_to_k30(self, K):
+        # (30,15,1) has 480 files: its per-key residual map would hold 480 * 2^30 keys.
+        self.check_paper_regimes(K)
+
+    @staticmethod
+    def check_paper_regimes(K):
         # With the achievable side, which reaches its closed form at every
         # corner (criterion 1), these certificates prove R*_u at these instances.
         memories = {cv.Regime.LOW_M: slice(0, 2), cv.Regime.HIGH_M: slice(1, 3),
@@ -1583,7 +1660,7 @@ class TestSumAllBound:
         _, ds = setup(K, a, b)
         blocks = cv.full_family(ds).blocks
         assert cv._disjoint(blocks[0].pools) == (a == 0)
-        assert cv._block_average(ds, blocks) == average_rows(K, cv.full_family(ds))
+        assert block_average(ds, blocks) == average_rows(K, cv.full_family(ds))
 
 
 class TestLpExport:
