@@ -308,14 +308,16 @@ class LinearProgram(NamedTuple):
     A raw program's genie rows are its ``Family``, which lists them only
     when iterated. A symmetrised program's are its distinct orbit rows,
     sorted by ``_row_order``; it names its orbits in ``orbit_members`` and
-    keeps the raw program it collapses in ``raw``.
+    keeps the raw program it collapses in ``raw``. The partition and memory
+    rows are coefficient dicts; their senses and right-hand sides at a
+    cache size come from ``_structural_rows``.
     """
 
     inst: ProblemInstance
     var_keys: tuple
     genie_rows: Family | tuple
-    partition_rows: tuple  # (coeffs, rhs) equalities
-    memory_rows: tuple  # (coeffs, rhs) upper bounds
+    partition_rows: tuple  # per file, its coefficients
+    memory_rows: tuple  # the aggregate row's coefficients, or each node's
     memory_mode: str = AGGREGATE
     orbit_members: dict | None = None
     raw: LinearProgram | None = None
@@ -324,9 +326,15 @@ class LinearProgram(NamedTuple):
     def n_rows(self) -> int:
         return len(self.genie_rows) + len(self.partition_rows) + len(self.memory_rows)
 
-def _memory_rhs(inst: ProblemInstance, memory_mode: str) -> Fraction:
-    """K*M for the one aggregate memory row, M for each per-node row."""
-    return Fraction(inst.K) * inst.M if memory_mode == AGGREGATE else Fraction(inst.M)
+
+def _structural_rows(lp: LinearProgram, M) -> list:
+    """(coeffs, sense, rhs) of each partition row, ``== 1``, then of each
+    memory row at cache size M, clamped as ``ProblemInstance`` clamps it:
+    ``<= K*M`` for the aggregate row, ``<= M`` for each per-node row."""
+    M = lp.inst.with_m(M).M
+    memory = lp.inst.K * M if lp.memory_mode == AGGREGATE else M
+    return [*((coeffs, exactlp.EQUAL, Fraction(1)) for coeffs in lp.partition_rows),
+            *((coeffs, exactlp.LESS_EQ, memory) for coeffs in lp.memory_rows)]
 
 
 def build_lp(inst: ProblemInstance, family: Family, memory_mode: str = AGGREGATE) -> LinearProgram:
@@ -336,15 +344,11 @@ def build_lp(inst: ProblemInstance, family: Family, memory_mode: str = AGGREGATE
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
     var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
-    partition = tuple(
-        ({(i, m): 1 for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)
-    )
-    rhs = _memory_rhs(inst, memory_mode)
+    partition = tuple({(i, m): 1 for m in range(1 << K)} for i in range(1, N + 1))
     if memory_mode == AGGREGATE:
-        memory = (({(i, m): m.bit_count() for i, m in var_keys if m}, rhs),)
+        memory = ({(i, m): m.bit_count() for i, m in var_keys if m},)
     else:
-        bits = [1 << k for k in range(K)]
-        memory = tuple(({(i, m): 1 for i, m in var_keys if m & j}, rhs) for j in bits)
+        memory = tuple({(i, m): 1 for i, m in var_keys if m >> k & 1} for k in range(K))
     return LinearProgram(
         inst=inst,
         var_keys=var_keys,
@@ -361,13 +365,10 @@ class LpOutcome(NamedTuple):
 
 
 def _structural_constraints(lp: LinearProgram, col: dict, M) -> list:
-    """The partition equalities and the memory bounds at cache size M as simplex constraints."""
-    memory = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
+    """The structural rows at cache size M as simplex constraints."""
     return [
         exactlp.Constraint(coeffs={col[k]: c for k, c in coeffs.items()}, sense=sense, rhs=rhs)
-        for rows, sense in ((lp.partition_rows, exactlp.EQUAL),
-                            (((coeffs, memory) for coeffs, _ in lp.memory_rows), exactlp.LESS_EQ))
-        for coeffs, rhs in rows
+        for coeffs, sense, rhs in _structural_rows(lp, M)
     ]
 
 
@@ -413,23 +414,22 @@ def _solve_iterative(lp: LinearProgram, memories):
     """(value, assignment) of the symmetrised program at each cache size M of
     memories in turn, by row generation over its genie rows in
     ``_row_order`` on one tableau: it starts from the first rows at the
-    first M of memories, moves its memory bounds to
-    ``_memory_rhs(lp.inst.with_m(M), lp.memory_mode)`` from point to
-    point, and re-optimises after each move and after each batch of the
-    most violated rows is added. A violated active row is a solver fault."""
+    first M of memories, moves its ``<=`` structural rows, the memory rows,
+    to their ``_structural_rows`` bounds from point to point, and
+    re-optimises after each move and after each batch of the most violated
+    rows is added. A violated active row is a solver fault."""
     rows = lp.genie_rows
     col = {key: j for j, key in enumerate(lp.var_keys)}
     r_col = len(col)
     active = set(rows[:_ROWGEN_SEED])
     cons = [_genie_constraint(row, col, r_col) for row in rows[:_ROWGEN_SEED]]
+    first = len(cons)  # the structural constraints' first index
     cons += _structural_constraints(lp, col, memories[0])
-    # The structural constraints end with the memory rows.
-    memory = range(len(cons) - len(lp.memory_rows), len(cons))
     tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
     for M in memories:
-        rhs = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
-        for i in memory:
-            tab.move_rhs(i, rhs)
+        for i, (_, sense, rhs) in enumerate(_structural_rows(lp, M), first):
+            if sense == exactlp.LESS_EQ:
+                tab.move_rhs(i, rhs)
         tab.reoptimize()
         while True:
             value, assignment = _tableau_point(tab, col)
@@ -493,21 +493,16 @@ def _witness_ok(family: Family, value, assignment) -> bool:
 
 
 def _verify_structural(lp: LinearProgram, assignment, M) -> None:
-    """Partition rows, and memory rows at cache size M, at a point whose
-    omitted keys are zero, in integers: the point is scaled by den, the lcm
-    of its denominators, and a row's total times rhs's denominator is held
-    against rhs's numerator times den."""
-    den = lcm(*(v.denominator for v in assignment.values()))
-    scaled = {k: v.numerator * (den // v.denominator) for k, v in assignment.items()}
-    memory = _memory_rhs(lp.inst.with_m(M), lp.memory_mode)
-    for rows, holds, kind in (
-        (lp.partition_rows, operator.eq, "partition"),
-        (((coeffs, memory) for coeffs, _ in lp.memory_rows), operator.le, "memory"),
-    ):
-        for coeffs, rhs in rows:
-            total = sum(map(operator.mul, coeffs.values(), map(scaled.get, coeffs, repeat(0))))
-            if not holds(total * rhs.denominator, rhs.numerator * den):
-                raise exactlp.LpError(f"witness violates a {kind} row")
+    """The structural rows at cache size M at a point whose omitted keys are
+    zero, in integers: the point is scaled by den (``_scaled``), and a row's
+    total times rhs's denominator is held against rhs's numerator times den."""
+    den, scaled = _scaled(Fraction(1), assignment)
+    for coeffs, sense, rhs in _structural_rows(lp, M):
+        equal = sense == exactlp.EQUAL
+        holds, kind = (operator.eq, "partition") if equal else (operator.le, "memory")
+        total = sum(map(operator.mul, coeffs.values(), map(scaled.get, coeffs, repeat(0))))
+        if not holds(total * rhs.denominator, rhs.numerator * den):
+            raise exactlp.LpError(f"witness violates a {kind} row")
 
 
 def _ring_generators(ds: DemandStructure) -> dict:
@@ -595,8 +590,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
     K, family = lp.inst.K, lp.genie_rows
-    keys = lp.var_keys  # ascending, as build_lp lists them
-    pos = {key: j for j, key in enumerate(keys)}
+    keys = lp.var_keys  # key (i, m) at position (i - 1) << K | m, as build_lp lists them
     link_keys = _link_keys(K)
     identity = range(lp.inst.N + 1), range(1, K + 1), range(1 << K)  # phi, sigma, masks
     block_keys = {_block_key(b, *identity) for b in family.blocks}
@@ -605,7 +599,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
         masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
         if any(_block_key(b, phi, sigma, masks) not in block_keys for b in family.blocks):
             raise FamilyError(f"the {name} maps a block of the genie family onto no block of it")
-        generators.append([pos[phi[i], masks[m]] for i, m in keys])
+        generators.append([(phi[i] - 1) << K | masks[m] for i, m in keys])
 
     index = [-1] * len(keys)  # key position -> position of its orbit's name
     names: list = []
@@ -625,8 +619,8 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     def project(coeffs) -> tuple:
         counts: Counter = Counter()
-        for key, c in coeffs.items():
-            counts[index[pos[key]]] += c
+        for (i, m), c in coeffs.items():
+            counts[index[(i - 1) << K | m]] += c
         return tuple((names[j], n) for j, n in sorted(counts.items()))
 
     width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
@@ -637,19 +631,19 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     # multiset is concatenated and sorted once.
     ids: dict = {}
     link_id = _Memo(lambda link: ids.setdefault(
-        tuple(sorted(index[pos[k]] for k in link_keys[link])), len(ids)))
+        tuple(sorted(index[(i - 1) << K | m] for i, m in link_keys[link])), len(ids)))
     shapes = dedup_rows(tuple(sorted(map(link_id.__getitem__, row))) for row in rows)
     by_id = list(ids)
     projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
     genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
-    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
-    memory = {project(coeffs): rhs for coeffs, rhs in lp.memory_rows}  # every rhs is _memory_rhs
+    partition, memory = ({project(coeffs) for coeffs in rows}
+                         for rows in (lp.partition_rows, lp.memory_rows))
     return LinearProgram(
         inst=lp.inst,
         var_keys=tuple(names),
         genie_rows=tuple(genie),
-        partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
-        memory_rows=tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
+        partition_rows=tuple(map(dict, sorted(partition))),
+        memory_rows=tuple(map(dict, sorted(memory))),
         memory_mode=lp.memory_mode,
         orbit_members=members,
         raw=lp,
@@ -876,8 +870,7 @@ def lp_to_text(lp: LinearProgram) -> str:
     for row in rows:
         terms = (f"{_key_name(k)}:{-c}" for k, c in _row_order(row))
         lines.append(" ".join((f"{exactlp.GREATER_EQ} 0", "R:1", *terms)))
-    for sense, group in ((exactlp.EQUAL, lp.partition_rows), (exactlp.LESS_EQ, lp.memory_rows)):
-        for coeffs, rhs in group:
-            terms = (f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items()))
-            lines.append(" ".join((f"{sense} {rhs}", *terms)))
+    for coeffs, sense, rhs in _structural_rows(lp, lp.inst.M):
+        terms = (f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items()))
+        lines.append(" ".join((f"{sense} {rhs}", *terms)))
     return "\n".join(lines) + "\n"

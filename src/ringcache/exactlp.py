@@ -1,10 +1,10 @@
 """Exact linear programming via an integer-preserving dual simplex.
 
-Solves  min c.x  subject to  A x (<=|==|>=) b,  x >= 0,  c >= 0  with no
-rounding. Every constraint enters as a ``<=`` row with its own slack: a
-``>=`` row negated, and an equality as its ``<=`` row, all the equalities
-together adding the one row -sum(a_i).x <= -sum(b_i), which with the
-others forces each of them. With c >= 0 the all-slack basis is dual
+Solves  min c.x  subject to  A x (<=|==) b,  x >= 0,  c >= 0  with no
+rounding, A and c in ints and b rational. Every constraint enters as a
+``<=`` row with its own slack, an equality as its ``<=`` row, all the
+equalities together adding the one row -sum(a_i).x <= -sum(b_i), which
+with the others forces each of them. With c >= 0 the all-slack basis is dual
 feasible, so Lemke's dual simplex (Naval Res. Logist. Q. 1954) solves
 the program from it, and the objective is bounded below by 0: the most
 negative basic row leaves, the column of least ratio of reduced cost to
@@ -17,12 +17,11 @@ The tableau holds Python ints over one shared denominator D > 0. A pivot
 at (r, c) with p = a_rc sets every other entry to
 (a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
 identity (E. H. Bareiss, Math. Comp. 1968), and then D = p; the pivot row
-is negated first when p < 0, so D stays positive. Coefficients may be
-ints or `fractions.Fraction`s; an int enters the tableau as it is. The cost
-is scaled by the lcm of its denominators, a constraint with a fractional
-coefficient is multiplied through by the lcm of its, and the rhs column
-by the lcm of its, grown as rows arrive; the optimum value and point are
-returned as `fractions.Fraction`s.
+is negated first when p < 0, so D stays positive. Coefficients and costs
+are ints and enter the tableau as they are; anything else is refused with
+ValueError. Only the rhs column is scaled, by the lcm of its denominators,
+grown as rows arrive; the optimum value and point are returned as
+`fractions.Fraction`s.
 
 A tableau starts with no row, and every row enters it the one way, with a
 new basic slack. `optimal_tableau` appends each constraint and then the
@@ -37,16 +36,13 @@ in integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 _ZERO = Fraction(0)
 
 LESS_EQ = "<="
-GREATER_EQ = ">="
+GREATER_EQ = ">="  # the sense of a genie row in the text export; no Constraint has it
 EQUAL = "=="
-
-_SENSES = (LESS_EQ, GREATER_EQ, EQUAL)
 
 
 class LpError(RuntimeError):
@@ -58,12 +54,12 @@ class InfeasibleError(LpError):
 
 
 class Constraint:
-    """Sparse row: sum(coeffs[j] * x_j) <sense> rhs."""
+    """Sparse row: sum(coeffs[j] * x_j) <sense> rhs, the sense ``<=`` or ``==``."""
 
     __slots__ = ("coeffs", "sense", "rhs")
 
     def __init__(self, coeffs: dict, sense: str, rhs) -> None:
-        if sense not in _SENSES:
+        if sense not in (LESS_EQ, EQUAL):
             raise ValueError(f"unknown sense {sense!r}")
         self.coeffs, self.sense, self.rhs = coeffs, sense, Fraction(rhs)
 
@@ -78,40 +74,32 @@ def _bland_after(n_rows: int, n_cols: int) -> int:
     return 4 * (n_rows + n_cols) + 32
 
 
-def _integral(con: Constraint, n_vars: int) -> tuple:
-    """The constraint's ``<=`` row in ints and the factor the constraint was
-    multiplied by: the lcm of its coefficients' denominators, negated for
-    a ``>=`` row."""
-    coeffs = {}
+def _integral(con: Constraint, n_vars: int) -> None:
+    """Refuse a constraint with a variable out of range or a coefficient that is not an int."""
     for j, v in con.coeffs.items():
         if not 0 <= j < n_vars:
             raise ValueError(f"variable index {j} out of range")
-        coeffs[j] = v if isinstance(v, int) else Fraction(v)
-    scale = lcm(*(v.denominator for v in coeffs.values()))
-    if con.sense == GREATER_EQ:
-        scale = -scale
-    return {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}, scale
+        if type(v) is not int:
+            raise ValueError(f"coefficient {v!r} of variable {j} is not an int")
 
 
 class _Tableau:
     """Dense simplex tableau of ints over one shared denominator.
 
     Every basic column is ``denom`` times a unit vector. ``obj`` is the
-    reduced-cost row, over ``denom * cden``, with the negated objective
-    value, also scaled by ``rhs_scale``, last. It starts with no row, its
+    reduced-cost row, over ``denom``, with the negated objective value,
+    also scaled by ``rhs_scale``, last. It starts with no row, its
     ``obj`` the cost row and a zero value, and rows enter by ``_append``.
     """
 
-    def __init__(self, n_vars: int, obj: list, cden: int) -> None:
+    def __init__(self, n_vars: int, obj: list) -> None:
         self.rows = []  # m x (n_cols + 1), rhs last; an entry means entry / denom
         self.n_vars = self.n_cols = n_vars  # the structural columns, then one slack per row
         self.basis = []  # basic variable per row
         self.denom = 1
         self.rhs_scale = 1  # the rhs column is also scaled by this
         self.obj = obj
-        self.cden = cden
-        # Per constraint: its rhs, and the column of its slack with the
-        # signed factor the row was multiplied by, or None for an equality.
+        # Per constraint: its rhs, and the column of its slack, or None for an equality.
         self.rhs = []
         self.slack = []
 
@@ -141,7 +129,7 @@ class _Tableau:
         self.basis[r] = c
 
     def value(self) -> Fraction:
-        return Fraction(-self.obj[-1], self.denom * self.cden * self.rhs_scale)
+        return Fraction(-self.obj[-1], self.denom * self.rhs_scale)
 
     def solution(self) -> LpSolution:
         """The optimum and the basic point of the structural variables."""
@@ -163,15 +151,15 @@ class _Tableau:
             self.rhs_scale *= f
         return int(value * self.rhs_scale)
 
-    def _append(self, con: Constraint, record: bool = True) -> tuple:
-        """Append the constraint's ``<=`` row (``_integral``) with a new basic
-        slack, recording its rhs and slack unless ``record`` is false, and
-        return the row's ints and factor. In the current basis the row is
-        D*a - sum_i a[basis[i]]*row_i, exact in ints as every basic column
-        is D*e_i; the reduced costs keep their signs."""
-        coeffs, scale = _integral(con, self.n_vars)
-        d, n = self.denom, self.n_cols
-        rhs = self._rhs_int(con.rhs * scale)
+    def _append(self, con: Constraint, record: bool = True) -> None:
+        """Append the constraint's ``<=`` row, checked by ``_integral``, with a
+        new basic slack, recording its rhs and slack unless ``record`` is
+        false. In the current basis the row is D*a - sum_i a[basis[i]]*row_i,
+        exact in ints as every basic column is D*e_i; the reduced costs keep
+        their signs."""
+        _integral(con, self.n_vars)
+        coeffs, d, n = con.coeffs, self.denom, self.n_cols
+        rhs = self._rhs_int(con.rhs)
         for row in self.rows + [self.obj]:  # the new slack's column, zero outside its row
             row.insert(n, 0)
         new = [0] * (n + 2)
@@ -187,8 +175,7 @@ class _Tableau:
         self.n_cols = n + 1
         if record:
             self.rhs.append(con.rhs)
-            self.slack.append(None if con.sense == EQUAL else (n, scale))
-        return coeffs, scale
+            self.slack.append(None if con.sense == EQUAL else n)
 
     def add_row(self, con: Constraint) -> None:
         """Add a ``<=`` row with a new basic slack, as the cold start adds
@@ -203,9 +190,8 @@ class _Tableau:
         not change. Call ``reoptimize`` after the last move."""
         if self.slack[i] is None:
             raise ValueError(f"constraint {i} has no slack of its own to move its bound through")
-        col, scale = self.slack[i]
-        rhs = Fraction(rhs)
-        k = self._rhs_int((rhs - self.rhs[i]) * scale)
+        col, rhs = self.slack[i], Fraction(rhs)
+        k = self._rhs_int(rhs - self.rhs[i])
         self.rhs[i] = rhs
         if k:
             for row in self.rows + [self.obj]:
@@ -245,29 +231,30 @@ class _Tableau:
 
 def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
     """The optimal tableau of min `objective` (sparse dict col->coeff, every
-    coefficient non-negative) subject to `constraints`, solved by the dual
-    simplex from the all-slack basis, ready for ``add_row``, ``move_rhs``
-    and ``reoptimize``.
+    coefficient a non-negative int) subject to `constraints`, solved by the
+    dual simplex from the all-slack basis, ready for ``add_row``,
+    ``move_rhs`` and ``reoptimize``.
 
     All variables are non-negative. Raises InfeasibleError, or ValueError
-    on a negative cost.
+    on a cost or coefficient that is not an int or a cost that is negative.
     """
     cost = [0] * n_vars
     for j, v in objective.items():
         if not 0 <= j < n_vars:
             raise ValueError(f"objective index {j} out of range")
+        if type(v) is not int:
+            raise ValueError(f"cost {v!r} on variable {j} is not an int")
         if v < 0:
             raise ValueError(f"negative cost {v} on variable {j}")
-        cost[j] += v if isinstance(v, int) else Fraction(v)
-    cden = lcm(*(v.denominator for v in cost))
-    tab = _Tableau(n_vars, [v.numerator * (cden // v.denominator) for v in cost] + [0], cden)
+        cost[j] += v
+    tab = _Tableau(n_vars, cost + [0])
     total, total_rhs = {}, None  # the equalities' sum, negated
     for con in constraints:
-        coeffs, scale = tab._append(con)
+        tab._append(con)
         if con.sense == EQUAL:
-            for j, v in coeffs.items():
+            for j, v in con.coeffs.items():
                 total[j] = total.get(j, 0) - v
-            total_rhs = (total_rhs or 0) - con.rhs * scale
+            total_rhs = (total_rhs or 0) - con.rhs
     if total_rhs is not None:  # a row of the tableau, no constraint of the caller's
         tab._append(Constraint(total, LESS_EQ, total_rhs), record=False)
     tab.reoptimize()
@@ -275,10 +262,10 @@ def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
 
 
 def solve(objective, constraints, n_vars: int) -> LpSolution:
-    """Minimise `objective` (sparse dict col->coeff, every coefficient
-    non-negative) subject to `constraints`.
+    """Minimise `objective` (sparse dict col->coeff, every coefficient a
+    non-negative int) subject to `constraints`.
 
     All variables are non-negative. Raises InfeasibleError, or ValueError
-    on a negative cost.
+    as ``optimal_tableau`` does.
     """
     return optimal_tableau(objective, constraints, n_vars).solution()

@@ -1,10 +1,13 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
 import random
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,8 @@ from ringcache.model import ProblemInstance, build_demand_structure
 from test_converse import row_built_counts
 
 GOLDEN = Path(__file__).parent / "golden"
+# What the installed ``ringcache`` script runs (``[project.scripts]``).
+ENTRY_POINT = "import sys; from ringcache.cli import main; sys.exit(main())"
 
 
 def run(capsys, argv):
@@ -438,6 +443,23 @@ class TestLpCommand:
         code, out, err = run(capsys, ["lp", "--K", "5", "--a", "3", "--b", "1", *options])
         assert (code, err) == (0, "")
         assert out == (pinned / f"{name}.txt").read_text()
+
+    @pytest.mark.parametrize("golden,options", [
+        ("lp_321_m3_high_m_per_node_raw",
+         ["--K", "3", "--a", "2", "--b", "1", "--M", "3", "--family", "high_m",
+          "--memory-mode", "per_node"]),
+        ("lp_211_m1_full_aggregate_raw", ["--K", "2", "--a", "1", "--b", "1", "--M", "1"]),
+    ])
+    def test_entry_point_export_is_the_golden_file(self, tmp_path, golden, options):
+        # End to end, in a process of its own: the exported file's bytes.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", ENTRY_POINT, "lp", *options, "--export", "p.lp"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120, check=False)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "p.lp").read_bytes() == (GOLDEN / f"{golden}.txt").read_bytes()
 
     def test_certificates_and_export(self, capsys, tmp_path):
         lp_path = tmp_path / "program.lp"

@@ -23,7 +23,7 @@ from ringcache.model import (
     nodes_of,
 )
 from ringcache.schemes import make_scheme, worst_case_load
-from ringcache.verify import sweep_instances
+from ringcache.verify import memory_grid, sweep_instances
 from test_schemes import scheme_placement
 
 
@@ -69,16 +69,43 @@ def direct_solve(lp):
 
 
 def with_m(lp, M):
-    """The same program at cache size M; only the memory bounds move. The
-    oracles solve such copies; the solver makes none, moving its tableau's
-    memory bounds instead."""
+    """The same program at cache size M; only the instance moves, and with
+    it the memory bounds ``cv._structural_rows`` reads. The oracles solve
+    such copies; the solver makes none, moving its tableau's memory bounds
+    instead."""
+    return lp._replace(inst=lp.inst.with_m(M), raw=None if lp.raw is None else with_m(lp.raw, M))
+
+
+def rebuilt_structural_rows(lp, M):
+    """(partition, memory): lp's structural rows rebuilt from its instance
+    at cache size M as (coeffs, rhs) pairs, the oracle of
+    ``cv._structural_rows``. A file's row sums its keys to 1; the aggregate
+    row weighs each key by its mask's popcount against K*M, a per-node row
+    sums the keys on its node against M; M is clamped to 2a+b. A
+    symmetrised program's rows are projected onto its orbits, in sorted
+    order."""
     inst = lp.inst.with_m(M)
-    rhs = cv._memory_rhs(inst, lp.memory_mode)
-    return lp._replace(
-        inst=inst,
-        memory_rows=tuple((coeffs, rhs) for coeffs, _ in lp.memory_rows),
-        raw=None if lp.raw is None else with_m(lp.raw, M),
-    )
+    K, N = inst.K, inst.N
+    keys = [(i, m) for i in range(1, N + 1) for m in range(1 << K)]
+    partition = [({(i, m): 1 for m in range(1 << K)}, Fraction(1)) for i in range(1, N + 1)]
+    if lp.memory_mode == cv.AGGREGATE:
+        memory = [({(i, m): m.bit_count() for i, m in keys if m}, K * inst.M)]
+    else:
+        memory = [({(i, m): 1 for i, m in keys if m & 1 << k}, inst.M) for k in range(K)]
+    if lp.orbit_members is None:
+        return partition, memory
+    orbit = {key: name for name, members in lp.orbit_members.items() for key in members}
+
+    def project(rows):
+        out = {}
+        for coeffs, rhs in rows:
+            counts = Counter()
+            for key, c in coeffs.items():
+                counts[orbit[key]] += c
+            out[tuple(sorted(counts.items()))] = rhs
+        return [(dict(p), rhs) for p, rhs in sorted(out.items())]
+
+    return project(partition), project(memory)
 
 
 def distinct_demands(ds):
@@ -371,20 +398,17 @@ def cyclic_symmetrize(lp):
     def project(coeffs) -> tuple:
         out: dict = {}
         for key, c in coeffs.items():
-            out[orbit_rep[key]] = out.get(orbit_rep[key], Fraction(0)) + c
+            out[orbit_rep[key]] = out.get(orbit_rep[key], 0) + c
         return tuple(sorted(out.items()))
 
     genie = {tuple(sorted(orbit_rep[k] for k in row)) for row in key_rows}
-    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
-    memory: dict = {}
-    for coeffs, rhs in lp.memory_rows:
-        proj = project(coeffs)
-        memory[proj] = min(memory.get(proj, rhs), rhs)
+    partition = {project(coeffs) for coeffs in lp.partition_rows}
+    memory = {project(coeffs) for coeffs in lp.memory_rows}
     return lp._replace(
         var_keys=tuple(sorted(members)),
         genie_rows=tuple(sorted(genie, key=cv._row_order)),
-        partition_rows=tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
-        memory_rows=tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
+        partition_rows=tuple(map(dict, sorted(partition))),
+        memory_rows=tuple(map(dict, sorted(memory))),
         orbit_members=members,
         raw=lp,
     )
@@ -488,21 +512,18 @@ def key_symmetrize(lp):
         out = {}
         for key, c in coeffs.items():
             name = names[index[pos[key]]]
-            out[name] = out.get(name, Fraction(0)) + c
+            out[name] = out.get(name, 0) + c
         return tuple(sorted(out.items()))
 
     projected = {tuple(sorted(map(index.__getitem__, row))) for row in rows}
     genie = sorted((tuple(names[j] for j in row) for row in projected), key=cv._row_order)
-    partition = {project(coeffs): rhs for coeffs, rhs in lp.partition_rows}
-    memory = {}
-    for coeffs, rhs in lp.memory_rows:
-        proj = project(coeffs)
-        memory[proj] = min(memory.get(proj, rhs), rhs)
+    partition = {project(coeffs) for coeffs in lp.partition_rows}
+    memory = {project(coeffs) for coeffs in lp.memory_rows}
     return (
         tuple(names),
         tuple(genie),
-        tuple((dict(p), rhs) for p, rhs in sorted(partition.items())),
-        tuple((dict(p), rhs) for p, rhs in sorted(memory.items())),
+        tuple(map(dict, sorted(partition))),
+        tuple(map(dict, sorted(memory))),
         members,
     )
 
@@ -944,7 +965,7 @@ class TestSymmetrize:
         lp = cv.build_lp(inst, family_for(ds), mode)
         for program in (lp, cv.symmetrize(lp)):
             rows = program.partition_rows + program.memory_rows
-            assert {type(c) for coeffs, _ in rows for c in coeffs.values()} == {int}
+            assert {type(c) for coeffs in rows for c in coeffs.values()} == {int}
 
     @pytest.mark.parametrize("K,a,b,M", [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 3)])
     def test_preserves_optimum(self, K, a, b, M):
@@ -1218,9 +1239,11 @@ class TestLinkRowsMatchKeyOracles:
             assert block_average(ds, rows.blocks) == want
 
 
-def fraction_structural_ok(lp, assignment):
-    """The Fraction sums the integer-scaled structural check replaced."""
-    for rows, holds in ((lp.partition_rows, operator.eq), (lp.memory_rows, operator.le)):
+def fraction_structural_ok(lp, assignment, M):
+    """The Fraction sums the integer-scaled structural check replaced, over
+    the rows ``rebuilt_structural_rows`` gives at cache size M."""
+    partition, memory = rebuilt_structural_rows(lp, M)
+    for rows, holds in ((partition, operator.eq), (memory, operator.le)):
         for coeffs, rhs in rows:
             if not holds(sum(c * assignment[k] for k, c in coeffs.items() if k in assignment), rhs):
                 return False
@@ -1233,6 +1256,23 @@ def structural_ok(lp, assignment, M):
     except cv.exactlp.LpError:
         return False
     return True
+
+
+class TestStructuralRows:
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (3, 0, 2), (4, 1, 2)])
+    @pytest.mark.parametrize("mode", [cv.AGGREGATE, cv.PER_NODE])
+    def test_rows_at_every_m_are_the_rebuilt_rows(self, K, a, b, mode):
+        # Every memory_grid point, and one M past 2a+b, which is clamped.
+        base, ds = setup(K, a, b, M=a + b)
+        lp = cv.build_lp(base, family_for(ds), mode)
+        top = Fraction(2 * a + b)
+        for program in (lp, cv.symmetrize(lp)):
+            for m in memory_grid(base) + [top + Fraction(3, 2)]:
+                partition, memory = rebuilt_structural_rows(program, m)
+                want = [(coeffs, cv.exactlp.EQUAL, rhs) for coeffs, rhs in partition]
+                want += [(coeffs, cv.exactlp.LESS_EQ, rhs) for coeffs, rhs in memory]
+                assert cv._structural_rows(program, m) == want, (m, mode)
+            assert cv._structural_rows(program, top + 1) == cv._structural_rows(program, top)
 
 
 class TestStructuralCheck:
@@ -1256,7 +1296,7 @@ class TestStructuralCheck:
                     point[i, mask] = point.get((i, mask), 0) + x[i, j] / 3
                     points.append((kind, point))
             for kind, point in points:
-                want = fraction_structural_ok(moved, point)
+                want = fraction_structural_ok(lp, point, m)
                 assert structural_ok(lp, point, m) == want, (m, kind)
                 seen[kind, want] += 1
         assert seen["optimum", True] and seen["oversized", False] and seen["more memory", False]
@@ -1332,8 +1372,9 @@ class TestReducedCollapse:
                 assert agg.var_keys == per.var_keys, (a, b, name)
                 assert agg.genie_rows == per.genie_rows, (a, b, name)
                 assert agg.partition_rows == per.partition_rows, (a, b, name)
-                ((agg_coeffs, agg_rhs),) = agg.memory_rows
-                ((per_coeffs, per_rhs),) = per.memory_rows
+                *_, (agg_coeffs, _, agg_rhs) = cv._structural_rows(agg, inst.M)
+                *_, (per_coeffs, _, per_rhs) = cv._structural_rows(per, inst.M)
+                assert (agg.memory_rows, per.memory_rows) == ((agg_coeffs,), (per_coeffs,))
                 assert agg_coeffs == {k: K * c for k, c in per_coeffs.items()}, (a, b, name)
                 assert agg_rhs == K * per_rhs, (a, b, name)
 

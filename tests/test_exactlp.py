@@ -1,10 +1,17 @@
 """The exact dual simplex against known optima, a Fraction primal simplex and
-a float oracle."""
+a float oracle.
+
+The random programs are general: every sense, rational coefficients and
+costs. The oracles solve them as they are; the solver sees each in its
+integer form (``integer_form``), whose optimum is a known multiple of the
+program's.
+"""
 
 import copy
 import random
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 
@@ -15,8 +22,41 @@ from ringcache.model import ProblemInstance, build_demand_structure
 from test_converse import direct_solve
 
 
+class Row(NamedTuple):
+    """A constraint of a general program: any sense, rational coefficients."""
+
+    coeffs: dict
+    sense: str
+    rhs: Fraction
+
+
 def C(coeffs, sense, rhs):
-    return Constraint(coeffs=coeffs, sense=sense, rhs=Fraction(rhs))
+    return Row(coeffs=coeffs, sense=sense, rhs=Fraction(rhs))
+
+
+def integer_form(cost, rows):
+    """(cost, constraints, factor): the program as the solver takes it. Each
+    row is multiplied by the lcm of its coefficients' denominators and a
+    ``>=`` row negated, and the cost is multiplied by the lcm of its
+    denominators, ``factor``, so the optimum is factor times the program's."""
+    factor = lcm(*(Fraction(v).denominator for v in cost.values()))
+    constraints = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row.coeffs.values()))
+        sense = row.sense
+        if sense == GREATER_EQ:
+            scale, sense = -scale, LESS_EQ
+        coeffs = {j: int(v * scale) for j, v in row.coeffs.items()}
+        constraints.append(Constraint(coeffs=coeffs, sense=sense, rhs=row.rhs * scale))
+    return {j: int(v * factor) for j, v in cost.items()}, constraints, factor
+
+
+def int_solve(cost, rows, n_vars):
+    """exactlp.solve of the program's integer form, its optimum divided by
+    the cost's factor: the program's optimum."""
+    int_cost, constraints, factor = integer_form(cost, rows)
+    sol = exactlp.solve(int_cost, constraints, n_vars)
+    return sol._replace(value=sol.value / factor)
 
 
 class FractionTableau:
@@ -154,10 +194,11 @@ def check_point(x, value, cost, constraints):
 
 
 def cold_value(cost, constraints, n):
-    """exactlp.solve's value after checking its point, or the class of the
-    error raised. The point itself is not compared with the oracle's: a
-    degenerate program may end at another optimal vertex."""
-    got = outcome(exactlp.solve, cost, constraints, n)
+    """The program's optimum through its integer form (``int_solve``) after
+    checking its point, or the class of the error raised. The point itself
+    is not compared with the oracle's: a degenerate program may end at
+    another optimal vertex."""
+    got = outcome(int_solve, cost, constraints, n)
     if isinstance(got, type):
         return got
     check_point(got[1], got[0], cost, constraints)
@@ -192,10 +233,17 @@ def random_program(rng, fractional_coeffs=False):
     return cost, cons, n
 
 
+def int_program(rng, fractional_coeffs=False):
+    """A ``random_program`` in its integer form."""
+    cost, cons, n = random_program(rng, fractional_coeffs)
+    cost, cons, _ = integer_form(cost, cons)
+    return cost, cons, n
+
+
 class TestKnownPrograms:
     def test_two_variable_diet(self):
         # min 2x + 3y  s.t. x + y >= 4, x <= 3
-        sol = exactlp.solve(
+        sol = int_solve(
             {0: Fraction(2), 1: Fraction(3)},
             [C({0: 1, 1: 1}, GREATER_EQ, 4), C({0: 1}, LESS_EQ, 3)],
             n_vars=2,
@@ -205,7 +253,7 @@ class TestKnownPrograms:
 
     def test_equality_program(self):
         # min x + y s.t. x + 2y == 6, x - y == 0  ->  x = y = 2
-        sol = exactlp.solve(
+        sol = int_solve(
             {0: Fraction(1), 1: Fraction(1)},
             [C({0: 1, 1: 2}, EQUAL, 6), C({0: 1, 1: -1}, EQUAL, 0)],
             n_vars=2,
@@ -214,16 +262,15 @@ class TestKnownPrograms:
         assert sol.x == [2, 2]
 
     def test_exact_rationals_survive(self):
-        sol = exactlp.solve(
-            {0: Fraction(1, 3)},
-            [C({0: 1}, GREATER_EQ, Fraction(5, 7))],
-            n_vars=1,
-        )
+        # min x s.t. -3x <= -5/7: a rational rhs, x = 5/21
+        sol = exactlp.solve({0: 1}, [Constraint({0: -3}, LESS_EQ, Fraction(-5, 7))], n_vars=1)
+        assert sol.value == Fraction(5, 21) and sol.x == [Fraction(5, 21)]
+        sol = int_solve({0: Fraction(1, 3)}, [C({0: 1}, GREATER_EQ, Fraction(5, 7))], n_vars=1)
         assert sol.value == Fraction(5, 21)
 
     def test_degenerate_vertex(self):
         # Five constraints meet at the optimum (1, 1); must still terminate.
-        sol = exactlp.solve(
+        sol = int_solve(
             {0: Fraction(1), 1: Fraction(1)},
             [
                 C({0: 1, 1: 1}, GREATER_EQ, 2),
@@ -239,7 +286,7 @@ class TestKnownPrograms:
 
     def test_infeasible(self):
         with pytest.raises(exactlp.InfeasibleError):
-            exactlp.solve(
+            int_solve(
                 {0: Fraction(1)},
                 [C({0: 1}, LESS_EQ, 1), C({0: 1}, GREATER_EQ, 2)],
                 n_vars=1,
@@ -247,12 +294,11 @@ class TestKnownPrograms:
 
     def test_negative_cost_is_refused(self):
         # min -x s.t. -x <= 0 is unbounded; a negative cost is refused first.
-        for cost in (-1, Fraction(-1, 2)):
-            with pytest.raises(ValueError, match="negative cost"):
-                exactlp.solve({0: 1, 1: cost}, [C({1: -1}, LESS_EQ, 0)], n_vars=2)
+        with pytest.raises(ValueError, match="negative cost"):
+            exactlp.solve({0: 1, 1: -1}, [Constraint({1: -1}, LESS_EQ, 0)], n_vars=2)
 
     def test_redundant_equalities(self):
-        sol = exactlp.solve(
+        sol = int_solve(
             {0: Fraction(1), 1: Fraction(2)},
             [
                 C({0: 1, 1: 1}, EQUAL, 2),
@@ -265,8 +311,47 @@ class TestKnownPrograms:
 
     def test_negative_rhs_normalisation(self):
         # -x <= -3  means x >= 3
-        sol = exactlp.solve({0: Fraction(1)}, [C({0: -1}, LESS_EQ, -3)], n_vars=1)
+        sol = exactlp.solve({0: 1}, [Constraint({0: -1}, LESS_EQ, -3)], n_vars=1)
         assert sol.value == 3
+
+
+class TestIntegerForm:
+    """The solver takes integer ``<=`` and ``==`` rows and an integer cost;
+    it refuses anything else."""
+
+    @pytest.mark.parametrize("cost", [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 1.0])
+    def test_a_cost_that_is_no_int_is_refused(self, cost):
+        with pytest.raises(ValueError, match="not an int"):
+            exactlp.optimal_tableau({0: cost}, [Constraint({0: 1}, LESS_EQ, 1)], n_vars=1)
+
+    def test_a_negative_cost_is_refused(self):
+        with pytest.raises(ValueError, match="negative cost"):
+            exactlp.optimal_tableau({0: -1}, [Constraint({0: 1}, LESS_EQ, 1)], n_vars=1)
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(1), 1.0, True])
+    def test_a_coefficient_that_is_no_int_is_refused(self, coeff):
+        row = Constraint({0: 1, 1: coeff}, LESS_EQ, 1)
+        with pytest.raises(ValueError, match="not an int"):
+            exactlp.optimal_tableau({0: 1}, [row], n_vars=2)
+        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: 1, 1: 1}, LESS_EQ, 1)], n_vars=2)
+        with pytest.raises(ValueError, match="not an int"):
+            tab.add_row(row)
+
+    def test_a_greater_equal_row_is_refused(self):
+        with pytest.raises(ValueError, match="unknown sense '>='"):
+            Constraint({0: 1}, GREATER_EQ, 1)
+
+    def test_integer_form_keeps_the_program(self):
+        # x0/2 + x1/3 >= 5/4 becomes -3 x0 - 2 x1 <= -15/2, and the cost
+        # x0 + x1/2 becomes 2 x0 + x1 with factor 2.
+        cost, cons, factor = integer_form(
+            {0: Fraction(1), 1: Fraction(1, 2)},
+            [C({0: Fraction(1, 2), 1: Fraction(1, 3)}, GREATER_EQ, Fraction(5, 4)),
+             C({0: 2, 1: -1}, EQUAL, Fraction(1, 3))])
+        assert (cost, factor) == ({0: 2, 1: 1}, 2)
+        assert [(c.coeffs, c.sense, c.rhs) for c in cons] == [
+            ({0: -3, 1: -2}, LESS_EQ, Fraction(-15, 2)), ({0: 2, 1: -1}, EQUAL, Fraction(1, 3))]
+        assert {type(v) for c in cons for v in c.coeffs.values()} == {int}
 
 
 class TestAgainstScipy:
@@ -324,20 +409,6 @@ class TestAgainstFractionTableau:
             kinds.add(got if isinstance(got, type) else "positive" if got else "zero")
         assert kinds == {"positive", "zero", exactlp.InfeasibleError}
 
-    def test_int_and_fraction_coefficients_solve_alike(self):
-        rng = random.Random(20261019)
-        for _ in range(300):
-            cost, cons, n = random_program(rng)
-            cost = {j: int(6 * v) for j, v in cost.items()}  # every cost denominator divides 6
-            as_fractions = [
-                C({j: Fraction(v) for j, v in con.coeffs.items()}, con.sense, con.rhs)
-                for con in cons
-            ]
-            assert all(type(v) is int for con in cons for v in con.coeffs.values())
-            ints = outcome(exactlp.solve, cost, cons, n)
-            fraction_cost = {j: Fraction(v) for j, v in cost.items()}
-            assert outcome(exactlp.solve, fraction_cost, as_fractions, n) == ints, (cost, cons)
-
     def test_random_fractional_programs_match_in_value(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -345,11 +416,11 @@ class TestAgainstFractionTableau:
             assert cold_value(cost, cons, n) == oracle_value(cost, cons, n), (cost, cons)
 
     def test_fractional_coefficient_constraint(self):
-        # x0/2 + x1/3 >= 5/4 is multiplied through by 6 before its slack.
+        # x0/2 + x1/3 >= 5/4 is multiplied through by -6 before the solver sees it.
         cost = {0: Fraction(1), 1: Fraction(1, 2)}
         cons = [C({0: Fraction(1, 2), 1: Fraction(1, 3)}, GREATER_EQ, Fraction(5, 4)),
                 C({1: 1}, LESS_EQ, 2)]
-        sol = exactlp.solve(cost, cons, n_vars=2)
+        sol = int_solve(cost, cons, n_vars=2)
         assert sol.value == oracle_solve(cost, cons, 2).value == Fraction(13, 6)
 
     def test_converse_programs_match_exactly(self, monkeypatch):
@@ -406,14 +477,12 @@ class TestAgainstFractionTableau:
 
 
 def as_le_rows(constraints):
-    """The constraints as <= rows: a >= row negated, an equality split in two."""
+    """The integer constraints as <= rows: an equality split in two."""
     out = []
     for con in constraints:
-        negated = C({j: -v for j, v in con.coeffs.items()}, LESS_EQ, -con.rhs)
-        if con.sense != GREATER_EQ:
-            out.append(C(con.coeffs, LESS_EQ, con.rhs))
-        if con.sense != LESS_EQ:
-            out.append(negated)
+        out.append(Constraint(con.coeffs, LESS_EQ, con.rhs))
+        if con.sense == EQUAL:
+            out.append(Constraint({j: -v for j, v in con.coeffs.items()}, LESS_EQ, -con.rhs))
     return out
 
 
@@ -433,14 +502,15 @@ def warm_outcome(tab, cost, constraints, n):
 
 class TestIncremental:
     """The warm path against the cold solve, in value and feasibility only:
-    a warm basis may end at another optimal vertex."""
+    a warm basis may end at another optimal vertex. The programs are in
+    their integer form throughout."""
 
     @pytest.mark.parametrize("bland", [False, True])
     def test_rows_added_one_at_a_time_and_in_batches(self, monkeypatch, bland):
         rng = random.Random(20261019)
         kinds, runs = set(), 0
         for _ in range(900):
-            cost, cons, n = random_program(rng)
+            cost, cons, n = int_program(rng)
             k = rng.randrange(0, len(cons))
             base, rest = cons[:k], as_le_rows(cons[k:])
             try:
@@ -468,7 +538,7 @@ class TestIncremental:
         rng = random.Random(20261020)
         moved = 0
         for _ in range(1000):
-            cost, cons, n = random_program(rng)
+            cost, cons, n = int_program(rng)
             k = rng.randrange(1, len(cons) + 1)
             base, rest = cons[:k], as_le_rows(cons[k:])
             try:
@@ -489,7 +559,7 @@ class TestIncremental:
                 continue
             i = rng.choice(movable)
             rhs = Fraction(rng.randrange(-6, 13), rng.choice((1, 2, 3, 5)))
-            program[i] = C(program[i].coeffs, program[i].sense, rhs)
+            program[i] = Constraint(program[i].coeffs, program[i].sense, rhs)
             tab.move_rhs(i, rhs)
             # A dual-feasible basis bounds the objective, so the cold
             # solve of the moved program is optimal or infeasible too.
@@ -498,10 +568,9 @@ class TestIncremental:
         assert moved > 120
 
     def test_only_le_rows_are_added(self):
-        tab = exactlp.optimal_tableau({0: 1}, [C({0: 1}, GREATER_EQ, 1)], n_vars=1)
-        for sense in (GREATER_EQ, EQUAL):
-            with pytest.raises(ValueError):
-                tab.add_row(C({0: 1}, sense, 2))
+        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: -1}, LESS_EQ, -1)], n_vars=1)
+        with pytest.raises(ValueError):
+            tab.add_row(Constraint({0: 1}, EQUAL, 2))
 
     def test_dual_degenerate_program_reaches_the_bland_switch(self, monkeypatch):
         # min y2: y0 and y1 cost nothing, so the first two dual pivots leave
@@ -509,9 +578,10 @@ class TestIncremental:
         # pivot, the third pivot takes the row with the lowest basic index,
         # not the most negative one, and reaches the same optimum.
         cost = {2: 1}
-        base = [C({0: 1, 1: 1, 2: 1}, LESS_EQ, 10)]
-        rows = [C({0: -1, 1: -2}, LESS_EQ, -4), C({0: 2, 1: 3, 2: -3}, LESS_EQ, -4),
-                C({0: -3, 1: -1, 2: 3}, LESS_EQ, -1)]
+        base = [Constraint({0: 1, 1: 1, 2: 1}, LESS_EQ, 10)]
+        rows = [Constraint({0: -1, 1: -2}, LESS_EQ, -4),
+                Constraint({0: 2, 1: 3, 2: -3}, LESS_EQ, -4),
+                Constraint({0: -3, 1: -1, 2: 3}, LESS_EQ, -1)]
         pivot, log = exactlp._Tableau.pivot, []
 
         def spy(tab, r, c):
@@ -536,23 +606,21 @@ class TestIncremental:
 
 def hand_built_tableau(objective, constraints, n_vars):
     """The cold start's initial tableau built whole, as ``optimal_tableau``
-    once built it: each constraint's ``<=`` row, then the equalities' row,
-    laid out at once over the lcm of every rhs denominator. The oracle of
-    the row-by-row append."""
+    once built it: each integer constraint's ``<=`` row, then the
+    equalities' row, laid out at once over the lcm of every rhs
+    denominator. The oracle of the row-by-row append."""
     cost = [0] * n_vars
     for j, v in objective.items():
-        cost[j] += v if isinstance(v, int) else Fraction(v)
+        cost[j] += v
     le_rows, slack = [], []
     total, total_rhs = {}, None  # the equalities' sum, negated
     for con in constraints:
-        coeffs, scale = exactlp._integral(con, n_vars)
-        rhs = con.rhs * scale
-        slack.append(None if con.sense == EQUAL else (n_vars + len(le_rows), scale))
-        le_rows.append((coeffs, rhs))
+        slack.append(None if con.sense == EQUAL else n_vars + len(le_rows))
+        le_rows.append((con.coeffs, con.rhs))
         if con.sense == EQUAL:
-            for j, v in coeffs.items():
+            for j, v in con.coeffs.items():
                 total[j] = total.get(j, 0) - v
-            total_rhs = (total_rhs or 0) - rhs
+            total_rhs = (total_rhs or 0) - con.rhs
     if total_rhs is not None:
         le_rows.append((total, total_rhs))
     n_cols = n_vars + len(le_rows)
@@ -564,15 +632,13 @@ def hand_built_tableau(objective, constraints, n_vars):
             row[j] = v
         row[n_vars + r], row[-1] = 1, int(rhs * rhs_scale)
         rows.append(row)
-    cden = lcm(*(v.denominator for v in cost))
-    obj = [v.numerator * (cden // v.denominator) for v in cost] + [0] * (n_cols + 1 - n_vars)
-    tab = exactlp._Tableau(n_vars, obj, cden)
+    tab = exactlp._Tableau(n_vars, cost + [0] * (n_cols + 1 - n_vars))
     tab.rows, tab.n_cols, tab.basis = rows, n_cols, list(range(n_vars, n_cols))
     tab.rhs_scale, tab.rhs, tab.slack = rhs_scale, [con.rhs for con in constraints], slack
     return tab
 
 
-TABLEAU_FIELDS = ("rows", "basis", "n_cols", "denom", "rhs_scale", "obj", "cden", "slack", "rhs")
+TABLEAU_FIELDS = ("rows", "basis", "n_cols", "denom", "rhs_scale", "obj", "slack", "rhs")
 
 
 def tableau_state(tab):
@@ -583,7 +649,8 @@ def tableau_state(tab):
 class TestColdStart:
     def test_appended_rows_equal_the_hand_built_tableau(self, monkeypatch):
         # Entry for entry: the tableau the appends build before the solve,
-        # and the tableau the solve leaves, optimal or proved infeasible.
+        # and the tableau the solve leaves, optimal or proved infeasible,
+        # on each program's integer form.
         rng = random.Random(20261020)
         started, reoptimize = [], exactlp._Tableau.reoptimize
 
@@ -594,7 +661,7 @@ class TestColdStart:
         monkeypatch.setattr(exactlp._Tableau, "reoptimize", spy)
         kinds = set()
         for i in range(3000):
-            cost, cons, n = random_program(rng, fractional_coeffs=i % 2 == 1)
+            cost, cons, n = int_program(rng, fractional_coeffs=i % 2 == 1)
             started.clear()
             try:
                 exactlp.optimal_tableau(cost, cons, n)
