@@ -276,9 +276,9 @@ def cmd_lp(args) -> int:
         }
     if args.sum_all:
         report["sum_all_bound"] = str(loose)
-        if (inst.K, inst.a, inst.b, inst.M) == (3, 2, 1, Fraction(3)):
-            report["reference_value"] = "54/95"
-            report["matches_reference"] = loose == Fraction(54, 95)
+        if inst == acceptance.LOOSE_REFERENCE:  # L is 1 here, as in the reference
+            report["reference_value"] = str(acceptance.LOOSE_REFERENCE_VALUE)
+            report["matches_reference"] = loose == acceptance.LOOSE_REFERENCE_VALUE
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
             fh.write(cv.lp_to_text(lp))

@@ -365,11 +365,15 @@ class LpOutcome(NamedTuple):
 
 
 def _structural_constraints(lp: LinearProgram, col: dict, M) -> list:
-    """The structural rows at cache size M as simplex constraints."""
-    return [
-        exactlp.Constraint(coeffs={col[k]: c for k, c in coeffs.items()}, sense=sense, rhs=rhs)
-        for coeffs, sense, rhs in _structural_rows(lp, M)
-    ]
+    """The structural rows at cache size M as simplex constraints, a
+    partition row as its ``<=`` row followed by that row's negation."""
+    out = []
+    for coeffs, sense, rhs in _structural_rows(lp, M):
+        row = {col[k]: c for k, c in coeffs.items()}
+        out.append(exactlp.Constraint(row, exactlp.LESS_EQ, rhs))
+        if sense == exactlp.EQUAL:
+            out.append(exactlp.Constraint({j: -c for j, c in row.items()}, exactlp.LESS_EQ, -rhs))
+    return out
 
 
 def _genie_constraint(row, col: dict, r_col: int) -> exactlp.Constraint:
@@ -414,10 +418,11 @@ def _solve_iterative(lp: LinearProgram, memories):
     """(value, assignment) of the symmetrised program at each cache size M of
     memories in turn, by row generation over its genie rows in
     ``_row_order`` on one tableau: it starts from the first rows at the
-    first M of memories, moves its ``<=`` structural rows, the memory rows,
-    to their ``_structural_rows`` bounds from point to point, and
-    re-optimises after each move and after each batch of the most violated
-    rows is added. A violated active row is a solver fault."""
+    first M of memories, moves every structural constraint to its
+    ``_structural_constraints`` bound from point to point (a partition
+    pair's move is a no-op), and re-optimises after each move and after
+    each batch of the most violated rows is added. A violated active row
+    is a solver fault."""
     rows = lp.genie_rows
     col = {key: j for j, key in enumerate(lp.var_keys)}
     r_col = len(col)
@@ -427,9 +432,8 @@ def _solve_iterative(lp: LinearProgram, memories):
     cons += _structural_constraints(lp, col, memories[0])
     tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
     for M in memories:
-        for i, (_, sense, rhs) in enumerate(_structural_rows(lp, M), first):
-            if sense == exactlp.LESS_EQ:
-                tab.move_rhs(i, rhs)
+        for i, con in enumerate(_structural_constraints(lp, col, M), first):
+            tab.move_rhs(i, con.rhs)
         tab.reoptimize()
         while True:
             value, assignment = _tableau_point(tab, col)

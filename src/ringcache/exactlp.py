@@ -1,10 +1,9 @@
 """Exact linear programming via an integer-preserving dual simplex.
 
-Solves  min c.x  subject to  A x (<=|==) b,  x >= 0,  c >= 0  with no
-rounding, A and c in ints and b rational. Every constraint enters as a
-``<=`` row with its own slack, an equality as its ``<=`` row, all the
-equalities together adding the one row -sum(a_i).x <= -sum(b_i), which
-with the others forces each of them. With c >= 0 the all-slack basis is dual
+Solves  min c.x  subject to  A x <= b,  x >= 0,  c >= 0  with no
+rounding, A and c in ints and b rational. Constraint i is tableau row i,
+and its slack is column n_vars + i; an equality enters as two ``<=``
+rows, itself and its negation. With c >= 0 the all-slack basis is dual
 feasible, so Lemke's dual simplex (Naval Res. Logist. Q. 1954) solves
 the program from it, and the objective is bounded below by 0: the most
 negative basic row leaves, the column of least ratio of reduced cost to
@@ -23,14 +22,16 @@ ValueError. Only the rhs column is scaled, by the lcm of its denominators,
 grown as rows arrive; the optimum value and point are returned as
 `fractions.Fraction`s.
 
-A tableau starts with no row, and every row enters it the one way, with a
-new basic slack. `optimal_tableau` appends each constraint and then the
-equalities' row to the empty tableau and solves it from the all-slack
-basis; `solve` returns its optimum. The optimal tableau re-optimises after
-two moves that keep its basis dual feasible: a `<=` row added (`add_row`)
-and a right-hand side moved (`move_rhs`). Both can leave a basic variable
+A tableau starts with no row, and every row enters it the one way,
+``add_row``, with a new basic slack. `optimal_tableau` adds each
+constraint to the empty tableau and solves it from the all-slack basis;
+`solve` returns its optimum. The optimal tableau re-optimises after two
+moves that keep its basis dual feasible: a row added (`add_row`) and a
+right-hand side moved (`move_rhs`). Both can leave a basic variable
 negative, and `reoptimize` restores primal feasibility. Every move stays
-in integers.
+in integers. At an optimum, constraint i's multiplier is
+-obj[n_vars + i] / D <= 0, and the multipliers times the right-hand
+sides sum to the optimum.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _ZERO = Fraction(0)
 
 LESS_EQ = "<="
 GREATER_EQ = ">="  # the sense of a genie row in the text export; no Constraint has it
-EQUAL = "=="
+EQUAL = "=="  # the sense of a partition row in the text export; no Constraint has it
 
 
 class LpError(RuntimeError):
@@ -54,12 +55,12 @@ class InfeasibleError(LpError):
 
 
 class Constraint:
-    """Sparse row: sum(coeffs[j] * x_j) <sense> rhs, the sense ``<=`` or ``==``."""
+    """Sparse row: sum(coeffs[j] * x_j) <= rhs, its sense always ``<=``."""
 
     __slots__ = ("coeffs", "sense", "rhs")
 
     def __init__(self, coeffs: dict, sense: str, rhs) -> None:
-        if sense not in (LESS_EQ, EQUAL):
+        if sense != LESS_EQ:
             raise ValueError(f"unknown sense {sense!r}")
         self.coeffs, self.sense, self.rhs = coeffs, sense, Fraction(rhs)
 
@@ -89,7 +90,8 @@ class _Tableau:
     Every basic column is ``denom`` times a unit vector. ``obj`` is the
     reduced-cost row, over ``denom``, with the negated objective value,
     also scaled by ``rhs_scale``, last. It starts with no row, its
-    ``obj`` the cost row and a zero value, and rows enter by ``_append``.
+    ``obj`` the cost row and a zero value, and rows enter by ``add_row``:
+    constraint i is row i, its slack column ``n_vars + i``.
     """
 
     def __init__(self, n_vars: int, obj: list) -> None:
@@ -99,9 +101,7 @@ class _Tableau:
         self.denom = 1
         self.rhs_scale = 1  # the rhs column is also scaled by this
         self.obj = obj
-        # Per constraint: its rhs, and the column of its slack, or None for an equality.
-        self.rhs = []
-        self.slack = []
+        self.rhs = []  # per constraint, its rhs
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot at (r, c); the reduced-cost row takes the same step."""
@@ -151,12 +151,11 @@ class _Tableau:
             self.rhs_scale *= f
         return int(value * self.rhs_scale)
 
-    def _append(self, con: Constraint, record: bool = True) -> None:
-        """Append the constraint's ``<=`` row, checked by ``_integral``, with a
-        new basic slack, recording its rhs and slack unless ``record`` is
-        false. In the current basis the row is D*a - sum_i a[basis[i]]*row_i,
+    def add_row(self, con: Constraint) -> None:
+        """Add the constraint's row, checked by ``_integral``, with a new basic
+        slack. In the current basis the row is D*a - sum_i a[basis[i]]*row_i,
         exact in ints as every basic column is D*e_i; the reduced costs keep
-        their signs."""
+        their signs. Call ``reoptimize`` after the last row."""
         _integral(con, self.n_vars)
         coeffs, d, n = con.coeffs, self.denom, self.n_cols
         rhs = self._rhs_int(con.rhs)
@@ -173,27 +172,17 @@ class _Tableau:
         self.rows.append(new)
         self.basis.append(n)
         self.n_cols = n + 1
-        if record:
-            self.rhs.append(con.rhs)
-            self.slack.append(None if con.sense == EQUAL else n)
-
-    def add_row(self, con: Constraint) -> None:
-        """Add a ``<=`` row with a new basic slack, as the cold start adds
-        every row. Call ``reoptimize`` after the last row."""
-        if con.sense != LESS_EQ:
-            raise ValueError(f"only {LESS_EQ} rows are added, not {con.sense!r}")
-        self._append(con)
+        self.rhs.append(con.rhs)
 
     def move_rhs(self, i: int, rhs) -> None:
         """Set constraint i's right-hand side. The move goes through the
         column of its slack, which holds D*B^-1*e_i; the reduced costs do
         not change. Call ``reoptimize`` after the last move."""
-        if self.slack[i] is None:
-            raise ValueError(f"constraint {i} has no slack of its own to move its bound through")
-        col, rhs = self.slack[i], Fraction(rhs)
+        rhs = Fraction(rhs)
         k = self._rhs_int(rhs - self.rhs[i])
         self.rhs[i] = rhs
         if k:
+            col = self.n_vars + i
             for row in self.rows + [self.obj]:
                 row[-1] += k * row[col]
 
@@ -248,15 +237,8 @@ def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
             raise ValueError(f"negative cost {v} on variable {j}")
         cost[j] += v
     tab = _Tableau(n_vars, cost + [0])
-    total, total_rhs = {}, None  # the equalities' sum, negated
     for con in constraints:
-        tab._append(con)
-        if con.sense == EQUAL:
-            for j, v in con.coeffs.items():
-                total[j] = total.get(j, 0) - v
-            total_rhs = (total_rhs or 0) - con.rhs
-    if total_rhs is not None:  # a row of the tableau, no constraint of the caller's
-        tab._append(Constraint(total, LESS_EQ, total_rhs), record=False)
+        tab.add_row(con)
     tab.reoptimize()
     return tab
 

@@ -201,11 +201,8 @@ def check_dump_masks(K: int, scheme: SchemeSpec) -> None:
 def _messages(inst: ProblemInstance, scheme: SchemeSpec, d):
     """Yield (message components, size): each segment's plan with demand d put in."""
     for seg_idx, seg in enumerate(scheme.segments):
-        unit = scaled = None
         for comps, size in seg.kind.plan(inst.K):
-            if size is not unit:  # a plan shares one size object; scale it once
-                unit, scaled = size, seg.fraction * size
-            yield tuple([(seg_idx, d[user - 1], mask) for user, mask in comps]), scaled
+            yield tuple([(seg_idx, d[user - 1], mask) for user, mask in comps]), seg.fraction * size
 
 
 def deliver(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpec, d) -> BroadcastTranscript:
@@ -238,12 +235,10 @@ def subfile_layout(inst: ProblemInstance, ds: DemandStructure, scheme: SchemeSpe
     lengths = [whole(size_b, seg.fraction, seg.kind) for seg in scheme.segments]
     layout, offset = {}, 0
     for seg_idx, (seg, length) in enumerate(zip(scheme.segments, lengths)):
-        unit = n = None
         for i in files:
             start = offset
             for mask, frac in seg.kind.placement(inst, ds, i):
-                if frac is not unit:  # placements share fraction objects; divide once each
-                    unit, n = frac, whole(length, frac, seg.kind)
+                n = whole(length, frac, seg.kind)
                 layout[seg_idx, i, mask] = slice(start, start + n)
                 start += n
         offset += length

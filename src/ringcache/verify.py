@@ -243,14 +243,19 @@ def criterion_7_roundtrip(instances=None, trials: int = 100) -> CriterionResult:
     )
 
 
+# The paper's loose-bound example: averaging the full family at (3,2,1),
+# M = 3, gives 54/95.
+LOOSE_REFERENCE = ProblemInstance(3, 2, 1, 1, Fraction(3))
+LOOSE_REFERENCE_VALUE = Fraction(54, 95)
+
+
 def criterion_8_loose_bound() -> CriterionResult:
     """Loose-bound probe: sum_all_bound vs the paper-reported 54/95 and the LP."""
-    inst = ProblemInstance(3, 2, 1, 1, Fraction(3))
+    inst, reference = LOOSE_REFERENCE, LOOSE_REFERENCE_VALUE
     ds = build_demand_structure(inst)
     family = cv.full_family(ds)
     loose = cv.sum_all_bound(inst, family)
     opt = cv.solve_lp(cv.build_lp(inst, family)).value
-    reference = Fraction(54, 95)
     ok = loose <= opt and loose == reference
     detail = f"sum_all_bound = {loose} (reference 54/95 = {reference}), LP optimum = {opt}"
     return CriterionResult(8, ok, detail)

@@ -886,7 +886,8 @@ class TestSolveLp:
         assert len(sym.genie_rows) == 360 > cv._ROWGEN_SEED  # rows are generated
         rounds, error = faulty_rounds(monkeypatch, sym, [Fraction(2)], fault_from=1)
         assert error == "witness fails a row it was solved under"
-        assert rounds == [cv._ROWGEN_SEED + len(sym.partition_rows) + len(sym.memory_rows)]
+        # a partition row enters the simplex as a pair of <= rows
+        assert rounds == [cv._ROWGEN_SEED + 2 * len(sym.partition_rows) + len(sym.memory_rows)]
 
     # The same fault met warm: in the first round after rows were added,
     # and in the first round at the next M, reached by moving the bounds.

@@ -19,6 +19,7 @@ from ringcache import converse as cv
 from ringcache import exactlp
 from ringcache.exactlp import EQUAL, GREATER_EQ, LESS_EQ, Constraint
 from ringcache.model import ProblemInstance, build_demand_structure
+from ringcache.verify import memory_grid
 from test_converse import direct_solve
 
 
@@ -35,19 +36,19 @@ def C(coeffs, sense, rhs):
 
 
 def integer_form(cost, rows):
-    """(cost, constraints, factor): the program as the solver takes it. Each
-    row is multiplied by the lcm of its coefficients' denominators and a
-    ``>=`` row negated, and the cost is multiplied by the lcm of its
+    """(cost, constraints, factor): the program as the solver takes it, in
+    integer ``<=`` rows. Each row is multiplied by the lcm of its
+    coefficients' denominators, a ``>=`` row negated and an ``==`` row
+    followed by its negation, and the cost is multiplied by the lcm of its
     denominators, ``factor``, so the optimum is factor times the program's."""
     factor = lcm(*(Fraction(v).denominator for v in cost.values()))
     constraints = []
     for row in rows:
         scale = lcm(*(Fraction(v).denominator for v in row.coeffs.values()))
-        sense = row.sense
-        if sense == GREATER_EQ:
-            scale, sense = -scale, LESS_EQ
-        coeffs = {j: int(v * scale) for j, v in row.coeffs.items()}
-        constraints.append(Constraint(coeffs=coeffs, sense=sense, rhs=row.rhs * scale))
+        signs = {LESS_EQ: (1,), GREATER_EQ: (-1,), EQUAL: (1, -1)}[row.sense]
+        for sign in signs:
+            coeffs = {j: int(v * sign * scale) for j, v in row.coeffs.items()}
+            constraints.append(Constraint(coeffs, LESS_EQ, row.rhs * sign * scale))
     return {j: int(v * factor) for j, v in cost.items()}, constraints, factor
 
 
@@ -316,8 +317,8 @@ class TestKnownPrograms:
 
 
 class TestIntegerForm:
-    """The solver takes integer ``<=`` and ``==`` rows and an integer cost;
-    it refuses anything else."""
+    """The solver takes integer ``<=`` rows and an integer cost; it refuses
+    anything else."""
 
     @pytest.mark.parametrize("cost", [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 1.0])
     def test_a_cost_that_is_no_int_is_refused(self, cost):
@@ -341,6 +342,11 @@ class TestIntegerForm:
         with pytest.raises(ValueError, match="unknown sense '>='"):
             Constraint({0: 1}, GREATER_EQ, 1)
 
+    def test_an_equality_is_refused(self):
+        # An equality enters as its two <= rows (``integer_form``).
+        with pytest.raises(ValueError, match="unknown sense '=='"):
+            Constraint({0: 1}, EQUAL, 1)
+
     def test_integer_form_keeps_the_program(self):
         # x0/2 + x1/3 >= 5/4 becomes -3 x0 - 2 x1 <= -15/2, and the cost
         # x0 + x1/2 becomes 2 x0 + x1 with factor 2.
@@ -350,7 +356,8 @@ class TestIntegerForm:
              C({0: 2, 1: -1}, EQUAL, Fraction(1, 3))])
         assert (cost, factor) == ({0: 2, 1: 1}, 2)
         assert [(c.coeffs, c.sense, c.rhs) for c in cons] == [
-            ({0: -3, 1: -2}, LESS_EQ, Fraction(-15, 2)), ({0: 2, 1: -1}, EQUAL, Fraction(1, 3))]
+            ({0: -3, 1: -2}, LESS_EQ, Fraction(-15, 2)), ({0: 2, 1: -1}, LESS_EQ, Fraction(1, 3)),
+            ({0: -2, 1: 1}, LESS_EQ, Fraction(-1, 3))]
         assert {type(v) for c in cons for v in c.coeffs.values()} == {int}
 
 
@@ -443,8 +450,9 @@ class TestAgainstFractionTableau:
             return tab
 
         def grow(tab, con):
-            programs[tab][1].append(con)
-            added.append(con)
+            if tab in programs:  # else the cold start, which ``cold`` checks
+                programs[tab][1].append(con)
+                added.append(con)
             return add_row(tab, con)
 
         def move(tab, i, rhs):
@@ -476,20 +484,19 @@ class TestAgainstFractionTableau:
         assert len(programs) >= 4 and added and len(checks) > len(programs) and all(checks)
 
 
-def as_le_rows(constraints):
-    """The integer constraints as <= rows: an equality split in two."""
-    out = []
-    for con in constraints:
-        out.append(Constraint(con.coeffs, LESS_EQ, con.rhs))
-        if con.sense == EQUAL:
-            out.append(Constraint({j: -v for j, v in con.coeffs.items()}, LESS_EQ, -con.rhs))
-    return out
+def check_duals(tab, value):
+    """Assert that the optimal tableau's multipliers, constraint i's
+    y_i = -obj[n_vars + i] / denom, are <= 0 and that the right-hand sides
+    weighted by them sum to the optimum value."""
+    y = [Fraction(-tab.obj[tab.n_vars + i], tab.denom) for i in range(len(tab.rhs))]
+    assert all(v <= 0 for v in y)
+    assert sum(b * v for b, v in zip(tab.rhs, y)) == value
 
 
 def warm_outcome(tab, cost, constraints, n):
-    """The re-optimised value, after checking that the tableau holds ints only
-    and that its point satisfies every constraint at that value; or the
-    class of the error raised."""
+    """The re-optimised value, after checking that the tableau holds ints only,
+    that its point satisfies every constraint at that value and that its
+    multipliers prove it (``check_duals``); or the class of the error raised."""
     try:
         value = tab.reoptimize()
     except exactlp.LpError as exc:
@@ -497,6 +504,7 @@ def warm_outcome(tab, cost, constraints, n):
     assert all(type(v) is int for row in tab.rows + [tab.obj] for v in row)
     assert type(tab.denom) is int and type(tab.rhs_scale) is int
     check_point(tab.solution().x, value, cost, constraints)
+    check_duals(tab, value)
     return value
 
 
@@ -512,7 +520,7 @@ class TestIncremental:
         for _ in range(900):
             cost, cons, n = int_program(rng)
             k = rng.randrange(0, len(cons))
-            base, rest = cons[:k], as_le_rows(cons[k:])
+            base, rest = cons[:k], cons[k:]
             try:
                 exactlp.solve(cost, base, n)
             except exactlp.InfeasibleError:
@@ -536,11 +544,11 @@ class TestIncremental:
 
     def test_moving_a_right_hand_side(self):
         rng = random.Random(20261020)
-        moved = 0
+        kinds = [0, 0]  # moves to an optimum, moves to infeasibility
         for _ in range(1000):
             cost, cons, n = int_program(rng)
             k = rng.randrange(1, len(cons) + 1)
-            base, rest = cons[:k], as_le_rows(cons[k:])
+            base, rest = cons[:k], cons[k:]
             try:
                 tab = exactlp.optimal_tableau(cost, base, n)
             except exactlp.LpError:
@@ -550,27 +558,19 @@ class TestIncremental:
             program = base + rest
             if warm_outcome(tab, cost, program, n) is exactlp.InfeasibleError:
                 continue
-            movable = [i for i, slack in enumerate(tab.slack) if slack is not None]
-            for i in range(len(program)):
-                if i not in movable:
-                    with pytest.raises(ValueError):
-                        tab.move_rhs(i, 0)
-            if not movable:
-                continue
-            i = rng.choice(movable)
-            rhs = Fraction(rng.randrange(-6, 13), rng.choice((1, 2, 3, 5)))
-            program[i] = Constraint(program[i].coeffs, program[i].sense, rhs)
-            tab.move_rhs(i, rhs)
-            # A dual-feasible basis bounds the objective, so the cold
+            # Every constraint in turn, each move re-optimised and solved
+            # cold. A dual-feasible basis bounds the objective, so the cold
             # solve of the moved program is optimal or infeasible too.
-            assert warm_outcome(tab, cost, program, n) == cold_value(cost, program, n)
-            moved += 1
-        assert moved > 120
-
-    def test_only_le_rows_are_added(self):
-        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: -1}, LESS_EQ, -1)], n_vars=1)
-        with pytest.raises(ValueError):
-            tab.add_row(Constraint({0: 1}, EQUAL, 2))
+            for i in range(len(program)):
+                rhs = Fraction(rng.randrange(-6, 13), rng.choice((1, 2, 3, 5)))
+                program[i] = Constraint(program[i].coeffs, LESS_EQ, rhs)
+                tab.move_rhs(i, rhs)
+                got = warm_outcome(tab, cost, program, n)
+                assert got == cold_value(cost, program, n)
+                kinds[got is exactlp.InfeasibleError] += 1
+                if got is exactlp.InfeasibleError:
+                    break
+        assert kinds[False] > 600 and kinds[True] > 120
 
     def test_dual_degenerate_program_reaches_the_bland_switch(self, monkeypatch):
         # min y2: y0 and y1 cost nothing, so the first two dual pivots leave
@@ -604,41 +604,67 @@ class TestIncremental:
         assert paths[1] == [(4, True), (5, True), (0, False), (6, False), (1, False)]
 
 
+# The walk's instances for the multiplier read-off: (K, a, b, regime), the
+# full family when regime is None.
+WALKS = [(2, 1, 1, None), (3, 1, 1, None), (3, 2, 1, None), (4, 1, 1, None), (4, 1, 2, None),
+         (3, 2, 2, None), (5, 1, 1, None), (5, 3, 1, cv.Regime.HIGH_M)]
+
+
+class TestDualReadOff:
+    def test_multipliers_prove_every_grid_point(self, monkeypatch):
+        # The walk's tableau at every memory_grid point: constraint i's
+        # multiplier -obj[n_vars + i] / denom is <= 0, and the multipliers
+        # times the right-hand sides sum to the optimum. A partition row
+        # enters as a <= pair, so no term corrects for it.
+        tableaus, start = [], exactlp.optimal_tableau
+
+        def capture(*args, **kwargs):
+            tableaus.append(start(*args, **kwargs))
+            return tableaus[-1]
+
+        monkeypatch.setattr(exactlp, "optimal_tableau", capture)
+        points = 0
+        for K, a, b, regime in WALKS:
+            inst = ProblemInstance(K, a, b)
+            ds = build_demand_structure(inst)
+            family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
+            sym = cv.symmetrize(cv.build_lp(inst, family))
+            for value, _ in cv._solve_iterative(sym, memory_grid(inst)):
+                check_duals(tableaus[-1], value)
+                points += 1
+        assert points == 118
+
+
 def hand_built_tableau(objective, constraints, n_vars):
-    """The cold start's initial tableau built whole, as ``optimal_tableau``
-    once built it: each integer constraint's ``<=`` row, then the
-    equalities' row, laid out at once over the lcm of every rhs
-    denominator. The oracle of the row-by-row append."""
+    """The cold start's initial tableau built whole: each integer
+    constraint's row with its slack, laid out at once over the lcm of every
+    rhs denominator. The oracle of the row-by-row ``add_row``."""
     cost = [0] * n_vars
     for j, v in objective.items():
         cost[j] += v
-    le_rows, slack = [], []
-    total, total_rhs = {}, None  # the equalities' sum, negated
-    for con in constraints:
-        slack.append(None if con.sense == EQUAL else n_vars + len(le_rows))
-        le_rows.append((con.coeffs, con.rhs))
-        if con.sense == EQUAL:
-            for j, v in con.coeffs.items():
-                total[j] = total.get(j, 0) - v
-            total_rhs = (total_rhs or 0) - con.rhs
-    if total_rhs is not None:
-        le_rows.append((total, total_rhs))
-    n_cols = n_vars + len(le_rows)
-    rhs_scale = lcm(*(rhs.denominator for _, rhs in le_rows))
+    n_cols = n_vars + len(constraints)
+    rhs_scale = lcm(*(con.rhs.denominator for con in constraints))
     rows = []
-    for r, (coeffs, rhs) in enumerate(le_rows):
+    for r, con in enumerate(constraints):
         row = [0] * (n_cols + 1)
-        for j, v in coeffs.items():
+        for j, v in con.coeffs.items():
             row[j] = v
-        row[n_vars + r], row[-1] = 1, int(rhs * rhs_scale)
+        row[n_vars + r], row[-1] = 1, int(con.rhs * rhs_scale)
         rows.append(row)
     tab = exactlp._Tableau(n_vars, cost + [0] * (n_cols + 1 - n_vars))
     tab.rows, tab.n_cols, tab.basis = rows, n_cols, list(range(n_vars, n_cols))
-    tab.rhs_scale, tab.rhs, tab.slack = rhs_scale, [con.rhs for con in constraints], slack
+    tab.rhs_scale, tab.rhs = rhs_scale, [con.rhs for con in constraints]
     return tab
 
 
-TABLEAU_FIELDS = ("rows", "basis", "n_cols", "denom", "rhs_scale", "obj", "slack", "rhs")
+def has_an_equality(constraints):
+    """True when some row's negation is a row too: an equality's pair."""
+    key = {(tuple(sorted(con.coeffs.items())), con.rhs) for con in constraints}
+    return any((tuple(sorted((j, -v) for j, v in con.coeffs.items())), -con.rhs) in key
+               for con in constraints)
+
+
+TABLEAU_FIELDS = ("rows", "basis", "n_cols", "denom", "rhs_scale", "obj", "rhs")
 
 
 def tableau_state(tab):
@@ -648,7 +674,7 @@ def tableau_state(tab):
 
 class TestColdStart:
     def test_appended_rows_equal_the_hand_built_tableau(self, monkeypatch):
-        # Entry for entry: the tableau the appends build before the solve,
+        # Entry for entry: the tableau the added rows build before the solve,
         # and the tableau the solve leaves, optimal or proved infeasible,
         # on each program's integer form.
         rng = random.Random(20261020)
@@ -676,6 +702,6 @@ class TestColdStart:
             except exactlp.InfeasibleError:
                 assert kind == "infeasible"
             assert tableau_state(got) == tableau_state(want), (cost, cons)
-            kinds.add((kind, i % 2, want.rhs_scale > 1, EQUAL in {con.sense for con in cons}))
+            kinds.add((kind, i % 2, want.rhs_scale > 1, has_an_equality(cons)))
         assert {(k, f, True, True) for k in ("optimal", "infeasible") for f in (0, 1)} <= kinds
 
