@@ -26,14 +26,12 @@ from ringcache import verify as acceptance
 from ringcache.bounds import closed_form_points, gap_check, grid_points, rstar_u
 from ringcache.model import (
     BudgetExceededError,
-    DemandError,
     InvalidInstanceError,
     ProblemInstance,
     build_demand_structure,
 )
 from ringcache.schemes import (
     DecodeError,
-    SubpacketizationError,
     accessible_nodes,
     check_demands,
     check_dump_masks,
@@ -272,7 +270,7 @@ def cmd_lp(args) -> int:
             reg.value: cert.to_json_dict()
             if isinstance(cert, cv.CertificateReport)
             else {"ok": False, "error": str(cert)}
-            for reg, cert in cv.certificate_reports(inst, ds).items()
+            for reg, cert in cv.certificate_reports(ds).items()
         }
     if args.sum_all:
         report["sum_all_bound"] = str(loose)
@@ -404,7 +402,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInstanceError, DemandError, SubpacketizationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DecodeError as exc:

@@ -370,17 +370,17 @@ def _structural_constraints(lp: LinearProgram, col: dict, M) -> list:
     out = []
     for coeffs, sense, rhs in _structural_rows(lp, M):
         row = {col[k]: c for k, c in coeffs.items()}
-        out.append(exactlp.Constraint(row, exactlp.LESS_EQ, rhs))
+        out.append(exactlp.Constraint(row, rhs))
         if sense == exactlp.EQUAL:
-            out.append(exactlp.Constraint({j: -c for j, c in row.items()}, exactlp.LESS_EQ, -rhs))
+            out.append(exactlp.Constraint({j: -c for j, c in row.items()}, -rhs))
     return out
 
 
-def _genie_constraint(row, col: dict, r_col: int) -> exactlp.Constraint:
-    """The genie row as the simplex constraint sum(c * y[k]) - R <= 0."""
+def _genie_constraint(row, col: dict) -> exactlp.Constraint:
+    """The genie row as the simplex constraint sum(c * y[k]) - R <= 0, R in column len(col)."""
     coeffs = {col[k]: c for k, c in _row_order(row)}
-    coeffs[r_col] = -1
-    return exactlp.Constraint(coeffs=coeffs, sense=exactlp.LESS_EQ, rhs=0)
+    coeffs[len(col)] = -1
+    return exactlp.Constraint(coeffs, 0)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -425,12 +425,11 @@ def _solve_iterative(lp: LinearProgram, memories):
     is a solver fault."""
     rows = lp.genie_rows
     col = {key: j for j, key in enumerate(lp.var_keys)}
-    r_col = len(col)
     active = set(rows[:_ROWGEN_SEED])
-    cons = [_genie_constraint(row, col, r_col) for row in rows[:_ROWGEN_SEED]]
+    cons = [_genie_constraint(row, col) for row in rows[:_ROWGEN_SEED]]
     first = len(cons)  # the structural constraints' first index
     cons += _structural_constraints(lp, col, memories[0])
-    tab = exactlp.optimal_tableau({r_col: 1}, cons, n_vars=r_col + 1)
+    tab = exactlp.optimal_tableau({len(col): 1}, cons, n_vars=len(col) + 1)
     for M in memories:
         for i, con in enumerate(_structural_constraints(lp, col, M), first):
             tab.move_rhs(i, con.rhs)
@@ -447,7 +446,7 @@ def _solve_iterative(lp: LinearProgram, memories):
                 raise exactlp.LpError("witness fails a row it was solved under")
             for _, j in violated[:_ROWGEN_BATCH]:
                 active.add(rows[j])
-                tab.add_row(_genie_constraint(rows[j], col, r_col))
+                tab.add_row(_genie_constraint(rows[j], col))
             tab.reoptimize()
         yield value, assignment
 
@@ -732,23 +731,21 @@ class CertificateReport(NamedTuple):
         }
 
 
-def certificate_reports(inst: ProblemInstance, ds: DemandStructure) -> dict:
+def certificate_reports(ds: DemandStructure) -> dict:
     """Regime -> its CertificateReport, or the error refusing it; each
     selected family's rows are counted from its blocks at most once, and
     no row is built."""
     counts, out = _Memo(lambda regime: _block_counts(ds, _selected_blocks(ds, regime))), {}
     for regime in Regime:
         try:
-            out[regime] = certificate_report(inst, ds, regime, counts)
+            out[regime] = certificate_report(ds, regime, counts)
         except (RegimeMismatchError, FamilyError) as exc:
             out[regime] = exc
     return out
 
 
-def certificate_report(
-    inst: ProblemInstance, ds: DemandStructure, regime: Regime, counts: _Memo
-) -> CertificateReport:
-    """Rebuild one regime's weighted-sum certificate and verify it.
+def certificate_report(ds: DemandStructure, regime: Regime, counts: _Memo) -> CertificateReport:
+    """Rebuild one regime's weighted-sum certificate, a line in M, and verify it.
 
     The selected family is averaged into the aggregate inequality, mixed
     with the complementary family at the regime's weight, and combined
@@ -757,15 +754,17 @@ def certificate_report(
     are admissible, the aggregate matches its closed form, every residual
     coefficient is non-negative, and the resulting bound meets ``rstar_u``
     at both ends of the regime's segment of ``corner_memories``: the upper
-    segment for high_m, the lower (or only) one otherwise. A regime whose
-    parameter condition fails raises RegimeMismatchError. ``counts`` maps
-    a regime to its selected family's (key counts, rows), as
-    ``certificate_reports`` counts them from the family's blocks.
+    segment for high_m, the lower (or only) one otherwise; only K, a and b
+    of ``ds.inst`` are read. A regime whose parameter condition fails
+    raises RegimeMismatchError. ``counts`` maps a regime to its selected
+    family's (key counts, rows), as ``certificate_reports`` counts them
+    from the family's blocks.
 
     All is compared in integers over one denominator D, the lcm of each
     family's weight per row, the multipliers' and the closed form's (on a
     shared file's empty mask and singletons, a unique file's empty mask).
     """
+    inst = ds.inst
     K, a, b = inst.K, inst.a, inst.b
     weights: dict = {}
     if regime is Regime.LARGE_B and coded_gain_regime(inst):

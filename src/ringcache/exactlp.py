@@ -17,7 +17,8 @@ at (r, c) with p = a_rc sets every other entry to
 (a_ij*p - a_ic*a_rj) // D, a division that is exact by Sylvester's
 identity (E. H. Bareiss, Math. Comp. 1968), and then D = p; the pivot row
 is negated first when p < 0, so D stays positive. Coefficients and costs
-are ints and enter the tableau as they are; anything else is refused with
+are ints and enter the tableau as they are, and a right-hand side is an
+int or a Fraction; anything else, a float included, is refused with
 ValueError. Only the rhs column is scaled, by the lcm of its denominators,
 grown as rows arrive; the optimum value and point are returned as
 `fractions.Fraction`s.
@@ -55,14 +56,13 @@ class InfeasibleError(LpError):
 
 
 class Constraint:
-    """Sparse row: sum(coeffs[j] * x_j) <= rhs, its sense always ``<=``."""
+    """Sparse row: sum(coeffs[j] * x_j) <= rhs, rhs an int or a Fraction."""
 
-    __slots__ = ("coeffs", "sense", "rhs")
+    __slots__ = ("coeffs", "rhs")
+    sense = LESS_EQ
 
-    def __init__(self, coeffs: dict, sense: str, rhs) -> None:
-        if sense != LESS_EQ:
-            raise ValueError(f"unknown sense {sense!r}")
-        self.coeffs, self.sense, self.rhs = coeffs, sense, Fraction(rhs)
+    def __init__(self, coeffs: dict, rhs) -> None:
+        self.coeffs, self.rhs = coeffs, rhs
 
 
 class LpSolution(NamedTuple):
@@ -140,9 +140,12 @@ class _Tableau:
                 x[bv] = Fraction(self.rows[r][-1], scale)
         return LpSolution(value=self.value(), x=x)
 
-    def _rhs_int(self, value: Fraction) -> int:
+    def _rhs_int(self, value) -> int:
         """value * rhs_scale as an int, first multiplying the rhs column, and
-        the objective value, by whatever makes it one."""
+        the objective value, by whatever makes it one. A right-hand side
+        that is neither an int nor a Fraction is refused."""
+        if type(value) not in (int, Fraction):
+            raise ValueError(f"right-hand side {value!r} is neither an int nor a Fraction")
         f = (value * self.rhs_scale).denominator
         if f > 1:
             for row in self.rows:
@@ -152,10 +155,11 @@ class _Tableau:
         return int(value * self.rhs_scale)
 
     def add_row(self, con: Constraint) -> None:
-        """Add the constraint's row, checked by ``_integral``, with a new basic
-        slack. In the current basis the row is D*a - sum_i a[basis[i]]*row_i,
-        exact in ints as every basic column is D*e_i; the reduced costs keep
-        their signs. Call ``reoptimize`` after the last row."""
+        """Add the constraint's row, checked by ``_integral`` and ``_rhs_int``,
+        with a new basic slack. In the current basis the row is
+        D*a - sum_i a[basis[i]]*row_i, exact in ints as every basic column is
+        D*e_i; the reduced costs keep their signs. Call ``reoptimize`` after
+        the last row."""
         _integral(con, self.n_vars)
         coeffs, d, n = con.coeffs, self.denom, self.n_cols
         rhs = self._rhs_int(con.rhs)
@@ -178,8 +182,7 @@ class _Tableau:
         """Set constraint i's right-hand side. The move goes through the
         column of its slack, which holds D*B^-1*e_i; the reduced costs do
         not change. Call ``reoptimize`` after the last move."""
-        rhs = Fraction(rhs)
-        k = self._rhs_int(rhs - self.rhs[i])
+        k = self._rhs_int(rhs) - self._rhs_int(self.rhs[i])
         self.rhs[i] = rhs
         if k:
             col = self.n_vars + i
@@ -225,7 +228,8 @@ def optimal_tableau(objective, constraints, n_vars: int) -> _Tableau:
     ``move_rhs`` and ``reoptimize``.
 
     All variables are non-negative. Raises InfeasibleError, or ValueError
-    on a cost or coefficient that is not an int or a cost that is negative.
+    on a cost or coefficient that is not an int, a cost that is negative or
+    a right-hand side that is neither an int nor a Fraction.
     """
     cost = [0] * n_vars
     for j, v in objective.items():

@@ -69,13 +69,19 @@ def nodes_of(mask: int) -> tuple[int, ...]:
 class ProblemInstance:
     """The (K, a, b, L, M) tuple every operation is parameterised on.
 
-    M is an exact rational number of file-units in [0, 2a+b]; anything
-    larger is clamped to 2a+b because the load is already 0 there.
+    K, a, b and L are ints. M is an exact rational number of file-units,
+    given as an int or a Fraction, in [0, 2a+b]; anything larger is
+    clamped to 2a+b because the load is already 0 there.
     """
 
     __slots__ = ("K", "a", "b", "L", "M")
 
     def __init__(self, K: int, a: int, b: int, L: int = 1, M=Fraction(0)) -> None:
+        for name, value in (("K", K), ("a", a), ("b", b), ("L", L)):
+            if type(value) is not int:
+                raise InvalidInstanceError(f"{name} must be an integer, got {value!r}")
+        if type(M) not in (int, Fraction):
+            raise InvalidInstanceError(f"M must be an int or a Fraction, got {M!r}")
         if K < 2:
             raise InvalidInstanceError(f"K must be >= 2, got {K}")
         if a < 0 or b < 0:
@@ -112,7 +118,7 @@ class ProblemInstance:
         return 2 * self.a + self.b
 
     def with_m(self, m) -> "ProblemInstance":
-        return ProblemInstance(self.K, self.a, self.b, self.L, Fraction(m))
+        return ProblemInstance(self.K, self.a, self.b, self.L, m)
 
     def to_json_dict(self) -> dict:
         return {"K": self.K, "a": self.a, "b": self.b, "L": self.L, "M": str(self.M)}
@@ -157,8 +163,8 @@ class DemandStructure(NamedTuple):
     ``part1[k-1]`` holds the `a` files region k shares with its left
     neighbour, ``part2[k-1]`` the `b` files unique to region k, and
     ``part3[k-1]`` the `a` files shared with the right neighbour (which
-    equal ``part1`` of that neighbour). ``class1`` collects all shared
-    files, ``class2`` all unique ones.
+    equal ``part1`` of that neighbour). ``class2`` collects all unique
+    files.
     """
 
     inst: ProblemInstance
@@ -167,7 +173,6 @@ class DemandStructure(NamedTuple):
     part3: tuple[tuple[int, ...], ...]
     demands: tuple[tuple[int, ...], ...]
     demand_sets: tuple[frozenset, ...]
-    class1: frozenset
     class2: frozenset
 
     def home_region(self, i: int) -> int:
@@ -221,7 +226,6 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
         demands.append(tuple(full))
         demand_sets.append(frozenset(full))
 
-    class1 = frozenset(i for p in part1 for i in p)
     class2 = frozenset(i for p in part2 for i in p)
     ds = DemandStructure(
         inst=inst,
@@ -230,7 +234,6 @@ def build_demand_structure(inst: ProblemInstance) -> DemandStructure:
         part3=tuple(part3),
         demands=tuple(demands),
         demand_sets=tuple(demand_sets),
-        class1=class1,
         class2=class2,
     )
     return ds

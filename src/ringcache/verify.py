@@ -24,6 +24,7 @@ from ringcache.bounds import (
 from ringcache.model import ProblemInstance, build_demand_structure, enumerate_demands
 from ringcache.schemes import (
     accessible_nodes,
+    check_demands,
     decode,
     deliver,
     deliver_bits,
@@ -134,9 +135,8 @@ def criterion_3_lp_tightness() -> CriterionResult:
 def criterion_4_certificates(instances=None) -> CriterionResult:
     """Certificates verify exactly on matching regimes and error otherwise."""
     for base, ds in _structures(instances or sweep_instances()):
-        inst = base.with_m(Fraction(1))
-        coded = coded_gain_regime(inst)
-        for regime, report in cv.certificate_reports(inst, ds).items():
+        coded = coded_gain_regime(base)
+        for regime, report in cv.certificate_reports(ds).items():
             matching = coded if regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M) else not coded
             raised = isinstance(report, cv.RegimeMismatchError)
             passed = isinstance(report, cv.CertificateReport) and report.ok
@@ -232,6 +232,7 @@ def criterion_7_roundtrip(instances=None, trials: int = 100) -> CriterionResult:
             if err:
                 return CriterionResult(7, False, f"({K},{a},{b},L={ell},M={m}): {err}")
         if K <= 3:
+            check_demands(base)
             for m in (Fraction(0), Fraction(a + b), Fraction(2 * a + b)):
                 inst = base.with_m(m)
                 for d in enumerate_demands(ds):

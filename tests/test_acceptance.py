@@ -7,9 +7,11 @@ rational equalities; nothing here is tuned or approximate.
 
 from fractions import Fraction
 
+import pytest
+
 from ringcache import verify
 from ringcache.bounds import corner_memories
-from ringcache.model import ProblemInstance
+from ringcache.model import BudgetExceededError, ProblemInstance
 from test_bounds import battery_grid
 
 
@@ -67,6 +69,16 @@ def test_criterion_6_multiaccess_optimality():
 
 def test_criterion_7_bit_exact_roundtrip():
     _report(verify.criterion_7_roundtrip())
+
+
+def test_criterion_7_checks_the_demand_budget_before_it_enumerates(monkeypatch):
+    # (3, 1000, 1) has 2001^3 demand vectors; the sweep is refused before any.
+    def no_enumeration(ds):
+        raise AssertionError("criterion 7 enumerated past the budget")
+
+    monkeypatch.setattr(verify, "enumerate_demands", no_enumeration)
+    with pytest.raises(BudgetExceededError, match=r"^8012006001 demand vectors exceed "):
+        verify.criterion_7_roundtrip([(3, 1000, 1)], trials=0)
 
 
 def test_criterion_8_loose_bound_probe():

@@ -128,16 +128,16 @@ def genie_inequality(ds, d, u, full_masks=False):
     return row
 
 
-def certificate(inst, ds, regime):
+def certificate(ds, regime):
     """One regime's certificate report; raises the error that refuses it."""
-    report = cv.certificate_reports(inst, ds)[regime]
+    report = cv.certificate_reports(ds)[regime]
     if isinstance(report, Exception):
         raise report
     return report
 
 
-def certificate_check(inst, ds, regime):
-    return certificate(inst, ds, regime).ok
+def certificate_check(ds, regime):
+    return certificate(ds, regime).ok
 
 
 def block_average(ds, blocks):
@@ -216,13 +216,13 @@ def expanded_residuals(report):
     return {key: Fraction(r, report.denominator) for key, r in report._scaled_residuals()}
 
 
-def oracle_residuals(inst, ds, agg, mu):
+def oracle_residuals(ds, agg, mu):
     """The per-key residual loop the per-class one replaced."""
     mu1, mu2, mum = mu
-    out = {}
-    for i in range(1, inst.N + 1):
-        mu_class = mu1 if i in ds.class1 else mu2
-        for m in range(1 << inst.K):
+    shared, out = set(chain.from_iterable(ds.part1)), {}
+    for i in range(1, ds.inst.N + 1):
+        mu_class = mu1 if i in shared else mu2
+        for m in range(1 << ds.inst.K):
             r = agg.get((i, m), Fraction(0)) - (mu_class - mum * m.bit_count())
             if r:
                 out[(i, m)] = r
@@ -237,11 +237,11 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-def report_outcomes(inst, ds):
+def report_outcomes(ds):
     """Regime -> its certificate report, or the type and text of its refusal."""
     return {
         regime: (type(report), str(report)) if isinstance(report, Exception) else report
-        for regime, report in cv.certificate_reports(inst, ds).items()
+        for regime, report in cv.certificate_reports(ds).items()
     }
 
 
@@ -730,8 +730,8 @@ class TestSelectedFamily:
             cv.selected_family(ds, cv.Regime.HIGH_M)
 
     def test_certificates_have_no_row_budget(self):
-        inst, ds = setup(9, 5, 1, M=1)  # 2K a^(K-1) b = 7,031,250 high_m rows
-        reports = cv.certificate_reports(inst, ds)
+        _, ds = setup(9, 5, 1)  # 2K a^(K-1) b = 7,031,250 high_m rows
+        reports = cv.certificate_reports(ds)
         assert all(reports[r].ok for r in (cv.Regime.HIGH_M, cv.Regime.LOW_M))
 
     def test_variable_budget(self):
@@ -1081,10 +1081,9 @@ def cold_solve_value(sym):
     """The collapsed program solved cold with every genie row at once, the
     warm walk's oracle."""
     col = {key: j for j, key in enumerate(sym.var_keys)}
-    r_col = len(col)
-    cons = [cv._genie_constraint(row, col, r_col) for row in sym.genie_rows]
+    cons = [cv._genie_constraint(row, col) for row in sym.genie_rows]
     cons += cv._structural_constraints(sym, col, sym.inst.M)
-    return cv.exactlp.solve({r_col: 1}, cons, n_vars=r_col + 1).value
+    return cv.exactlp.solve({len(col): 1}, cons, n_vars=len(col) + 1).value
 
 
 class TestGridWalk:
@@ -1488,7 +1487,7 @@ class TestBlockClosure:
 class TestCertificates:
     def test_high_m_bound_matches_closed_form(self):
         inst, ds = setup(3, 2, 1, M=4)
-        report = certificate(inst, ds, cv.Regime.HIGH_M)
+        report = certificate(ds, cv.Regime.HIGH_M)
         assert report.ok
         assert report.bound_const == Fraction((3 - 1) * 5, 2 * 2)
         assert report.bound_m_coeff == -Fraction(3 - 1, 2 * 2)
@@ -1496,33 +1495,41 @@ class TestCertificates:
 
     def test_low_m_weight_is_papers_two_thirds(self):
         inst, ds = setup(3, 2, 1, M=1)
-        report = certificate(inst, ds, cv.Regime.LOW_M)
+        report = certificate(ds, cv.Regime.LOW_M)
         assert report.ok
         assert report.weights["mix"] == Fraction(2, 3)
         assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
     def test_large_b_weight(self):
         inst, ds = setup(4, 1, 2, M=2)
-        report = certificate(inst, ds, cv.Regime.LARGE_B)
+        report = certificate(ds, cv.Regime.LARGE_B)
         assert report.ok
         assert report.weights["mix"] == Fraction(8, 12)
         assert report.bound_const + report.bound_m_coeff * inst.M == rstar_u(inst)
 
+    def test_reports_read_no_cache_size(self):
+        # A certificate is a line in M, checked at the corners: the
+        # structure's own M is never read.
+        for K, a, b in ((3, 2, 1), (4, 1, 2)):
+            want = report_outcomes(setup(K, a, b)[1])
+            for M in (Fraction(1, 3), 2, 2 * a + b):
+                assert report_outcomes(setup(K, a, b, M=M)[1]) == want
+
     def test_mismatch_raises(self):
-        inst, ds = setup(3, 2, 1, M=1)
+        _, ds = setup(3, 2, 1)
         with pytest.raises(cv.RegimeMismatchError):
-            certificate_check(inst, ds, cv.Regime.LARGE_B)
-        inst2, ds2 = setup(4, 1, 2, M=1)
+            certificate_check(ds, cv.Regime.LARGE_B)
+        _, ds2 = setup(4, 1, 2)
         for regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M):
             with pytest.raises(cv.RegimeMismatchError):
-                certificate_check(inst2, ds2, regime)
+                certificate_check(ds2, regime)
 
     def test_boundary_counts_as_uncoded_regime(self):
         # b(K-1) == 2a sits in the uncoded-regime case split
-        inst, ds = setup(3, 1, 1, M=1)
-        assert certificate_check(inst, ds, cv.Regime.LARGE_B)
+        _, ds = setup(3, 1, 1)
+        assert certificate_check(ds, cv.Regime.LARGE_B)
         with pytest.raises(cv.RegimeMismatchError):
-            certificate_check(inst, ds, cv.Regime.HIGH_M)
+            certificate_check(ds, cv.Regime.HIGH_M)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
@@ -1533,10 +1540,10 @@ class TestCertificates:
         for regime in cv.Regime:
             matching = coded if regime is not cv.Regime.LARGE_B else not coded
             if matching:
-                assert certificate_check(inst, ds, regime)
+                assert certificate_check(ds, regime)
             else:
                 with pytest.raises(cv.RegimeMismatchError):
-                    certificate_check(inst, ds, regime)
+                    certificate_check(ds, regime)
 
 
 class TestCountedCertificates:
@@ -1552,16 +1559,16 @@ class TestCountedCertificates:
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 0, 2), (4, 1, 2),
                                        (5, 3, 1)])
     def test_reports_build_no_row(self, K, a, b, monkeypatch):
-        inst, ds = setup(K, a, b, M=1)
+        _, ds = setup(K, a, b)
         with monkeypatch.context() as patch:
             patch.setattr(cv, "_block_counts", row_built_counts)
-            want = report_outcomes(inst, ds)
+            want = report_outcomes(ds)
 
         def no_rows(*_args):
             raise AssertionError("a certificate built a row")
 
         monkeypatch.setattr(cv, "_block_rows", no_rows)
-        assert report_outcomes(inst, ds) == want
+        assert report_outcomes(ds) == want
 
     @staticmethod
     def per_key_verdicts(K, a, b) -> Counter:
@@ -1569,17 +1576,17 @@ class TestCountedCertificates:
         the per-key loop: its expanded residuals, its least nonzero one and
         its verdict. Counts the reports by whether every residual is
         non-negative."""
-        inst, ds = setup(K, a, b)
+        _, ds = setup(K, a, b)
         counts = cv._Memo(lambda regime: cv._block_counts(ds, cv._selected_blocks(ds, regime)))
         halved = cv._Memo(lambda regime: (counts[regime][0], 2 * counts[regime][1]))
         checked = Counter()
         for regime, family_counts in product(cv.Regime, (counts, halved)):
             try:
-                report = cv.certificate_report(inst, ds, regime, family_counts)
+                report = cv.certificate_report(ds, regime, family_counts)
             except (cv.RegimeMismatchError, cv.FamilyError):
                 continue
             agg = mixed_average(family_counts, regime, report.weights)
-            want = oracle_residuals(inst, ds, agg, report.multipliers)
+            want = oracle_residuals(ds, agg, report.multipliers)
             assert expanded_residuals(report) == want
             assert report.min_residual == min(want.values(), default=0)
             residuals_ok = min(want.values(), default=0) >= 0
@@ -1605,18 +1612,18 @@ class TestCountedCertificates:
     def test_a_moved_singleton_count_breaks_the_aggregate(self, K, a, b):
         # The empty mask, each file's total and the row count stay; only two
         # singletons of one shared file leave the closed form.
-        inst, ds = setup(K, a, b)
+        _, ds = setup(K, a, b)
         counts = cv._Memo(lambda regime: cv._block_counts(ds, cv._selected_blocks(ds, regime)))
 
         def moved(regime):
             total, n_rows = counts[regime]
-            total, i = dict(total), min(ds.class1)
+            total, i = dict(total), min(chain.from_iterable(ds.part1))
             total[i, 1], total[i, 2] = total[i, 1] - 1, total[i, 2] + 1
             return total, n_rows
 
         for regime in (cv.Regime.HIGH_M, cv.Regime.LOW_M):
-            assert cv.certificate_report(inst, ds, regime, counts).aggregate_matches
-            report = cv.certificate_report(inst, ds, regime, cv._Memo(moved))
+            assert cv.certificate_report(ds, regime, counts).aggregate_matches
+            report = cv.certificate_report(ds, regime, cv._Memo(moved))
             assert not report.aggregate_matches and not report.ok
 
     @pytest.mark.parametrize("K", range(6, 13))
@@ -1637,7 +1644,7 @@ class TestCountedCertificates:
         for a, b in ((K // 2, 1), (1, 2)):
             inst, ds = setup(K, a, b)
             coded = coded_gain_regime(inst)
-            for regime, report in cv.certificate_reports(inst, ds).items():
+            for regime, report in cv.certificate_reports(ds).items():
                 if (regime is not cv.Regime.LARGE_B) != coded:
                     assert isinstance(report, cv.RegimeMismatchError), regime
                     continue

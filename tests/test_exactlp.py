@@ -48,7 +48,7 @@ def integer_form(cost, rows):
         signs = {LESS_EQ: (1,), GREATER_EQ: (-1,), EQUAL: (1, -1)}[row.sense]
         for sign in signs:
             coeffs = {j: int(v * sign * scale) for j, v in row.coeffs.items()}
-            constraints.append(Constraint(coeffs, LESS_EQ, row.rhs * sign * scale))
+            constraints.append(Constraint(coeffs, row.rhs * sign * scale))
     return {j: int(v * factor) for j, v in cost.items()}, constraints, factor
 
 
@@ -264,7 +264,7 @@ class TestKnownPrograms:
 
     def test_exact_rationals_survive(self):
         # min x s.t. -3x <= -5/7: a rational rhs, x = 5/21
-        sol = exactlp.solve({0: 1}, [Constraint({0: -3}, LESS_EQ, Fraction(-5, 7))], n_vars=1)
+        sol = exactlp.solve({0: 1}, [Constraint({0: -3}, Fraction(-5, 7))], n_vars=1)
         assert sol.value == Fraction(5, 21) and sol.x == [Fraction(5, 21)]
         sol = int_solve({0: Fraction(1, 3)}, [C({0: 1}, GREATER_EQ, Fraction(5, 7))], n_vars=1)
         assert sol.value == Fraction(5, 21)
@@ -296,7 +296,7 @@ class TestKnownPrograms:
     def test_negative_cost_is_refused(self):
         # min -x s.t. -x <= 0 is unbounded; a negative cost is refused first.
         with pytest.raises(ValueError, match="negative cost"):
-            exactlp.solve({0: 1, 1: -1}, [Constraint({1: -1}, LESS_EQ, 0)], n_vars=2)
+            exactlp.solve({0: 1, 1: -1}, [Constraint({1: -1}, 0)], n_vars=2)
 
     def test_redundant_equalities(self):
         sol = int_solve(
@@ -312,7 +312,7 @@ class TestKnownPrograms:
 
     def test_negative_rhs_normalisation(self):
         # -x <= -3  means x >= 3
-        sol = exactlp.solve({0: 1}, [Constraint({0: -1}, LESS_EQ, -3)], n_vars=1)
+        sol = exactlp.solve({0: 1}, [Constraint({0: -1}, -3)], n_vars=1)
         assert sol.value == 3
 
 
@@ -323,29 +323,33 @@ class TestIntegerForm:
     @pytest.mark.parametrize("cost", [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 1.0])
     def test_a_cost_that_is_no_int_is_refused(self, cost):
         with pytest.raises(ValueError, match="not an int"):
-            exactlp.optimal_tableau({0: cost}, [Constraint({0: 1}, LESS_EQ, 1)], n_vars=1)
+            exactlp.optimal_tableau({0: cost}, [Constraint({0: 1}, 1)], n_vars=1)
 
     def test_a_negative_cost_is_refused(self):
         with pytest.raises(ValueError, match="negative cost"):
-            exactlp.optimal_tableau({0: -1}, [Constraint({0: 1}, LESS_EQ, 1)], n_vars=1)
+            exactlp.optimal_tableau({0: -1}, [Constraint({0: 1}, 1)], n_vars=1)
 
     @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(1), 1.0, True])
     def test_a_coefficient_that_is_no_int_is_refused(self, coeff):
-        row = Constraint({0: 1, 1: coeff}, LESS_EQ, 1)
+        row = Constraint({0: 1, 1: coeff}, 1)
         with pytest.raises(ValueError, match="not an int"):
             exactlp.optimal_tableau({0: 1}, [row], n_vars=2)
-        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: 1, 1: 1}, LESS_EQ, 1)], n_vars=2)
+        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: 1, 1: 1}, 1)], n_vars=2)
         with pytest.raises(ValueError, match="not an int"):
             tab.add_row(row)
 
-    def test_a_greater_equal_row_is_refused(self):
-        with pytest.raises(ValueError, match="unknown sense '>='"):
-            Constraint({0: 1}, GREATER_EQ, 1)
-
-    def test_an_equality_is_refused(self):
-        # An equality enters as its two <= rows (``integer_form``).
-        with pytest.raises(ValueError, match="unknown sense '=='"):
-            Constraint({0: 1}, EQUAL, 1)
+    @pytest.mark.parametrize("rhs", [-0.1, 0.5, 1.0, True, "1/2", None])
+    def test_an_inexact_right_hand_side_is_refused(self, rhs):
+        match = "^right-hand side .* is neither an int nor a Fraction$"
+        with pytest.raises(ValueError, match=match):
+            exactlp.solve({0: 1}, [Constraint({0: -1}, rhs)], n_vars=1)
+        tab = exactlp.optimal_tableau({0: 1}, [Constraint({0: -1}, -1)], n_vars=1)
+        with pytest.raises(ValueError, match=match):
+            tab.add_row(Constraint({0: 1}, rhs))
+        with pytest.raises(ValueError, match=match):
+            tab.move_rhs(0, rhs)
+        assert tab.rhs == [-1] and len(tab.rows) == 1
+        assert tab.reoptimize() == 1
 
     def test_integer_form_keeps_the_program(self):
         # x0/2 + x1/3 >= 5/4 becomes -3 x0 - 2 x1 <= -15/2, and the cost
@@ -484,12 +488,17 @@ class TestAgainstFractionTableau:
         assert len(programs) >= 4 and added and len(checks) > len(programs) and all(checks)
 
 
-def check_duals(tab, value):
+def check_duals(tab, value, cost, constraints):
     """Assert that the optimal tableau's multipliers, constraint i's
-    y_i = -obj[n_vars + i] / denom, are <= 0 and that the right-hand sides
-    weighted by them sum to the optimum value."""
+    y_i = -obj[n_vars + i] / denom, are <= 0, that they satisfy the dual
+    rows, sum_i y_i * A[i][j] <= cost[j] for every structural column j,
+    and that the right-hand sides weighted by them sum to the optimum
+    value. ``constraints`` are the tableau's, in its order."""
     y = [Fraction(-tab.obj[tab.n_vars + i], tab.denom) for i in range(len(tab.rhs))]
+    assert len(constraints) == len(y)
     assert all(v <= 0 for v in y)
+    for j in range(tab.n_vars):
+        assert sum(v * con.coeffs.get(j, 0) for v, con in zip(y, constraints)) <= cost.get(j, 0)
     assert sum(b * v for b, v in zip(tab.rhs, y)) == value
 
 
@@ -504,7 +513,7 @@ def warm_outcome(tab, cost, constraints, n):
     assert all(type(v) is int for row in tab.rows + [tab.obj] for v in row)
     assert type(tab.denom) is int and type(tab.rhs_scale) is int
     check_point(tab.solution().x, value, cost, constraints)
-    check_duals(tab, value)
+    check_duals(tab, value, cost, constraints)
     return value
 
 
@@ -563,7 +572,7 @@ class TestIncremental:
             # solve of the moved program is optimal or infeasible too.
             for i in range(len(program)):
                 rhs = Fraction(rng.randrange(-6, 13), rng.choice((1, 2, 3, 5)))
-                program[i] = Constraint(program[i].coeffs, LESS_EQ, rhs)
+                program[i] = Constraint(program[i].coeffs, rhs)
                 tab.move_rhs(i, rhs)
                 got = warm_outcome(tab, cost, program, n)
                 assert got == cold_value(cost, program, n)
@@ -578,10 +587,10 @@ class TestIncremental:
         # pivot, the third pivot takes the row with the lowest basic index,
         # not the most negative one, and reaches the same optimum.
         cost = {2: 1}
-        base = [Constraint({0: 1, 1: 1, 2: 1}, LESS_EQ, 10)]
-        rows = [Constraint({0: -1, 1: -2}, LESS_EQ, -4),
-                Constraint({0: 2, 1: 3, 2: -3}, LESS_EQ, -4),
-                Constraint({0: -3, 1: -1, 2: 3}, LESS_EQ, -1)]
+        base = [Constraint({0: 1, 1: 1, 2: 1}, 10)]
+        rows = [Constraint({0: -1, 1: -2}, -4),
+                Constraint({0: 2, 1: 3, 2: -3}, -4),
+                Constraint({0: -3, 1: -1, 2: 3}, -1)]
         pivot, log = exactlp._Tableau.pivot, []
 
         def spy(tab, r, c):
@@ -613,26 +622,35 @@ WALKS = [(2, 1, 1, None), (3, 1, 1, None), (3, 2, 1, None), (4, 1, 1, None), (4,
 class TestDualReadOff:
     def test_multipliers_prove_every_grid_point(self, monkeypatch):
         # The walk's tableau at every memory_grid point: constraint i's
-        # multiplier -obj[n_vars + i] / denom is <= 0, and the multipliers
-        # times the right-hand sides sum to the optimum. A partition row
-        # enters as a <= pair, so no term corrects for it.
-        tableaus, start = [], exactlp.optimal_tableau
+        # multiplier -obj[n_vars + i] / denom is <= 0, the multipliers meet
+        # every dual row, over the cold start's rows and those the walk
+        # added, and times the right-hand sides they sum to the optimum. A
+        # partition row enters as a <= pair, so no term corrects for it.
+        tableaus, rows = [], {}
+        start, add_row = exactlp.optimal_tableau, exactlp._Tableau.add_row
 
-        def capture(*args, **kwargs):
-            tableaus.append(start(*args, **kwargs))
-            return tableaus[-1]
+        def capture(objective, constraints, n_vars):
+            tableaus.append((objective, len(constraints), start(objective, constraints, n_vars)))
+            return tableaus[-1][2]
+
+        def record(tab, con):
+            rows.setdefault(tab, []).append(con)
+            return add_row(tab, con)
 
         monkeypatch.setattr(exactlp, "optimal_tableau", capture)
-        points = 0
+        monkeypatch.setattr(exactlp._Tableau, "add_row", record)
+        points, grown = 0, 0
         for K, a, b, regime in WALKS:
             inst = ProblemInstance(K, a, b)
             ds = build_demand_structure(inst)
             family = cv.full_family(ds) if regime is None else cv.selected_family(ds, regime)
             sym = cv.symmetrize(cv.build_lp(inst, family))
             for value, _ in cv._solve_iterative(sym, memory_grid(inst)):
-                check_duals(tableaus[-1], value)
+                cost, n_cold, tab = tableaus[-1]
+                check_duals(tab, value, cost, rows[tab])
+                grown += len(rows[tab]) > n_cold
                 points += 1
-        assert points == 118
+        assert points == 118 and grown
 
 
 def hand_built_tableau(objective, constraints, n_vars):

@@ -49,8 +49,9 @@ def assert_invariants(ds):
         assert len(ks) == 1 or cyclic_mod(ks[1] - ks[0], K) in (1, K - 1), \
             f"non-neighbouring D[{ks[0]}], D[{ks[1]}] intersect"
     assert set(holders) == set(range(1, ds.inst.N + 1))
-    assert not ds.class1 & ds.class2
-    assert len(ds.class1) == a * K and len(ds.class2) == b * K
+    shared = {i for part in ds.part1 for i in part}
+    assert not shared & ds.class2
+    assert len(shared) == a * K and len(ds.class2) == b * K
 
 
 class TestCyclicMod:
@@ -104,7 +105,7 @@ class TestBuildDemandStructure:
         assert set(ds.demand_sets[0]) == {1, 2, 3, 4, 5}
         assert set(ds.demand_sets[1]) == {4, 5, 6, 7, 8}
         assert set(ds.demand_sets[2]) == {7, 8, 9, 1, 2}
-        assert ds.class1 == {1, 2, 4, 5, 7, 8}
+        assert {i for part in ds.part1 for i in part} == {1, 2, 4, 5, 7, 8}
         assert ds.class2 == {3, 6, 9}
         assert ds.part1[0] == (1, 2) and ds.part2[0] == (3,) and ds.part3[0] == (4, 5)
 
@@ -120,7 +121,7 @@ class TestBuildDemandStructure:
         assert set(ds.demand_sets[0]) == {1, 2}
         assert set(ds.demand_sets[1]) == {3, 4}
         assert ds.demand_sets[0].isdisjoint(ds.demand_sets[1])
-        assert ds.class1 == frozenset()
+        assert not any(ds.part1)
 
     def test_two_regions_share_both_sides(self):
         # For K=2 the left and right neighbour coincide; the interval
@@ -235,6 +236,20 @@ class TestProblemInstance:
         assert ProblemInstance.from_json_dict(doc) == inst
         strings = {"K": "4", "a": " 1", "b": "2", "L": "2", "M": 2.5}
         assert ProblemInstance.from_json_dict(strings) == inst
+
+    @pytest.mark.parametrize("field", ["K", "a", "b", "L"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, Fraction(3), "3", None])
+    def test_refuses_a_non_integer(self, field, value):
+        fields = {"K": 3, "a": 2, "b": 1, "L": 1, field: value}
+        with pytest.raises(InvalidInstanceError, match=f"^{field} must be an integer, got "):
+            ProblemInstance(**fields)
+
+    @pytest.mark.parametrize("m", [0.1, 2.0, True, "1/2", None])
+    def test_refuses_an_inexact_cache_size(self, m):
+        with pytest.raises(InvalidInstanceError, match="^M must be an int or a Fraction, got "):
+            ProblemInstance(3, 2, 1, M=m)
+        with pytest.raises(InvalidInstanceError, match="^M must be an int or a Fraction, got "):
+            ProblemInstance(3, 2, 1).with_m(m)
 
     @pytest.mark.parametrize("field", ["K", "a", "b", "L"])
     @pytest.mark.parametrize("value", [3.7, 3.0, True, "1.5", None, [3]])

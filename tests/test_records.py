@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ringcache
-from ringcache.exactlp import Constraint
+from ringcache.exactlp import LESS_EQ, Constraint
 from ringcache.model import InvalidInstanceError, ProblemInstance
 from ringcache.schemes import SchemeSpec, Segment, SegmentKind
 
@@ -67,7 +67,9 @@ def test_cli_builds_its_parser_lazily_and_once():
     (lambda: ProblemInstance(3, 1, 1, L=4), InvalidInstanceError, "L must lie in [1, K]=3, got 4"),
     (lambda: ProblemInstance(3, 1, 1, M=Fraction(-1, 3)), InvalidInstanceError,
      "cache size M must be non-negative, got -1/3"),
-    (lambda: Constraint({0: 1}, "<", 1), ValueError, "unknown sense '<'"),
+    (lambda: ProblemInstance(2.5, 1, 1), InvalidInstanceError, "K must be an integer, got 2.5"),
+    (lambda: ProblemInstance(3, 2, 1, M=0.1), InvalidInstanceError,
+     "M must be an int or a Fraction, got 0.1"),
     (lambda: SchemeSpec((Segment(HALF, DIRECT),)), InvalidInstanceError,
      "segment fractions must sum to 1"),
     (lambda: SchemeSpec((Segment(3 * HALF, DIRECT), Segment(-HALF, SegmentKind.MAN_T1))),
@@ -84,11 +86,14 @@ def test_records_keep_their_constructors():
     assert inst == ProblemInstance(K=3, a=2, b=1, L=1, M=Fraction(4))
     assert hash(inst) == hash(ProblemInstance(3, 2, 1, M=Fraction(4)))
     assert (inst.K, inst.a, inst.b, inst.L, inst.M) == (3, 2, 1, 1, 4)
-    assert type(inst.M) is Fraction
+    assert type(inst.M) is Fraction and type(inst.with_m(2).M) is Fraction
     assert ProblemInstance(3, 2, 1) == ProblemInstance(3, 2, 1, 1, 0) != inst
     assert repr(inst) == "ProblemInstance(K=3, a=2, b=1, L=1, M=Fraction(4, 1))"
-    row = Constraint(coeffs={0: 1}, sense="<=", rhs=2)
-    assert (row.coeffs, row.sense, row.rhs) == ({0: 1}, "<=", 2) and type(row.rhs) is Fraction
+    # A >= row enters negated and an equality as its two <= rows, so a row names no sense.
+    row = Constraint(coeffs={0: 1}, rhs=2)
+    assert (row.coeffs, row.sense, row.rhs) == ({0: 1}, LESS_EQ, 2) and type(row.rhs) is int
+    with pytest.raises(TypeError):
+        Constraint({0: 1}, LESS_EQ, 2)
     segments = (Segment(HALF, DIRECT), Segment(fraction=HALF, kind=SegmentKind.MAN_T1))
     assert SchemeSpec(segments=segments).segments == segments
 
