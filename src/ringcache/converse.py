@@ -29,10 +29,13 @@ the simplex pivots through. On an expanded raw row, whose keys are
 distinct, that order is plain tuple order. A ``Family`` holds its blocks
 and its counted length and lists rows only when iterated; a raw program's
 genie rows are its family, held once. Blocks are the only form a family
-takes: closure is proved block by block, the orbit rows come from
-pattern-reduced copies of the blocks (``_reduced``), witnesses are
-checked block by block and averages are counted from blocks, so raw rows
-are listed only by the raw text export.
+takes: closure is proved block by block, the orbit rows come from one
+(block, template) pair per orbit of the group on pairs
+(``_representatives``; K!/(2K) of the full family's K! templates for
+K >= 3, one pair of a selected family), each from a pattern-reduced copy
+of its block (``_reduced``), witnesses are checked block by block and
+averages are counted from blocks, so raw rows are listed only by the raw
+text export.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, permutations, product, repeat
+from itertools import accumulate, chain, groupby, permutations, product, repeat
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
@@ -537,15 +540,48 @@ def _ring_generators(ds: DemandStructure) -> dict:
     return gens
 
 
-def _block_key(block: Block, phi, sigma, masks) -> tuple:
-    """The block's image under (phi, sigma) as template set, pools by user and
-    rule; user k's pool and top go to user sigma(k). Equal keys, equal rows."""
+def _block_image(block: Block, phi, sigma, masks) -> tuple:
+    """(key, tops): the block's image under (phi, sigma) as template set,
+    pools by user and rule, and each template's image in template order;
+    user k's pool and top go to user sigma(k). Equal keys, equal rows."""
     moved_from = sorted(range(len(sigma)), key=sigma.__getitem__)  # user sigma(k) <- user k
-    return (
-        frozenset(tuple(masks[tops[k]] for k in moved_from) for tops in block.tops),
-        tuple(frozenset(map(phi.__getitem__, block.pools[k])) for k in moved_from),
-        block.full,
-    )
+    tops = [tuple(masks[t[k]] for k in moved_from) for t in block.tops]
+    pools = tuple(frozenset(map(phi.__getitem__, block.pools[k])) for k in moved_from)
+    return (frozenset(tops), pools, block.full), tops
+
+
+def _orbits(n: int, generators) -> tuple:
+    """(index, orbits) of the positions range(n) under ``generators``, each a
+    list mapping a position to its image: each position's orbit number and
+    each orbit's positions, least first, orbits numbered by their least."""
+    index, orbits = [-1] * n, []
+    for j in range(n):
+        if index[j] >= 0:
+            continue
+        orbit = [j]
+        index[j] = len(orbits)
+        for mem in orbit:
+            for moved in generators:
+                if index[moved[mem]] < 0:
+                    index[moved[mem]] = len(orbits)
+                    orbit.append(moved[mem])
+        orbits.append(orbit)
+    return index, orbits
+
+
+def _representatives(blocks, images) -> list:
+    """The blocks cut to the least (block, template) pair of each orbit, a
+    block left with none dropped. Pairs are numbered block by block,
+    template by template, and ``images`` maps them per generator; a pair's
+    image has its rows' images as rows, so its rows project alike."""
+    _, orbits = _orbits(sum(len(b.tops) for b in blocks), images)
+    reps, start, out = {orbit[0] for orbit in orbits}, 0, []
+    for block in blocks:
+        tops = tuple(t for p, t in enumerate(block.tops, start) if p in reps)
+        if tops:
+            out.append(block._replace(tops=tops))
+        start += len(block.tops)
+    return out
 
 
 def _reduced(block: Block, cls: dict) -> Block:
@@ -577,7 +613,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     """Collapse the LP onto orbits of the ring's full symmetry group.
 
     Every generator of ``_ring_generators`` must map each block of the
-    family onto a block of it (``_block_key``), else FamilyError naming the
+    family onto a block of it (``_block_image``), else FamilyError naming the
     first that does not, whose image of the rows may still be the rows. A
     block's image is then a block whose rows are the images of the block's,
     so the family is closed, and as a row's key set is the disjoint union
@@ -586,9 +622,14 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     then keeps the optimum, and the variables collapse to one per orbit,
     named ("orbit", *least member). A row projects to its keys' orbit
     names, sorted; the distinct projections, sorted by ``_row_order``, are
-    the genie rows of the result. The rows projected are those of each
-    block reduced by its files' classes (``_reduced``), which project onto
-    the same rows as the block's, so no raw row is listed.
+    the genie rows of the result. A generator maps the rows of a (block,
+    template) pair onto those of its image pair, and a projection is
+    constant on orbits, so only the rows of the least pair of each orbit
+    are projected (``_representatives``): K!/(2K) of the full family's K!
+    templates for K >= 3 (1 of 2 at K = 2), one pair of a selected family.
+    Each pair's rows are those of its block reduced by its files' classes
+    (``_reduced``), which project onto the same rows as the block's, so no
+    raw row is listed; at (6,1,1) the full family lists 19,320 rows.
     """
     if lp.orbit_members is not None:
         raise ValueError("program is already symmetrised")
@@ -596,29 +637,27 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     keys = lp.var_keys  # key (i, m) at position (i - 1) << K | m, as build_lp lists them
     link_keys = _link_keys(K)
     identity = range(lp.inst.N + 1), range(1, K + 1), range(1 << K)  # phi, sigma, masks
-    block_keys = {_block_key(b, *identity) for b in family.blocks}
-    generators = []
+    block_at = {_block_image(b, *identity)[0]: j for j, b in enumerate(family.blocks)}
+    template_at = [{tops: t for t, tops in enumerate(b.tops)} for b in family.blocks]
+    first = list(accumulate((len(b.tops) for b in family.blocks), initial=0))  # block j's 1st pair
+    generators, images = [], []
     for name, (phi, sigma) in _ring_generators(family.ds).items():
         masks = [sum(1 << s - 1 for j, s in enumerate(sigma) if m >> j & 1) for m in range(1 << K)]
-        if any(_block_key(b, phi, sigma, masks) not in block_keys for b in family.blocks):
-            raise FamilyError(f"the {name} maps a block of the genie family onto no block of it")
+        image = []
+        for b in family.blocks:
+            key, tops = _block_image(b, phi, sigma, masks)
+            j = block_at.get(key)
+            if j is None:
+                raise FamilyError(
+                    f"the {name} maps a block of the genie family onto no block of it")
+            image += [first[j] + template_at[j][t] for t in tops]
+        images.append(image)
         generators.append([(phi[i] - 1) << K | masks[m] for i, m in keys])
 
-    index = [-1] * len(keys)  # key position -> position of its orbit's name
-    names: list = []
-    members: dict = {}
-    for j, key in enumerate(keys):
-        if index[j] >= 0:
-            continue
-        orbit = [j]  # keys come in order, so key is the orbit's least
-        index[j] = len(names)
-        for mem in orbit:
-            for moved in generators:
-                if index[moved[mem]] < 0:
-                    index[moved[mem]] = len(names)
-                    orbit.append(moved[mem])
-        names.append(("orbit", *key))
-        members[names[-1]] = tuple(sorted(keys[mem] for mem in orbit))
+    index, orbits = _orbits(len(keys), generators)
+    names = [("orbit", *keys[orbit[0]]) for orbit in orbits]
+    members = {name: tuple(sorted(keys[mem] for mem in orbit))
+               for name, orbit in zip(names, orbits)}
 
     def project(coeffs) -> tuple:
         counts: Counter = Counter()
@@ -628,7 +667,8 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
     cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
-    rows = chain.from_iterable(_block_rows(family.ds, _reduced(b, cls)) for b in family.blocks)
+    rows = chain.from_iterable(_block_rows(family.ds, _reduced(b, cls))
+                               for b in _representatives(family.blocks, images))
     # A link's projection is the sorted orbit positions of its keys, named
     # by an id; rows with equal id multisets project alike, so each such
     # multiset is concatenated and sorted once.

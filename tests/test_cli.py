@@ -444,6 +444,16 @@ class TestLpCommand:
         assert (code, err) == (0, "")
         assert out == (pinned / f"{name}.txt").read_text()
 
+    @pytest.mark.parametrize("golden,argv", [
+        ("lp_522_m3_full_aggregate", ["lp", "--K", "5", "--a", "2", "--b", "2", "--M", "3"]),
+        ("tradeoff_611_lp", ["tradeoff", "--K", "6", "--a", "1", "--b", "1", "--lp"]),
+    ])
+    def test_frontier_reports_are_the_golden_files(self, capsys, golden, argv):
+        # The full family's largest symmetrised programs the suite solves.
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"{golden}.txt").read_bytes()
+
     @pytest.mark.parametrize("golden,options", [
         ("lp_321_m3_high_m_per_node_raw",
          ["--K", "3", "--a", "2", "--b", "1", "--M", "3", "--family", "high_m",

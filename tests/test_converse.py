@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import lcm
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -1344,8 +1344,9 @@ class TestReducedCollapse:
 
     @pytest.mark.parametrize("K,a,b", REDUCTION_INSTANCES)
     def test_same_orbit_program_as_the_listed_rows(self, monkeypatch, K, a, b):
-        # Whole blocks project every row of the family; closure is proved
-        # block by block on both sides, and against the rows in
+        # Whole blocks project every row of the representative pairs, which
+        # TestRepresentativePairs holds against every pair; closure is
+        # proved block by block on both sides, and against the rows in
         # TestBlockClosure and TestLinkRowsMatchKeyOracles.
         inst, ds = setup(K, a, b, M=a + b)
         for name, family in constructible_families(ds):
@@ -1397,6 +1398,85 @@ class TestReducedCollapse:
         assert cv._reduced(block, cls) is block
         same = block._replace(pools=(shared, shared, ds.part2[2]))
         assert cv._reduced(same, cls).pools == (shared[:2], shared[:2], ds.part2[2][:1])
+
+
+def every_pair(blocks, images):
+    """``_representatives`` keeping every template of every block: the route it replaced."""
+    return list(blocks)
+
+
+def kept_by_representatives(monkeypatch, lp):
+    """The blocks ``_representatives`` returns while ``lp`` is symmetrised."""
+    pick, kept = cv._representatives, []
+
+    def keep(blocks, images):
+        kept.extend(pick(blocks, images))
+        return kept
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cv, "_representatives", keep)
+        cv.symmetrize(lp)
+    return kept
+
+
+class TestRepresentativePairs:
+    """The orbit program from one (block, template) pair per orbit against
+    the projection of every pair's rows."""
+
+    @pytest.mark.parametrize("K,a,b", REDUCTION_INSTANCES)
+    def test_same_orbit_program_as_every_pair(self, monkeypatch, K, a, b):
+        inst, ds = setup(K, a, b, M=a + b)
+        for name, family in constructible_families(ds):
+            for mode in (cv.AGGREGATE, cv.PER_NODE):
+                lp = cv.build_lp(inst, family, mode)
+                got = cv.symmetrize(lp)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cv, "_representatives", every_pair)
+                    want = cv.symmetrize(lp)
+                assert orbit_fields(got) == orbit_fields(want), (name, mode)
+
+    @pytest.mark.parametrize("K,a,b", [(6, 1, 1), (5, 2, 2)])
+    def test_same_full_orbit_program_as_every_pair(self, monkeypatch, K, a, b):
+        inst, ds = setup(K, a, b, M=1)
+        lp = cv.build_lp(inst, cv.full_family(ds))
+        got = cv.symmetrize(lp)
+        monkeypatch.setattr(cv, "_representatives", every_pair)
+        assert orbit_fields(got) == orbit_fields(cv.symmetrize(lp))
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_full_family_keeps_one_order_per_dihedral_orbit(self, monkeypatch, K):
+        # Only the shift and the reflection move nodes; from K = 3 the 2K
+        # node maps they generate move every decoding order, at K = 2 both
+        # are the one swap.
+        inst, ds = setup(K, 1, 1, M=1)
+        (block,) = kept_by_representatives(monkeypatch, cv.build_lp(inst, cv.full_family(ds)))
+        assert len(block.tops) == (1 if K == 2 else factorial(K) // (2 * K))
+        assert set(block.tops) <= set(cv.full_family(ds).blocks[0].tops)
+
+    @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 2, 1), (4, 1, 2), (5, 3, 1)])
+    def test_selected_family_keeps_one_pair(self, monkeypatch, K, a, b):
+        inst, ds = setup(K, a, b, M=1)
+        for regime in cv.Regime:
+            try:
+                family = cv.selected_family(ds, regime)
+            except cv.FamilyError:
+                continue
+            kept = kept_by_representatives(monkeypatch, cv.build_lp(inst, family))
+            assert [len(block.tops) for block in kept] == [1], regime
+            assert kept[0] in family.blocks, regime
+
+    def test_full_family_at_611_lists_a_twelfth_of_its_reduced_rows(self, monkeypatch):
+        inst, ds = setup(6, 1, 1, M=2)
+        lp = cv.build_lp(inst, cv.full_family(ds))
+        listed = []
+        block_rows = cv._block_rows
+        monkeypatch.setattr(cv, "_block_rows", lambda ds, block: listed.append(
+            len(rows := block_rows(ds, block))) or rows)
+        cv.symmetrize(lp)
+        assert sum(listed) == 19_320
+        monkeypatch.setattr(cv, "_representatives", every_pair)
+        cv.symmetrize(lp)
+        assert sum(listed) == 19_320 + 231_840
 
 
 def perturbed_blocks(ds, blocks):
