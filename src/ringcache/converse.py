@@ -12,8 +12,9 @@ the reflection and relabelling of files inside one part, each generator
 a file and a node permutation), proving closure block by block, and
 rebuilds the weighted-sum certificates that give the closed forms.
 
-Variable keys are (file, node-mask) pairs; symmetrised programs use
-("orbit", file, mask) keys naming the orbit representative.
+Column j of a program is ``var_keys[j]``, a (file, node-mask) key (i, m)
+at j = (i-1) << K | m, or an orbit ("orbit", *least member) numbered in
+that member's order; every row but a raw program's genie rows is keyed by it.
 
 A genie row R >= sum(y[k] for k in row) has every coefficient one. Its
 i-th decoded user covers its file over every submask of ``top``, the
@@ -22,11 +23,9 @@ rows, over the empty mask and the singletons of ``top``. A raw row is the
 sorted tuple of its K links, one int per user holding file, ``top`` and
 rule (``_link``), and denotes the disjoint union of their key sets; only
 the raw text export expands it (``_expand``), printing rows in expanded
-key order. A symmetrised row is the sorted tuple of its keys' orbit
-names, so its coefficients are multiplicities; such rows are sorted by
-their (key, multiplicity) pairs (``_row_order``), the constraint order
-the simplex pivots through. On an expanded raw row, whose keys are
-distinct, that order is plain tuple order. A ``Family`` holds its blocks
+key order. A symmetrised row is the sorted tuple of its (column,
+multiplicity) pairs; rows in plain order are the constraint order the
+simplex pivots through. A ``Family`` holds its blocks
 and its counted length and lists rows only when iterated; a raw program's
 genie rows are its family, held once. Blocks are the only form a family
 takes: closure is proved block by block, the orbit rows come from one
@@ -44,8 +43,7 @@ import enum
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, chain, groupby, permutations, product, repeat
+from itertools import accumulate, chain, permutations, product, repeat
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
@@ -122,15 +120,9 @@ def _expand(link_keys: _Memo, row) -> tuple:
 
 
 def row_value(row, x: dict):
-    """The sum of x over the row's keys or orbit names, omitted ones zero:
-    a symmetrised genie row's right-hand side, or a link's share of a raw
-    row's."""
-    return sum(map(x.get, row, repeat(0)))
-
-
-def _row_order(row) -> tuple:
-    """The row's (key, multiplicity) pairs; key rows are sorted by these."""
-    return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
+    """A symmetrised genie row's right-hand side at x: the sum of c * x[j]
+    over its (column, multiplicity) pairs, omitted columns zero."""
+    return sum(c * x.get(j, 0) for j, c in row)
 
 
 def _order_masks(K: int, u) -> tuple:
@@ -308,12 +300,13 @@ def _selected_blocks(ds: DemandStructure, regime: Regime) -> list:
 class LinearProgram(NamedTuple):
     """min R subject to genie rows, per-file partition and memory rows.
 
-    A raw program's genie rows are its ``Family``, which lists them only
-    when iterated. A symmetrised program's are its distinct orbit rows,
-    sorted by ``_row_order``; it names its orbits in ``orbit_members`` and
-    keeps the raw program it collapses in ``raw``. The partition and memory
-    rows are coefficient dicts; their senses and right-hand sides at a
-    cache size come from ``_structural_rows``.
+    A raw program's genie rows are its ``Family``, listed only when
+    iterated. A symmetrised program's are its distinct orbit rows in sorted
+    order, each its sorted (column, multiplicity) pairs; it names its orbits'
+    members in ``orbit_members`` and keeps the program it collapses in
+    ``raw``. The partition and memory rows are {column: coeff} dicts, column
+    j being ``var_keys[j]``; their senses and right-hand sides come from
+    ``_structural_rows``.
     """
 
     inst: ProblemInstance
@@ -346,12 +339,12 @@ def build_lp(inst: ProblemInstance, family: Family, memory_mode: str = AGGREGATE
     if memory_mode not in (AGGREGATE, PER_NODE):
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     K, N = inst.K, inst.N
-    var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))
-    partition = tuple({(i, m): 1 for m in range(1 << K)} for i in range(1, N + 1))
+    var_keys = tuple((i, m) for i in range(1, N + 1) for m in range(1 << K))  # (i-1) << K | m
+    partition = tuple(dict.fromkeys(range(i << K, i + 1 << K), 1) for i in range(N))
     if memory_mode == AGGREGATE:
-        memory = ({(i, m): m.bit_count() for i, m in var_keys if m},)
+        memory = ({j: m.bit_count() for j, (_, m) in enumerate(var_keys) if m},)
     else:
-        memory = tuple({(i, m): 1 for i, m in var_keys if m >> k & 1} for k in range(K))
+        memory = tuple({j: 1 for j, (_, m) in enumerate(var_keys) if m >> k & 1} for k in range(K))
     return LinearProgram(
         inst=inst,
         var_keys=var_keys,
@@ -367,22 +360,21 @@ class LpOutcome(NamedTuple):
     assignment: dict
 
 
-def _structural_constraints(lp: LinearProgram, col: dict, M) -> list:
+def _structural_constraints(lp: LinearProgram, M) -> list:
     """The structural rows at cache size M as simplex constraints, a
     partition row as its ``<=`` row followed by that row's negation."""
     out = []
     for coeffs, sense, rhs in _structural_rows(lp, M):
-        row = {col[k]: c for k, c in coeffs.items()}
-        out.append(exactlp.Constraint(row, rhs))
+        out.append(exactlp.Constraint(coeffs, rhs))
         if sense == exactlp.EQUAL:
-            out.append(exactlp.Constraint({j: -c for j, c in row.items()}, -rhs))
+            out.append(exactlp.Constraint({j: -c for j, c in coeffs.items()}, -rhs))
     return out
 
 
-def _genie_constraint(row, col: dict) -> exactlp.Constraint:
-    """The genie row as the simplex constraint sum(c * y[k]) - R <= 0, R in column len(col)."""
-    coeffs = {col[k]: c for k, c in _row_order(row)}
-    coeffs[len(col)] = -1
+def _genie_constraint(row, n_vars: int) -> exactlp.Constraint:
+    """The genie row as the simplex constraint sum(c * y[j]) - R <= 0, R in column n_vars."""
+    coeffs = dict(row)
+    coeffs[n_vars] = -1
     return exactlp.Constraint(coeffs, 0)
 
 
@@ -405,10 +397,9 @@ def solve_lp_grid(lp: LinearProgram, memories) -> list:
     if lp.orbit_members is None:
         lp = symmetrize(lp)
     out = []
-    for M, (value, assignment) in zip(memories, _solve_iterative(lp, memories)):
+    for M, (value, x) in zip(memories, _solve_iterative(lp, memories)):
         assignment = {
-            member: val for rep, val in assignment.items() if val
-            for member in lp.orbit_members[rep]
+            member: val for j, val in x.items() for member in lp.orbit_members[lp.var_keys[j]]
         }
         if not _witness_ok(lp.raw.genie_rows, value, assignment):
             raise exactlp.LpError("expanded symmetric witness fails a raw row")
@@ -418,46 +409,45 @@ def solve_lp_grid(lp: LinearProgram, memories) -> list:
 
 
 def _solve_iterative(lp: LinearProgram, memories):
-    """(value, assignment) of the symmetrised program at each cache size M of
-    memories in turn, by row generation over its genie rows in
-    ``_row_order`` on one tableau: it starts from the first rows at the
-    first M of memories, moves every structural constraint to its
+    """(value, x), x by column, of the symmetrised program at each cache
+    size M of memories in turn, by row generation over its genie rows in
+    order on one tableau: it starts from the first rows at the first M of
+    memories, moves every structural constraint to its
     ``_structural_constraints`` bound from point to point (a partition
     pair's move is a no-op), and re-optimises after each move and after
-    each batch of the most violated rows is added. A violated active row
-    is a solver fault."""
-    rows = lp.genie_rows
-    col = {key: j for j, key in enumerate(lp.var_keys)}
-    active = set(rows[:_ROWGEN_SEED])
-    cons = [_genie_constraint(row, col) for row in rows[:_ROWGEN_SEED]]
+    each batch of the most violated rows is added. A violated active row,
+    by index, is a solver fault."""
+    rows, n_vars = lp.genie_rows, len(lp.var_keys)
+    cons = [_genie_constraint(row, n_vars) for row in rows[:_ROWGEN_SEED]]
     first = len(cons)  # the structural constraints' first index
-    cons += _structural_constraints(lp, col, memories[0])
-    tab = exactlp.optimal_tableau({len(col): 1}, cons, n_vars=len(col) + 1)
+    active = set(range(first))
+    cons += _structural_constraints(lp, memories[0])
+    tab = exactlp.optimal_tableau({n_vars: 1}, cons, n_vars=n_vars + 1)
     for M in memories:
-        for i, con in enumerate(_structural_constraints(lp, col, M), first):
+        for i, con in enumerate(_structural_constraints(lp, M), first):
             tab.move_rhs(i, con.rhs)
         tab.reoptimize()
         while True:
-            value, assignment = _tableau_point(tab, col)
-            scaled_value, x = _scaled(value, assignment)
-            # den times the true slack; ties go by position, that is by _row_order
-            slacks = ((scaled_value - row_value(row, x), j) for j, row in enumerate(rows))
+            value, x = _tableau_point(tab)
+            scaled_value, scaled = _scaled(value, x)
+            # den times the true slack; ties go by position
+            slacks = ((scaled_value - row_value(row, scaled), j) for j, row in enumerate(rows))
             violated = sorted(t for t in slacks if t[0] < 0)
             if not violated:
                 break
-            if any(rows[j] in active for _, j in violated):
+            if not active.isdisjoint(j for _, j in violated):
                 raise exactlp.LpError("witness fails a row it was solved under")
             for _, j in violated[:_ROWGEN_BATCH]:
-                active.add(rows[j])
-                tab.add_row(_genie_constraint(rows[j], col))
+                active.add(j)
+                tab.add_row(_genie_constraint(rows[j], n_vars))
             tab.reoptimize()
-        yield value, assignment
+        yield value, x
 
 
-def _tableau_point(tab, col: dict):
-    """(value, assignment) at the tableau's optimum, zeros omitted."""
+def _tableau_point(tab):
+    """(value, x) at the tableau's optimum, x by column, R's and zeros omitted."""
     sol = tab.solution()
-    return sol.value, {key: sol.x[j] for key, j in col.items() if sol.x[j]}
+    return sol.value, {j: v for j, v in enumerate(sol.x[:-1]) if v}
 
 
 def _scaled(value, assignment):
@@ -471,28 +461,31 @@ def _witness_ok(family: Family, value, assignment) -> bool:
     checked template by template: the sum over users of the largest link
     value in the user's pool bounds every row of the (block, template),
     exactly so over disjoint pools, where the maximising choice is a row.
-    A template whose bound exceeds R is checked row by row when its pools
-    overlap.
+    Each (user, top)'s largest value is found once per block; a template
+    whose bound exceeds R is checked row by row when its pools overlap.
     """
     scaled_value, x = _scaled(value, assignment)
     K = family.ds.inst.K
     link_keys = _link_keys(K)
-    sums = _Memo(lambda link: row_value(link_keys[link], x))
+    sums = _Memo(lambda link: sum(map(x.get, link_keys[link], repeat(0))))
     for block in family.blocks:
         if not all(block.pools):  # no choice, no row
             continue
+        # (user index, top) -> the largest link value in the user's pool
+        largest = _Memo(lambda p: max(sums[_link(K, f, p[1], block.full)]
+                                      for f in block.pools[p[0]]))
         choices = None
         for tops in block.tops:
-            links = [
-                {f: sums[_link(K, f, top, block.full)] for f in pool}
-                for pool, top in zip(block.pools, tops)
-            ]
-            if sum(max(v.values()) for v in links) <= scaled_value:
+            if sum(map(largest.__getitem__, enumerate(tops))) <= scaled_value:
                 continue
             if _disjoint(block.pools):
                 return False
             if choices is None:
                 choices = _choices(block)
+            links = [
+                {f: sums[_link(K, f, top, block.full)] for f in pool}
+                for pool, top in zip(block.pools, tops)
+            ]
             if any(sum(map(dict.__getitem__, links, c)) > scaled_value for c in choices):
                 return False
     return True
@@ -503,10 +496,11 @@ def _verify_structural(lp: LinearProgram, assignment, M) -> None:
     zero, in integers: the point is scaled by den (``_scaled``), and a row's
     total times rhs's denominator is held against rhs's numerator times den."""
     den, scaled = _scaled(Fraction(1), assignment)
+    x = list(map(scaled.get, lp.var_keys, repeat(0)))  # by column
     for coeffs, sense, rhs in _structural_rows(lp, M):
         equal = sense == exactlp.EQUAL
         holds, kind = (operator.eq, "partition") if equal else (operator.le, "memory")
-        total = sum(map(operator.mul, coeffs.values(), map(scaled.get, coeffs, repeat(0))))
+        total = sum(map(operator.mul, coeffs.values(), map(x.__getitem__, coeffs)))
         if not holds(total * rhs.denominator, rhs.numerator * den):
             raise exactlp.LpError(f"witness violates a {kind} row")
 
@@ -618,11 +612,12 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     block's image is then a block whose rows are the images of the block's,
     so the family is closed, and as a row's key set is the disjoint union
     of its links' and equal key sets have equal links, so is the expanded
-    family. Restricting to invariant placements
-    then keeps the optimum, and the variables collapse to one per orbit,
-    named ("orbit", *least member). A row projects to its keys' orbit
-    names, sorted; the distinct projections, sorted by ``_row_order``, are
-    the genie rows of the result. A generator maps the rows of a (block,
+    family. Restricting to invariant placements then keeps the optimum,
+    and the variables collapse to one per orbit, named ("orbit", *least
+    member) and numbered in its order. A row projects to its keys' orbits'
+    sorted (column, multiplicity) pairs; the distinct projections, sorted,
+    are the genie rows of the result, and the structural rows' projections
+    are {column: coeff} dicts. A generator maps the rows of a (block,
     template) pair onto those of its image pair, and a projection is
     constant on orbits, so only the rows of the least pair of each orbit
     are projected (``_representatives``): K!/(2K) of the full family's K!
@@ -661,9 +656,9 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
 
     def project(coeffs) -> tuple:
         counts: Counter = Counter()
-        for (i, m), c in coeffs.items():
-            counts[index[(i - 1) << K | m]] += c
-        return tuple((names[j], n) for j, n in sorted(counts.items()))
+        for j, c in coeffs.items():
+            counts[index[j]] += c
+        return tuple(sorted(counts.items()))
 
     width = 1 << K  # file i's keys are var_keys[(i-1) * width : i * width]
     cls = {i: tuple(index[(i - 1) * width:i * width]) for i in range(1, lp.inst.N + 1)}
@@ -678,7 +673,7 @@ def symmetrize(lp: LinearProgram) -> LinearProgram:
     shapes = dedup_rows(tuple(sorted(map(link_id.__getitem__, row))) for row in rows)
     by_id = list(ids)
     projected = {tuple(sorted(chain.from_iterable(map(by_id.__getitem__, s)))) for s in shapes}
-    genie = sorted((tuple(names[j] for j in row) for row in projected), key=_row_order)
+    genie = sorted(tuple(Counter(row).items()) for row in projected)  # a sorted row counts in order
     partition, memory = ({project(coeffs) for coeffs in rows}
                          for rows in (lp.partition_rows, lp.memory_rows))
     return LinearProgram(
@@ -888,12 +883,10 @@ def sum_all_bound(inst: ProblemInstance, family: Family) -> Fraction:
     """
     total, n_rows = _block_counts(family.ds, family.blocks)
     lp = build_lp(inst, family, AGGREGATE)
-    col = {key: j for j, key in enumerate(lp.var_keys)}
-    objective = {col[k]: c for k, c in total.items()}
-    sol = exactlp.solve(objective, _structural_constraints(lp, col, inst.M), n_vars=len(col))
-    x = {key: sol.x[j] for key, j in col.items() if sol.x[j]}
-    _verify_structural(lp, x, inst.M)
-    if sum(c * x.get(k, 0) for k, c in total.items()) != sol.value:
+    objective = {(i - 1) << inst.K | m: c for (i, m), c in total.items()}
+    sol = exactlp.solve(objective, _structural_constraints(lp, inst.M), n_vars=len(lp.var_keys))
+    _verify_structural(lp, {key: v for key, v in zip(lp.var_keys, sol.x) if v}, inst.M)
+    if sum(c * sol.x[j] for j, c in objective.items()) != sol.value:
         raise exactlp.LpError("the loose bound's value is not the average at its point")
     return max(Fraction(0), sol.value / n_rows)
 
@@ -906,14 +899,15 @@ def _key_name(key) -> str:
 
 def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text exact-rational dump: one row per line, `sense rhs coeffs`."""
-    lines = ["min R"]
-    rows = lp.genie_rows
+    lines, K, rows = ["min R"], lp.inst.K, lp.genie_rows
     if lp.orbit_members is None:  # the family's distinct rows print expanded, in expanded order
-        rows = sorted(map(partial(_expand, _link_keys(lp.inst.K)), dedup_rows(rows)))
+        link_keys = _link_keys(K)
+        rows = sorted(tuple(((i - 1) << K | m, 1) for i, m in _expand(link_keys, row))
+                      for row in dedup_rows(rows))
     for row in rows:
-        terms = (f"{_key_name(k)}:{-c}" for k, c in _row_order(row))
+        terms = (f"{_key_name(lp.var_keys[j])}:{-c}" for j, c in row)
         lines.append(" ".join((f"{exactlp.GREATER_EQ} 0", "R:1", *terms)))
     for coeffs, sense, rhs in _structural_rows(lp, lp.inst.M):
-        terms = (f"{_key_name(k)}:{c}" for k, c in sorted(coeffs.items()))
+        terms = (f"{_key_name(lp.var_keys[j])}:{c}" for j, c in sorted(coeffs.items()))
         lines.append(" ".join((f"{sense} {rhs}", *terms)))
     return "\n".join(lines) + "\n"

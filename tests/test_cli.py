@@ -447,6 +447,8 @@ class TestLpCommand:
     @pytest.mark.parametrize("golden,argv", [
         ("lp_522_m3_full_aggregate", ["lp", "--K", "5", "--a", "2", "--b", "2", "--M", "3"]),
         ("tradeoff_611_lp", ["tradeoff", "--K", "6", "--a", "1", "--b", "1", "--lp"]),
+        ("tradeoff_611_lp_per_node",
+         ["tradeoff", "--K", "6", "--a", "1", "--b", "1", "--lp", "--memory-mode", "per_node"]),
     ])
     def test_frontier_reports_are_the_golden_files(self, capsys, golden, argv):
         # The full family's largest symmetrised programs the suite solves.

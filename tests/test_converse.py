@@ -1,11 +1,12 @@
 """Genie families, exact LP, symmetrisation, certificates, loose bound."""
 
+import hashlib
 import inspect
 import operator
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product, repeat
 from math import factorial, lcm
 from pathlib import Path
 
@@ -58,12 +59,45 @@ def raw_rows(lp):
     return cv.dedup_rows(lp.genie_rows)
 
 
+def row_order(row) -> tuple:
+    """A row of names' (name, multiplicity) pairs: the order orbit rows
+    were sorted in while they were stored as names."""
+    return tuple((k, sum(1 for _ in g)) for k, g in groupby(row))
+
+
+def column_rows(var_keys, rows) -> tuple:
+    """Rows of names, a name once per unit of its coefficient, as the
+    (column, multiplicity) pairs of a program whose column j is
+    ``var_keys[j]``, in the rows' order."""
+    col = {key: j for j, key in enumerate(var_keys)}
+    return tuple(tuple(sorted(Counter(map(col.__getitem__, row)).items())) for row in rows)
+
+
+def by_column(var_keys, coeffs) -> dict:
+    """A name-keyed coefficient dict as {column: coeff} through ``var_keys``."""
+    col = {key: j for j, key in enumerate(var_keys)}
+    return {col[key]: c for key, c in coeffs.items()}
+
+
+def named_coeffs(lp, coeffs) -> dict:
+    """A {column: coeff} row of lp keyed by name, through ``var_keys``."""
+    return {lp.var_keys[j]: c for j, c in coeffs.items()}
+
+
+def named_rows(lp) -> list:
+    """A symmetrised program's genie rows as sorted tuples of names, each
+    name once per unit of its multiplicity, through ``var_keys``."""
+    return [tuple(chain.from_iterable(repeat(lp.var_keys[j], c) for j, c in row))
+            for row in lp.genie_rows]
+
+
 def direct_solve(lp):
     """The direct route, the orbit route's oracle: lp solved as its collapse
     under the trivial group, one orbit per key and the expanded key rows in
     sorted order, through the same row generation and the same witness
     check against every raw row."""
-    trivial = lp._replace(genie_rows=tuple(sorted(expanded(lp.genie_rows.ds, raw_rows(lp)))),
+    key_rows = sorted(expanded(lp.genie_rows.ds, raw_rows(lp)))
+    trivial = lp._replace(genie_rows=column_rows(lp.var_keys, key_rows),
                           orbit_members={key: (key,) for key in lp.var_keys}, raw=lp)
     return cv.solve_lp(trivial)
 
@@ -78,12 +112,12 @@ def with_m(lp, M):
 
 def rebuilt_structural_rows(lp, M):
     """(partition, memory): lp's structural rows rebuilt from its instance
-    at cache size M as (coeffs, rhs) pairs, the oracle of
-    ``cv._structural_rows``. A file's row sums its keys to 1; the aggregate
-    row weighs each key by its mask's popcount against K*M, a per-node row
-    sums the keys on its node against M; M is clamped to 2a+b. A
-    symmetrised program's rows are projected onto its orbits, in sorted
-    order."""
+    at cache size M as (coeffs, rhs) pairs, coeffs keyed by name, the
+    oracle of ``cv._structural_rows``. A file's row sums its keys to 1; the
+    aggregate row weighs each key by its mask's popcount against K*M, a
+    per-node row sums the keys on its node against M; M is clamped to
+    2a+b. A symmetrised program's rows are projected onto its orbits, in
+    sorted order."""
     inst = lp.inst.with_m(M)
     K, N = inst.K, inst.N
     keys = [(i, m) for i in range(1, N + 1) for m in range(1 << K)]
@@ -402,13 +436,14 @@ def cyclic_symmetrize(lp):
         return tuple(sorted(out.items()))
 
     genie = {tuple(sorted(orbit_rep[k] for k in row)) for row in key_rows}
-    partition = {project(coeffs) for coeffs in lp.partition_rows}
-    memory = {project(coeffs) for coeffs in lp.memory_rows}
+    partition, memory = ({project(named_coeffs(lp, coeffs)) for coeffs in rows}
+                         for rows in (lp.partition_rows, lp.memory_rows))
+    var_keys = tuple(sorted(members))
     return lp._replace(
-        var_keys=tuple(sorted(members)),
-        genie_rows=tuple(sorted(genie, key=cv._row_order)),
-        partition_rows=tuple(map(dict, sorted(partition))),
-        memory_rows=tuple(map(dict, sorted(memory))),
+        var_keys=var_keys,
+        genie_rows=column_rows(var_keys, sorted(genie, key=row_order)),
+        partition_rows=tuple(by_column(var_keys, dict(row)) for row in sorted(partition)),
+        memory_rows=tuple(by_column(var_keys, dict(row)) for row in sorted(memory)),
         orbit_members=members,
         raw=lp,
     )
@@ -516,14 +551,14 @@ def key_symmetrize(lp):
         return tuple(sorted(out.items()))
 
     projected = {tuple(sorted(map(index.__getitem__, row))) for row in rows}
-    genie = sorted((tuple(names[j] for j in row) for row in projected), key=cv._row_order)
-    partition = {project(coeffs) for coeffs in lp.partition_rows}
-    memory = {project(coeffs) for coeffs in lp.memory_rows}
+    genie = sorted((tuple(names[j] for j in row) for row in projected), key=row_order)
+    partition, memory = ({project(named_coeffs(lp, coeffs)) for coeffs in rows}
+                         for rows in (lp.partition_rows, lp.memory_rows))
     return (
         tuple(names),
-        tuple(genie),
-        tuple(map(dict, sorted(partition))),
-        tuple(map(dict, sorted(memory))),
+        column_rows(names, genie),
+        tuple(by_column(names, dict(row)) for row in sorted(partition)),
+        tuple(by_column(names, dict(row)) for row in sorted(memory)),
         members,
     )
 
@@ -638,7 +673,7 @@ class TestFullFamily:
         for name, rows in every_family(ds):
             rows = expanded(ds, rows)
             assert all(len(set(row)) == len(row) for row in rows), name
-            assert sorted(rows) == sorted(rows, key=cv._row_order), name
+            assert sorted(rows) == sorted(rows, key=row_order), name
 
     def test_budget_guard(self):
         _, ds = setup(8, 4, 3)
@@ -805,7 +840,7 @@ class TestSoundness:
             placement = scheme_placement(inst, ds, scheme)
             load = worst_case_load(inst, ds, scheme)
             for row in rows:
-                assert cv.row_value(expand(K, row), placement) <= load
+                assert sum(placement.get(key, 0) for key in expand(K, row)) <= load
 
 
 class TestSolveLp:
@@ -916,12 +951,12 @@ def faulty_rounds(monkeypatch, sym, memories, fault_from=None):
     constraints the tableau was solved under, and the LpError's text."""
     point, rounds = cv._tableau_point, []
 
-    def faulty(tab, col):
+    def faulty(tab):
         rounds.append(len(tab.rhs))
         if len(rounds) > 50:
             raise AssertionError("row generation does not stop")
-        value, assignment = point(tab, col)
-        return value - (fault_from is not None and len(rounds) >= fault_from), assignment
+        value, x = point(tab)
+        return value - (fault_from is not None and len(rounds) >= fault_from), x
 
     with monkeypatch.context() as patch:
         patch.setattr(cv, "_tableau_point", faulty)
@@ -1080,10 +1115,10 @@ def oracle_family(ds, regime):
 def cold_solve_value(sym):
     """The collapsed program solved cold with every genie row at once, the
     warm walk's oracle."""
-    col = {key: j for j, key in enumerate(sym.var_keys)}
-    cons = [cv._genie_constraint(row, col) for row in sym.genie_rows]
-    cons += cv._structural_constraints(sym, col, sym.inst.M)
-    return cv.exactlp.solve({len(col): 1}, cons, n_vars=len(col) + 1).value
+    n = len(sym.var_keys)
+    cons = [cv._genie_constraint(row, n) for row in sym.genie_rows]
+    cons += cv._structural_constraints(sym, sym.inst.M)
+    return cv.exactlp.solve({n: 1}, cons, n_vars=n + 1).value
 
 
 class TestGridWalk:
@@ -1184,10 +1219,11 @@ class TestLinkRowsMatchKeyOracles:
             return
         # The orbit rows are scanned as _solve_iterative scans them.
         value, x = next(cv._solve_iterative(sym, [sym.inst.M]))
+        named = {sym.var_keys[j]: val for j, val in x.items()}
         for v in (value, value - Fraction(1, 97)):
             scaled, xs = cv._scaled(v, x)
             scan = all(scaled >= cv.row_value(row, xs) for row in sym.genie_rows)
-            assert scan == key_witness_ok(sym.genie_rows, v, x)
+            assert scan == key_witness_ok(named_rows(sym), v, named)
 
     @pytest.mark.parametrize("K,a,b", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2)])
     def test_same_verdicts_where_a_template_bound_exceeds_r(self, monkeypatch, K, a, b):
@@ -1269,8 +1305,9 @@ class TestStructuralRows:
         for program in (lp, cv.symmetrize(lp)):
             for m in memory_grid(base) + [top + Fraction(3, 2)]:
                 partition, memory = rebuilt_structural_rows(program, m)
-                want = [(coeffs, cv.exactlp.EQUAL, rhs) for coeffs, rhs in partition]
-                want += [(coeffs, cv.exactlp.LESS_EQ, rhs) for coeffs, rhs in memory]
+                keys = program.var_keys
+                want = [(by_column(keys, coeffs), cv.exactlp.EQUAL, rhs) for coeffs, rhs in partition]
+                want += [(by_column(keys, coeffs), cv.exactlp.LESS_EQ, rhs) for coeffs, rhs in memory]
                 assert cv._structural_rows(program, m) == want, (m, mode)
             assert cv._structural_rows(program, top + 1) == cv._structural_rows(program, top)
 
@@ -1477,6 +1514,42 @@ class TestRepresentativePairs:
         monkeypatch.setattr(cv, "_representatives", every_pair)
         cv.symmetrize(lp)
         assert sum(listed) == 19_320 + 231_840
+
+
+class TestColumnRows:
+    """Every program row is keyed by column; the orbit rows' plain order is
+    the order of their names' (name, multiplicity) pairs."""
+
+    @pytest.mark.parametrize("K,a,b", REDUCTION_INSTANCES)
+    def test_orbit_rows_are_sorted_by_row_order(self, K, a, b):
+        # Structural rows are held by column in TestStructuralRows.
+        inst, ds = setup(K, a, b, M=a + b)
+        keys = tuple((i, m) for i in range(1, inst.N + 1) for m in range(1 << K))
+        for name, family in constructible_families(ds):
+            for mode in (cv.AGGREGATE, cv.PER_NODE):
+                lp = cv.build_lp(inst, family, mode)
+                assert lp.var_keys == keys  # key (i, m) at column (i-1) << K | m
+                sym = cv.symmetrize(lp)
+                assert list(sym.var_keys) == sorted(sym.var_keys), (name, mode)
+                named = named_rows(sym)
+                assert named == sorted(named, key=row_order), (name, mode)
+                assert column_rows(sym.var_keys, named) == sym.genie_rows, (name, mode)
+
+    @pytest.mark.parametrize("K,a,b,M", [(3, 2, 1, 3), (5, 1, 1, 2)])
+    def test_witness_reads_each_user_and_top_once_per_block(self, monkeypatch, K, a, b, M):
+        # Every template's bound holds at the optimum, so no choice is listed,
+        # and each (user, top) pair's largest link is found once.
+        inst, ds = setup(K, a, b, M=M)
+        family = family_for(ds)
+        out = cv.solve_lp(cv.build_lp(inst, family))
+        (block,) = family.blocks
+        pairs = {(uk, top) for tops in block.tops for uk, top in enumerate(tops)}
+        links, link = [], cv._link
+        monkeypatch.setattr(cv, "_link", lambda *args: links.append(args) or link(*args))
+        monkeypatch.setattr(cv, "_choices", None)  # listing a choice would fail
+        assert cv._witness_ok(family, out.value, out.assignment)
+        assert len(links) == sum(len(block.pools[uk]) for uk, _ in pairs)
+        assert len(pairs) == K << K - 1 < factorial(K) * K
 
 
 def perturbed_blocks(ds, blocks):
@@ -1827,3 +1900,16 @@ class TestLpExport:
         lp = cv.build_lp(inst, rows, mode)
         text = cv.lp_to_text(lp if raw else cyclic_symmetrize(lp))
         assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+    def test_orbit_program_matches_golden(self):
+        # The program symmetrize hands the simplex, rows in constraint order.
+        inst, ds = setup(4, 1, 2, M=2)
+        text = cv.lp_to_text(cv.symmetrize(cv.build_lp(inst, cv.full_family(ds))))
+        assert text == (GOLDEN / "lp_412_m2_full_aggregate_orbit.txt").read_text(encoding="utf-8")
+
+    def test_611_per_node_orbit_program_is_pinned(self):
+        inst, ds = setup(6, 1, 1, M=2)
+        text = cv.lp_to_text(cv.symmetrize(cv.build_lp(inst, cv.full_family(ds), cv.PER_NODE)))
+        assert text.count("\n") == 3141
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(
+            "11a4bf08e855be09515662f025129f23afb1e534c0796ff4305f5d4278ac566d")
